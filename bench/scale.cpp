@@ -8,11 +8,7 @@
  * and reports simulator throughput (kernel events per wall second)
  * alongside the adaptive-mechanism health stats -- retry traffic,
  * snarf usage, WBHT accuracy -- so a scaling regression in either
- * speed or behaviour is visible. Each cell also reruns once under the
- * domain scheduler with the phase-timing gauges on and records the
- * per-phase wall breakdown (core execution, barrier wait, replay,
- * global, renumber) so parallel-kernel time is attributable as the
- * machine grows; that rerun is informational and never gates.
+ * speed or behaviour is visible.
  *
  * Emits cmpcache-scale-bench-v1 JSON. The committed baseline lives in
  * bench/BENCH_scale.json; scripts/bench_guard.py guards only the
@@ -20,7 +16,6 @@
  * machines are informational.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -28,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/domain_scheduler.hh"
-#include "sim/simulation.hh"
 #include "sim/sweep.hh"
 #include "trace/workloads_commercial.hh"
 
@@ -43,10 +36,6 @@ struct ScaleCell
     unsigned cores = 0;
     unsigned l2s = 0;
     SweepJobResult r;
-    /** Domain-scheduler run of the same cell (informational). */
-    unsigned parallelWorkers = 0;
-    double parallelSeconds = 0.0;
-    DomainScheduler::PhaseStats phases;
 };
 
 /** Doubles print round-trippably, mirroring the sweep writers. */
@@ -97,27 +86,6 @@ runScaleCell(unsigned cores, std::uint64_t refs_per_thread,
             cell.r = results[0];
     }
 
-    // One scheduler-backed run of the same cell for the per-phase
-    // wall breakdown (docs/parallel.md): where the parallel kernel
-    // spends its time as the machine grows. Informational -- the
-    // guarded metric above stays the serial kernel's throughput.
-    {
-        SweepSpec pspec = spec;
-        cell.parallelWorkers = std::min(4u, cell.l2s);
-        pspec.base.runThreads = cell.parallelWorkers;
-        pspec.base.obs.schedGauges = true; // enables phase timing
-        const auto jobs = pspec.expand();
-        const auto start = std::chrono::steady_clock::now();
-        Simulation sim(jobs[0].config, jobs[0].params);
-        sim.run();
-        cell.parallelSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (const DomainScheduler *sched =
-                sim.system().domainScheduler())
-            cell.phases = sched->phaseStats();
-    }
     return cell;
 }
 
@@ -150,22 +118,6 @@ writeJson(std::ostream &os, std::uint64_t refs,
            << jsonNum(res.snarfedForInterventionPct)
            << ", \"wbhtCorrectPct\": " << jsonNum(res.wbhtCorrectPct)
            << ", \"l2HitRatePct\": " << jsonNum(res.l2HitRatePct)
-           << ", \"parallelWorkers\": " << c.parallelWorkers
-           << ", \"parallelSeconds\": " << jsonNum(c.parallelSeconds)
-           << ", \"phases\": {\"rounds\": " << c.phases.rounds
-           << ", \"fanOutRounds\": " << c.phases.fanOutRounds
-           << ", \"soloRounds\": " << c.phases.soloRounds
-           << ", \"renumberSorts\": " << c.phases.renumberSorts
-           << ", \"birthRecords\": " << c.phases.birthRecords
-           << ", \"coreSeconds\": " << jsonNum(c.phases.coreSeconds)
-           << ", \"barrierSeconds\": "
-           << jsonNum(c.phases.barrierSeconds)
-           << ", \"replaySeconds\": "
-           << jsonNum(c.phases.replaySeconds)
-           << ", \"globalSeconds\": "
-           << jsonNum(c.phases.globalSeconds)
-           << ", \"renumberSeconds\": "
-           << jsonNum(c.phases.renumberSeconds) << "}"
            << "}" << (i + 1 == cells.size() ? "\n" : ",\n");
     }
     os << "  ]\n}\n";

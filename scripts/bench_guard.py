@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark performance regression guard.
 
-Runs a benchmark binary that emits pair-based JSON (the hotpath /
-parallel microbenchmarks' cmpcache-hotpath-bench-v1 or the scaling
-study's cmpcache-scale-bench-v1) and compares each pair's
+Runs a benchmark binary that emits pair-based JSON (the hotpath
+microbenchmarks' cmpcache-hotpath-bench-v1 or the scaling study's
+cmpcache-scale-bench-v1) and compares each pair's
 current-implementation throughput (currentOpsPerSec) against the
 committed baseline in bench/BENCH_*.json. Any guarded pair that drops
 more than --max-drop (default 20%) below its baseline fails the
@@ -11,17 +11,14 @@ guard; pairs marked "guard": false in the baseline are reported but
 never gate (the scale bench guards only its 8-core cell -- larger
 machines are informational). A baseline pair may set
 "metric": "speedup" to gate on the within-run legacy-vs-current
-ratio instead of absolute throughput -- the parallel bench uses this
-because its contract is "parallelism pays relative to this run's
-serial kernel", and absolute Mops/s drifts with VM noisy-neighbor
-load that the same-run ratio cancels out.
+ratio instead of absolute throughput: absolute Mops/s drifts with VM
+noisy-neighbor load that the same-run ratio cancels out.
 
 Baselines that record the machine they were measured on (a top-level
-"hostCores" field, emitted by the parallel bench) only gate when the
-current host reports the same core count: parallel speedup on a
-16-core box and on a 1-core CI runner are different experiments, so a
-mismatch downgrades every pair to informational instead of
-cross-failing.
+"hostCores" field) only gate when the current host reports the same
+core count: a 16-core box and a 1-core CI runner are different
+experiments, so a mismatch downgrades every pair to informational
+instead of cross-failing.
 
 Exit codes: 0 pass, 1 regression (or broken inputs), 77 skipped.
 Set CMPCACHE_SKIP_BENCH=1 to skip (slow or contended CI machines);

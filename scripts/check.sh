@@ -6,25 +6,21 @@
 #   scripts/check.sh unit       # unit tests only
 #   scripts/check.sh e2e        # end-to-end (sweep) tests only
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
-#   scripts/check.sh tsan       # TSan build, tsan-labelled (multi-threaded)
-#                               # tests plus a parallel-kernel sweep smoke
+#   scripts/check.sh tsan       # TSan build, tsan-labelled (sweep pool and
+#                               # serve reader) tests plus a sampled sweep
+#                               # byte-compared across worker counts
 #   scripts/check.sh obs        # ASan+UBSan build, obs-labelled tests,
 #                               # then a sampled sweep smoke run
 #   scripts/check.sh faults     # fault/watchdog suite, then smoke runs:
 #                               # an injected-fault sweep plus a faults-off
 #                               # thread-count byte-identity check
-#   scripts/check.sh fuzz       # the >= 50-config parallel-vs-serial
-#                               # differential sweep (CMPCACHE_FUZZ gated)
 #   scripts/check.sh bench      # perf-regression guards against the
-#                               # committed BENCH_hotpath.json,
-#                               # BENCH_parallel.json and
+#                               # committed BENCH_hotpath.json and
 #                               # BENCH_scale.json baselines (skip
 #                               # with CMPCACHE_SKIP_BENCH=1)
-#   scripts/check.sh perf       # the parallel + hotpath guards with
-#                               # CMPCACHE_FANOUT=1 forced (real
-#                               # worker threads wherever it runs);
-#                               # fresh bench JSON lands in build/perf
-#                               # for CI artifact upload
+#   scripts/check.sh perf       # the hotpath guard; fresh bench JSON
+#                               # lands in build/perf for CI artifact
+#                               # upload
 #   scripts/check.sh serve      # streaming smoke: a 1M-record trace
 #                               # through a FIFO with bounded memory
 #                               # and live ingest gauges, plus open-
@@ -44,9 +40,9 @@ cd "$(dirname "$0")/.."
 
 SELECT="${1:-all}"
 case "$SELECT" in
-unit | e2e | all | sanitize | tsan | obs | faults | fuzz | bench | perf | serve | scale | chaos) ;;
+unit | e2e | all | sanitize | tsan | obs | faults | bench | perf | serve | scale | chaos) ;;
 *)
-    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|fuzz|bench|perf|serve|scale|chaos]" >&2
+    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|bench|perf|serve|scale|chaos]" >&2
     exit 2
     ;;
 esac
@@ -102,8 +98,8 @@ fi
 if [ "$SELECT" = tsan ]; then
     # ThreadSanitizer is incompatible with ASan, so it gets its own
     # mode and build tree; the tsan label selects exactly the suites
-    # that exercise the worker pool (domain scheduler properties plus
-    # the parallel differential harness).
+    # that run more than one thread (the sweep worker pool and the
+    # serve reader thread).
     run_phase configure \
         cmake -B build-tsan -S . -DCMPCACHE_SANITIZE=thread
     run_phase build cmake --build build-tsan -j"$(nproc)"
@@ -112,15 +108,18 @@ if [ "$SELECT" = tsan ]; then
         -j"$(nproc)" -L tsan
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
-    # CMPCACHE_FANOUT=1 overrides the single-core fan-out gate so the
-    # smoke exercises the real worker threads wherever it runs.
-    run_phase tsan-smoke \
-        env CMPCACHE_FANOUT=1 \
-        ./build-tsan/src/cmpcache sweep \
-        --workloads=thrash --policies=baseline,combined --refs=2000 \
-        --run-threads=4 --sample-every=5000 \
-        --out="$smoke_dir/parallel.json" --quiet
-    echo "tsan: suite + parallel sweep smoke OK"
+    # A sampled sweep on four pool workers must race-free reproduce the
+    # one-worker bytes.
+    for t in 1 4; do
+        run_phase "tsan-smoke-t$t" \
+            ./build-tsan/src/cmpcache sweep \
+            --workloads=thrash --policies=baseline,combined --refs=2000 \
+            --threads="$t" --sample-every=5000 \
+            --out="$smoke_dir/sweep$t.json" --quiet
+    done
+    cmp "$smoke_dir/sweep1.json" "$smoke_dir/sweep4.json" \
+        || { echo "tsan: sampled sweep differs across --threads" >&2; exit 1; }
+    echo "tsan: suite + sampled sweep smoke OK"
     exit 0
 fi
 
@@ -135,9 +134,6 @@ if [ "$SELECT" = bench ]; then
     run_phase bench-hotpath python3 scripts/bench_guard.py \
         --bench build/bench/hotpath \
         --baseline bench/BENCH_hotpath.json
-    run_phase bench-parallel python3 scripts/bench_guard.py \
-        --bench build/bench/parallel_run \
-        --baseline bench/BENCH_parallel.json
     run_phase bench-scale python3 scripts/bench_guard.py \
         --bench build/bench/scale \
         --baseline bench/BENCH_scale.json
@@ -149,28 +145,13 @@ if [ "$SELECT" = perf ]; then
         echo "perf: skipped (CMPCACHE_SKIP_BENCH set)"
         exit 0
     fi
-    # The parallel-kernel and fast-path guards with fan-out forced on,
-    # so the real worker threads run even where the runtime reports
-    # one core. hostCores-mismatched baselines report informationally
-    # instead of gating (scripts/bench_guard.py), so this is safe on
-    # any runner; the fresh JSON is kept for artifact upload.
-    run_phase perf-parallel \
-        env CMPCACHE_FANOUT=1 python3 scripts/bench_guard.py \
-        --bench build/bench/parallel_run \
-        --baseline bench/BENCH_parallel.json \
-        --fresh-out build/perf/BENCH_parallel.json
-    run_phase perf-hotpath \
-        env CMPCACHE_FANOUT=1 python3 scripts/bench_guard.py \
+    # hostCores-mismatched baselines report informationally instead
+    # of gating (scripts/bench_guard.py), so this is safe on any
+    # runner; the fresh JSON is kept for artifact upload.
+    run_phase perf-hotpath python3 scripts/bench_guard.py \
         --bench build/bench/hotpath \
         --baseline bench/BENCH_hotpath.json \
         --fresh-out build/perf/BENCH_hotpath.json
-    exit 0
-fi
-
-if [ "$SELECT" = fuzz ]; then
-    run_phase fuzz-suite \
-        env CMPCACHE_FUZZ=1 \
-        ctest --test-dir build --output-on-failure -j"$(nproc)" -L fuzz
     exit 0
 fi
 
@@ -341,8 +322,7 @@ faults)
     grep -q 'fault.forced_l3_retries' "$smoke_dir/faulty.json" \
         || { echo "faulty sweep sampled no fault probes" >&2; exit 1; }
     # With faults off the results must be byte-identical across sweep
-    # worker counts and per-run kernel worker counts, and carry no
-    # fault/error artifacts at all.
+    # worker counts and carry no fault/error artifacts at all.
     for t in 1 4; do
         run_phase "faults-clean-t$t" \
             ./src/cmpcache sweep \
@@ -351,15 +331,6 @@ faults)
     done
     cmp "$smoke_dir/clean1.json" "$smoke_dir/clean4.json" \
         || { echo "faults-off sweep differs across thread counts" >&2; exit 1; }
-    for rt in 1 4; do
-        run_phase "faults-clean-rt$rt" \
-            ./src/cmpcache sweep \
-            --workloads=thrash --policies=baseline,wbht --refs=2000 \
-            --run-threads="$rt" --out="$smoke_dir/cleanrt$rt.json" \
-            --quiet
-        cmp "$smoke_dir/clean1.json" "$smoke_dir/cleanrt$rt.json" \
-            || { echo "sweep differs with run-threads=$rt" >&2; exit 1; }
-    done
     if grep -qE '"status"|fault\.' "$smoke_dir/clean1.json"; then
         echo "faults-off sweep output carries fault artifacts" >&2
         exit 1

@@ -185,9 +185,6 @@ drawSample(const ChaosOptions &opts, unsigned index)
     }
     s.cfg.topology.smt = 2;
 
-    static const unsigned kRunThreads[] = {0, 2, 4};
-    s.cfg.runThreads = kRunThreads[rng.below(3)];
-
     // The full conformance stack, always on; chaos runs start cold
     // (warmup would taint multi-holder lines out of oracle coverage).
     s.cfg.check.oracle = true;
@@ -241,8 +238,8 @@ drawSample(const ChaosOptions &opts, unsigned index)
         << s.workload.sharedLines << " cores="
         << s.cfg.topology.cores << "x" << s.cfg.topology.smt
         << " l2s=" << s.cfg.topology.l2s << " layout="
-        << toString(s.cfg.topology.layout) << " run.threads="
-        << s.cfg.runThreads << " seed=" << s.seed << " fault.plan='"
+        << toString(s.cfg.topology.layout) << " seed=" << s.seed
+        << " fault.plan='"
         << s.cfg.fault.plan << "' fault.seed=" << s.cfg.fault.seed;
     s.summary = sum.str();
     return s;

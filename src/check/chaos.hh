@@ -5,9 +5,9 @@
  *
  * Each sample draws an adversarial configuration from a deterministic
  * RNG stream -- a sharing-heavy stress workload (producer_consumer,
- * migratory, false_sharing, pingpong), a machine topology, an event-
- * kernel thread count and a benign fault-injection plan (retry
- * storms, delays, snarf suppression) -- and runs it with the full
+ * migratory, false_sharing, pingpong), a machine topology and a
+ * benign fault-injection plan (retry storms, delays, snarf
+ * suppression) -- and runs it with the full
  * conformance stack forced on: the version oracle validates every
  * data delivery and a periodic online sweep re-checks the structural
  * coherence invariants mid-run.

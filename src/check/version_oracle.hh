@@ -49,10 +49,9 @@
  *    fires the moment a stale copy actually *supplies* a demand
  *    request.
  *
- * Thread safety: store/drop hooks fire from domain-worker threads
- * when run.threads > 0, so all state sits behind a mutex and
- * violations are *recorded* first and thrown at the next serial point
- * (every combine, plus throwIfViolated() at end of run).
+ * Thread safety: all state sits behind a mutex, and violations are
+ * *recorded* first and thrown at the next serial point (every
+ * combine, plus throwIfViolated() at end of run).
  */
 
 #ifndef CMPCACHE_CHECK_VERSION_ORACLE_HH

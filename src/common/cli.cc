@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -87,6 +88,18 @@ CliArgs::getBool(const std::string &key, bool def) const
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     cmp_fatal("option --", key, " expects a boolean, got '", v, "'");
+}
+
+void
+CliArgs::requireKnown(std::initializer_list<std::string_view> known) const
+{
+    for (const auto &[key, value] : options_) {
+        if (std::find(known.begin(), known.end(), key) != known.end())
+            continue;
+        if (subcommand_.empty())
+            cmp_fatal("unknown option --", key);
+        cmp_fatal("unknown option --", key, " for '", subcommand_, "'");
+    }
 }
 
 std::int64_t

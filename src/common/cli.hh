@@ -8,8 +8,10 @@
 #define CMPCACHE_COMMON_CLI_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cmpcache
@@ -45,6 +47,14 @@ class CliArgs
     {
         return positional_;
     }
+
+    /**
+     * Fatal error (exit 1) naming an --option not in @p known (the
+     * first by name when there are several). Drivers pass the options
+     * their help text documents, so a typo or a retired flag fails
+     * loudly instead of being silently ignored.
+     */
+    void requireKnown(std::initializer_list<std::string_view> known) const;
 
     /** Environment-variable integer override helper. */
     static std::int64_t envInt(const char *name, std::int64_t def);

@@ -1,23 +1,7 @@
 #include "core/retry_monitor.hh"
 
-#include <algorithm>
-
 namespace cmpcache
 {
-
-namespace
-{
-
-/** Per-thread deferred-query slot (see setThreadQueryLog). */
-thread_local Tick *tlsQueryLog = nullptr;
-
-} // namespace
-
-void
-RetryMonitor::setThreadQueryLog(Tick *slot)
-{
-    tlsQueryLog = slot;
-}
 
 RetryMonitor::RetryMonitor(stats::Group *parent, const Params &p)
     : stats::Group(parent, "retry_monitor"),
@@ -120,26 +104,8 @@ RetryMonitor::recordRetry(Tick now)
 bool
 RetryMonitor::active(Tick now)
 {
-    if (Tick *log = tlsQueryLog) {
-        *log = std::max(*log, now);
-        return activeAt(now);
-    }
     rollWindows(now);
     return active_;
-}
-
-bool
-RetryMonitor::activeAt(Tick now) const
-{
-    // rollWindows() without the side effects: the first elapsed
-    // window closes with the accumulated count, every further elapsed
-    // window closes with zero retries.
-    const Tick window = params_.windowCycles;
-    if (now < windowStart_ + window)
-        return active_;
-    if (now < windowStart_ + 2 * window)
-        return windowCount_ >= params_.threshold;
-    return params_.threshold == 0;
 }
 
 } // namespace cmpcache

@@ -45,27 +45,6 @@ class RetryMonitor : public stats::Group
     bool active(Tick now);
 
     /**
-     * Pure read-only answer to "would active(now) say?" -- replicates
-     * the window-roll arithmetic without mutating any state. Used by
-     * parallel in-flight queries (see setThreadQueryLog), whose rolls
-     * are committed later, in serial order, via rollTo().
-     */
-    bool activeAt(Tick now) const;
-
-    /** Commit window rolls up to @p now (idempotent, monotone). */
-    void rollTo(Tick now) { rollWindows(now); }
-
-    /**
-     * Thread-local query-deferral slot. While @p slot is non-null on
-     * the calling thread, active() on that thread answers via the
-     * pure activeAt() and records the maximum queried tick in *slot
-     * instead of rolling windows -- the domain scheduler's
-     * coordinator later commits the logged roll with rollTo() at the
-     * serial-order point. Pass null to restore direct rolling.
-     */
-    static void setThreadQueryLog(Tick *slot);
-
-    /**
      * Give the monitor a way to read the current tick so its gauge
      * stats (wbht_active_now & friends) can roll windows before
      * reporting. Without one the gauges report last-known state.

@@ -3,22 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/domain_scheduler.hh"
 
 namespace cmpcache
 {
-
-namespace
-{
-
-/** Strict (tick, key) order on raw event positions. */
-bool
-posBefore(Tick at, std::uint64_t ak, Tick bt, std::uint64_t bk)
-{
-    return at != bt ? at < bt : ak < bk;
-}
-
-} // namespace
 
 TraceCpu::TraceCpu(stats::Group *parent, EventQueue &eq,
                    const std::string &name, ThreadId tid,
@@ -126,21 +113,6 @@ TraceCpu::attempt()
         break;
     }
 
-    finishRecord();
-    if (!haveRecord_) {
-        checkDone();
-        return;
-    }
-    if (params_.fastpath && res == L2Cache::AccessResult::Hit) {
-        batchHits();
-        return;
-    }
-    scheduleAttempt(issueTime());
-}
-
-void
-TraceCpu::finishRecord()
-{
     ++issued_;
     if (arrivalLag_) {
         arrivalLag_->sample(curTick() >= nextArrival_
@@ -149,65 +121,9 @@ TraceCpu::finishRecord()
                                 : 0.0);
     }
     loadNextRecord();
-}
-
-void
-TraceCpu::batchHits()
-{
-    EventQueue &q = eventq();
-
-    // The batch bound, fixed for the whole span because a hit
-    // schedules nothing: the queue's earliest pending tick (any event
-    // at or before ours -- a peer CPU, a fill, the sampler -- would
-    // serially interleave; equal-tick entries always win because the
-    // hypothetical attempt is bounded by the largest key its priority
-    // class allows, so ties conservatively end the batch and the tick
-    // bound needs no key, no bucket sort and no liveness scan), the
-    // innermost run()'s tick budget, and, inside a parallel round,
-    // the scheduler's cut (at or past it, cross-domain work could
-    // legally observe this thread).
-    const Tick head_tick = q.nextPendingTick();
-    const Tick budget = q.runBudget();
-    Tick cut_tick = 0;
-    std::uint64_t cut_key = 0;
-    const bool in_round =
-        DomainScheduler::currentExecBound(cut_tick, cut_key);
-    const std::uint64_t hyp_key =
-        EventQueue::makeKey(Event::DefaultPri, EventQueue::SeqMask);
-
-    // Invariant over the span: every reference hits, so outstanding_
-    // never moves and the slot-stall check stays false exactly as in
-    // the event-per-reference kernel.
-    for (;;) {
-        const Tick when = std::max(issueTime(), q.curTick());
-        if (when > budget)
-            break;
-        if (when >= head_tick)
-            break;
-        if (in_round && !posBefore(when, hyp_key, cut_tick, cut_key))
-            break;
-        if (!l2_.wouldHit(cur_.addr, cur_.op))
-            break;
-
-        // Commit: advance the thread-local clock to the reference's
-        // exact serial tick, account the attempt event the serial
-        // kernel would have scheduled and popped here (inside a
-        // parallel round this also keeps the birth-order bookkeeping
-        // exact, so later births renumber to their serial sequences),
-        // then run the full-side-effect access.
-        q.syncTo(when);
-        q.countVirtualExecuted();
-        DomainScheduler::noteVirtualStep(q, when,
-                                         attemptEvent_.priority());
-        const auto res = l2_.access(tid_, cur_.addr, cur_.op);
-        cmp_assert(res == L2Cache::AccessResult::Hit,
-                   "wouldHit probe diverged from access");
-        ++hitsSeen_;
-        finishRecord();
-        if (!haveRecord_) {
-            checkDone();
-            return;
-        }
+    if (!haveRecord_) {
+        checkDone();
+        return;
     }
     scheduleAttempt(issueTime());
 }

@@ -40,12 +40,6 @@ struct CpuParams
      * thread falls behind the clock and catches up in a burst.
      */
     ArrivalModel arrival = ArrivalModel::Closed;
-    /**
-     * Batch consecutive private-cache hits without scheduling an
-     * event per reference (run.fastpath; see docs/parallel.md,
-     * "The hit fast path"). Bit-identical output either way.
-     */
-    bool fastpath = true;
 };
 
 class TraceCpu : public SimObject
@@ -70,21 +64,6 @@ class TraceCpu : public SimObject
   private:
     void scheduleAttempt(Tick when);
     void attempt();
-    /**
-     * The hit fast path: after an accepted reference, keep consuming
-     * records in a loop -- advancing the local clock with syncTo
-     * instead of an event per reference -- for as long as each next
-     * reference (a) would hit with no pending coherence state,
-     * (b) would be the very next event the kernel pops, and (c) sits
-     * below the run budget and (in a parallel round) the scheduler's
-     * cut. Every batched reference performs its full side effects at
-     * its exact serial tick and counts as one virtually executed
-     * event, so output -- stats, oracle stamps, event counts -- is
-     * byte-identical to the unbatched kernel.
-     */
-    void batchHits();
-    /** Post-access bookkeeping: issue count, lag, next record. */
-    void finishRecord();
     void loadNextRecord();
     void checkDone();
     /** When the current record wants to issue, per arrival model. */

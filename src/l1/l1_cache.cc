@@ -76,8 +76,7 @@ L1FilteredSource::next(TraceRecord &rec)
         if (res.hit) {
             // Absorbed: its think-time folds into the next record.
             // (Runs of L1 hits thus never reach the event kernel at
-            // all; the hit runs TraceCpu's fast path batches are the
-            // *L2* hits among the misses that emerge below.)
+            // all.)
             accumulatedGap_ += raw.gap + hitCycles_;
             continue;
         }

@@ -79,10 +79,7 @@ class L1Cache
  *
  * Like every TraceSource, this runs purely at trace time: next() must
  * not schedule events, touch an EventQueue, or read the simulated
- * clock. The CPU's hit fast path (TraceCpu::batchHits) relies on that
- * contract -- it pulls records mid-batch while the kernel's clock is
- * parked between events, having bounded the whole batch on the
- * premise that consuming a record perturbs no simulator state.
+ * clock.
  */
 class L1FilteredSource : public TraceSource
 {

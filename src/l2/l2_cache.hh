@@ -85,22 +85,6 @@ class L2Cache : public SimObject, public BusAgent
     /** CPU-side access from a hardware thread. */
     AccessResult access(ThreadId tid, Addr addr, MemOp op);
 
-    /**
-     * Side-effect-free probe: would access() return Hit right now?
-     * Mirrors exactly the hit condition (valid tags entry; stores
-     * additionally need silent-store permission) without touching
-     * replacement state, stats, or the coherence oracle. The CPU hit
-     * fast path probes before committing to a batched access; the
-     * subsequent access() performs every side effect at the exact
-     * serial tick.
-     */
-    bool wouldHit(Addr addr, MemOp op) const
-    {
-        const TagEntry *entry = tags_.peek(tags_.lineAlign(addr));
-        return entry
-               && (op != MemOp::Store || canSilentStore(entry->state));
-    }
-
     /** Invoked when an outstanding miss of @p tid completes. Stored
      * inline (no allocation); captures are limited to a few words. */
     using CompletionCallback = InplaceFunction<void(ThreadId), 32>;

@@ -102,13 +102,13 @@ usage()
         "  --sample-every=N      sample obs probes plus live ingest\n"
         "                        gauges (queue depth, ingest rate,\n"
         "                        drops) every N cycles\n"
-        "  --run-threads=N|auto  per-simulation event-kernel workers\n"
         "  --out=FILE            result JSON (default: stdout);\n"
         "                        includes a timeSeries block when\n"
         "                        sampling is on\n"
         "  --config=FILE, KEY=VALUE  as for sweep; stream.* keys set\n"
         "                        queue capacity and the block|drop\n"
-        "                        backpressure policy\n\n"
+        "                        backpressure policy\n"
+        "  --quiet               suppress progress lines\n\n"
         "sweep options:\n"
         "  --workloads=A,B,...   default: TP,CPW2,NotesBench,Trade2\n"
         "  --policies=a,b,...    default: baseline,wbht,snarf,"
@@ -118,10 +118,6 @@ usage()
         "                        or CMPCACHE_REFS)\n"
         "  --seed=N              workload seed (default 1)\n"
         "  --threads=N           worker threads (default: hardware)\n"
-        "  --run-threads=N|auto  per-simulation event-kernel workers\n"
-        "                        (0 = serial kernel, the default;\n"
-        "                        auto picks from the host and shape;\n"
-        "                        any N gives bit-identical results)\n"
         "  --out=FILE            results JSON (default: stdout)\n"
         "  --bench-out=FILE      timing JSON, e.g. "
         "bench/BENCH_grid.json\n"
@@ -147,25 +143,6 @@ usage()
         "trip, or a chaos failure with its reproducer written),\n"
         "3 one or more sweep cells failed (failed cells appear as\n"
         "status:\"error\" in the results)\n";
-}
-
-/** --run-threads=N|auto (auto = SystemConfig::RunThreadsAuto). */
-unsigned
-parseRunThreads(const std::string &v)
-{
-    if (v == "auto")
-        return SystemConfig::RunThreadsAuto;
-    std::size_t used = 0;
-    long long n = -1;
-    try {
-        n = std::stoll(v, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != v.size() || n < 0)
-        cmp_fatal("--run-threads expects a count >= 0 or 'auto', "
-                  "got '", v, "'");
-    return static_cast<unsigned>(n);
 }
 
 StatsFormat
@@ -295,11 +272,6 @@ sweepMain(const CliArgs &args)
         spec.statsFormat = statsFormatFromString(
             args.getString("stats-format", ""));
     const std::string stats_out = args.getString("stats-out", "");
-
-    if (args.has("run-threads")) {
-        spec.base.runThreads =
-            parseRunThreads(args.getString("run-threads", "0"));
-    }
 
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
@@ -484,10 +456,6 @@ serveMain(const CliArgs &args)
             cmp_fatal("--sample-every must be >= 0");
         cfg.obs.sampleEvery = static_cast<Tick>(every);
     }
-    if (args.has("run-threads")) {
-        cfg.runThreads =
-            parseRunThreads(args.getString("run-threads", "0"));
-    }
 
     const std::string trace = args.getString("trace", "");
     const std::string workload = args.getString("workload", "");
@@ -584,6 +552,11 @@ main(int argc, char **argv)
         return cmd.empty() && !args.getBool("help", false) ? 1 : 0;
     }
     if (cmd == "sweep") {
+        args.requireKnown({"workloads", "policies", "outstanding", "refs",
+                           "seed", "threads", "out", "bench-out",
+                           "check-coherence", "sample-every",
+                           "trace-out", "stats-format", "stats-out",
+                           "config", "quiet"});
         try {
             return sweepMain(args);
         } catch (const SimException &e) {
@@ -593,6 +566,9 @@ main(int argc, char **argv)
         }
     }
     if (cmd == "serve") {
+        args.requireKnown({"trace", "workload", "refs", "seed",
+                           "arrival", "sample-every", "out", "config",
+                           "quiet"});
         try {
             return serveMain(args);
         } catch (const SimException &e) {
@@ -605,6 +581,9 @@ main(int argc, char **argv)
         }
     }
     if (cmd == "chaos") {
+        args.requireKnown({"seed", "samples", "refs", "time-box",
+                           "fault-plan", "no-faults", "no-minimize",
+                           "minimize-target", "repro-dir"});
         try {
             return chaosMain(args);
         } catch (const SimException &e) {
@@ -613,8 +592,10 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (cmd == "list")
+    if (cmd == "list") {
+        args.requireKnown({});
         return listMain();
+    }
     cmp_fatal("unknown subcommand '", cmd,
               "' (expected sweep, serve, chaos, list or help)");
 }

@@ -41,16 +41,6 @@ struct ObsConfig
      * `cmpcache serve` turns them on.
      */
     bool ingestGauges = false;
-
-    /**
-     * Register parallel-scheduler phase gauges (sched.* stats: round
-     * counts, per-phase wall seconds) and turn on their wall-clock
-     * collection in the domain scheduler. Off by default for the same
-     * reason as ingestGauges: wall-clock readings are non-
-     * deterministic and must not appear in byte-compared outputs.
-     * No-op under the serial kernel. Benches turn this on.
-     */
-    bool schedGauges = false;
 };
 
 } // namespace cmpcache

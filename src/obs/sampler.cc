@@ -89,9 +89,7 @@ Sampler::fire()
 
     // Reschedule only while the simulation itself still has work:
     // a lone self-rescheduling sampler must not keep the queue alive.
-    const std::size_t pending =
-        pendingProbe_ ? pendingProbe_() : eq_.numPending();
-    if (pending > 0)
+    if (eq_.numPending() > 0)
         eq_.schedule(&event_, eq_.curTick() + interval_);
 }
 

@@ -123,18 +123,6 @@ class Sampler
     /** Schedule the first sample one interval from now. */
     void start();
 
-    /**
-     * Override the "is the simulation still busy?" question that
-     * gates rescheduling. The default asks the sampler's own queue;
-     * multi-queue (parallel) runs install an aggregate across every
-     * domain queue so the sampler neither stops early nor keeps an
-     * otherwise-drained machine alive.
-     */
-    void setPendingProbe(std::function<std::size_t()> probe)
-    {
-        pendingProbe_ = std::move(probe);
-    }
-
     std::size_t numChannels() const { return series_.names.size(); }
     bool started() const { return started_; }
 
@@ -150,7 +138,6 @@ class Sampler
     std::vector<const stats::Stat *> stats_;
     SampleSeries series_;
     EventFunctionWrapper event_;
-    std::function<std::size_t()> pendingProbe_;
     bool started_ = false;
 };
 

@@ -11,20 +11,6 @@
 namespace cmpcache
 {
 
-namespace
-{
-
-/** Per-thread issue capture (see Ring::setThreadIssueDeferral). */
-thread_local IssueDeferral *tlsIssueDeferral = nullptr;
-
-} // namespace
-
-void
-Ring::setThreadIssueDeferral(IssueDeferral *d)
-{
-    tlsIssueDeferral = d;
-}
-
 Ring::Ring(stats::Group *parent, EventQueue &eq, const RingParams &p,
            const CmpTopology &topo)
     : SimObject(parent, "ring", eq),
@@ -96,14 +82,6 @@ Ring::agentById(AgentId id)
 std::uint64_t
 Ring::issue(const BusRequest &req)
 {
-    // Parallel domain execution: capture the call for serial-order
-    // replay. The transaction id is assigned at replay time; no
-    // caller consumes the id synchronously (responses are matched by
-    // line address in observeCombined), so returning 0 here is safe.
-    if (IssueDeferral *d = tlsIssueDeferral) {
-        d->deferIssue(req);
-        return 0;
-    }
     BusRequest r = req;
     r.txnId = nextTxnId_++;
     ++requests_;
@@ -142,8 +120,9 @@ Ring::drain()
     const BusRequest req = pending.req;
     const Tick enq = pending.enqueued;
     const Tick delay = faults_ ? faults_->launchDelay(now) : 0;
-    atGlobal(now + params_.snoopLatency + delay,
-             [this, req, enq] { combineNow(req, enq); });
+    eventq().at(now + params_.snoopLatency + delay,
+                [this, req, enq] { combineNow(req, enq); },
+                "ring-oneshot");
 
     if (!reqQueue_.empty())
         eventq().schedule(&drainEvent_, nextLaunch_);
@@ -267,11 +246,12 @@ Ring::combineNow(BusRequest req, Tick enqueued)
                          toString(res.resp)});
     }
     if (isWriteBack(req.cmd)) {
-        atAgent(sink->agentId(), arrive,
-                [sink, req] { sink->receiveWriteBack(req); });
+        eventq().at(arrive, [sink, req] { sink->receiveWriteBack(req); },
+                    "ring-oneshot");
     } else {
-        atAgent(sink->agentId(), arrive,
-                [sink, req, res] { sink->receiveData(req, res); });
+        eventq().at(arrive,
+                    [sink, req, res] { sink->receiveData(req, res); },
+                    "ring-oneshot");
     }
 }
 

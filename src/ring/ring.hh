@@ -99,43 +99,6 @@ class BusAgent
 };
 
 /**
- * Captures cross-domain issue() calls made from a worker thread. While
- * a thread's deferral sink is installed (Ring::setThreadIssueDeferral)
- * every issue() on that thread is recorded instead of executed; the
- * domain scheduler's coordinator replays the captured requests in
- * serial order, where the full issue path (transaction id assignment,
- * queue stats, drain scheduling) runs exactly as a serial run would.
- */
-class IssueDeferral
-{
-  public:
-    virtual ~IssueDeferral() = default;
-
-    /** Record @p req for deferred, serial-order application. */
-    virtual void deferIssue(const BusRequest &req) = 0;
-};
-
-/**
- * Per-destination event-queue routing for the domain scheduler. The
- * ring's one-shot events fall into two classes: globally ordered
- * protocol steps (snoop combines, and write-back absorbs into the
- * shared L3) go to the global queue; point-to-point data deliveries
- * go to the receiving agent's own domain queue. A null router (the
- * serial default) sends everything to the ring's own queue.
- */
-class ScheduleRouter
-{
-  public:
-    virtual ~ScheduleRouter() = default;
-
-    /** Queue for deliveries consumed by @p agent alone. */
-    virtual EventQueue &queueForAgent(AgentId agent) = 0;
-
-    /** Queue for globally ordered steps (combines, L3 absorbs). */
-    virtual EventQueue &globalQueue() = 0;
-};
-
-/**
  * Timing parameters of the ring. Geometry (stop counts, layout,
  * segment counts) is no longer a knob here: it derives entirely from
  * the CmpTopology the ring is built with.
@@ -183,26 +146,6 @@ class Ring : public SimObject
     std::size_t pendingRequests() const { return reqQueue_.size(); }
 
     /**
-     * Tick of the next scheduled address-slot drain; MaxTick when
-     * none is pending. Drains are the only path that schedules a
-     * combined response (the only globally ordered ring event), so
-     * the parallel scheduler's adaptive cut uses this as the live
-     * uncore-to-global bound (DomainScheduler::LookaheadProbeFn).
-     */
-    Tick nextDrainTick() const
-    {
-        return drainEvent_.scheduled() ? drainEvent_.when() : MaxTick;
-    }
-
-    /**
-     * Address-slot pacing floor: no request -- queued or yet to be
-     * issued -- can drain before this tick. Monotone within a run,
-     * which is what makes it a sound cut input (the floor read at a
-     * round start can only rise by replay time).
-     */
-    Tick launchFloor() const { return nextLaunch_; }
-
-    /**
      * Line address and enqueue tick of the oldest queued request;
      * false if the queue is empty.
      */
@@ -218,17 +161,6 @@ class Ring : public SimObject
     /** Record a duration event per completed transaction (issue to
      * data delivery) into @p t; null disables tracing. */
     void setTracer(TraceRecorder *t) { tracer_ = t; }
-
-    /** Install per-destination queue routing (null = serial default:
-     * everything on the ring's own queue). */
-    void setScheduleRouter(ScheduleRouter *r) { router_ = r; }
-
-    /**
-     * Install (or, with null, remove) the calling thread's issue
-     * deferral sink. Purely thread-local: parallel domain workers
-     * install their own sink for the span of a scheduling round.
-     */
-    static void setThreadIssueDeferral(IssueDeferral *d);
 
     /**
      * Analysis hook invoked for every combined response (used by the
@@ -291,26 +223,6 @@ class Ring : public SimObject
     void combineNow(BusRequest req, Tick enqueued);
     BusAgent *agentById(AgentId id);
 
-    /** Fire-and-forget lambda event on the pooled one-shot path,
-     * ordered on the global (combine) queue. */
-    template <typename Fn>
-    void
-    atGlobal(Tick when, Fn &&fn)
-    {
-        EventQueue &q = router_ ? router_->globalQueue() : eventq();
-        q.at(when, std::forward<Fn>(fn), "ring-oneshot");
-    }
-
-    /** Fire-and-forget delivery into @p agent's domain queue. */
-    template <typename Fn>
-    void
-    atAgent(AgentId agent, Tick when, Fn &&fn)
-    {
-        EventQueue &q =
-            router_ ? router_->queueForAgent(agent) : eventq();
-        q.at(when, std::forward<Fn>(fn), "ring-oneshot");
-    }
-
     struct PendingReq
     {
         BusRequest req;
@@ -323,7 +235,6 @@ class Ring : public SimObject
     FaultInjector *faults_ = nullptr;
     RetryMonitor *retryMonitor_ = nullptr;
     TraceRecorder *tracer_ = nullptr;
-    ScheduleRouter *router_ = nullptr;
     Observer observer_;
     VersionOracle *conformance_ = nullptr;
 

@@ -5,113 +5,9 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
-#include "sim/domain_scheduler.hh"
 
 namespace cmpcache
 {
-
-/**
- * Everything the domain scheduler needs to drive this machine: the
- * queue router for the ring's one-shots, per-domain issue-capture
- * sinks, per-domain retry-query logs, and the scheduler itself. Built
- * only when cfg.runThreads > 0.
- */
-struct CmpSystem::ParallelGlue
-{
-    /** Ring one-shot routing: point-to-point deliveries go to the
-     * receiving L2's core domain; L3/memory-bound steps and combines
-     * are globally ordered. */
-    class Router final : public ScheduleRouter
-    {
-      public:
-        explicit Router(CmpSystem &s) : sys_(s) {}
-
-        EventQueue &
-        queueForAgent(AgentId agent) override
-        {
-            if (sys_.topo_.isL2Agent(agent))
-                return *sys_.coreQs_[agent];
-            return sys_.eq_;
-        }
-
-        EventQueue &globalQueue() override { return sys_.eq_; }
-
-      private:
-        CmpSystem &sys_;
-    };
-
-    /** Captures one domain's cross-domain ring issues for serial
-     * replay. Single writer: the worker currently executing the
-     * domain; drained by the coordinator after the phase barrier. */
-    class IssueSink final : public IssueDeferral
-    {
-      public:
-        DomainScheduler *sched = nullptr;
-        std::vector<BusRequest> payloads;
-
-        void
-        deferIssue(const BusRequest &req) override
-        {
-            payloads.push_back(req);
-            sched->noteDeferredIssue(
-                static_cast<std::uint32_t>(payloads.size() - 1));
-        }
-    };
-
-    explicit ParallelGlue(CmpSystem &sys)
-        : router(sys),
-          sinks(sys.topo_.numL2s()),
-          retryQueryLogs(sys.topo_.numL2s(), 0),
-          sched(
-              [&sys] {
-                  std::vector<EventQueue *> qs;
-                  qs.reserve(sys.coreQs_.size());
-                  for (auto &q : sys.coreQs_)
-                      qs.push_back(q.get());
-                  return qs;
-              }(),
-              *sys.uncoreQ_, sys.eq_,
-              DomainScheduler::Params{
-                  sys.cfg_.resolvedRunThreads(),
-                  sys.cfg_.ring.snoopLatency,
-                  sys.cfg_.ring.requesterOverhead,
-                  sys.cfg_.obs.schedGauges})
-    {
-        for (auto &s : sinks)
-            s.sched = &sched;
-        sched.setEnterDomainFn([this](unsigned d) {
-            sinks[d].payloads.clear();
-            Ring::setThreadIssueDeferral(&sinks[d]);
-            RetryMonitor::setThreadQueryLog(&retryQueryLogs[d]);
-        });
-        sched.setLeaveDomainFn([](unsigned) {
-            Ring::setThreadIssueDeferral(nullptr);
-            RetryMonitor::setThreadQueryLog(nullptr);
-        });
-        sched.setApplyIssueFn(
-            [&sys, this](unsigned d, std::uint32_t payload, Tick) {
-                sys.ring_->issue(sinks[d].payloads[payload]);
-            });
-        sched.setPreGlobalFn([&sys, this] {
-            // Commit the window rolls of the retry-gate queries made
-            // during the round, at their serial roll point (the
-            // maximum queried tick; rolls compose, so one roll to the
-            // max equals the serial sequence of rolls).
-            Tick m = 0;
-            for (Tick &t : retryQueryLogs) {
-                m = std::max(m, t);
-                t = 0;
-            }
-            if (m)
-                sys.retryMonitor_->rollTo(m);
-        });
-    }
-
-    Router router;
-    std::vector<IssueSink> sinks;
-    std::vector<Tick> retryQueryLogs;
-    DomainScheduler sched;
-};
 
 void
 WbReuseTracker::observe(const BusRequest &req, const CombinedResult &res)
@@ -181,24 +77,6 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
     cfg_.l2 = cfg_.effectiveL2();
     cfg_.l3 = cfg_.effectiveL3();
 
-    // Parallel mode: domain queues plus the scheduler glue, built
-    // before any component so every schedule() -- including the
-    // sequential startup ones -- draws its sequence number from the
-    // scheduler's global counter. One worker would execute the exact
-    // serial order through the round machinery anyway, so anything
-    // below 2 skips the glue entirely and runs the bare serial
-    // kernel -- same bytes, zero inline scheduler overhead.
-    if (cfg_.resolvedRunThreads() >= 2) {
-        for (unsigned i = 0; i < topo_.numL2s(); ++i)
-            coreQs_.push_back(std::make_unique<EventQueue>());
-        uncoreQ_ = std::make_unique<EventQueue>();
-        par_ = std::make_unique<ParallelGlue>(*this);
-    }
-    EventQueue &uncore_eq = uncoreQ_ ? *uncoreQ_ : eq_;
-    const auto core_eq = [this](unsigned l2) -> EventQueue & {
-        return coreQs_.empty() ? eq_ : *coreQs_[l2];
-    };
-
     retryMonitor_ =
         std::make_unique<RetryMonitor>(this, cfg_.policy.retry);
     retryMonitor_->setTimeSource([this] { return eq_.curTick(); });
@@ -214,30 +92,18 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
         faults_->setTimeSource([this] { return eq_.curTick(); });
     }
 
-    ring_ = std::make_unique<Ring>(this, uncore_eq, cfg_.ring, topo_);
+    ring_ = std::make_unique<Ring>(this, eq_, cfg_.ring, topo_);
     ring_->setRetryMonitor(retryMonitor_.get());
     ring_->setFaultInjector(faults_.get());
-    if (par_) {
-        ring_->setScheduleRouter(&par_->router);
-        // Adaptive cut: feed the scheduler live ring state. Ring
-        // drains are the only uncore events that bear globals, and
-        // the launch floor bounds how soon a still-deferred issue
-        // can drain (see DomainScheduler::LookaheadProbeFn).
-        par_->sched.setLookaheadProbeFn(
-            [this](Tick &drain_at, Tick &launch_floor) {
-                drain_at = ring_->nextDrainTick();
-                launch_floor = ring_->launchFloor();
-            });
-    }
 
     // Agent ids and ring stops come from the topology; nothing here
     // computes placement arithmetic.
     const AgentId l3_id = topo_.l3Agent();
     const AgentId mem_id = topo_.memAgent();
 
-    l3_ = std::make_unique<L3Cache>(this, uncore_eq, l3_id,
+    l3_ = std::make_unique<L3Cache>(this, eq_, l3_id,
                                     topo_.stopOfAgent(l3_id), cfg_.l3);
-    mem_ = std::make_unique<MemCtrl>(this, uncore_eq, mem_id,
+    mem_ = std::make_unique<MemCtrl>(this, eq_, mem_id,
                                      topo_.stopOfAgent(mem_id),
                                      cfg_.mem);
     l3_->setMemWriteFn([this] { mem_->writeFromL3(); });
@@ -255,7 +121,7 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
     for (unsigned i = 0; i < topo_.numL2s(); ++i) {
         const AgentId id = topo_.l2Agent(i);
         auto l2 = std::make_unique<L2Cache>(
-            this, core_eq(i), cstr("l2_", i), id,
+            this, eq_, cstr("l2_", i), id,
             topo_.stopOfAgent(id), cfg_.l2, cfg_.policy, *ring_,
             retryMonitor_.get());
         l2->setL3Peek(
@@ -281,7 +147,6 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
 
     CpuParams cpu_params = cfg_.cpu;
     cpu_params.arrival = cfg_.arrival.model;
-    cpu_params.fastpath = cfg_.runFastpath;
     for (unsigned t = 0; t < topo_.numThreads(); ++t) {
         const unsigned cluster = topo_.l2OfThread(t);
         L2Cache &l2 = *l2s_[cluster];
@@ -294,7 +159,7 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
                 static_cast<ThreadId>(t));
         }
         cpus_.push_back(std::make_unique<TraceCpu>(
-            this, core_eq(cluster), cstr("cpu_", t),
+            this, eq_, cstr("cpu_", t),
             static_cast<ThreadId>(t), cpu_params, l2,
             std::move(src)));
     }
@@ -451,10 +316,7 @@ CmpSystem::run()
 {
     for (auto &cpu : cpus_)
         cpu->startup();
-    if (par_)
-        par_->sched.run(cfg_.maxTicks);
-    else
-        eq_.run(cfg_.maxTicks);
+    eq_.run(cfg_.maxTicks);
 
     if (!finished()) {
         throw SimException(SimError(
@@ -465,8 +327,8 @@ CmpSystem::run()
                  "deadlock or an undersized maxTicks")));
     }
 
-    // Violations recorded by domain-worker hooks surface at serial
-    // points; end of run is the last one.
+    // Violations the oracle's store/drop hooks recorded after the
+    // last combine surface here; end of run is the last check point.
     if (oracle_)
         oracle_->throwIfViolated();
 
@@ -474,34 +336,6 @@ CmpSystem::run()
     for (const auto &cpu : cpus_)
         finish = std::max(finish, cpu->finishTick());
     return finish;
-}
-
-std::size_t
-CmpSystem::totalPending() const
-{
-    std::size_t n = eq_.numPending();
-    if (uncoreQ_)
-        n += uncoreQ_->numPending();
-    for (const auto &q : coreQs_)
-        n += q->numPending();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalExecuted() const
-{
-    std::uint64_t n = eq_.numExecuted();
-    if (uncoreQ_)
-        n += uncoreQ_->numExecuted();
-    for (const auto &q : coreQs_)
-        n += q->numExecuted();
-    return n;
-}
-
-DomainScheduler *
-CmpSystem::domainScheduler()
-{
-    return par_ ? &par_->sched : nullptr;
 }
 
 bool

@@ -32,8 +32,6 @@
 namespace cmpcache
 {
 
-class DomainScheduler;
-
 /**
  * Per-line write-back reuse accounting (paper Table 2): a write back
  * counts as "reused" when the line is demanded again after it left an
@@ -86,29 +84,16 @@ class CmpSystem : public stats::Group
 
     bool finished() const;
 
-    /**
-     * The globally ordered event queue. In serial mode (runThreads ==
-     * 0) it is the only queue; in parallel mode it carries the
-     * globally ordered events (combines, sampler, watchdog) and its
-     * clock tracks global simulation time, so time sources and
-     * observability stay bound to it in both modes.
-     */
+    /** The event queue every component of this machine runs on. */
     EventQueue &eventq() { return eq_; }
     const SystemConfig &config() const { return cfg_; }
     /** The validated machine shape everything was assembled from. */
     const CmpTopology &topology() const { return topo_; }
 
-    /**
-     * Live events across every domain queue. Equals
-     * eventq().numPending() in serial mode; use this instead of the
-     * raw queue wherever "is the simulation idle?" is the question.
-     */
-    std::size_t totalPending() const;
-    /** Events executed across every domain queue. */
-    std::uint64_t totalExecuted() const;
-
-    /** The parallel scheduler; null in serial mode. */
-    DomainScheduler *domainScheduler();
+    /** Live events on the machine's queue. */
+    std::size_t totalPending() const { return eq_.numPending(); }
+    /** Events the machine's queue has executed. */
+    std::uint64_t totalExecuted() const { return eq_.numExecuted(); }
 
     Ring &ring() { return *ring_; }
     L3Cache &l3() { return *l3_; }
@@ -163,8 +148,6 @@ class CmpSystem : public stats::Group
     std::uint64_t offChipAccesses() const;
 
   private:
-    struct ParallelGlue;
-
     /** Violation-report appendix for the conformance oracle. */
     std::string conformanceSnapshot();
 
@@ -172,14 +155,9 @@ class CmpSystem : public stats::Group
     /** Built (and validated) from cfg_.topology before any component:
      * every id, stop and cluster computation below goes through it. */
     CmpTopology topo_;
-    /** Global queue (the only one in serial mode). Queues are
-     * declared before the components bound to them: events deregister
-     * from their queue on destruction. */
+    /** Declared before the components bound to it: events
+     * deregister from their queue on destruction. */
     EventQueue eq_;
-    /** Parallel mode only: one queue per core domain (L2 slice). */
-    std::vector<std::unique_ptr<EventQueue>> coreQs_;
-    /** Parallel mode only: ring drains and L3/memory housekeeping. */
-    std::unique_ptr<EventQueue> uncoreQ_;
 
     std::unique_ptr<RetryMonitor> retryMonitor_;
     std::unique_ptr<FaultInjector> faults_;
@@ -194,9 +172,6 @@ class CmpSystem : public stats::Group
     /** Lines functional warmup seeded into >= 2 L2s (see
      * isWarmupApproximate). */
     std::unordered_set<Addr> warmupApprox_;
-    /** Parallel-mode glue (scheduler, router, issue sinks); declared
-     * last so it tears down before the queues it hooks. */
-    std::unique_ptr<ParallelGlue> par_;
 };
 
 } // namespace cmpcache

@@ -316,28 +316,6 @@ handlers()
         {"snarf_shared_victims", BOOL_KEY(policy.snarfSharedVictims)},
         {"wbht_informed_replacement",
          BOOL_KEY(policy.wbhtInformedReplacement)},
-        {"run.threads",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        if (v == "auto") {
-                            c.runThreads =
-                                SystemConfig::RunThreadsAuto;
-                            return {};
-                        }
-                        const auto r = toU64(k, v);
-                        if (!r)
-                            return r.error();
-                        c.runThreads = static_cast<unsigned>(*r);
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        if (c.runThreads
-                            == SystemConfig::RunThreadsAuto)
-                            return std::string("auto");
-                        return cstr(c.runThreads);
-                    }}},
-        {"run.fastpath", BOOL_KEY(runFastpath)},
-        {"obs.sched", BOOL_KEY(obs.schedGauges)},
         {"warmup", BOOL_KEY(warmupPass)},
         {"reuse_tracker", BOOL_KEY(enableWbReuseTracker)},
         {"fault.plan", STR_KEY(fault.plan)},

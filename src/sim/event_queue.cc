@@ -49,8 +49,7 @@ EventQueue::schedule(Event *ev, Tick when)
     cmp_assert(when >= curTick_, "event '", ev->name(),
                "' scheduled in the past (", when, " < ", curTick_, ")");
 
-    const std::uint64_t seq =
-        hook_ ? hook_->nextSequence(*this, ev, when) : nextSequence_++;
+    const std::uint64_t seq = nextSequence_++;
     ev->scheduled_ = true;
     ev->when_ = when;
     ev->sequence_ = seq;
@@ -77,8 +76,6 @@ EventQueue::deschedule(Event *ev)
     // liveEntries_ refcount keeps destruction safe meanwhile.
     ev->scheduled_ = false;
     --liveEvents_;
-    if (hook_)
-        hook_->onMutation(*this);
 }
 
 void
@@ -131,22 +128,6 @@ EventQueue::sortBucket(Bucket &b)
 {
     if (!b.dirty)
         return;
-    if (b.full) {
-        // An in-place rekey broke the ascending-sequence append
-        // pattern the counting sort relies on (rare: a coordinator
-        // schedule landed behind a provisional entry that was later
-        // renumbered). Keys are unique, so an unstable full sort
-        // restores exact (priority, sequence) order.
-        std::sort(b.entries.begin()
-                      + static_cast<std::ptrdiff_t>(b.head),
-                  b.entries.end(),
-                  [](const WheelEntry &a, const WheelEntry &c) {
-                      return a.key < c.key;
-                  });
-        b.dirty = false;
-        b.full = false;
-        return;
-    }
     // Appends always carry ascending sequence numbers, so a dirty
     // pending range is k interleaved ascending runs distinguished by
     // the key's priority byte. A stable counting sort on that byte
@@ -272,154 +253,6 @@ EventQueue::popNext(Tick max_tick)
     }
 }
 
-bool
-EventQueue::peekNext(PeekResult &out)
-{
-    for (;;) {
-        if (liveEvents_ == 0)
-            return false;
-        if (wheelCount_ != 0) {
-            const int dist = nextOccupied(curTick_);
-            cmp_assert(dist >= 0, "wheel occupancy out of sync");
-            const Tick t = curTick_ + static_cast<Tick>(dist);
-            const auto bi = static_cast<unsigned>(t & WheelMask);
-            Bucket &b = wheel_[bi];
-            sortBucket(b);
-            while (b.head != b.entries.size()) {
-                const WheelEntry e = b.entries[b.head];
-                if (isLive(e.ev, e.key)) {
-                    out = PeekResult{t, e.key, e.ev};
-                    return true;
-                }
-                // Reclaim the stale entry and keep scanning.
-                ++b.head;
-                if (b.head == b.entries.size()) {
-                    b.entries.clear();
-                    b.head = 0;
-                    clearBit(bi);
-                }
-                --wheelCount_;
-                if (e.ev)
-                    --e.ev->liveEntries_;
-            }
-            continue; // bucket held only stale entries; rescan
-        }
-        if (far_.empty())
-            return false;
-        const FarEntry &top = far_.front();
-        if (isLive(top.ev, top.key)) {
-            out = PeekResult{top.when, top.key, top.ev};
-            return true;
-        }
-        const FarEntry e = popFarMin();
-        if (e.ev)
-            --e.ev->liveEntries_;
-    }
-}
-
-Event *
-EventQueue::popNextBefore(Tick max_tick, std::uint64_t max_key)
-{
-    for (;;) {
-        if (liveEvents_ == 0)
-            return nullptr;
-        if (wheelCount_ != 0) {
-            const int dist = nextOccupied(curTick_);
-            cmp_assert(dist >= 0, "wheel occupancy out of sync");
-            const Tick t = curTick_ + static_cast<Tick>(dist);
-            // Unlike popNext(), a bound miss leaves time untouched:
-            // the domain scheduler advances time explicitly (syncTo)
-            // at the points the serial schedule dictates.
-            if (t > max_tick)
-                return nullptr;
-            const auto bi = static_cast<unsigned>(t & WheelMask);
-            Bucket &b = wheel_[bi];
-            sortBucket(b);
-            while (b.head != b.entries.size()) {
-                const WheelEntry e = b.entries[b.head];
-                const bool live = isLive(e.ev, e.key);
-                if (live && t == max_tick && e.key >= max_key)
-                    return nullptr; // live head at/past the bound
-                ++b.head;
-                if (b.head == b.entries.size()) {
-                    b.entries.clear();
-                    b.head = 0;
-                    clearBit(bi);
-                }
-                --wheelCount_;
-                if (!live) {
-                    if (e.ev)
-                        --e.ev->liveEntries_;
-                    continue;
-                }
-                if (t != curTick_)
-                    advanceTo(t);
-                e.ev->scheduled_ = false;
-                --e.ev->liveEntries_;
-                --liveEvents_;
-                ++numExecuted_;
-                return e.ev;
-            }
-            continue; // bucket held only stale entries; rescan
-        }
-        if (far_.empty())
-            return nullptr;
-        const FarEntry &top = far_.front();
-        if (!isLive(top.ev, top.key)) {
-            const FarEntry e = popFarMin();
-            if (e.ev)
-                --e.ev->liveEntries_;
-            continue;
-        }
-        if (top.when > max_tick
-            || (top.when == max_tick && top.key >= max_key))
-            return nullptr;
-        const FarEntry e = popFarMin();
-        advanceTo(e.when);
-        e.ev->scheduled_ = false;
-        --e.ev->liveEntries_;
-        --liveEvents_;
-        ++numExecuted_;
-        return e.ev;
-    }
-}
-
-void
-EventQueue::rekey(Event *ev, std::uint64_t seq)
-{
-    cmp_assert(ev != nullptr && ev->scheduled_ && ev->queue_ == this,
-               "rekeying an event not scheduled on this queue");
-    const std::uint64_t old_key = makeKey(ev->priority_, ev->sequence_);
-    const std::uint64_t key = makeKey(ev->priority_, seq);
-    ev->sequence_ = seq;
-    if (ev->when_ < horizonOf(curTick_)) {
-        // The live entry sits in its tick's bucket; rewrite its key in
-        // place instead of staling it and pushing a replacement --
-        // renumbering rekeys most round-born events, so the push-new
-        // variant would double the wheel traffic. Order stays intact
-        // for the lazy counting sort (renumbered sequences ascend in
-        // append order within a queue) except when the bucket already
-        // holds a priority inversion; that rare case downgrades to a
-        // full key sort on drain.
-        Bucket &b = wheel_[ev->when_ & WheelMask];
-        for (std::size_t i = b.head; i < b.entries.size(); ++i) {
-            WheelEntry &e = b.entries[i];
-            if (e.ev == ev && e.key == old_key) {
-                e.key = key;
-                if (b.dirty)
-                    b.full = true;
-                return;
-            }
-        }
-        cmp_panic("rekey: live wheel entry not found");
-    }
-    // Far heap: sibling order is baked into the heap, so the old
-    // entry turns stale and a fresh one is pushed (exactly like a
-    // deschedule+reschedule). Net liveEvents_ is unchanged.
-    ++ev->liveEntries_;
-    pushFar(ev->when_, key, ev);
-}
-
 void
 EventQueue::step()
 {
@@ -432,15 +265,6 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick max_tick)
 {
-    // Exception-safe: a budget/watchdog throw mid-run must not leave
-    // a stale bound behind on a queue that outlives the failed run.
-    struct BudgetScope
-    {
-        EventQueue &q;
-        Tick prev;
-        ~BudgetScope() { q.runBudget_ = prev; }
-    } budget_scope{*this, runBudget_};
-    runBudget_ = max_tick;
     // popNext() advances to max_tick itself when the next event lies
     // beyond it, and leaves time untouched when the queue drains --
     // matching the long-standing run() semantics with a single scan
@@ -452,15 +276,10 @@ EventQueue::run(Tick max_tick)
         // bucket without re-entering popNext's wheel scan. A callback
         // can only schedule at curTick_ (into this very bucket, which
         // is re-sorted below if that lands out of order) or later, so
-        // bucket order remains global order -- unless the callback
-        // advanced time itself (the CPU hit fast path batches through
-        // syncTo), which can migrate a far event one wheel revolution
-        // ahead into this very bucket; the tick check below falls back
-        // to the full scan the moment the current tick is stale.
-        const Tick bucket_tick = curTick_;
+        // bucket order remains global order.
         const auto bi = static_cast<unsigned>(curTick_ & WheelMask);
         Bucket &b = wheel_[bi];
-        while (curTick_ == bucket_tick && b.head != b.entries.size()) {
+        while (b.head != b.entries.size()) {
             sortBucket(b);
             const WheelEntry e = b.entries[b.head];
             ++b.head;
@@ -499,8 +318,6 @@ EventQueue::purge(Event *ev)
             e.ev = nullptr;
     }
     ev->liveEntries_ = 0;
-    if (hook_)
-        hook_->onMutation(*this);
 }
 
 PooledEvent *

@@ -51,33 +51,6 @@ class Event;
 class EventQueue;
 
 /**
- * Sequencing policy plugged into a queue by an external scheduler
- * (src/sim/domain_scheduler.hh). When installed, schedule() asks the
- * hook for the entry's sequence number instead of drawing from the
- * queue's own counter, letting a multi-queue scheduler keep one
- * globally consistent (priority, sequence) order across queues. A
- * null hook (the default) leaves the serial kernel untouched.
- */
-class SchedulerHook
-{
-  public:
-    virtual ~SchedulerHook() = default;
-
-    /** Sequence number for @p ev being scheduled at @p when. */
-    virtual std::uint64_t
-    nextSequence(EventQueue &q, Event *ev, Tick when) = 0;
-
-    /**
-     * A pending event was removed without executing (deschedule, or
-     * a dying event purging its entries). Together with
-     * nextSequence(), this lets the scheduler cache each queue's head
-     * between rounds: the head can only change through a schedule, a
-     * removal, or a pop the scheduler itself performed.
-     */
-    virtual void onMutation(EventQueue &q) { (void)q; }
-};
-
-/**
  * A schedulable unit of work. Derive and implement process(), or use
  * EventFunctionWrapper for lambda-based events.
  *
@@ -112,17 +85,6 @@ class Event
     Tick when() const { return when_; }
     Priority priority() const { return priority_; }
 
-    /** Sequence number of the current (or latest) schedule. */
-    std::uint64_t sequence() const { return sequence_; }
-
-    /**
-     * Opaque per-schedule cookie owned by a SchedulerHook (the domain
-     * scheduler stores its birth-record pointer here). Unused -- and
-     * untouched -- by the serial kernel.
-     */
-    void *hookCookie() const { return hookCookie_; }
-    void setHookCookie(void *c) { hookCookie_ = c; }
-
   private:
     friend class EventQueue;
 
@@ -139,8 +101,6 @@ class Event
     std::uint32_t liveEntries_ = 0;
     /** Last queue this event was scheduled on (for safe teardown). */
     EventQueue *queue_ = nullptr;
-    /** SchedulerHook scratch (see hookCookie()). */
-    void *hookCookie_ = nullptr;
     Priority priority_;
     bool scheduled_ = false;
 };
@@ -262,25 +222,17 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /**
-     * Count one unit of work executed without an event behind it (the
-     * CPU hit fast path batches references inside one event; counting
-     * each batched reference keeps numExecuted() identical to the
-     * unbatched kernel's event count, which the differential suites
-     * compare across modes).
-     */
-    void countVirtualExecuted() { ++numExecuted_; }
-
-    /**
-     * The tick bound of the innermost run() in progress, MaxTick
-     * outside run(). Inline batching (the CPU hit fast path) must not
-     * advance time past this bound: run(max_tick) promises that no
-     * work beyond max_tick has happened when it returns.
-     */
-    Tick runBudget() const { return runBudget_; }
-
     /** One-shot pool objects ever allocated (pool growth metric). */
     std::size_t poolSize() const { return poolAllocated_; }
+
+  private:
+    friend class Event;
+    friend class PooledEvent;
+
+    static constexpr Tick WheelMask = WheelSpan - 1;
+    static constexpr unsigned BitmapWords =
+        static_cast<unsigned>(WheelSpan / 64);
+    static constexpr std::size_t PoolChunk = 64;
 
     /** Low 56 bits of the packed key hold the sequence number. */
     static constexpr std::uint64_t SeqMask =
@@ -298,83 +250,6 @@ class EventQueue
             static_cast<std::uint8_t>(prio) ^ 0x80u);
         return (p << 56) | (seq & SeqMask);
     }
-
-    /** Position + identity of a pending event (see peekNext()). */
-    struct PeekResult
-    {
-        Tick when = 0;
-        std::uint64_t key = 0;
-        Event *ev = nullptr;
-    };
-
-    /**
-     * Locate the next live event without executing it or advancing
-     * time. Stale (descheduled) entries encountered on the way are
-     * reclaimed. @return false when the queue is drained.
-     */
-    bool peekNext(PeekResult &out);
-
-    /**
-     * Lower bound on the tick of the next pending entry, without
-     * sorting buckets, validating liveness or reclaiming anything --
-     * one occupancy-bitmap scan, the same primitive a pop pays.
-     * Stale (descheduled) entries count, so the result can be
-     * earlier than the true next live event; callers that only need
-     * "nothing can run before tick T" (TraceCpu::batchHits) stay
-     * conservative. MaxTick when the queue is drained.
-     */
-    Tick
-    nextPendingTick() const
-    {
-        if (wheelCount_ != 0)
-            return curTick_
-                   + static_cast<Tick>(nextOccupied(curTick_));
-        if (!far_.empty())
-            return far_.front().when;
-        return MaxTick;
-    }
-
-    /**
-     * Remove and return the next live event whose position
-     * (tick, key) is strictly before (@p max_tick, @p max_key),
-     * advancing curTick_ to its tick and counting it as executed --
-     * the caller runs process(). Returns nullptr, with time left
-     * untouched, when the queue is drained or the next live event
-     * lies at or beyond the bound.
-     */
-    Event *popNextBefore(Tick max_tick, std::uint64_t max_key);
-
-    /** Advance time to @p t; no-op when @p t <= curTick(). */
-    void
-    syncTo(Tick t)
-    {
-        if (t > curTick_)
-            advanceTo(t);
-    }
-
-    /**
-     * Replace the sequence number of a still-scheduled event (the
-     * domain scheduler's end-of-round renumbering). The old queue
-     * entry turns stale and is lazily reclaimed, exactly like a
-     * deschedule+reschedule, but the event's tick and priority are
-     * preserved.
-     */
-    void rekey(Event *ev, std::uint64_t seq);
-
-    /** Install (or clear) the external sequencing policy. */
-    void setSchedulerHook(SchedulerHook *hook) { hook_ = hook; }
-
-    /** The installed sequencing policy, or null. */
-    SchedulerHook *schedulerHook() const { return hook_; }
-
-  private:
-    friend class Event;
-    friend class PooledEvent;
-
-    static constexpr Tick WheelMask = WheelSpan - 1;
-    static constexpr unsigned BitmapWords =
-        static_cast<unsigned>(WheelSpan / 64);
-    static constexpr std::size_t PoolChunk = 64;
 
     /** Entry in a wheel bucket; the bucket's tick is implicit. */
     struct WheelEntry
@@ -399,13 +274,6 @@ class EventQueue
         std::vector<WheelEntry> entries;
         std::size_t head = 0;
         bool dirty = false;
-        /**
-         * The counting sort's within-priority stability argument no
-         * longer holds: an in-place rekey() rewrote a key inside an
-         * already-dirty pending range, so same-priority entries may
-         * be out of sequence order. Drain with a full key sort.
-         */
-        bool full = false;
     };
 
     struct FarEntry
@@ -474,11 +342,9 @@ class EventQueue
     std::vector<WheelEntry> scratch_;
 
     Tick curTick_ = 0;
-    Tick runBudget_ = MaxTick;
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numExecuted_ = 0;
     std::size_t liveEvents_ = 0;
-    SchedulerHook *hook_ = nullptr;
 
     PooledEvent *freeHead_ = nullptr;
     std::vector<std::unique_ptr<PooledEvent[]>> poolChunks_;

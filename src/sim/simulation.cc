@@ -4,7 +4,6 @@
 #include <istream>
 
 #include "common/logging.hh"
-#include "sim/domain_scheduler.hh"
 #include "sim/invariants.hh"
 
 namespace cmpcache
@@ -67,85 +66,6 @@ struct Simulation::IngestStats
     stats::Formula producerWaits;
     stats::Formula demuxBufferedNow;
     stats::Formula ratePerKtick;
-};
-
-/**
- * Live gauges over the parallel domain scheduler's per-phase round
- * accounting (bench/scale.cpp reads these to publish the wall-time
- * breakdown). The seconds formulas read steady_clock accumulators,
- * so -- like the ingest gauges -- they are only registered when
- * obs.sched asks for them; byte-compared outputs never include them.
- */
-struct Simulation::SchedStats
-{
-    SchedStats(stats::Group *parent, const DomainScheduler &sched)
-        : group(parent, "sched"),
-          rounds(&group, "rounds", "barrier rounds completed",
-                 [&sched] {
-                     return double(sched.phaseStats().rounds);
-                 }),
-          fanOutRounds(&group, "fan_out_rounds",
-                       "rounds that woke the worker pool",
-                       [&sched] {
-                           return double(sched.phaseStats().fanOutRounds);
-                       }),
-          soloRounds(&group, "solo_rounds",
-                     "rounds with exactly one active domain "
-                     "(barriers elided)",
-                     [&sched] {
-                         return double(sched.phaseStats().soloRounds);
-                     }),
-          renumberSorts(&group, "renumber_sorts",
-                        "rounds that needed the cross-queue birth sort",
-                        [&sched] {
-                            return double(
-                                sched.phaseStats().renumberSorts);
-                        }),
-          birthRecords(&group, "birth_records",
-                       "round-born events renumbered",
-                       [&sched] {
-                           return double(sched.phaseStats().birthRecords);
-                       }),
-          coreSecs(&group, "core_secs",
-                   "wall seconds in phase 1 (domain execution)",
-                   [&sched] {
-                       return sched.phaseStats().coreSeconds;
-                   }),
-          barrierSecs(&group, "barrier_secs",
-                      "wall seconds the coordinator waited at the "
-                      "done barrier",
-                      [&sched] {
-                          return sched.phaseStats().barrierSeconds;
-                      }),
-          replaySecs(&group, "replay_secs",
-                     "wall seconds replaying issues + uncore drain",
-                     [&sched] {
-                         return sched.phaseStats().replaySeconds;
-                     }),
-          globalSecs(&group, "global_secs",
-                     "wall seconds in boundary global events",
-                     [&sched] {
-                         return sched.phaseStats().globalSeconds;
-                     }),
-          renumberSecs(&group, "renumber_secs",
-                       "wall seconds renumbering round births",
-                       [&sched] {
-                           return sched.phaseStats().renumberSeconds;
-                       })
-    {
-    }
-
-    stats::Group group;
-    stats::Formula rounds;
-    stats::Formula fanOutRounds;
-    stats::Formula soloRounds;
-    stats::Formula renumberSorts;
-    stats::Formula birthRecords;
-    stats::Formula coreSecs;
-    stats::Formula barrierSecs;
-    stats::Formula replaySecs;
-    stats::Formula globalSecs;
-    stats::Formula renumberSecs;
 };
 
 namespace
@@ -220,24 +140,12 @@ Simulation::initIngestGauges()
 }
 
 void
-Simulation::initSchedGauges()
-{
-    const DomainScheduler *sched = sys_->domainScheduler();
-    if (!sched || !sys_->config().obs.schedGauges)
-        return;
-    schedStats_ = std::make_unique<SchedStats>(sys_.get(), *sched);
-}
-
-void
 Simulation::initObservability()
 {
-    initSchedGauges();
     const ObsConfig &obs = sys_->config().obs;
     if (obs.sampleEvery > 0) {
         sampler_ = std::make_unique<Sampler>(
             sys_->eventq(), *sys_, obs.sampleEvery);
-        sampler_->setPendingProbe(
-            [this] { return sys_->totalPending(); });
         for (const auto &path : sys_->defaultProbePaths()) {
             const bool ok = sampler_->watch(path);
             cmp_assert(ok, "unresolvable probe path '", path, "'");

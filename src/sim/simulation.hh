@@ -120,9 +120,6 @@ class Simulation
     void invariantSweep();
     /** Register live ingest.* gauges (streaming + obs.ingest only). */
     void initIngestGauges();
-    /** Register live sched.* gauges (parallel kernel + obs.sched
-     * only). */
-    void initSchedGauges();
 
     std::string inputName_;
     /**
@@ -134,10 +131,6 @@ class Simulation
     /** ingest.* gauge stats; child of sys_'s group, reads ingest_. */
     struct IngestStats;
     std::unique_ptr<IngestStats> ingestStats_;
-    /** sched.* gauge stats; child of sys_'s group, reads the domain
-     * scheduler's phase accounting. */
-    struct SchedStats;
-    std::unique_ptr<SchedStats> schedStats_;
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<TraceRecorder> tracer_;
     std::unique_ptr<Watchdog> watchdog_;

@@ -185,13 +185,7 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
         return results;
 
     const auto total = static_cast<unsigned>(jobs.size());
-    unsigned pool = std::clamp(num_threads, 1u, total);
-    // Nested parallelism budget: when each job runs its own parallel
-    // event kernel (run.threads >= 1), shrink the job pool so the
-    // product of pools stays within the requested thread count
-    // instead of oversubscribing the machine.
-    if (spec.base.resolvedRunThreads() > 1)
-        pool = std::max(1u, num_threads / spec.base.resolvedRunThreads());
+    const unsigned pool = std::clamp(num_threads, 1u, total);
 
     std::atomic<std::size_t> next{0};
     std::atomic<unsigned> done{0};
@@ -265,9 +259,6 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                 r.seed = job.params.seed;
                 r.faultPlan = job.config.fault.plan;
                 r.faultSeed = job.config.fault.seed;
-                // Rerun identity wants what actually ran, so "auto"
-                // is recorded as its resolution on this host.
-                r.runThreads = job.config.resolvedRunThreads();
                 const TopologyParams shape = job.config.shape();
                 r.topologySummary = cstr(
                     "cores=", shape.cores, " smt=", shape.smt,

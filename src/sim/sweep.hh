@@ -139,10 +139,6 @@ struct SweepJobResult
     std::string faultPlan;
     std::uint64_t faultSeed = 0;
     std::string topologySummary;
-    /** The cell's run.threads. Struct-only: results are bit-identical
-     * across kernel thread counts by contract, so this never appears
-     * in the deterministic JSON (nor in the rerun line). */
-    unsigned runThreads = 0;
     std::string rerun;
 
     ExperimentResult result;

@@ -1,8 +1,6 @@
 #include "sim/system_config.hh"
 
-#include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -157,52 +155,7 @@ SystemConfig::validationErrors() const
     if (stream.demuxCapacity == 0)
         errs.push_back("stream.demux_capacity must be positive");
 
-    if (runThreads > 0) {
-        // The parallel scheduler's conservative window is built from
-        // the ring's cross-domain latencies; a zero-latency link
-        // collapses it and no safe cut exists. "auto" may resolve to
-        // the serial kernel on this host, but the config must be
-        // valid on every host it could run on.
-        const std::string rt = runThreads == RunThreadsAuto
-                                   ? std::string("auto")
-                                   : cstr(runThreads);
-        if (ring.snoopLatency == 0) {
-            errs.push_back(cstr(
-                "ring.snoop_latency must be >= 1 when run.threads (",
-                rt, ") enables the parallel kernel: a "
-                "zero-latency link leaves no conservative lookahead "
-                "window"));
-        }
-        if (ring.requesterOverhead == 0) {
-            errs.push_back(cstr(
-                "ring.requester_overhead must be >= 1 when "
-                "run.threads (", rt, ") enables the parallel "
-                "kernel: a zero-latency issue path leaves no "
-                "conservative lookahead window"));
-        }
-        if (ring.addrSlotCycles == 0) {
-            errs.push_back(cstr(
-                "ring.addr_slot_cycles must be >= 1 when run.threads "
-                "(", rt, ") enables the parallel kernel"));
-        }
-    }
-
     return errs;
-}
-
-unsigned
-SystemConfig::resolvedRunThreads() const
-{
-    if (runThreads != RunThreadsAuto)
-        return runThreads;
-    // One worker per core domain saturates the claim loop; more only
-    // park at the barrier. One hardware thread means fanning out is
-    // pure overhead, so auto keeps the serial kernel there (the
-    // explicit-N path is still available for differential testing).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    if (hw < 2)
-        return 0;
-    return std::min(hw, numL2s());
 }
 
 void

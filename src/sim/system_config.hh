@@ -94,41 +94,6 @@ struct SystemConfig
     /** Hard stop for runaway simulations. */
     Tick maxTicks = 40ull * 1000 * 1000 * 1000;
 
-    /**
-     * Sentinel for run.threads=auto: pick the worker count from the
-     * host and the machine shape at build time (resolvedRunThreads).
-     */
-    static constexpr unsigned RunThreadsAuto = ~0u;
-
-    /**
-     * Event-kernel worker threads for ONE simulation (config key
-     * run.threads). 0 = the serial kernel (the default); N >= 1
-     * shards the machine across per-L2 domain queues driven by the
-     * conservative-lookahead scheduler with N workers; RunThreadsAuto
-     * ("auto") derives N from hardware_concurrency() and the topology
-     * core-domain count. Results are bit-identical to serial for
-     * every value, including 1 (see docs/parallel.md).
-     */
-    unsigned runThreads = 0;
-
-    /**
-     * Short-circuit consecutive same-thread references that hit
-     * private L2 with no pending coherence state in a batched loop
-     * inside TraceCpu, entering the event kernel only on miss,
-     * blocked access, or a position cross-domain work could observe
-     * (config key run.fastpath). Output is bit-identical either way;
-     * the switch exists for differential testing and triage.
-     */
-    bool runFastpath = true;
-
-    /**
-     * run.threads with "auto" resolved against this host and shape:
-     * min(hardware_concurrency, numL2s), and the serial kernel when
-     * the host has a single hardware thread (fanning out there only
-     * adds overhead). Non-auto values pass through unchanged.
-     */
-    unsigned resolvedRunThreads() const;
-
     /** The machine shape with legacy aliases and defaults folded in. */
     TopologyParams shape() const { return topology.resolved(); }
 

@@ -61,9 +61,7 @@ Watchdog::check()
         return; // drained; never keep the queue alive
 
     // Deadlock: we are the last event standing, yet CPUs still hold
-    // unfinished traces. Nothing can ever run again. (Pending and
-    // executed counts aggregate across every domain queue; in serial
-    // mode they are the plain single-queue counters.)
+    // unfinished traces. Nothing can ever run again.
     if (sys_.totalPending() == 0) {
         trip(SimErrorKind::Watchdog,
              cstr("deadlock: event queue drained at tick ", now,

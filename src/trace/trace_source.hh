@@ -183,10 +183,9 @@ class BoundedRecordQueue
  * structured error instead of growing without bound, which is what
  * keeps the streaming path's memory bounded end to end.
  *
- * Thread safe: in parallel runs (run.threads > 0) the per-CPU
- * sources pull from scheduler worker threads. Per-thread
- * subsequences are preserved regardless of pull order, so streamed
- * results are byte-identical to the batch path.
+ * Thread safe (internally locked). Per-thread subsequences are
+ * preserved regardless of pull order, so streamed results are
+ * byte-identical to the batch path.
  */
 class StreamDemux
 {

@@ -88,3 +88,11 @@ TEST(Cli, EnvIntFallsBackOnGarbage)
     ::unsetenv("CMPCACHE_TEST_ENVINT");
     EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
 }
+
+TEST(CliDeath, UnknownOptionIsFatalAndNamed)
+{
+    const auto a = parse({"--refs=100", "--quiet", "--thread=1"});
+    a.requireKnown({"refs", "quiet", "thread"});
+    EXPECT_EXIT(a.requireKnown({"refs", "quiet", "threads"}),
+                ::testing::ExitedWithCode(1), "unknown option --thread");
+}

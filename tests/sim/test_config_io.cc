@@ -64,13 +64,19 @@ TEST(ConfigIo, ParsesStreamWithCommentsAndBlanks)
 
 TEST(ConfigIo, UnknownKeyReportsError)
 {
-    SystemConfig cfg;
-    const auto r = applyConfigOption(cfg, "l4.size", "1");
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().kind, SimErrorKind::Config);
-    EXPECT_NE(r.error().message.find("unknown config key"),
-              std::string::npos)
-        << r.error().message;
+    // run.threads, run.fastpath and obs.sched configured features that
+    // no longer exist; files that still set them fail by key name.
+    for (const std::string key :
+         {"l4.size", "run.threads", "run.fastpath", "obs.sched"}) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "1");
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_EQ(r.error().kind, SimErrorKind::Config);
+        EXPECT_NE(r.error().message.find("unknown config key '" + key
+                                         + "'"),
+                  std::string::npos)
+            << r.error().message;
+    }
 }
 
 TEST(ConfigIo, MalformedValueReportsError)
@@ -140,44 +146,6 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     EXPECT_EQ(b.l3.wbQueueDepth, 12u);
     EXPECT_EQ(b.policy.snarfInsert, InsertPos::Lru);
     EXPECT_TRUE(b.enableWbReuseTracker);
-}
-
-TEST(ConfigIo, RunThreadsParsesCountsAndAuto)
-{
-    SystemConfig cfg;
-    mustApply(cfg, "run.threads", "4");
-    EXPECT_EQ(cfg.runThreads, 4u);
-    EXPECT_EQ(cfg.resolvedRunThreads(), 4u);
-
-    mustApply(cfg, "run.threads", "auto");
-    EXPECT_EQ(cfg.runThreads, SystemConfig::RunThreadsAuto);
-    // Resolution is host-dependent but always a concrete count
-    // bounded by the machine shape.
-    EXPECT_NE(cfg.resolvedRunThreads(), SystemConfig::RunThreadsAuto);
-    EXPECT_LE(cfg.resolvedRunThreads(), cfg.numL2s());
-
-    const auto bad = applyConfigOption(cfg, "run.threads", "several");
-    EXPECT_FALSE(bad.ok());
-}
-
-TEST(ConfigIo, RunThreadsAutoSavesAsAuto)
-{
-    SystemConfig a;
-    a.runThreads = SystemConfig::RunThreadsAuto;
-    a.runFastpath = false;
-    a.obs.schedGauges = true;
-
-    std::stringstream ss;
-    saveConfig(a, ss);
-    EXPECT_NE(ss.str().find("run.threads = auto"), std::string::npos)
-        << ss.str();
-
-    SystemConfig b;
-    const auto r = loadConfig(b, ss);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(b.runThreads, SystemConfig::RunThreadsAuto);
-    EXPECT_FALSE(b.runFastpath);
-    EXPECT_TRUE(b.obs.schedGauges);
 }
 
 TEST(ConfigIo, KeyListNonEmptyAndSorted)

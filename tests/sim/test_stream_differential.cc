@@ -3,11 +3,10 @@
  * Streaming-vs-batch differential: the same trace fed through the
  * bounded-buffer streaming pipeline (`cmpcache serve` path) and
  * through the batch readTrace + splitByThread path must produce
- * byte-identical result JSON, sampled time series, and stats dumps --
- * under the serial kernel and under the domain scheduler. This is the
- * determinism contract in docs/serving.md: the demux preserves
- * per-thread subsequences, so streaming only changes memory behavior,
- * never results. Also covers the FIFO end-to-end path and the
+ * byte-identical result JSON, sampled time series, and stats dumps.
+ * This is the determinism contract in docs/serving.md: the demux
+ * preserves per-thread subsequences, so streaming only changes memory
+ * behavior, never results. Also covers the FIFO end-to-end path and the
  * skew-cap failure mode.
  */
 
@@ -27,7 +26,6 @@
 #include "sim/result_json.hh"
 #include "sim/simulation.hh"
 #include "stats/sink.hh"
-#include "parallel_diff.hh" // forceFanOut + mix
 #include "trace/trace_io.hh"
 
 using namespace cmpcache;
@@ -35,9 +33,16 @@ using namespace cmpcache;
 namespace
 {
 
-// Pull in the CMPCACHE_FANOUT=1 forcing from the shared header so the
-// run.threads=4 legs exercise the real fan-out path on any host.
-const bool kFanOut = paralleldiff::forceFanOut;
+/** Deterministic 64-bit mixer (splitmix64). */
+std::uint64_t
+mix(std::uint64_t &state)
+{
+    state += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
 
 /**
  * Deterministic interleaved trace: @p per records for each of
@@ -50,11 +55,10 @@ makeTrace(unsigned threads, std::uint64_t per)
     std::vector<TraceRecord> recs;
     recs.reserve(threads * per);
     std::uint64_t s = 0x5eed;
-    const auto mixNext = [&s] { return paralleldiff::mix(s); };
     for (std::uint64_t i = 0; i < per; ++i) {
         for (unsigned t = 0; t < threads; ++t) {
             TraceRecord r;
-            const auto v = mixNext();
+            const auto v = mix(s);
             // ~1/4 of references hit a small shared region.
             r.addr = (v % 4 == 0) ? 0x10000 + (v % 32) * 64
                                   : 0x100000 * (t + 1) + (v % 512) * 64;
@@ -136,23 +140,17 @@ runStreamed(const SystemConfig &cfg, const std::string &data)
 }
 
 void
-expectStreamMatchesBatch(SystemConfig cfg, const std::string &data,
+expectStreamMatchesBatch(const SystemConfig &cfg, const std::string &data,
                          const std::string &label)
 {
-    for (const unsigned workers : {0u, 4u}) {
-        cfg.runThreads = workers;
-        const RunSnapshot batch = runBatch(cfg, data);
-        const RunSnapshot stream = runStreamed(cfg, data);
-        EXPECT_EQ(stream.resultJson, batch.resultJson)
-            << label << ": result JSON differs with run.threads="
-            << workers;
-        EXPECT_EQ(stream.samplesJson, batch.samplesJson)
-            << label << ": sampled series differs with run.threads="
-            << workers;
-        EXPECT_EQ(stream.statsJson, batch.statsJson)
-            << label << ": stats dump differs with run.threads="
-            << workers;
-    }
+    const RunSnapshot batch = runBatch(cfg, data);
+    const RunSnapshot stream = runStreamed(cfg, data);
+    EXPECT_EQ(stream.resultJson, batch.resultJson)
+        << label << ": result JSON differs";
+    EXPECT_EQ(stream.samplesJson, batch.samplesJson)
+        << label << ": sampled series differs";
+    EXPECT_EQ(stream.statsJson, batch.statsJson)
+        << label << ": stats dump differs";
 }
 
 } // namespace
@@ -196,8 +194,7 @@ TEST(StreamDifferential, SentinelCountStreamMatchesBatch)
     writeStreamingTraceHeader(os);
     for (const auto &r : recs)
         appendTraceRecord(os, r);
-    SystemConfig cfg = baseConfig();
-    cfg.runThreads = 0;
+    const SystemConfig cfg = baseConfig();
     const RunSnapshot counted =
         runBatch(cfg, serialize(recs, TraceFormat::Binary));
     const RunSnapshot open = runStreamed(cfg, os.str());
@@ -218,8 +215,7 @@ TEST(StreamDifferential, FifoEndToEnd)
     const auto recs = makeTrace(4, 300);
     const std::string data = serialize(recs, TraceFormat::Binary);
 
-    SystemConfig cfg = baseConfig();
-    cfg.runThreads = 0;
+    const SystemConfig cfg = baseConfig();
     const RunSnapshot batch = runBatch(cfg, data);
 
     // ofstream's open blocks until the reader below opens its end.

@@ -6,9 +6,8 @@
  * simulator (the CLI's `sweep --workloads=thrash
  * --policies=baseline,combined --refs=2000` with and without
  * --sample-every=5000). The default topology.* configuration must
- * reproduce them byte for byte -- in serial mode, under the parallel
- * kernel, and when the machine shape is described with the deprecated
- * legacy keys.
+ * reproduce them byte for byte, also when the machine shape is
+ * described with the deprecated legacy keys.
  */
 
 #include <gtest/gtest.h>
@@ -88,25 +87,10 @@ TEST(TopologyGolden, DefaultShapeMatchesSeedOutput)
     expectIdentical(runToJson(goldenSpec()), golden("plain_rt0.json"));
 }
 
-TEST(TopologyGolden, ParallelKernelMatchesSeedOutput)
-{
-    SweepSpec spec = goldenSpec();
-    spec.base.runThreads = 4;
-    expectIdentical(runToJson(spec), golden("plain_rt0.json"));
-}
-
 TEST(TopologyGolden, SampledRunMatchesSeedOutput)
 {
     SweepSpec spec = goldenSpec();
     spec.base.obs.sampleEvery = 5000;
-    expectIdentical(runToJson(spec), golden("sampled_rt0.json"));
-}
-
-TEST(TopologyGolden, SampledParallelKernelMatchesSeedOutput)
-{
-    SweepSpec spec = goldenSpec();
-    spec.base.obs.sampleEvery = 5000;
-    spec.base.runThreads = 4;
     expectIdentical(runToJson(spec), golden("sampled_rt0.json"));
 }
 
