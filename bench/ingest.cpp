@@ -138,8 +138,8 @@ main(int argc, char **argv)
     using namespace cmpcache;
     const CliArgs args(argc, argv);
     const auto records =
-        std::uint64_t(args.getInt("records", 2'000'000));
-    const auto queue = std::size_t(args.getInt("queue", 4096));
+        args.getUnsigned("records", std::uint64_t{2'000'000});
+    const auto queue = args.getUnsigned("queue", std::size_t{4096});
 
     const std::string data = makeTrace(records);
     const double decode = benchDecode(data);

@@ -90,10 +90,8 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
-    const auto refs = static_cast<std::uint64_t>(
-        args.getInt("refs",
-                    static_cast<std::int64_t>(
-                        benchRecordsPerThread(20000))));
+    const auto refs =
+        args.getUnsigned("refs", benchRecordsPerThread(20000));
     const auto mix = splitMix(
         args.getString("mix", "TP,Trade2,CPW2,NotesBench"));
     if (mix.size() != 4)

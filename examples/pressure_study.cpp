@@ -23,10 +23,8 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const std::string name = args.getString("workload", "TP");
-    const auto refs = static_cast<std::uint64_t>(
-        args.getInt("refs",
-                    static_cast<std::int64_t>(
-                        benchRecordsPerThread(20000))));
+    const auto refs =
+        args.getUnsigned("refs", benchRecordsPerThread(20000));
 
     const std::vector<WbPolicy> policies = {
         WbPolicy::Wbht, WbPolicy::WbhtGlobal, WbPolicy::Snarf,

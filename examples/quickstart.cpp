@@ -19,9 +19,9 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
-    const std::uint64_t refs = args.getInt("refs", 20000);
-    const unsigned outstanding =
-        static_cast<unsigned>(args.getInt("outstanding", 6));
+    const std::uint64_t refs =
+        args.getUnsigned("refs", std::uint64_t{20000});
+    const unsigned outstanding = args.getUnsigned("outstanding", 6u);
 
     // The workload: a scaled-down stand-in for the paper's TP trace.
     const WorkloadParams wl = workloads::tp(refs, /*seed=*/42);

@@ -25,15 +25,14 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const std::string name = args.getString("workload", "TP");
-    const auto refs =
-        static_cast<std::uint64_t>(args.getInt("refs", 2000));
+    const auto refs = args.getUnsigned("refs", std::uint64_t{2000});
     const std::string path =
         args.getString("out", "/tmp/cmpcache_example.trace");
     const bool binary = args.getString("format", "binary") == "binary";
 
     // 1. Synthesize.
     const auto params = workloads::byName(
-        name, refs, static_cast<std::uint64_t>(args.getInt("seed", 1)));
+        name, refs, args.getUnsigned("seed", std::uint64_t{1}));
     SyntheticWorkload wl(params);
     const auto records = wl.materialize();
     std::cout << "synthesized " << records.size() << " references for "

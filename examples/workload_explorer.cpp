@@ -58,28 +58,24 @@ main(int argc, char **argv)
     const CliArgs args(argc, argv);
     const std::string which = args.getString("workload", "all");
     const std::string policy = args.getString("policy", "baseline");
-    const auto refs = static_cast<std::uint64_t>(
-        args.getInt("refs", static_cast<std::int64_t>(
-                                benchRecordsPerThread(40000))));
-    const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const auto refs =
+        args.getUnsigned("refs", benchRecordsPerThread(40000));
+    const auto seed = args.getUnsigned("seed", std::uint64_t{1});
 
     SystemConfig cfg;
     cfg.policy = policy == "combined"
                      ? PolicyConfig::combinedDefault()
                      : PolicyConfig::make(wbPolicyFromString(policy));
-    cfg.cpu.maxOutstanding =
-        static_cast<unsigned>(args.getInt("outstanding", 6));
+    cfg.cpu.maxOutstanding = args.getUnsigned("outstanding", 6u);
     cfg.enableWbReuseTracker = true;
-    cfg.policy.retry.windowCycles = static_cast<Tick>(
-        args.getInt("retry-window", 250000));
-    cfg.policy.retry.threshold = static_cast<std::uint64_t>(
-        args.getInt("retry-threshold", 100));
-    cfg.policy.wbht.entries = static_cast<std::uint64_t>(
-        args.getInt("wbht-entries",
-                    static_cast<std::int64_t>(cfg.policy.wbht.entries)));
-    cfg.policy.snarf.entries = static_cast<std::uint64_t>(args.getInt(
-        "snarf-entries",
-        static_cast<std::int64_t>(cfg.policy.snarf.entries)));
+    cfg.policy.retry.windowCycles =
+        args.getUnsigned("retry-window", Tick{250000});
+    cfg.policy.retry.threshold =
+        args.getUnsigned("retry-threshold", std::uint64_t{100});
+    cfg.policy.wbht.entries =
+        args.getUnsigned("wbht-entries", cfg.policy.wbht.entries);
+    cfg.policy.snarf.entries =
+        args.getUnsigned("snarf-entries", cfg.policy.snarf.entries);
 
     std::vector<std::string> names;
     if (which == "all")

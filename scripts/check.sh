@@ -23,8 +23,10 @@
 #                               # upload
 #   scripts/check.sh serve      # streaming smoke: a 1M-record trace
 #                               # through a FIFO with bounded memory
-#                               # and live ingest gauges, plus open-
-#                               # vs closed-loop arrival runs
+#                               # and live ingest gauges, open- vs
+#                               # closed-loop arrival runs, a stats +
+#                               # trace dump, and a `help config`
+#                               # round trip through --config
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core
 #                               # watchdogged run on every layout, and
@@ -184,13 +186,6 @@ if [ "$SELECT" = scale ]; then
             exit 1
         fi
     done
-    # The legacy machine-shape aliases still describe a runnable
-    # machine (with deprecation warnings).
-    run_phase scale-legacy-keys \
-        ./build/src/cmpcache sweep \
-        --workloads=thrash --policies=baseline --refs=1000 \
-        --out="$smoke_dir/legacy.json" --quiet \
-        num_l2s=2 threads_per_l2=2
     if [ -z "${CMPCACHE_SKIP_BENCH:-}" ]; then
         run_phase bench-scale python3 scripts/bench_guard.py \
             --bench build/bench/scale \
@@ -295,7 +290,30 @@ PY
         grep -q '"timeSeries"' "$smoke_dir/$arrival.json" \
             || { echo "serve ($arrival) emitted no timeSeries" >&2; exit 1; }
     done
-    echo "serve: FIFO 1M-record stream + arrival-model smoke OK"
+    # One synthetic run with a JSON stats dump and a Perfetto trace.
+    run_phase serve-stats-trace \
+        ./build/src/cmpcache serve --workload=thrash --refs=2000 \
+        --stats-format=json --stats-out="$smoke_dir/stats.json" \
+        --trace-out="$smoke_dir/trace.json" --sample-every=1000 \
+        --out="$smoke_dir/dump.json" --quiet
+    for f in stats.json trace.json; do
+        run_phase "serve-json-$f" \
+            python3 -m json.tool "$smoke_dir/$f" /dev/null
+    done
+    # `help config` prints a loadable config: reloading it must not
+    # change a single byte of the result.
+    ./build/src/cmpcache help config >"$smoke_dir/defaults.conf" \
+        || { echo "serve: help config failed" >&2; exit 1; }
+    run_phase serve-config-none \
+        ./build/src/cmpcache serve --workload=thrash --refs=2000 \
+        --out="$smoke_dir/config-none.json" --quiet
+    run_phase serve-config-file \
+        ./build/src/cmpcache serve --workload=thrash --refs=2000 \
+        --config="$smoke_dir/defaults.conf" \
+        --out="$smoke_dir/config-file.json" --quiet
+    cmp "$smoke_dir/config-none.json" "$smoke_dir/config-file.json" \
+        || { echo "serve: help config output does not reload to the same run" >&2; exit 1; }
+    echo "serve: FIFO 1M-record stream, arrival-model, stats/trace dump and help config smoke OK"
     exit 0
 fi
 

@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 #include "common/logging.hh"
 
 namespace cmpcache
 {
+
+std::optional<std::uint64_t>
+parseUnsigned(const std::string &s)
+{
+    bool digits = !s.empty();
+    for (const char c : s)
+        digits = digits && c >= '0' && c <= '9';
+    if (!digits)
+        return std::nullopt;
+    try {
+        return std::stoull(s);
+    } catch (const std::exception &) {
+        return std::nullopt; // out of range
+    }
+}
 
 CliArgs::CliArgs(int argc, const char *const *argv,
                  bool allow_subcommand)
@@ -48,18 +64,19 @@ CliArgs::getString(const std::string &key, const std::string &def) const
     return it == options_.end() ? def : it->second;
 }
 
-std::int64_t
-CliArgs::getInt(const std::string &key, std::int64_t def) const
+std::uint64_t
+CliArgs::getUnsignedMax(const std::string &key, std::uint64_t def,
+                        std::uint64_t max) const
 {
     const auto it = options_.find(key);
     if (it == options_.end())
         return def;
-    try {
-        return std::stoll(it->second);
-    } catch (...) {
-        cmp_fatal("option --", key, " expects an integer, got '",
-                  it->second, "'");
+    const auto v = parseUnsigned(it->second);
+    if (!v || *v > max) {
+        cmp_fatal("option --", key, " expects an integer from 0 to ",
+                  max, ", got '", it->second, "'");
     }
+    return *v;
 }
 
 double

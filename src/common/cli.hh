@@ -9,13 +9,23 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace cmpcache
 {
+
+/**
+ * The one unsigned-integer rule for --options and config values:
+ * plain decimal digits that fit in 64 bits. Signs, spaces, hex and
+ * trailing characters are all rejected (std::stoull would wrap "-1"
+ * and stop silently at "12abc").
+ */
+std::optional<std::uint64_t> parseUnsigned(const std::string &s);
 
 /**
  * Parses "--key=value" / "--flag" style arguments. Unknown positional
@@ -39,7 +49,20 @@ class CliArgs
 
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
+
+    /**
+     * An unsigned integer option under parseUnsigned()'s rule; fatal
+     * error (exit 1) naming the option when the value is malformed or
+     * does not fit in T.
+     */
+    template <typename T = std::uint64_t>
+    T
+    getUnsigned(const std::string &key, T def) const
+    {
+        return static_cast<T>(
+            getUnsignedMax(key, def, std::numeric_limits<T>::max()));
+    }
+
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
@@ -60,6 +83,10 @@ class CliArgs
     static std::int64_t envInt(const char *name, std::int64_t def);
 
   private:
+    std::uint64_t getUnsignedMax(const std::string &key,
+                                 std::uint64_t def,
+                                 std::uint64_t max) const;
+
     std::string subcommand_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;

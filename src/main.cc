@@ -5,14 +5,22 @@
  *   sweep   run a {workloads} x {policies} x {outstanding} grid on a
  *           thread pool and emit deterministic JSON results plus an
  *           optional timing (bench) file
- *   serve   simulate a trace streamed from a file, FIFO or stdin
- *           (or a synthetic generator) online with bounded memory,
- *           under an open- or closed-loop arrival model
+ *   serve   run one simulation: a trace streamed from a file, FIFO or
+ *           stdin, or a synthetic generator, online with bounded
+ *           memory under an open- or closed-loop arrival model, with
+ *           optional stats dump and Perfetto trace
  *   chaos   seeded coherence fuzzing: adversarial sharing workloads x
  *           fault plans x topologies under the conformance oracle,
  *           with automatic reproducer minimization on failure
  *   list    print the available workloads and policies
- *   help    usage text
+ *   help    usage text; `help config` prints the effective
+ *           configuration as a loadable config file
+ *
+ * sweep, serve and help config read the configuration the same way:
+ * --config=FILE, then positional KEY=VALUE overrides (wl.* keys adjust
+ * the workload), then --sample-every (and --trace-out turns tracing
+ * on). sweep and serve write --trace-out/--stats-out files the same
+ * way, one per cell.
  *
  * Examples:
  *
@@ -31,13 +39,15 @@
  *       --refs=2000 --check-coherence \
  *       --bench-out=bench/BENCH_stress.json
  *
- * Single-cell runs with full stats dumps remain the job of
- * examples/cmpsim.
+ *   # one cell with a full text stats dump and a Perfetto trace
+ *   cmpcache serve --workload=Trade2 policy=combined \
+ *       --stats-format=text --sample-every=1000 --trace-out=t.json
  */
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -66,13 +76,60 @@ usage()
         "cmpcache -- CMP cache-hierarchy simulator (ISCA'05 repro)\n\n"
         "usage: cmpcache <subcommand> [options]\n\n"
         "subcommands:\n"
-        "  sweep   run a workload x policy x outstanding grid\n"
-        "  serve   simulate a streamed trace (file/FIFO/stdin) or a\n"
-        "          synthetic generator online with bounded memory\n"
-        "  chaos   seeded coherence fuzzing under the conformance\n"
-        "          oracle, with reproducer minimization on failure\n"
-        "  list    print available workloads and policies\n"
-        "  help    this text\n\n"
+        "  sweep        run a workload x policy x outstanding grid\n"
+        "  serve        run one simulation: a streamed trace\n"
+        "               (file/FIFO/stdin) or a synthetic generator,\n"
+        "               online with bounded memory\n"
+        "  chaos        seeded coherence fuzzing under the conformance\n"
+        "               oracle, with reproducer minimization on failure\n"
+        "  list         print available workloads and policies\n"
+        "  help         this text\n"
+        "  help config  print the effective configuration (defaults,\n"
+        "               --config, KEY=VALUE, --sample-every) as a\n"
+        "               loadable config file, plus the wl.* keys\n\n"
+        "configuration (sweep, serve, help config):\n"
+        "  --config=FILE         base configuration file\n"
+        "  KEY=VALUE             positional overrides of any config\n"
+        "                        key; wl.* keys adjust the workload\n"
+        "  --sample-every=N      sample observability probes every N\n"
+        "                        cycles (0 = off, the default); adds\n"
+        "                        a timeSeries block to the results\n\n"
+        "outputs (sweep, serve):\n"
+        "  --out=FILE            results JSON (default: stdout)\n"
+        "  --trace-out=FILE      record coherence transactions and\n"
+        "                        write a Chrome trace-event (Perfetto)\n"
+        "                        JSON per cell; multi-cell grids get\n"
+        "                        FILE.<cell-index> before the extension\n"
+        "  --stats-format=F      capture a full stats dump per cell:\n"
+        "                        text, csv or json (default: none)\n"
+        "  --stats-out=FILE      stats dump destination (per cell,\n"
+        "                        like --trace-out; default: stderr)\n"
+        "  --quiet               suppress progress lines\n\n"
+        "serve options:\n"
+        "  --trace=PATH          stream a text or binary trace from a\n"
+        "                        file or FIFO ('-' = stdin); decoded\n"
+        "                        incrementally, never materialized\n"
+        "  --workload=NAME       synthetic generator instead of a\n"
+        "                        stream (--refs/--seed as for sweep)\n"
+        "  --arrival=SPEC        closed (default) or open:<rate>;\n"
+        "                        rate = mean arrivals/tick/thread,\n"
+        "                        e.g. open:0.02 (arrival.* keys tune\n"
+        "                        bursts and the sampler seed)\n"
+        "  stream.* keys set queue capacity and the block|drop\n"
+        "  backpressure policy; with sampling on, live ingest gauges\n"
+        "  (queue depth, ingest rate, drops) join the probes\n\n"
+        "sweep options:\n"
+        "  --workloads=A,B,...   default: TP,CPW2,NotesBench,Trade2\n"
+        "  --policies=a,b,...    default: baseline,wbht,snarf,"
+        "combined\n"
+        "  --outstanding=N,M     default: 6\n"
+        "  --refs=N              references/thread (default 20000,\n"
+        "                        or CMPCACHE_REFS)\n"
+        "  --seed=N              workload seed (default 1)\n"
+        "  --threads=N           worker threads (default: hardware)\n"
+        "  --bench-out=FILE      timing JSON, e.g. "
+        "bench/BENCH_grid.json\n"
+        "  --check-coherence     run the invariant checker per cell\n\n"
         "chaos options:\n"
         "  --seed=N              master seed (default 1); every\n"
         "                        sample derives its own stream\n"
@@ -89,55 +146,7 @@ usage()
         "  --minimize-target=N   stop ddmin at N records (default 200)\n"
         "  --repro-dir=DIR       reproducer bundle dir (default\n"
         "                        chaos-repro)\n\n"
-        "serve options:\n"
-        "  --trace=PATH          stream a text or binary trace from a\n"
-        "                        file or FIFO ('-' = stdin); decoded\n"
-        "                        incrementally, never materialized\n"
-        "  --workload=NAME       synthetic generator instead of a\n"
-        "                        stream (--refs/--seed as for sweep)\n"
-        "  --arrival=SPEC        closed (default) or open:<rate>;\n"
-        "                        rate = mean arrivals/tick/thread,\n"
-        "                        e.g. open:0.02 (arrival.* keys tune\n"
-        "                        bursts and the sampler seed)\n"
-        "  --sample-every=N      sample obs probes plus live ingest\n"
-        "                        gauges (queue depth, ingest rate,\n"
-        "                        drops) every N cycles\n"
-        "  --out=FILE            result JSON (default: stdout);\n"
-        "                        includes a timeSeries block when\n"
-        "                        sampling is on\n"
-        "  --config=FILE, KEY=VALUE  as for sweep; stream.* keys set\n"
-        "                        queue capacity and the block|drop\n"
-        "                        backpressure policy\n"
-        "  --quiet               suppress progress lines\n\n"
-        "sweep options:\n"
-        "  --workloads=A,B,...   default: TP,CPW2,NotesBench,Trade2\n"
-        "  --policies=a,b,...    default: baseline,wbht,snarf,"
-        "combined\n"
-        "  --outstanding=N,M     default: 6\n"
-        "  --refs=N              references/thread (default 20000,\n"
-        "                        or CMPCACHE_REFS)\n"
-        "  --seed=N              workload seed (default 1)\n"
-        "  --threads=N           worker threads (default: hardware)\n"
-        "  --out=FILE            results JSON (default: stdout)\n"
-        "  --bench-out=FILE      timing JSON, e.g. "
-        "bench/BENCH_grid.json\n"
-        "  --check-coherence     run the invariant checker per cell\n"
-        "  --sample-every=N      sample observability probes every N\n"
-        "                        cycles (0 = off, the default); adds\n"
-        "                        a timeSeries block to the results\n"
-        "  --trace-out=FILE      record coherence transactions and\n"
-        "                        write a Chrome trace-event (Perfetto)\n"
-        "                        JSON per cell; multi-cell grids get\n"
-        "                        FILE.<cell-index> before the extension\n"
-        "  --stats-format=F      capture a full stats dump per cell:\n"
-        "                        text, csv or json (default: none)\n"
-        "  --stats-out=FILE      stats dump destination (per cell,\n"
-        "                        like --trace-out; default: stderr)\n"
-        "  --config=FILE         base configuration file\n"
-        "  KEY=VALUE             positional base-config overrides;\n"
-        "                        wl.* keys adjust every cell's "
-        "workload\n"
-        "  --quiet               suppress progress lines\n\n"
+        "Integer options take plain decimal digits.\n"
         "exit codes: 0 ok, 1 bad arguments/config or internal error,\n"
         "2 coherence violations (sweep checker, serve conformance\n"
         "trip, or a chaos failure with its reproducer written),\n"
@@ -145,9 +154,57 @@ usage()
         "status:\"error\" in the results)\n";
 }
 
-StatsFormat
-statsFormatFromString(const std::string &s)
+using WorkloadOverrides =
+    std::vector<std::pair<std::string, std::string>>;
+
+/**
+ * The configuration options sweep, serve and help config share:
+ * --config=FILE, then the positional KEY=VALUE overrides from index
+ * @p first on, then --sample-every; a non-empty --trace-out turns
+ * transaction tracing on. Returns the wl.* overrides, in order.
+ */
+WorkloadOverrides
+applyConfigArgs(const CliArgs &args, SystemConfig &cfg,
+                std::size_t first = 0)
 {
+    if (args.has("config")) {
+        const auto loaded =
+            loadConfigFile(cfg, args.getString("config", ""));
+        if (!loaded.ok())
+            cmp_fatal(loaded.error().message);
+    }
+    WorkloadOverrides wl_overrides;
+    const auto &positional = args.positional();
+    for (std::size_t i = first; i < positional.size(); ++i) {
+        const std::string &pos = positional[i];
+        const auto eq = pos.find('=');
+        if (eq == std::string::npos)
+            cmp_fatal("positional argument '", pos,
+                      "' is not a key=value override");
+        const std::string key = pos.substr(0, eq);
+        const std::string value = pos.substr(eq + 1);
+        if (isWorkloadKey(key)) {
+            wl_overrides.emplace_back(key, value);
+        } else {
+            const auto applied = applyConfigOption(cfg, key, value);
+            if (!applied.ok())
+                cmp_fatal(applied.error().message);
+        }
+    }
+    // CLI observability knobs override config-file obs.* keys.
+    if (args.has("sample-every"))
+        cfg.obs.sampleEvery = args.getUnsigned<Tick>("sample-every", 0);
+    if (!args.getString("trace-out", "").empty())
+        cfg.obs.traceEnabled = true;
+    return wl_overrides;
+}
+
+StatsFormat
+statsFormatArg(const CliArgs &args)
+{
+    if (!args.has("stats-format"))
+        return StatsFormat::None;
+    const std::string s = args.getString("stats-format", "");
     if (s == "text")
         return StatsFormat::Text;
     if (s == "csv")
@@ -176,6 +233,46 @@ perCellPath(const std::string &base, std::size_t index,
         return base + "." + std::to_string(index);
     return base.substr(0, dot) + "." + std::to_string(index)
            + base.substr(dot);
+}
+
+/**
+ * The --trace-out and --stats-out files of @p cells, one per cell;
+ * stats dumps go to stderr when --stats-out is not given. @p cmd
+ * prefixes the progress lines.
+ */
+void
+writeCellOutputs(const CliArgs &args, const char *cmd,
+                 const std::vector<SweepJobResult> &cells, bool quiet)
+{
+    const std::string trace_out = args.getString("trace-out", "");
+    const std::string stats_out = args.getString("stats-out", "");
+    const bool stats = args.has("stats-format");
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const SweepJobResult &r = cells[i];
+        if (!trace_out.empty()) {
+            const auto path = perCellPath(trace_out, i, cells.size());
+            std::ofstream os(path);
+            if (!os)
+                cmp_fatal("cannot write trace file '", path, "'");
+            writeChromeTrace(os, r.trace,
+                             r.samples.empty() ? nullptr : &r.samples);
+            if (!quiet)
+                inform(cmd, ": trace written to ", path);
+        }
+        if (!stats)
+            continue;
+        if (stats_out.empty()) {
+            std::cerr << "# stats: cell " << i << "\n" << r.statsDump;
+            continue;
+        }
+        const auto path = perCellPath(stats_out, i, cells.size());
+        std::ofstream os(path);
+        if (!os)
+            cmp_fatal("cannot write stats file '", path, "'");
+        os << r.statsDump;
+        if (!quiet)
+            inform(cmd, ": stats written to ", path);
+    }
 }
 
 std::vector<std::string>
@@ -217,67 +314,23 @@ sweepMain(const CliArgs &args)
              "policies", "baseline,wbht,snarf,combined")))
         spec.policies.push_back(wbPolicyFromString(p));
     for (const auto &o : splitCsv(args.getString("outstanding", "6"))) {
-        std::int64_t v = 0;
-        try {
-            v = std::stoll(o);
-        } catch (...) {
-            cmp_fatal("--outstanding expects integers, got '", o, "'");
-        }
-        if (v <= 0)
-            cmp_fatal("--outstanding values must be positive, got '",
-                      o, "'");
-        spec.outstanding.push_back(static_cast<unsigned>(v));
+        const auto v = parseUnsigned(o);
+        if (!v || *v == 0 || *v > std::numeric_limits<unsigned>::max())
+            cmp_fatal("--outstanding values must be positive integers, "
+                      "got '", o, "'");
+        spec.outstanding.push_back(static_cast<unsigned>(*v));
     }
-    spec.recordsPerThread = static_cast<std::uint64_t>(args.getInt(
-        "refs",
-        static_cast<std::int64_t>(benchRecordsPerThread(20000))));
-    spec.seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    spec.recordsPerThread =
+        args.getUnsigned("refs", benchRecordsPerThread(20000));
+    spec.seed = args.getUnsigned("seed", std::uint64_t{1});
     spec.checkCoherence = args.getBool("check-coherence", false);
-
-    if (args.has("config")) {
-        const auto loaded =
-            loadConfigFile(spec.base, args.getString("config", ""));
-        if (!loaded.ok())
-            cmp_fatal(loaded.error().message);
-    }
-    for (const auto &pos : args.positional()) {
-        const auto eq = pos.find('=');
-        if (eq == std::string::npos)
-            cmp_fatal("positional argument '", pos,
-                      "' is not a key=value override");
-        const std::string key = pos.substr(0, eq);
-        const std::string value = pos.substr(eq + 1);
-        if (isWorkloadKey(key)) {
-            spec.workloadOverrides.emplace_back(key, value);
-        } else {
-            const auto applied =
-                applyConfigOption(spec.base, key, value);
-            if (!applied.ok())
-                cmp_fatal(applied.error().message);
-        }
-    }
-
-    // CLI observability knobs override config-file obs.* keys.
-    if (args.has("sample-every")) {
-        const auto every = args.getInt("sample-every", 0);
-        if (every < 0)
-            cmp_fatal("--sample-every must be >= 0");
-        spec.base.obs.sampleEvery = static_cast<Tick>(every);
-    }
-    const std::string trace_out = args.getString("trace-out", "");
-    if (!trace_out.empty())
-        spec.base.obs.traceEnabled = true;
-    if (args.has("stats-format"))
-        spec.statsFormat = statsFormatFromString(
-            args.getString("stats-format", ""));
-    const std::string stats_out = args.getString("stats-out", "");
+    spec.workloadOverrides = applyConfigArgs(args, spec.base);
+    spec.statsFormat = statsFormatArg(args);
 
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    const auto threads = static_cast<unsigned>(
-        args.getInt("threads", static_cast<std::int64_t>(hw)));
+    const auto threads = args.getUnsigned("threads", hw);
     if (threads == 0)
         cmp_fatal("--threads must be positive");
 
@@ -307,39 +360,7 @@ sweepMain(const CliArgs &args)
         if (!quiet)
             inform("sweep: results written to ", out);
     }
-
-    if (!trace_out.empty()) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const auto path =
-                perCellPath(trace_out, i, results.size());
-            std::ofstream os(path);
-            if (!os)
-                cmp_fatal("cannot write trace file '", path, "'");
-            const auto &r = results[i];
-            writeChromeTrace(os, r.trace,
-                             r.samples.empty() ? nullptr : &r.samples);
-            if (!quiet)
-                inform("sweep: trace written to ", path);
-        }
-    }
-
-    if (spec.statsFormat != StatsFormat::None) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (stats_out.empty()) {
-                std::cerr << "# stats: cell " << i << "\n"
-                          << results[i].statsDump;
-                continue;
-            }
-            const auto path =
-                perCellPath(stats_out, i, results.size());
-            std::ofstream os(path);
-            if (!os)
-                cmp_fatal("cannot write stats file '", path, "'");
-            os << results[i].statsDump;
-            if (!quiet)
-                inform("sweep: stats written to ", path);
-        }
-    }
+    writeCellOutputs(args, "sweep", results, quiet);
 
     if (args.has("bench-out")) {
         const auto path = args.getString("bench-out", "");
@@ -378,25 +399,18 @@ int
 chaosMain(const CliArgs &args)
 {
     ChaosOptions opts;
-    opts.seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const auto samples = args.getInt("samples", 16);
-    if (samples <= 0)
+    opts.seed = args.getUnsigned("seed", std::uint64_t{1});
+    opts.samples = args.getUnsigned("samples", 16u);
+    if (opts.samples == 0)
         cmp_fatal("--samples must be positive");
-    opts.samples = static_cast<unsigned>(samples);
-    opts.recordsPerThread = static_cast<std::uint64_t>(
-        args.getInt("refs", 1200));
-    const auto box = args.getInt("time-box", 0);
-    if (box < 0)
-        cmp_fatal("--time-box must be >= 0");
-    opts.timeBoxSecs = static_cast<double>(box);
+    opts.recordsPerThread = args.getUnsigned("refs", std::uint64_t{1200});
+    opts.timeBoxSecs =
+        static_cast<double>(args.getUnsigned("time-box", std::uint64_t{0}));
     opts.extraFaultPlan = args.getString("fault-plan", "");
     opts.withFaults = !args.getBool("no-faults", false);
     opts.minimize = !args.getBool("no-minimize", false);
-    const auto target = args.getInt("minimize-target", 200);
-    if (target < 0)
-        cmp_fatal("--minimize-target must be >= 0");
-    opts.minimizeTargetRecords = static_cast<std::size_t>(target);
+    opts.minimizeTargetRecords =
+        args.getUnsigned("minimize-target", std::size_t{200});
     opts.reproDir = args.getString("repro-dir", "chaos-repro");
 
     const ChaosReport report = runChaos(opts, std::cerr);
@@ -416,29 +430,7 @@ serveMain(const CliArgs &args)
     // serve is the live mode: ingest gauges default on (an explicit
     // obs.ingest=false override below still disables them).
     cfg.obs.ingestGauges = true;
-
-    if (args.has("config")) {
-        const auto loaded =
-            loadConfigFile(cfg, args.getString("config", ""));
-        if (!loaded.ok())
-            cmp_fatal(loaded.error().message);
-    }
-    std::vector<std::pair<std::string, std::string>> wl_overrides;
-    for (const auto &pos : args.positional()) {
-        const auto eq = pos.find('=');
-        if (eq == std::string::npos)
-            cmp_fatal("positional argument '", pos,
-                      "' is not a key=value override");
-        const std::string key = pos.substr(0, eq);
-        const std::string value = pos.substr(eq + 1);
-        if (isWorkloadKey(key)) {
-            wl_overrides.emplace_back(key, value);
-        } else {
-            const auto applied = applyConfigOption(cfg, key, value);
-            if (!applied.ok())
-                cmp_fatal(applied.error().message);
-        }
-    }
+    const WorkloadOverrides wl_overrides = applyConfigArgs(args, cfg);
 
     if (args.has("arrival")) {
         const auto spec =
@@ -450,12 +442,7 @@ serveMain(const CliArgs &args)
         cfg.arrival.model = spec->model;
         cfg.arrival.rate = spec->rate;
     }
-    if (args.has("sample-every")) {
-        const auto every = args.getInt("sample-every", 0);
-        if (every < 0)
-            cmp_fatal("--sample-every must be >= 0");
-        cfg.obs.sampleEvery = static_cast<Tick>(every);
-    }
+    const StatsFormat stats_format = statsFormatArg(args);
 
     const std::string trace = args.getString("trace", "");
     const std::string workload = args.getString("workload", "");
@@ -493,21 +480,25 @@ serveMain(const CliArgs &args)
     } else {
         auto params = sweepWorkloadByName(
             workload,
-            static_cast<std::uint64_t>(args.getInt(
-                "refs",
-                static_cast<std::int64_t>(
-                    benchRecordsPerThread(20000)))),
-            static_cast<std::uint64_t>(args.getInt("seed", 1)));
+            args.getUnsigned("refs", benchRecordsPerThread(20000)),
+            args.getUnsigned("seed", std::uint64_t{1}));
         for (const auto &[key, value] : wl_overrides)
             applyWorkloadOption(params, key, value);
+        // As in a sweep cell: the machine shape sets the thread count.
+        params.numThreads = cfg.numThreads();
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
                    params.recordsPerThread, " records/thread, "
                    "arrival ", toString(cfg.arrival.model));
         sim = std::make_unique<Simulation>(cfg, params);
     }
+    // A watchdog trip flushes whatever the tracer captured so the
+    // hang can be inspected in Perfetto.
+    sim->setWatchdogFlushPath(args.getString("trace-out", ""));
 
-    const auto &result = sim->run();
+    std::vector<SweepJobResult> cells(1);
+    SweepJobResult &cell = cells[0];
+    cell.result = sim->run();
 
     const auto out = args.getString("out", "-");
     std::ofstream file;
@@ -519,12 +510,17 @@ serveMain(const CliArgs &args)
     std::ostream &os = file.is_open() ? file : std::cout;
     os << "{\n  \"schema\": \"cmpcache-serve-result-v1\",\n"
        << "  \"result\":\n";
-    writeResultJson(os, result, 2);
+    writeResultJson(os, cell.result, 2);
     if (sim->sampled()) {
         os << ",\n  \"timeSeries\":\n";
         writeSampleSeriesJson(os, sim->samples(), 2);
     }
     os << "\n}\n";
+
+    cell.samples = sim->samples();
+    cell.trace = sim->traceEvents();
+    cell.statsDump = dumpStats(sim->system(), stats_format);
+    writeCellOutputs(args, "serve", cells, quiet);
 
     if (!quiet) {
         if (const StreamIngest *ingest = sim->ingest()) {
@@ -533,10 +529,31 @@ serveMain(const CliArgs &args)
                    " dropped, ", ingest->producerBlockedWaits(),
                    " producer waits)");
         }
-        inform("serve: finished at tick ", result.execTime,
+        inform("serve: finished at tick ", cell.result.execTime,
                ", result written to ",
                file.is_open() ? out : std::string("stdout"));
     }
+    return 0;
+}
+
+/**
+ * `cmpcache help config`: the effective configuration in saveConfig
+ * format, loadable again with --config, then the wl.* workload keys
+ * as comments (they are KEY=VALUE overrides, not config-file keys).
+ */
+int
+helpConfigMain(const CliArgs &args)
+{
+    SystemConfig cfg;
+    const WorkloadOverrides wl_overrides =
+        applyConfigArgs(args, cfg, /*first=*/1);
+    saveConfig(cfg, std::cout);
+    std::cout << "#\n# workload keys: KEY=VALUE overrides for sweep "
+                 "and serve, not config-file keys\n";
+    for (const auto &k : workloadConfigKeys())
+        std::cout << "#   " << k << "\n";
+    for (const auto &[key, value] : wl_overrides)
+        std::cout << "# " << key << " = " << value << "\n";
     return 0;
 }
 
@@ -547,6 +564,11 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv, /*allow_subcommand=*/true);
     const std::string &cmd = args.subcommand();
+    if (cmd == "help" && !args.positional().empty()
+        && args.positional()[0] == "config") {
+        args.requireKnown({"config", "sample-every"});
+        return helpConfigMain(args);
+    }
     if (cmd.empty() || cmd == "help" || args.getBool("help", false)) {
         usage();
         return cmd.empty() && !args.getBool("help", false) ? 1 : 0;
@@ -567,7 +589,8 @@ main(int argc, char **argv)
     }
     if (cmd == "serve") {
         args.requireKnown({"trace", "workload", "refs", "seed",
-                           "arrival", "sample-every", "out", "config",
+                           "arrival", "sample-every", "trace-out",
+                           "stats-format", "stats-out", "out", "config",
                            "quiet"});
         try {
             return serveMain(args);

@@ -1,11 +1,15 @@
 #include "sim/config_io.hh"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -33,18 +37,8 @@ configError(const std::string &what)
 Expected<std::uint64_t>
 toU64(const std::string &key, const std::string &v)
 {
-    // Reject anything but plain digits up front: std::stoull would
-    // happily accept "-1" (wrapping) or "12abc" (trailing garbage).
-    bool digits = !v.empty();
-    for (const char c : v)
-        digits = digits && c >= '0' && c <= '9';
-    if (digits) {
-        try {
-            return std::stoull(v);
-        } catch (const std::exception &) {
-            // fall through: out of range
-        }
-    }
+    if (const auto u = parseUnsigned(v))
+        return *u;
     return configError(cstr("config key '", key,
                             "' expects an unsigned integer, got '", v,
                             "'"));
@@ -60,9 +54,11 @@ toDouble(const std::string &key, const std::string &v)
     } catch (const std::exception &) {
         used = 0;
     }
-    if (v.empty() || used != v.size()) {
+    // Non-finite values would not survive saveConfig's jsonDouble.
+    if (v.empty() || used != v.size() || !std::isfinite(d)) {
         return configError(cstr("config key '", key,
-                                "' expects a number, got '", v, "'"));
+                                "' expects a finite number, got '", v,
+                                "'"));
     }
     return d;
 }
@@ -86,14 +82,24 @@ struct KeyHandler
     std::function<std::string(const SystemConfig &)> get;
 };
 
+/**
+ * An unsigned field of any width: values the field's type cannot hold
+ * are a named error instead of silently wrapping.
+ */
 #define U64_KEY(field)                                                  \
     KeyHandler                                                          \
     {                                                                   \
         [](SystemConfig &c, const std::string &k,                       \
            const std::string &v) -> Expected<void> {                    \
+            using Limits = std::numeric_limits<decltype(c.field)>;      \
             const auto r = toU64(k, v);                                 \
             if (!r)                                                     \
                 return r.error();                                       \
+            if (*r > Limits::max()) {                                   \
+                return configError(cstr("config key '", k, "' value ",  \
+                                        *r, " overflows ",              \
+                                        Limits::digits, " bits"));      \
+            }                                                           \
             c.field = static_cast<decltype(c.field)>(*r);               \
             return {};                                                  \
         },                                                              \
@@ -127,7 +133,7 @@ struct KeyHandler
             c.field = *r;                                               \
             return {};                                                  \
         },                                                              \
-            [](const SystemConfig &c) { return cstr(c.field); }         \
+            [](const SystemConfig &c) { return jsonDouble(c.field); }   \
     }
 
 #define STR_KEY(field)                                                  \
@@ -141,75 +147,17 @@ struct KeyHandler
             [](const SystemConfig &c) { return c.field; }               \
     }
 
-/**
- * Canonical topology.* keys: checked setters that reject values a
- * 32-bit shape field would silently wrap, and record that the
- * canonical style is in use so mixing it with the deprecated aliases
- * below surfaces as a named validation error.
- */
-#define TOPO_U32(field)                                                 \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toU64(k, v);                                 \
-            if (!r)                                                     \
-                return r.error();                                       \
-            if (*r > 0xffffffffull) {                                   \
-                return configError(cstr("config key '", k,              \
-                                        "' value ", *r,                 \
-                                        " overflows 32 bits"));         \
-            }                                                           \
-            c.topology.field =                                          \
-                static_cast<decltype(c.topology.field)>(*r);            \
-            c.topology.canonicalKeysUsed = true;                        \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &c) {                                 \
-                /* Save the resolved shape so a config built from    */ \
-                /* legacy aliases round-trips as canonical keys.     */ \
-                return cstr(c.topology.resolved().field);               \
-            }                                                           \
-    }
-
-/**
- * Deprecated machine-shape aliases. They live in their own map (not
- * handlers()) so saveConfig never writes them back out; parsing one
- * parks its value on the topology's legacy fields -- folded in by
- * TopologyParams::resolved() -- and warns, naming the replacement.
- */
-#define LEGACY_U32(field, replacement)                                  \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toU64(k, v);                                 \
-            if (!r)                                                     \
-                return r.error();                                       \
-            if (*r > 0xffffffffull) {                                   \
-                return configError(cstr("config key '", k,              \
-                                        "' value ", *r,                 \
-                                        " overflows 32 bits"));         \
-            }                                                           \
-            warn("config key '", k, "' is deprecated; use ",            \
-                 replacement);                                          \
-            c.topology.field = static_cast<unsigned>(*r);               \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &) { return std::string(); }          \
-    }
-
 const std::map<std::string, KeyHandler> &
 handlers()
 {
     static const std::map<std::string, KeyHandler> h = {
-        {"topology.cores", TOPO_U32(cores)},
-        {"topology.smt", TOPO_U32(smt)},
-        {"topology.l2s", TOPO_U32(l2s)},
-        {"topology.l3_slices", TOPO_U32(l3Slices)},
-        {"topology.rings", TOPO_U32(rings)},
-        {"topology.l2_kb_per_l2", TOPO_U32(l2KbPerL2)},
-        {"topology.l3_mb_per_slice", TOPO_U32(l3MbPerSlice)},
+        {"topology.cores", U64_KEY(topology.cores)},
+        {"topology.smt", U64_KEY(topology.smt)},
+        {"topology.l2s", U64_KEY(topology.l2s)},
+        {"topology.l3_slices", U64_KEY(topology.l3Slices)},
+        {"topology.rings", U64_KEY(topology.rings)},
+        {"topology.l2_kb_per_l2", U64_KEY(topology.l2KbPerL2)},
+        {"topology.l3_mb_per_slice", U64_KEY(topology.l3MbPerSlice)},
         {"topology.layout",
          KeyHandler{[](SystemConfig &c, const std::string &k,
                        const std::string &v) -> Expected<void> {
@@ -221,7 +169,6 @@ handlers()
                                 "hier_ring, got '", v, "'"));
                         }
                         c.topology.layout = l;
-                        c.topology.canonicalKeysUsed = true;
                         return {};
                     },
                     [](const SystemConfig &c) {
@@ -361,51 +308,32 @@ handlers()
                                 ? "mru"
                                 : "lru");
                     }}},
-        {"l2.repl",
-         KeyHandler{[](SystemConfig &c, const std::string &,
-                       const std::string &v) -> Expected<void> {
-                        c.l2.replPolicy = v;
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return c.l2.replPolicy;
-                    }}},
-        {"l3.repl",
-         KeyHandler{[](SystemConfig &c, const std::string &,
-                       const std::string &v) -> Expected<void> {
-                        c.l3.replPolicy = v;
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return c.l3.replPolicy;
-                    }}},
+        {"l2.repl", STR_KEY(l2.replPolicy)},
+        {"l3.repl", STR_KEY(l3.replPolicy)},
     };
     return h;
 }
 
-const std::map<std::string, KeyHandler> &
-legacyHandlers()
+/**
+ * Machine-shape keys of earlier releases, with what replaced them; a
+ * config that still sets one fails naming its topology.* successor.
+ */
+const std::map<std::string, const char *> &
+removedShapeKeys()
 {
-    static const std::map<std::string, KeyHandler> h = {
-        {"num_l2s", LEGACY_U32(legacyNumL2s, "topology.l2s (with "
-                               "topology.cores/topology.smt)")},
-        {"threads_per_l2",
-         LEGACY_U32(legacyThreadsPerL2,
-                    "topology.cores and topology.smt")},
-        {"ring.num_stops",
-         LEGACY_U32(legacyRingStops,
-                    "topology.l2s (stop count is derived)")},
-        {"l3.slices", LEGACY_U32(legacyL3Slices, "topology.l3_slices")},
+    static const std::map<std::string, const char *> m = {
+        {"num_l2s", "topology.l2s"},
+        {"threads_per_l2", "topology.cores and topology.smt"},
+        {"ring.num_stops", "topology.l2s (the stop count is derived)"},
+        {"l3.slices", "topology.l3_slices"},
     };
-    return h;
+    return m;
 }
 
 #undef U64_KEY
 #undef BOOL_KEY
 #undef DBL_KEY
 #undef STR_KEY
-#undef TOPO_U32
-#undef LEGACY_U32
 
 } // namespace
 
@@ -416,9 +344,11 @@ applyConfigOption(SystemConfig &cfg, const std::string &key,
     const auto it = handlers().find(key);
     if (it != handlers().end())
         return it->second.set(cfg, key, value);
-    const auto lit = legacyHandlers().find(key);
-    if (lit != legacyHandlers().end())
-        return lit->second.set(cfg, key, value);
+    const auto removed = removedShapeKeys().find(key);
+    if (removed != removedShapeKeys().end()) {
+        return configError(cstr("unknown config key '", key, "'; use ",
+                                removed->second));
+    }
     return configError(cstr("unknown config key '", key, "'"));
 }
 
@@ -473,6 +403,19 @@ saveConfig(const SystemConfig &cfg, std::ostream &os)
     os << "# cmpcache system configuration\n";
     for (const auto &[key, handler] : handlers())
         os << key << " = " << handler.get(cfg) << "\n";
+}
+
+std::vector<std::pair<std::string, std::string>>
+changedConfigKeys(const SystemConfig &cfg)
+{
+    static const SystemConfig defaults;
+    std::vector<std::pair<std::string, std::string>> changed;
+    for (const auto &[key, handler] : handlers()) {
+        std::string value = handler.get(cfg);
+        if (value != handler.get(defaults))
+            changed.emplace_back(key, std::move(value));
+    }
+    return changed;
 }
 
 const std::vector<std::string> &

@@ -2,8 +2,10 @@
  * @file
  * Textual configuration for SystemConfig: simple "key = value" lines
  * ('#' comments), so whole experiments live in version-controllable
- * files. The same keys work as --key=value command-line overrides in
- * the cmpsim driver.
+ * files. One key table drives parsing, saving and the key list; the
+ * same keys work as positional KEY=VALUE overrides to `cmpcache
+ * sweep` and `cmpcache serve`, and `cmpcache help config` prints the
+ * effective configuration in this format.
  *
  * Example:
  *
@@ -15,8 +17,9 @@
  *     retry.threshold   = 100
  *     l2.size_bytes     = 2097152
  *
- * Malformed input (unknown keys, non-numeric values, lines without
- * '=') surfaces as a structured SimError (kind Config, or Io for an
+ * Malformed input (unknown keys, non-numeric values, integers the
+ * target field cannot hold, lines without '=') surfaces as a
+ * structured SimError (kind Config, or Io for an
  * unreadable file) naming the offending key and line, never a process
  * exit -- one bad sweep cell must not take the grid down with it.
  */
@@ -26,6 +29,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -50,6 +54,14 @@ Expected<void> loadConfigFile(SystemConfig &cfg,
 
 /** Write @p cfg out in the same format (round-trippable). */
 void saveConfig(const SystemConfig &cfg, std::ostream &os);
+
+/**
+ * The (key, value) pairs, in key order, whose saved value differs
+ * from a default SystemConfig's: applying them to a default config
+ * reproduces @p cfg's saveConfig text.
+ */
+std::vector<std::pair<std::string, std::string>>
+changedConfigKeys(const SystemConfig &cfg);
 
 /** All recognized keys (driver --help text, tests). */
 const std::vector<std::string> &configKeys();

@@ -91,25 +91,20 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/**
- * Check an optional "schemaVersion" field: absent means the implicit
- * v1 of earlier releases; present must be an integer in
- * [1, kResultSchemaVersion].
- */
+/** Require "schemaVersion": kResultSchemaVersion. */
 bool
 checkSchemaVersion(const JsonValue &v, std::string *error)
 {
     const JsonValue *sv = v.get("schemaVersion");
     if (!sv)
-        return true; // v1: the field did not exist yet
+        return fail(error, "missing field 'schemaVersion'");
     if (sv->kind != JsonValue::Kind::Number
-        || sv->number.find_first_of(".eE-") != std::string::npos)
-        return fail(error, "schemaVersion must be a positive integer");
-    const std::uint64_t ver =
-        std::strtoull(sv->number.c_str(), nullptr, 10);
-    if (ver < 1 || ver > kResultSchemaVersion)
-        return fail(error, "unsupported schemaVersion " + sv->number
-                               + " (newest known: "
+        || sv->number != std::to_string(kResultSchemaVersion))
+        return fail(error, "unsupported schemaVersion "
+                               + (sv->kind == JsonValue::Kind::Number
+                                      ? sv->number
+                                      : std::string("(not a number)"))
+                               + " (this build reads "
                                + std::to_string(kResultSchemaVersion)
                                + ")");
     return true;
@@ -217,10 +212,14 @@ sweepResultsArray(const JsonValue &v, std::string *error)
         return nullptr;
     }
     const JsonValue *schema = v.get("schema");
-    if (!schema || schema->kind != JsonValue::Kind::String
-        || (schema->string != "cmpcache-sweep-results-v2"
-            && schema->string != "cmpcache-sweep-results-v1")) {
-        fail(error, "missing or unknown schema tag");
+    if (!schema || schema->kind != JsonValue::Kind::String) {
+        fail(error, "missing schema tag");
+        return nullptr;
+    }
+    if (schema->string != "cmpcache-sweep-results-v2") {
+        fail(error, "unknown schema tag '" + schema->string
+                        + "' (this build reads "
+                          "cmpcache-sweep-results-v2)");
         return nullptr;
     }
     const JsonValue *results = v.get("results");
@@ -277,31 +276,6 @@ parseResultJson(const std::string &text, ExperimentResult &out,
     if (!parseJson(text, v, error))
         return false;
     return resultFromValue(v, out, error);
-}
-
-bool
-parseSweepResultsJson(const std::string &text,
-                      std::vector<ExperimentResult> &out,
-                      std::string *error)
-{
-    JsonValue v;
-    if (!parseJson(text, v, error))
-        return false;
-    const JsonValue *results = sweepResultsArray(v, error);
-    if (!results)
-        return false;
-    std::vector<ExperimentResult> parsed;
-    parsed.reserve(results->array.size());
-    for (const auto &rv : results->array) {
-        if (isErrorCell(rv))
-            continue;
-        ExperimentResult r;
-        if (!resultFromValue(rv, r, error))
-            return false;
-        parsed.push_back(std::move(r));
-    }
-    out = std::move(parsed);
-    return true;
 }
 
 bool

@@ -8,9 +8,8 @@
  * write/parse round trip reproduces every field bit-for-bit.
  *
  * Result objects are versioned: emission writes
- * "schemaVersion": kResultSchemaVersion as the first field; parsing
- * accepts objects without the field (the implicit v1 of earlier
- * releases) as well as any version up to the current one.
+ * "schemaVersion": kResultSchemaVersion as the first field, and
+ * parsing requires that field with that value.
  */
 
 #ifndef CMPCACHE_SIM_RESULT_JSON_HH
@@ -65,18 +64,9 @@ struct SweepCellOutcome
 };
 
 /**
- * Parse a whole sweep results file ("cmpcache-sweep-results-v2", or
- * the v1 tag of earlier releases): checks the schema tag and extracts
- * the "results" array. Cells with "status": "error" are skipped --
- * use the SweepCellOutcome overload to see them.
- */
-bool parseSweepResultsJson(const std::string &text,
-                           std::vector<ExperimentResult> &out,
-                           std::string *error = nullptr);
-
-/**
- * Detailed overload: returns every cell, failed ones included, in
- * file order.
+ * Parse a whole sweep results file ("cmpcache-sweep-results-v2"):
+ * checks the schema tag and returns every cell of the "results"
+ * array, failed ones included, in file order.
  */
 bool parseSweepResultsJson(const std::string &text,
                            std::vector<SweepCellOutcome> &out,

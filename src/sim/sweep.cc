@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "sim/config_io.hh"
 #include "sim/invariants.hh"
 #include "sim/result_json.hh"
 #include "sim/simulation.hh"
@@ -44,7 +45,63 @@ fmtSeconds(double s)
     return buf;
 }
 
+/** @p token quoted for a POSIX shell when it needs it. */
+std::string
+shellQuote(const std::string &token)
+{
+    if (token.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                "0123456789_-.,:=/+@%")
+        == std::string::npos)
+        return token;
+    std::string quoted = "'";
+    for (const char c : token)
+        quoted += c == '\'' ? std::string("'\\''") : std::string(1, c);
+    return quoted + "'";
+}
+
+/**
+ * A `cmpcache serve` line that replays @p job standalone: the
+ * workload identity plus every config key whose value differs from a
+ * default SystemConfig, so nothing the cell ran with is left out.
+ */
+std::string
+rerunCommand(const SweepJob &job,
+             const std::vector<std::pair<std::string, std::string>>
+                 &workload_overrides)
+{
+    std::ostringstream cmd;
+    cmd << "cmpcache serve --workload=" << job.workload
+        << " --refs=" << job.params.recordsPerThread
+        << " --seed=" << job.params.seed;
+    for (const auto &[k, v] : changedConfigKeys(job.config))
+        cmd << " " << shellQuote(k + "=" + v);
+    for (const auto &[k, v] : workload_overrides)
+        cmd << " " << shellQuote(k + "=" + v);
+    return cmd.str();
+}
+
 } // namespace
+
+std::string
+dumpStats(const stats::Group &root, StatsFormat format)
+{
+    std::ostringstream dump;
+    switch (format) {
+      case StatsFormat::Text:
+        stats::writeText(root, dump);
+        break;
+      case StatsFormat::Csv:
+        stats::writeCsv(root, dump);
+        break;
+      case StatsFormat::Json:
+        stats::writeJson(root, dump);
+        break;
+      case StatsFormat::None:
+        break;
+    }
+    return dump.str();
+}
 
 bool
 isSweepWorkload(const std::string &name)
@@ -216,23 +273,7 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                     r.samples = sim.samples();
                 if (sim.traced())
                     r.trace = sim.traceEvents();
-                if (spec.statsFormat != StatsFormat::None) {
-                    std::ostringstream dump;
-                    switch (spec.statsFormat) {
-                      case StatsFormat::Text:
-                        stats::writeText(sim.system(), dump);
-                        break;
-                      case StatsFormat::Csv:
-                        stats::writeCsv(sim.system(), dump);
-                        break;
-                      case StatsFormat::Json:
-                        stats::writeJson(sim.system(), dump);
-                        break;
-                      case StatsFormat::None:
-                        break;
-                    }
-                    r.statsDump = dump.str();
-                }
+                r.statsDump = dumpStats(sim.system(), spec.statsFormat);
             } catch (const SimException &e) {
                 r.ok = false;
                 r.errorKind = toString(e.error().kind);
@@ -259,33 +300,12 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                 r.seed = job.params.seed;
                 r.faultPlan = job.config.fault.plan;
                 r.faultSeed = job.config.fault.seed;
-                const TopologyParams shape = job.config.shape();
+                const TopologyParams &shape = job.config.topology;
                 r.topologySummary = cstr(
                     "cores=", shape.cores, " smt=", shape.smt,
                     " l2s=", shape.l2s, " layout=",
                     toString(shape.layout));
-                std::ostringstream cmd;
-                cmd << "cmpcache serve --workload=" << job.workload
-                    << " --refs=" << job.params.recordsPerThread
-                    << " --seed=" << job.params.seed
-                    << " policy=" << toString(job.policy)
-                    << " cpu.outstanding=" << job.outstanding
-                    << " warmup="
-                    << (job.config.warmupPass ? "true" : "false")
-                    << " topology.cores=" << shape.cores
-                    << " topology.smt=" << shape.smt
-                    << " topology.l2s=" << shape.l2s
-                    << " topology.layout=" << toString(shape.layout);
-                if (shape.layout == RingLayout::HierRing)
-                    cmd << " topology.rings=" << shape.rings;
-                if (!job.config.fault.plan.empty()) {
-                    cmd << " 'fault.plan="
-                        << job.config.fault.plan
-                        << "' fault.seed=" << job.config.fault.seed;
-                }
-                for (const auto &[k, v] : spec.workloadOverrides)
-                    cmd << " " << k << "=" << v;
-                r.rerun = cmd.str();
+                r.rerun = rerunCommand(job, spec.workloadOverrides);
             }
             r.wallSeconds =
                 std::chrono::duration<double>(Clock::now() - job_start)

@@ -28,6 +28,7 @@
 #include "obs/time_series.hh"
 #include "obs/trace_export.hh"
 #include "sim/experiment.hh"
+#include "stats/stats.hh"
 #include "sim/system_config.hh"
 #include "trace/workload.hh"
 
@@ -42,6 +43,9 @@ enum class StatsFormat
     Csv,
     Json,
 };
+
+/** @p root's full stats dump in @p format (empty for None). */
+std::string dumpStats(const stats::Group &root, StatsFormat format);
 
 /** One expanded grid cell, ready to run. */
 struct SweepJob
@@ -131,9 +135,11 @@ struct SweepJobResult
      * Rerun identity, filled for failed cells: the exact workload
      * seed, fault plan and machine shape the cell ran with, plus a
      * one-line `cmpcache serve` command that replays it standalone
-     * (docs/robustness.md). Emitted in the error-cell JSON so a
-     * failure in a big grid is reproducible without re-deriving the
-     * per-cell configuration.
+     * (docs/robustness.md): the workload identity, every config key
+     * whose value differs from a default SystemConfig, and the wl.*
+     * overrides. Emitted in the error-cell JSON so a failure in a big
+     * grid is reproducible without re-deriving the per-cell
+     * configuration.
      */
     std::uint64_t seed = 0;
     std::string faultPlan;
@@ -238,7 +244,7 @@ bool isSweepWorkload(const std::string &name);
  * "cmpcache-sweep-results-v2": the spec's axes, an optional
  * "timeSeries" block (one sampled-series object per cell, present
  * when base.obs.sampleEvery > 0), and one result object per cell in
- * job order (parseSweepResultsJson reads it back, v1 files included).
+ * job order (parseSweepResultsJson reads it back).
  * Failed cells appear as {"status": "error", "errorKind": ...,
  * "error": ..., workload/policy/maxOutstanding, plus the rerun
  * identity: seed, topology, faultPlan, faultSeed and a one-line

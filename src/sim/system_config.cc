@@ -54,9 +54,8 @@ L2Params
 SystemConfig::effectiveL2() const
 {
     L2Params p = l2;
-    const TopologyParams t = shape();
-    if (t.l2KbPerL2 != 0)
-        p.sizeBytes = t.l2KbPerL2 * 1024;
+    if (topology.l2KbPerL2 != 0)
+        p.sizeBytes = std::uint64_t{topology.l2KbPerL2} * 1024;
     return p;
 }
 
@@ -64,10 +63,11 @@ L3Params
 SystemConfig::effectiveL3() const
 {
     L3Params p = l3;
-    const TopologyParams t = shape();
-    p.slices = t.l3Slices;
-    if (t.l3MbPerSlice != 0)
-        p.sizeBytes = t.l3MbPerSlice * 1024 * 1024 * t.l3Slices;
+    p.slices = topology.l3Slices;
+    if (topology.l3MbPerSlice != 0) {
+        p.sizeBytes = std::uint64_t{topology.l3MbPerSlice} * 1024 * 1024
+                      * topology.l3Slices;
+    }
     return p;
 }
 
@@ -76,8 +76,7 @@ SystemConfig::validationErrors() const
 {
     std::vector<std::string> errs;
 
-    // The machine shape validates as a unit (topology.* keys plus any
-    // legacy aliases parked on it by config parsing).
+    // The machine shape validates as a unit.
     for (auto &e : validateTopology(topology))
         errs.push_back(std::move(e));
 
@@ -175,7 +174,7 @@ SystemConfig::summary() const
 {
     const L2Params l2 = effectiveL2();
     const L3Params l3 = effectiveL3();
-    const TopologyParams t = shape();
+    const TopologyParams &t = topology;
     std::ostringstream os;
     os << t.cores << "cx" << t.smt << "smt " << t.l2s << "xL2("
        << l2.sizeBytes / 1024 << "KB," << l2.assoc << "w) L3("

@@ -55,8 +55,6 @@ struct SystemConfig
      * L2 count, L3 slicing, ring layout. Defaults to the paper's
      * Table 3 machine: eight 2-way-SMT cores, four shared L2s, a
      * 4-slice L3 and the memory controller on a single ring.
-     * Legacy keys (num_l2s, threads_per_l2, ring.num_stops,
-     * l3.slices) still parse and populate this (see docs/topology.md).
      */
     TopologyParams topology;
 
@@ -94,12 +92,9 @@ struct SystemConfig
     /** Hard stop for runaway simulations. */
     Tick maxTicks = 40ull * 1000 * 1000 * 1000;
 
-    /** The machine shape with legacy aliases and defaults folded in. */
-    TopologyParams shape() const { return topology.resolved(); }
-
-    unsigned numL2s() const { return shape().l2s; }
-    unsigned threadsPerL2() const { return shape().threadsPerL2(); }
-    unsigned numThreads() const { return shape().threads(); }
+    unsigned numL2s() const { return topology.l2s; }
+    unsigned threadsPerL2() const { return topology.threadsPerL2(); }
+    unsigned numThreads() const { return topology.threads(); }
 
     /**
      * L2 parameters with the topology's per-level sizing override

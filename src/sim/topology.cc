@@ -38,24 +38,6 @@ tryRingLayoutFromString(const std::string &s, RingLayout &out)
 }
 
 TopologyParams
-TopologyParams::resolved() const
-{
-    if (!legacyKeysUsed())
-        return *this;
-    // The legacy keys described a flat machine of num_l2s clusters
-    // with threads_per_l2 hardware threads each (both defaulting to
-    // 4); SMT is folded into the per-cluster thread count.
-    TopologyParams r = *this;
-    r.l2s = legacyNumL2s ? legacyNumL2s : 4;
-    const unsigned tpl = legacyThreadsPerL2 ? legacyThreadsPerL2 : 4;
-    r.cores = r.l2s * tpl;
-    r.smt = 1;
-    if (legacyL3Slices)
-        r.l3Slices = legacyL3Slices;
-    return r;
-}
-
-TopologyParams
 TopologyParams::flat(unsigned num_l2s, unsigned threads_per_l2)
 {
     TopologyParams p;
@@ -66,18 +48,9 @@ TopologyParams::flat(unsigned num_l2s, unsigned threads_per_l2)
 }
 
 std::vector<std::string>
-validateTopology(const TopologyParams &raw)
+validateTopology(const TopologyParams &p)
 {
     std::vector<std::string> errs;
-
-    if (raw.canonicalKeysUsed && raw.legacyKeysUsed()) {
-        errs.push_back(
-            "legacy machine-shape keys (num_l2s, threads_per_l2, "
-            "ring.num_stops, l3.slices) conflict with canonical "
-            "topology.* keys; use one style only");
-    }
-
-    const TopologyParams p = raw.resolved();
 
     if (p.cores == 0)
         errs.push_back("topology.cores must be positive");
@@ -134,17 +107,6 @@ validateTopology(const TopologyParams &raw)
         }
     }
 
-    // The legacy stop count is derived now, but when the deprecated
-    // key names a different machine than the L2 count implies, the
-    // config is internally inconsistent and must say so (same
-    // contract, and message, as before the topology API).
-    if (p.legacyRingStops != 0 && p.l2s != 0
-        && p.legacyRingStops != p.l2s + 2) {
-        errs.push_back(cstr("ring.num_stops (", p.legacyRingStops,
-                            ") must equal num_l2s + 2 (", p.l2s + 2,
-                            ": L2s + L3 + memory)"));
-    }
-
     return errs;
 }
 
@@ -158,7 +120,7 @@ CmpTopology::build(const TopologyParams &raw)
             msg += "\n  - " + e;
         return SimError(SimErrorKind::Config, msg);
     }
-    return CmpTopology(raw.resolved());
+    return CmpTopology(raw);
 }
 
 CmpTopology
@@ -170,7 +132,7 @@ CmpTopology::flat(unsigned num_l2s, unsigned threads_per_l2)
     return *t;
 }
 
-CmpTopology::CmpTopology(const TopologyParams &resolved) : p_(resolved)
+CmpTopology::CmpTopology(const TopologyParams &p) : p_(p)
 {
     if (p_.layout == RingLayout::HierRing)
         perLocal_ = p_.l2s / p_.rings;

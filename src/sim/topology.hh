@@ -52,13 +52,7 @@ enum class RingLayout
 const char *toString(RingLayout layout);
 bool tryRingLayoutFromString(const std::string &s, RingLayout &out);
 
-/**
- * Raw topology knobs as configured (topology.* keys). A
- * TopologyParams may also carry values parked by the deprecated
- * legacy keys (num_l2s / threads_per_l2 / ring.num_stops /
- * l3.slices); resolved() folds those into the canonical fields.
- * Mixing legacy and canonical keys is a validation error.
- */
+/** Raw topology knobs as configured (topology.* keys). */
 struct TopologyParams
 {
     /** Physical cores (paper Table 3: 8). */
@@ -73,40 +67,15 @@ struct TopologyParams
     /** Local rings under hier_ring (>= 2; l2s divide evenly). */
     unsigned rings = 2;
     /** Per-L2 capacity override in KB; 0 keeps l2.size_bytes. */
-    std::uint64_t l2KbPerL2 = 0;
+    unsigned l2KbPerL2 = 0;
     /** Per-slice L3 capacity override in MB; 0 keeps l3.size_bytes
      * (which is the total across slices). */
-    std::uint64_t l3MbPerSlice = 0;
+    unsigned l3MbPerSlice = 0;
 
-    /**
-     * Deprecated-alias parking slots. The legacy config keys write
-     * here instead of the canonical fields so resolution stays
-     * order-independent; 0 means "not set". resolved() folds them in
-     * with the legacy defaults (threads_per_l2 = 4, SMT folded into
-     * threads-per-L2).
-     */
-    unsigned legacyNumL2s = 0;
-    unsigned legacyThreadsPerL2 = 0;
-    unsigned legacyRingStops = 0;
-    unsigned legacyL3Slices = 0;
-    /** Set by config_io when any canonical topology.* key is used;
-     * mixing styles is a named validation error. */
-    bool canonicalKeysUsed = false;
-
-    bool
-    legacyKeysUsed() const
-    {
-        return legacyNumL2s || legacyThreadsPerL2 || legacyRingStops
-               || legacyL3Slices;
-    }
-
-    /** Fold any legacy-alias values into the canonical fields. */
-    TopologyParams resolved() const;
-
-    /** Hardware threads (on resolved values). */
+    /** Hardware threads. */
     unsigned threads() const { return cores * smt; }
 
-    /** Threads sharing one L2 (on resolved values; 0-safe). */
+    /** Threads sharing one L2 (0-safe). */
     unsigned
     threadsPerL2() const
     {
@@ -124,7 +93,7 @@ struct TopologyParams
 
 /**
  * Full consistency check. Each returned string names the offending
- * topology.* (or legacy) config key. Empty means valid.
+ * topology.* config key. Empty means valid.
  */
 std::vector<std::string> validateTopology(const TopologyParams &raw);
 
@@ -143,7 +112,6 @@ class CmpTopology
     /** Build-or-die convenience for tests and benches. */
     static CmpTopology flat(unsigned num_l2s, unsigned threads_per_l2);
 
-    /** The resolved (legacy-folded) parameters. */
     const TopologyParams &params() const { return p_; }
     RingLayout layout() const { return p_.layout; }
 
@@ -201,7 +169,7 @@ class CmpTopology
     std::string describe() const;
 
   private:
-    explicit CmpTopology(const TopologyParams &resolved);
+    explicit CmpTopology(const TopologyParams &p);
 
     /** (physical ring, position) of a stop. */
     struct Place

@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -14,12 +15,12 @@ namespace
 std::uint64_t
 toU64(const std::string &key, const std::string &v)
 {
-    try {
-        return std::stoull(v);
-    } catch (...) {
+    const auto u = parseUnsigned(v);
+    if (!u) {
         cmp_fatal("workload key '", key, "' expects an integer, "
                   "got '", v, "'");
     }
+    return *u;
 }
 
 double

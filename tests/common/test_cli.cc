@@ -22,7 +22,7 @@ parse(std::initializer_list<const char *> args)
 TEST(Cli, ParsesKeyValue)
 {
     const auto a = parse({"--refs=100", "--name=tp"});
-    EXPECT_EQ(a.getInt("refs", 0), 100);
+    EXPECT_EQ(a.getUnsigned("refs", std::uint64_t{0}), 100u);
     EXPECT_EQ(a.getString("name", ""), "tp");
 }
 
@@ -37,7 +37,7 @@ TEST(Cli, FlagWithoutValueIsTrue)
 TEST(Cli, DefaultsWhenAbsent)
 {
     const auto a = parse({});
-    EXPECT_EQ(a.getInt("x", 42), 42);
+    EXPECT_EQ(a.getUnsigned("x", std::uint64_t{42}), 42u);
     EXPECT_EQ(a.getString("y", "dflt"), "dflt");
     EXPECT_DOUBLE_EQ(a.getDouble("z", 2.5), 2.5);
     EXPECT_FALSE(a.getBool("w", false));
@@ -68,15 +68,44 @@ TEST(Cli, DoubleParsing)
 
 TEST(Cli, NegativeIntegers)
 {
+    // Integer options are unsigned: "-5" is an error naming the
+    // option, not a value that wraps to 2^64 - 5.
     const auto a = parse({"--n=-5"});
-    EXPECT_EQ(a.getInt("n", 0), -5);
+    EXPECT_EXIT(a.getUnsigned("n", std::uint64_t{0}),
+                ::testing::ExitedWithCode(1),
+                "option --n expects an integer");
 }
 
 TEST(CliDeath, MalformedIntegerIsFatal)
 {
     const auto a = parse({"--n=abc"});
-    EXPECT_EXIT(a.getInt("n", 0), ::testing::ExitedWithCode(1),
-                "expects an integer");
+    EXPECT_EXIT(a.getUnsigned("n", std::uint64_t{0}),
+                ::testing::ExitedWithCode(1), "expects an integer");
+}
+
+TEST(CliDeath, IntegerOptionsFollowTheConfigFileRule)
+{
+    // The digits-only rule config values use: no trailing garbage,
+    // signs, spaces or hex.
+    for (const char *bad :
+         {"300abc", "6x", "-1", "+5", " 5", "0x10", "",
+          "99999999999999999999999"}) {
+        EXPECT_FALSE(parseUnsigned(bad).has_value()) << bad;
+        const auto a = parse({(std::string("--n=") + bad).c_str()});
+        EXPECT_EXIT(a.getUnsigned("n", std::uint64_t{0}),
+                    ::testing::ExitedWithCode(1), "option --n")
+            << bad;
+    }
+    EXPECT_EQ(parseUnsigned("18446744073709551615"),
+              std::uint64_t{18446744073709551615ull});
+}
+
+TEST(CliDeath, IntegerOptionsMustFitTheirType)
+{
+    const auto a = parse({"--n=4294967296"});
+    EXPECT_EQ(a.getUnsigned("n", std::uint64_t{0}), 4294967296ull);
+    EXPECT_EXIT(a.getUnsigned("n", 0u), ::testing::ExitedWithCode(1),
+                "option --n expects an integer from 0 to 4294967295");
 }
 
 TEST(Cli, EnvIntFallsBackOnGarbage)

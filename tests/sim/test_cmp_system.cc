@@ -424,21 +424,6 @@ TEST(CmpSystemDeath, WrongThreadCountIsFatal)
     EXPECT_DEATH(CmpSystem(cfg, bundleOf({{ld(0x0)}})), "threads");
 }
 
-TEST(CmpSystem, InconsistentRingStopsThrowsConfigError)
-{
-    auto cfg = microConfig();
-    cfg.topology.legacyRingStops = 9;
-    try {
-        CmpSystem sys(cfg, bundleOf({{}, {}}));
-        FAIL() << "expected SimException";
-    } catch (const SimException &e) {
-        EXPECT_EQ(e.error().kind, SimErrorKind::Config);
-        EXPECT_NE(e.error().message.find("ring.num_stops"),
-                  std::string::npos)
-            << e.error().message;
-    }
-}
-
 TEST(CmpSystem, StatsDumpIsComprehensive)
 {
     auto cfg = microConfig();

@@ -77,6 +77,45 @@ TEST(ConfigIo, UnknownKeyReportsError)
                   std::string::npos)
             << r.error().message;
     }
+    // The machine-shape keys of earlier releases also name the
+    // topology.* key that replaced them.
+    const std::pair<std::string, std::string> removed[] = {
+        {"num_l2s", "topology.l2s"},
+        {"threads_per_l2", "topology.cores and topology.smt"},
+        {"ring.num_stops", "topology.l2s"},
+        {"l3.slices", "topology.l3_slices"},
+    };
+    for (const auto &[key, replacement] : removed) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "2");
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_EQ(r.error().kind, SimErrorKind::Config);
+        EXPECT_NE(r.error().message.find("unknown config key '" + key
+                                         + "'; use " + replacement),
+                  std::string::npos)
+            << r.error().message;
+    }
+}
+
+TEST(ConfigIo, EveryKeyRejectsOrKeepsTwoToThe32)
+{
+    // 2^32 overflows every 32-bit field: it must either fail naming
+    // the key or be saved back unchanged, never wrap.
+    for (const auto &key : configKeys()) {
+        SystemConfig cfg;
+        const auto r = applyConfigOption(cfg, key, "4294967296");
+        if (!r.ok()) {
+            EXPECT_NE(r.error().message.find("'" + key + "'"),
+                      std::string::npos)
+                << r.error().message;
+            continue;
+        }
+        std::ostringstream os;
+        saveConfig(cfg, os);
+        EXPECT_NE(os.str().find("\n" + key + " = 4294967296\n"),
+                  std::string::npos)
+            << key << " did not save back as 4294967296";
+    }
 }
 
 TEST(ConfigIo, MalformedValueReportsError)
@@ -133,6 +172,9 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     a.l3.wbQueueDepth = 12;
     a.policy.snarfInsert = InsertPos::Lru;
     a.enableWbReuseTracker = true;
+    // Reloads bit for bit only from all 17 significant digits
+    // (0.30000000000000004); six digits would give back 0.3.
+    a.arrival.rate = 0.1 + 0.2;
 
     std::stringstream ss;
     saveConfig(a, ss);
@@ -146,6 +188,11 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     EXPECT_EQ(b.l3.wbQueueDepth, 12u);
     EXPECT_EQ(b.policy.snarfInsert, InsertPos::Lru);
     EXPECT_TRUE(b.enableWbReuseTracker);
+    EXPECT_EQ(b.arrival.rate, a.arrival.rate);
+
+    std::ostringstream again;
+    saveConfig(b, again);
+    EXPECT_EQ(again.str(), ss.str());
 }
 
 TEST(ConfigIo, KeyListNonEmptyAndSorted)
@@ -204,7 +251,6 @@ TEST(ConfigIo, TopologyKeysApply)
     EXPECT_EQ(cfg.topology.rings, 4u);
     EXPECT_EQ(cfg.topology.l2KbPerL2, 256u);
     EXPECT_EQ(cfg.topology.l3MbPerSlice, 2u);
-    EXPECT_TRUE(cfg.topology.canonicalKeysUsed);
     EXPECT_TRUE(cfg.validationErrors().empty());
 }
 
@@ -220,7 +266,7 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     std::stringstream ss;
     saveConfig(a, ss);
     const std::string text = ss.str();
-    // The canonical keys are written; the deprecated aliases never
+    // The topology.* keys are written; the removed shape keys never
     // are.
     EXPECT_NE(text.find("topology.cores = 32"), std::string::npos);
     EXPECT_NE(text.find("topology.layout = dual_ring"),
@@ -240,60 +286,25 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     EXPECT_EQ(b.topology.layout, RingLayout::DualRing);
 }
 
-TEST(ConfigIo, LegacyShapeKeysParkAndWarn)
-{
-    SystemConfig cfg;
-    mustApply(cfg, "num_l2s", "2");
-    mustApply(cfg, "threads_per_l2", "2");
-    mustApply(cfg, "ring.num_stops", "4");
-    mustApply(cfg, "l3.slices", "2");
-    // Values park on the legacy fields; the canonical fields stay
-    // untouched until resolved() folds them in.
-    EXPECT_EQ(cfg.topology.legacyNumL2s, 2u);
-    EXPECT_EQ(cfg.topology.legacyThreadsPerL2, 2u);
-    EXPECT_EQ(cfg.topology.legacyRingStops, 4u);
-    EXPECT_EQ(cfg.topology.legacyL3Slices, 2u);
-    EXPECT_FALSE(cfg.topology.canonicalKeysUsed);
-    EXPECT_EQ(cfg.topology.cores, 8u);
-    EXPECT_EQ(cfg.numL2s(), 2u);
-    EXPECT_EQ(cfg.threadsPerL2(), 2u);
-    EXPECT_EQ(cfg.numThreads(), 4u);
-    EXPECT_TRUE(cfg.validationErrors().empty());
-}
-
-TEST(ConfigIo, LegacyConfigSavesAsCanonicalKeys)
+TEST(ConfigIo, ChangedKeysReproduceTheSavedConfig)
 {
     SystemConfig a;
-    mustApply(a, "num_l2s", "2");
-    mustApply(a, "threads_per_l2", "2");
-
-    std::stringstream ss;
-    saveConfig(a, ss);
+    mustApply(a, "policy", "combined");
+    mustApply(a, "topology.l3_slices", "8");
+    mustApply(a, "arrival.rate", "0.0123456789");
+    mustApply(a, "fault.plan", "l3_retry:100:200");
+    const auto changed = changedConfigKeys(a);
+    ASSERT_EQ(changed.size(), 4u);
+    EXPECT_EQ(changed[0].first, "arrival.rate");
 
     SystemConfig b;
-    const auto r = loadConfig(b, ss);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    // The save wrote the resolved shape under canonical keys, so the
-    // reload describes the same 4-thread machine without aliases.
-    EXPECT_EQ(b.topology.legacyNumL2s, 0u);
-    EXPECT_EQ(b.numL2s(), 2u);
-    EXPECT_EQ(b.numThreads(), 4u);
-    EXPECT_TRUE(b.validationErrors().empty());
-}
-
-TEST(ConfigIo, MixingLegacyAndCanonicalFailsValidation)
-{
-    SystemConfig cfg;
-    mustApply(cfg, "num_l2s", "2");
-    mustApply(cfg, "topology.cores", "8");
-    const auto errs = cfg.validationErrors();
-    ASSERT_FALSE(errs.empty());
-    bool found = false;
-    for (const auto &e : errs)
-        found = found
-                || e.find("conflict with canonical topology.* keys")
-                       != std::string::npos;
-    EXPECT_TRUE(found);
+    for (const auto &[key, value] : changed)
+        mustApply(b, key, value);
+    std::ostringstream sa, sb;
+    saveConfig(a, sa);
+    saveConfig(b, sb);
+    EXPECT_EQ(sa.str(), sb.str());
+    EXPECT_TRUE(changedConfigKeys(SystemConfig{}).empty());
 }
 
 TEST(ConfigIo, TopologyLayoutRejectsUnknownNames)

@@ -151,20 +151,59 @@ TEST(SweepResultsJson, RoundTripThroughContainer)
     std::ostringstream os;
     writeSweepResultsJson(os, spec, results);
 
-    std::vector<ExperimentResult> parsed;
+    std::vector<SweepCellOutcome> parsed;
     std::string err;
     ASSERT_TRUE(parseSweepResultsJson(os.str(), parsed, &err)) << err;
     ASSERT_EQ(parsed.size(), 2u);
-    EXPECT_EQ(parsed[0], results[0].result);
-    EXPECT_EQ(parsed[1], results[1].result);
+    EXPECT_TRUE(parsed[0].ok);
+    EXPECT_TRUE(parsed[1].ok);
+    EXPECT_EQ(parsed[0].result, results[0].result);
+    EXPECT_EQ(parsed[1].result, results[1].result);
 }
 
 TEST(SweepResultsJson, RejectsWrongSchema)
 {
     std::string text =
         "{\n  \"schema\": \"something-else-v9\",\n  \"results\": []\n}";
-    std::vector<ExperimentResult> parsed;
+    std::vector<SweepCellOutcome> parsed;
     std::string err;
     EXPECT_FALSE(parseSweepResultsJson(text, parsed, &err));
     EXPECT_NE(err.find("schema"), std::string::npos) << err;
+}
+
+TEST(ResultJson, RejectsMissingSchemaVersion)
+{
+    // Result objects without the field were the v1 format; it is no
+    // longer read.
+    std::string text = resultToJson(sample());
+    const auto pos = text.find("\"schemaVersion\"");
+    ASSERT_NE(pos, std::string::npos);
+    text.erase(pos, text.find('\n', pos) - pos + 1);
+    ExperimentResult out;
+    std::string err;
+    EXPECT_FALSE(parseResultJson(text, out, &err));
+    EXPECT_NE(err.find("schemaVersion"), std::string::npos) << err;
+}
+
+TEST(SweepResultsJson, RejectsV1ContainerTag)
+{
+    SweepSpec spec;
+    spec.workloads = {"a"};
+    spec.policies = {WbPolicy::Baseline};
+    spec.outstanding = {6};
+    std::vector<SweepJobResult> results(1);
+    results[0].result = sample();
+    std::ostringstream os;
+    writeSweepResultsJson(os, spec, results);
+    std::string text = os.str();
+    const std::string v2 = "cmpcache-sweep-results-v2";
+    const auto pos = text.find(v2);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, v2.size(), "cmpcache-sweep-results-v1");
+
+    std::vector<SweepCellOutcome> parsed;
+    std::string err;
+    EXPECT_FALSE(parseSweepResultsJson(text, parsed, &err));
+    EXPECT_NE(err.find("cmpcache-sweep-results-v1"), std::string::npos)
+        << err;
 }

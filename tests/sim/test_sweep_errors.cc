@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "sim/config_io.hh"
 #include "sim/result_json.hh"
 #include "sim/sweep.hh"
 
@@ -35,6 +36,42 @@ poisonedSpec()
     spec.base.policy.wbht.entries = 2;
     spec.base.policy.wbht.assoc = 2;
     return spec;
+}
+
+/** The words of a POSIX shell line (single quotes group; '\\'' is a
+ * literal quote), enough to read back a rerun command. */
+std::vector<std::string>
+shellWords(const std::string &line)
+{
+    std::vector<std::string> words;
+    std::string word;
+    bool in_word = false;
+    bool quoted = false;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        const char c = line[i];
+        if (quoted) {
+            if (c == '\'')
+                quoted = false;
+            else
+                word += c;
+        } else if (c == '\'') {
+            quoted = in_word = true;
+        } else if (c == '\\' && i + 1 < line.size()) {
+            word += line[++i];
+            in_word = true;
+        } else if (c == ' ') {
+            if (in_word)
+                words.push_back(word);
+            word.clear();
+            in_word = false;
+        } else {
+            word += c;
+            in_word = true;
+        }
+    }
+    if (in_word)
+        words.push_back(word);
+    return words;
 }
 
 } // namespace
@@ -70,18 +107,14 @@ TEST(SweepErrors, ErrorCellsRoundTripThroughResultsJson)
     EXPECT_NE(text.find("\"errorKind\": \"config\""),
               std::string::npos);
 
-    // The legacy parser skips error cells...
-    std::vector<ExperimentResult> plain;
-    std::string err;
-    ASSERT_TRUE(parseSweepResultsJson(text, plain, &err)) << err;
-    ASSERT_EQ(plain.size(), 1u);
-    EXPECT_EQ(plain[0].policy, "baseline");
-
-    // ...and the detailed parser returns them with the error intact.
+    // The parser returns every cell, the error intact on failed ones.
     std::vector<SweepCellOutcome> cells;
+    std::string err;
     ASSERT_TRUE(parseSweepResultsJson(text, cells, &err)) << err;
     ASSERT_EQ(cells.size(), 2u);
     EXPECT_TRUE(cells[0].ok);
+    EXPECT_EQ(cells[0].result.policy, "baseline");
+    EXPECT_EQ(cells[0].result, results[0].result);
     EXPECT_FALSE(cells[1].ok);
     EXPECT_EQ(cells[1].errorKind, "config");
     EXPECT_NE(cells[1].error.find("wbht.entries"), std::string::npos);
@@ -141,4 +174,55 @@ TEST(SweepErrors, AllOkFilesCarryNoStatusFields)
     writeSweepResultsJson(os, spec, results);
     EXPECT_EQ(os.str().find("\"status\""), std::string::npos);
     EXPECT_EQ(os.str().find("\"error"), std::string::npos);
+}
+
+TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
+{
+    // Combined halves wbht.entries to 24, which no 16-way WBHT holds;
+    // the rerun line must carry that and every other non-default key.
+    SweepSpec spec;
+    spec.workloads = {"thrash"};
+    spec.policies = {WbPolicy::Baseline, WbPolicy::Combined};
+    spec.outstanding = {6};
+    spec.recordsPerThread = 500;
+    spec.base.policy.wbht.entries = 48;
+    spec.base.topology.l3Slices = 8;
+    spec.base.fault.plan = "l3_retry:100:200";
+    spec.base.arrival.rate = 0.0123456789;
+    spec.workloadOverrides = {{"wl.name", "it's thrash"}};
+    const auto jobs = spec.expand();
+    const auto results = runSweep(spec, 1);
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    ASSERT_FALSE(results[1].ok);
+    EXPECT_NE(results[1].error.find("wbht.entries (24)"),
+              std::string::npos)
+        << results[1].error;
+
+    const auto words = shellWords(results[1].rerun);
+    ASSERT_GE(words.size(), 5u) << results[1].rerun;
+    EXPECT_EQ(words[0], "cmpcache");
+    EXPECT_EQ(words[1], "serve");
+    EXPECT_EQ(words[2], "--workload=thrash");
+    EXPECT_EQ(words[3], "--refs=500");
+    EXPECT_EQ(words[4], "--seed=1");
+    SystemConfig replay;
+    std::vector<std::string> wl;
+    for (std::size_t i = 5; i < words.size(); ++i) {
+        const auto eq = words[i].find('=');
+        ASSERT_NE(eq, std::string::npos) << words[i];
+        const std::string key = words[i].substr(0, eq);
+        if (key.rfind("wl.", 0) == 0) {
+            wl.push_back(words[i]);
+            continue;
+        }
+        const auto r =
+            applyConfigOption(replay, key, words[i].substr(eq + 1));
+        ASSERT_TRUE(r.ok()) << r.error().message;
+    }
+    std::ostringstream want, got;
+    saveConfig(jobs[1].config, want);
+    saveConfig(replay, got);
+    EXPECT_EQ(got.str(), want.str()) << results[1].rerun;
+    EXPECT_EQ(wl, std::vector<std::string>{"wl.name=it's thrash"});
 }

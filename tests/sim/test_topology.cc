@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the declarative CmpTopology: validation of topology.*
- * parameter sets (each error names its key), legacy-alias resolution,
+ * parameter sets (each error names its key), the flat() factory,
  * agent/stop placement, physical data-ring geometry and routing for
  * all three layouts, and small end-to-end runs on the non-default
  * interconnects.
@@ -165,30 +165,6 @@ TEST(TopologyValidate, HierRingNeedsEvenL2Split)
         << joined(errs);
 }
 
-TEST(TopologyValidate, MixingLegacyAndCanonicalIsNamedError)
-{
-    TopologyParams p;
-    p.canonicalKeysUsed = true;
-    p.legacyNumL2s = 2;
-    const auto errs = validateTopology(p);
-    EXPECT_TRUE(mentions(errs, "conflict with canonical topology.* "
-                               "keys; use one style only"))
-        << joined(errs);
-}
-
-TEST(TopologyValidate, LegacyRingStopMismatchKeepsOldMessage)
-{
-    TopologyParams p;
-    p.legacyRingStops = 9; // default 4 L2s need 6 stops
-    const auto errs = validateTopology(p);
-    EXPECT_TRUE(mentions(errs, "ring.num_stops (9) must equal "
-                               "num_l2s + 2 (6: L2s + L3 + memory)"))
-        << joined(errs);
-
-    p.legacyRingStops = 6;
-    EXPECT_TRUE(validateTopology(p).empty());
-}
-
 TEST(TopologyValidate, BuildRollsErrorsIntoConfigError)
 {
     TopologyParams p;
@@ -204,55 +180,9 @@ TEST(TopologyValidate, BuildRollsErrorsIntoConfigError)
 }
 
 // ---------------------------------------------------------------------
-// Legacy-alias resolution semantics.
+// The flat() factory: the shape the test suites describe with the old
+// three-field idiom.
 // ---------------------------------------------------------------------
-
-TEST(TopologyLegacy, NumL2sAloneResolvesWithLegacyDefaults)
-{
-    TopologyParams p;
-    p.legacyNumL2s = 2;
-    const TopologyParams r = p.resolved();
-    // Legacy machines were num_l2s clusters x threads_per_l2 (default
-    // 4) single-SMT threads.
-    EXPECT_EQ(r.l2s, 2u);
-    EXPECT_EQ(r.cores, 8u);
-    EXPECT_EQ(r.smt, 1u);
-    EXPECT_EQ(r.threads(), 8u);
-    EXPECT_EQ(r.threadsPerL2(), 4u);
-    EXPECT_EQ(r.l3Slices, 4u);
-}
-
-TEST(TopologyLegacy, ThreadsPerL2AloneResolves)
-{
-    TopologyParams p;
-    p.legacyThreadsPerL2 = 2;
-    const TopologyParams r = p.resolved();
-    EXPECT_EQ(r.l2s, 4u);
-    EXPECT_EQ(r.threads(), 8u);
-    EXPECT_EQ(r.threadsPerL2(), 2u);
-    EXPECT_EQ(r.smt, 1u);
-}
-
-TEST(TopologyLegacy, L3SlicesAliasResolves)
-{
-    TopologyParams p;
-    p.legacyL3Slices = 8;
-    EXPECT_EQ(p.resolved().l3Slices, 8u);
-}
-
-TEST(TopologyLegacy, ResolvedIsIdentityWithoutLegacyKeys)
-{
-    TopologyParams p;
-    p.cores = 64;
-    p.smt = 1;
-    p.l2s = 16;
-    p.l3Slices = 16;
-    const TopologyParams r = p.resolved();
-    EXPECT_EQ(r.cores, 64u);
-    EXPECT_EQ(r.smt, 1u);
-    EXPECT_EQ(r.l2s, 16u);
-    EXPECT_EQ(r.l3Slices, 16u);
-}
 
 TEST(TopologyLegacy, FlatFactoryMatchesOldThreeFieldIdiom)
 {
@@ -586,21 +516,6 @@ TEST(TopologyHostileConfig, CanonicalKeysRejectHostileValues)
     }
     // Nothing above may have modified the config.
     EXPECT_EQ(cfg.topology.cores, 8u);
-    EXPECT_FALSE(cfg.topology.canonicalKeysUsed);
-}
-
-TEST(TopologyHostileConfig, LegacyKeysRejectHostileValues)
-{
-    SystemConfig cfg;
-    for (const auto *key :
-         {"num_l2s", "threads_per_l2", "ring.num_stops",
-          "l3.slices"}) {
-        EXPECT_FALSE(applyConfigOption(cfg, key, "4294967296").ok())
-            << key;
-        EXPECT_FALSE(applyConfigOption(cfg, key, "-3").ok()) << key;
-        EXPECT_FALSE(applyConfigOption(cfg, key, "two").ok()) << key;
-    }
-    EXPECT_FALSE(cfg.topology.legacyKeysUsed());
 }
 
 TEST(TopologyHostileConfig, BadLayoutInStreamNamesLine)

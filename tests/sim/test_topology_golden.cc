@@ -7,7 +7,7 @@
  * --policies=baseline,combined --refs=2000` with and without
  * --sample-every=5000). The default topology.* configuration must
  * reproduce them byte for byte, also when the machine shape is
- * described with the deprecated legacy keys.
+ * spelled out key by key.
  */
 
 #include <gtest/gtest.h>
@@ -94,17 +94,6 @@ TEST(TopologyGolden, SampledRunMatchesSeedOutput)
     expectIdentical(runToJson(spec), golden("sampled_rt0.json"));
 }
 
-TEST(TopologyGolden, LegacyKeysDescribeTheSameMachine)
-{
-    // The legacy idiom (4 L2s x 4 threads, no SMT axis) and the
-    // canonical default (8 cores x 2-way SMT over 4 L2s) resolve to
-    // the same 16-thread machine and must produce identical results.
-    SweepSpec spec = goldenSpec();
-    spec.base.topology.legacyNumL2s = 4;
-    spec.base.topology.legacyThreadsPerL2 = 4;
-    expectIdentical(runToJson(spec), golden("plain_rt0.json"));
-}
-
 TEST(TopologyGolden, ExplicitCanonicalKeysMatchDefaults)
 {
     SweepSpec spec = goldenSpec();
@@ -112,6 +101,11 @@ TEST(TopologyGolden, ExplicitCanonicalKeysMatchDefaults)
     spec.base.topology.smt = 2;
     spec.base.topology.l2s = 4;
     spec.base.topology.l3Slices = 4;
-    spec.base.topology.canonicalKeysUsed = true;
+    expectIdentical(runToJson(spec), golden("plain_rt0.json"));
+
+    // The same 16 threads as single-SMT cores (the shape the removed
+    // num_l2s/threads_per_l2 keys described) are the same machine.
+    spec.base.topology.cores = 16;
+    spec.base.topology.smt = 1;
     expectIdentical(runToJson(spec), golden("plain_rt0.json"));
 }

@@ -48,6 +48,11 @@ TEST(WorkloadConfigDeath, MalformedValueIsFatal)
     WorkloadParams p;
     EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "lots"),
                 ::testing::ExitedWithCode(1), "expects an integer");
+    // The config files' digits-only rule: no wrapping, no suffixes.
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "-1"),
+                ::testing::ExitedWithCode(1), "expects an integer");
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "300abc"),
+                ::testing::ExitedWithCode(1), "expects an integer");
 }
 
 TEST(WorkloadConfig, KeyListCoversEveryParamsField)
