@@ -66,7 +66,7 @@ runScaleCell(unsigned cores, std::uint64_t refs_per_thread,
     spec.base.topology.l2s = cell.l2s;
     spec.base.topology.l3Slices = cell.l2s;
     // The retry-rate switch scaled to short synthetic traces, as in
-    // every other bench (see bench/support.hh).
+    // scripts/reproduce.py.
     spec.base.policy.retry.windowCycles = 250000;
     spec.base.policy.retry.threshold = 100;
 
@@ -157,7 +157,8 @@ main(int argc, char **argv)
         }
     }
 
-    const std::uint64_t refs = benchRecordsPerThread(8000);
+    // The trace length bench/BENCH_scale.json was recorded at.
+    const std::uint64_t refs = 8000;
     std::vector<ScaleCell> cells;
     for (unsigned cores : core_counts) {
         if (cores % 4 != 0 || cores == 0) {

@@ -90,8 +90,7 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
-    const auto refs =
-        args.getUnsigned("refs", benchRecordsPerThread(20000));
+    const auto refs = args.getUnsigned("refs", std::uint64_t{20000});
     const auto mix = splitMix(
         args.getString("mix", "TP,Trade2,CPW2,NotesBench"));
     if (mix.size() != 4)

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common/cli.hh"
-#include "sim/experiment.hh"
+#include "sim/simulation.hh"
 #include "trace/workloads_commercial.hh"
 
 using namespace cmpcache;
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     const auto retry = cfg.policy.retry;
     cfg.policy = PolicyConfig::make(WbPolicy::Baseline);
     cfg.policy.retry = retry;
-    const ExperimentResult base = runExperiment(cfg, wl);
+    const ExperimentResult base = Simulation(cfg, wl).run();
     std::cout << "baseline : " << base.execTime << " cycles, "
               << "L3 load hit " << base.l3LoadHitRatePct << "%, "
               << base.l2WbRequests << " write backs, "
@@ -50,7 +50,7 @@ main(int argc, char **argv)
 
     cfg.policy = PolicyConfig::combinedDefault();
     cfg.policy.retry = retry;
-    const ExperimentResult comb = runExperiment(cfg, wl);
+    const ExperimentResult comb = Simulation(cfg, wl).run();
     std::cout << "combined : " << comb.execTime << " cycles, "
               << "L3 load hit " << comb.l3LoadHitRatePct << "%, "
               << comb.l2WbRequests << " write backs, "

@@ -1,7 +1,6 @@
 #include "common/cli.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
 #include "common/logging.hh"
@@ -116,21 +115,6 @@ CliArgs::requireKnown(std::initializer_list<std::string_view> known) const
         if (subcommand_.empty())
             cmp_fatal("unknown option --", key);
         cmp_fatal("unknown option --", key, " for '", subcommand_, "'");
-    }
-}
-
-std::int64_t
-CliArgs::envInt(const char *name, std::int64_t def)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return def;
-    try {
-        return std::stoll(v);
-    } catch (...) {
-        warn("environment variable ", name, "='", v,
-             "' is not an integer; using default ", def);
-        return def;
     }
 }
 

@@ -79,9 +79,6 @@ class CliArgs
      */
     void requireKnown(std::initializer_list<std::string_view> known) const;
 
-    /** Environment-variable integer override helper. */
-    static std::int64_t envInt(const char *name, std::int64_t def);
-
   private:
     std::uint64_t getUnsignedMax(const std::string &key,
                                  std::uint64_t def,

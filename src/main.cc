@@ -123,8 +123,7 @@ usage()
         "  --policies=a,b,...    default: baseline,wbht,snarf,"
         "combined\n"
         "  --outstanding=N,M     default: 6\n"
-        "  --refs=N              references/thread (default 20000,\n"
-        "                        or CMPCACHE_REFS)\n"
+        "  --refs=N              references/thread (default 20000)\n"
         "  --seed=N              workload seed (default 1)\n"
         "  --threads=N           worker threads (default: hardware)\n"
         "  --bench-out=FILE      timing JSON, e.g. "
@@ -321,7 +320,7 @@ sweepMain(const CliArgs &args)
         spec.outstanding.push_back(static_cast<unsigned>(*v));
     }
     spec.recordsPerThread =
-        args.getUnsigned("refs", benchRecordsPerThread(20000));
+        args.getUnsigned("refs", std::uint64_t{20000});
     spec.seed = args.getUnsigned("seed", std::uint64_t{1});
     spec.checkCoherence = args.getBool("check-coherence", false);
     spec.workloadOverrides = applyConfigArgs(args, spec.base);
@@ -480,7 +479,7 @@ serveMain(const CliArgs &args)
     } else {
         auto params = sweepWorkloadByName(
             workload,
-            args.getUnsigned("refs", benchRecordsPerThread(20000)),
+            args.getUnsigned("refs", std::uint64_t{20000}),
             args.getUnsigned("seed", std::uint64_t{1}));
         for (const auto &[key, value] : wl_overrides)
             applyWorkloadOption(params, key, value);

@@ -1,11 +1,6 @@
 #include "sim/experiment.hh"
 
-#include <ostream>
-
-#include "common/cli.hh"
 #include "common/logging.hh"
-#include "sim/simulation.hh"
-#include "stats/sink.hh"
 
 namespace cmpcache
 {
@@ -101,27 +96,6 @@ collectResult(CmpSystem &sys, Tick exec_time,
     r.interventions = 0;
     r.busRetries = sys.ring().collector().totalRetries();
     return r;
-}
-
-ExperimentResult
-runExperiment(const SystemConfig &cfg, const WorkloadParams &workload,
-              std::ostream *dump_stats,
-              const std::function<void(CmpSystem &)> &inspect)
-{
-    Simulation sim(cfg, workload);
-    const ExperimentResult r = sim.run();
-    if (dump_stats)
-        stats::writeText(sim.system(), *dump_stats);
-    if (inspect)
-        inspect(sim.system());
-    return r;
-}
-
-std::uint64_t
-benchRecordsPerThread(std::uint64_t def)
-{
-    const auto v = CliArgs::envInt("CMPCACHE_REFS", 0);
-    return v > 0 ? static_cast<std::uint64_t>(v) : def;
 }
 
 } // namespace cmpcache

@@ -1,18 +1,17 @@
 /**
  * @file
- * Experiment harness: build a system, replay a workload, and report
- * the metrics the paper's tables and figures are made of.
+ * The metrics the paper's tables and figures are made of, collected
+ * from a finished system. Simulation (sim/simulation.hh) runs a
+ * workload and returns them; scripts/reproduce.py turns `cmpcache
+ * sweep` grids of them into the paper's tables and figures.
  */
 
 #ifndef CMPCACHE_SIM_EXPERIMENT_HH
 #define CMPCACHE_SIM_EXPERIMENT_HH
 
-#include <functional>
-#include <iosfwd>
 #include <string>
 
 #include "sim/cmp_system.hh"
-#include "trace/workload.hh"
 
 namespace cmpcache
 {
@@ -61,28 +60,9 @@ bool operator!=(const ExperimentResult &a, const ExperimentResult &b);
 double improvementPct(const ExperimentResult &base,
                       const ExperimentResult &other);
 
-/**
- * Run one workload on one configuration.
- * @param dump_stats optional stream receiving the full stats dump
- * @param inspect    optional hook invoked on the finished system
- *                   before it is torn down (invariant checks, extra
- *                   metric extraction)
- */
-ExperimentResult
-runExperiment(const SystemConfig &cfg, const WorkloadParams &workload,
-              std::ostream *dump_stats = nullptr,
-              const std::function<void(CmpSystem &)> &inspect = {});
-
 /** Collect an ExperimentResult from an already-run system. */
 ExperimentResult collectResult(CmpSystem &sys, Tick exec_time,
                                const std::string &workload_name);
-
-/**
- * Records-per-thread default for bench binaries, overridable via the
- * CMPCACHE_REFS environment variable (total references scale
- * linearly with it).
- */
-std::uint64_t benchRecordsPerThread(std::uint64_t def = 60000);
 
 } // namespace cmpcache
 

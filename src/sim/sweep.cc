@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <ostream>
@@ -39,9 +40,12 @@ fmtSeconds(double s)
         std::snprintf(buf, sizeof(buf), "%.2fs", s);
     else if (s < 120.0)
         std::snprintf(buf, sizeof(buf), "%.1fs", s);
-    else
-        std::snprintf(buf, sizeof(buf), "%.0fm%02.0fs", s / 60.0,
-                      s - 60.0 * static_cast<int>(s / 60.0));
+    else {
+        // Round once, then split: 179.7 s is 3m00s, not 3m60s.
+        const long long whole = std::llround(s);
+        std::snprintf(buf, sizeof(buf), "%lldm%02llds", whole / 60,
+                      whole % 60);
+    }
     return buf;
 }
 

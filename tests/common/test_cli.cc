@@ -108,16 +108,6 @@ TEST(CliDeath, IntegerOptionsMustFitTheirType)
                 "option --n expects an integer from 0 to 4294967295");
 }
 
-TEST(Cli, EnvIntFallsBackOnGarbage)
-{
-    ::setenv("CMPCACHE_TEST_ENVINT", "not-a-number", 1);
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
-    ::setenv("CMPCACHE_TEST_ENVINT", "12", 1);
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 12);
-    ::unsetenv("CMPCACHE_TEST_ENVINT");
-    EXPECT_EQ(CliArgs::envInt("CMPCACHE_TEST_ENVINT", 5), 5);
-}
-
 TEST(CliDeath, UnknownOptionIsFatalAndNamed)
 {
     const auto a = parse({"--refs=100", "--quiet", "--thread=1"});

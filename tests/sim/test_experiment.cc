@@ -1,11 +1,11 @@
-/** @file Tests for the experiment harness on small synthetic runs. */
+/** @file Tests for the experiment metrics on small synthetic runs. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
-#include "sim/experiment.hh"
+#include "sim/simulation.hh"
+#include "stats/sink.hh"
 #include "trace/workloads_commercial.hh"
 
 using namespace cmpcache;
@@ -26,7 +26,7 @@ TEST(Experiment, BaselineRunProducesSaneMetrics)
 {
     SystemConfig cfg;
     cfg.cpu.maxOutstanding = 4;
-    const auto r = runExperiment(cfg, smallWorkload());
+    const auto r = Simulation(cfg, smallWorkload()).run();
     EXPECT_GT(r.execTime, 0u);
     EXPECT_EQ(r.policy, "baseline");
     EXPECT_EQ(r.workload, "Trade2");
@@ -40,8 +40,8 @@ TEST(Experiment, BaselineRunProducesSaneMetrics)
 TEST(Experiment, DeterministicResults)
 {
     SystemConfig cfg;
-    const auto a = runExperiment(cfg, smallWorkload());
-    const auto b = runExperiment(cfg, smallWorkload());
+    const auto a = Simulation(cfg, smallWorkload()).run();
+    const auto b = Simulation(cfg, smallWorkload()).run();
     EXPECT_EQ(a.execTime, b.execTime);
     EXPECT_EQ(a.l2WbRequests, b.l2WbRequests);
     EXPECT_EQ(a.l3Retries, b.l3Retries);
@@ -64,19 +64,19 @@ TEST(Experiment, PolicyIsReflectedInResult)
 {
     SystemConfig cfg;
     cfg.policy = PolicyConfig::make(WbPolicy::Snarf);
-    const auto r = runExperiment(cfg, smallWorkload());
+    const auto r = Simulation(cfg, smallWorkload()).run();
     EXPECT_EQ(r.policy, "snarf");
 }
 
 TEST(Experiment, WbhtStatsOnlyWithWbhtPolicy)
 {
     SystemConfig cfg;
-    const auto base = runExperiment(cfg, smallWorkload());
+    const auto base = Simulation(cfg, smallWorkload()).run();
     EXPECT_DOUBLE_EQ(base.wbhtCorrectPct, 0.0);
 
     cfg.policy = PolicyConfig::make(WbPolicy::Wbht);
     cfg.policy.useRetrySwitch = false;
-    const auto wbht = runExperiment(cfg, smallWorkload());
+    const auto wbht = Simulation(cfg, smallWorkload()).run();
     EXPECT_GT(wbht.wbhtCorrectPct, 0.0);
 }
 
@@ -84,7 +84,7 @@ TEST(Experiment, ReuseTrackerFieldsPopulated)
 {
     SystemConfig cfg;
     cfg.enableWbReuseTracker = true;
-    const auto r = runExperiment(cfg, smallWorkload());
+    const auto r = Simulation(cfg, smallWorkload()).run();
     EXPECT_GT(r.wbReusedTotalPct, 0.0);
     EXPECT_LE(r.wbReusedTotalPct, 100.0);
 }
@@ -92,8 +92,10 @@ TEST(Experiment, ReuseTrackerFieldsPopulated)
 TEST(Experiment, StatsDumpRequested)
 {
     SystemConfig cfg;
+    Simulation sim(cfg, smallWorkload());
+    sim.run();
     std::ostringstream os;
-    runExperiment(cfg, smallWorkload(), &os);
+    stats::writeText(sim.system(), os);
     EXPECT_NE(os.str().find("system.l3.load_lookups"),
               std::string::npos);
 }
@@ -104,19 +106,10 @@ TEST(Experiment, HigherPressureRaisesWbVolumeOrRetries)
     lo.cpu.maxOutstanding = 1;
     SystemConfig hi;
     hi.cpu.maxOutstanding = 6;
-    const auto a = runExperiment(lo, smallWorkload());
-    const auto b = runExperiment(hi, smallWorkload());
+    const auto a = Simulation(lo, smallWorkload()).run();
+    const auto b = Simulation(hi, smallWorkload()).run();
     // More overlap -> more concurrent misses -> runtime shrinks.
     EXPECT_LT(b.execTime, a.execTime);
-}
-
-TEST(Experiment, BenchRecordsEnvOverride)
-{
-    ::unsetenv("CMPCACHE_REFS");
-    EXPECT_EQ(benchRecordsPerThread(1234), 1234u);
-    ::setenv("CMPCACHE_REFS", "777", 1);
-    EXPECT_EQ(benchRecordsPerThread(1234), 777u);
-    ::unsetenv("CMPCACHE_REFS");
 }
 
 TEST(Experiment, ThreadMismatchThrowsConfigError)
@@ -125,7 +118,7 @@ TEST(Experiment, ThreadMismatchThrowsConfigError)
     auto wl = smallWorkload();
     wl.numThreads = 3;
     try {
-        runExperiment(cfg, wl);
+        Simulation(cfg, wl).run();
         FAIL() << "expected SimException";
     } catch (const SimException &e) {
         EXPECT_EQ(e.error().kind, SimErrorKind::Config);

@@ -2,7 +2,8 @@
  * @file
  * Per-cell failure isolation in sweeps: one poisoned grid cell must
  * report a structured error while every other cell completes, and the
- * results file must round-trip the error cells.
+ * results file must round-trip the error cells. Also the progress
+ * lines' time format.
  */
 
 #include <gtest/gtest.h>
@@ -225,4 +226,21 @@ TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
     saveConfig(replay, got);
     EXPECT_EQ(got.str(), want.str()) << results[1].rerun;
     EXPECT_EQ(wl, std::vector<std::string>{"wl.name=it's thrash"});
+}
+
+TEST(SweepProgress, LongTimesSplitIntoWholeMinutesAndSeconds)
+{
+    SweepJob job;
+    job.workload = "TP";
+    job.policy = WbPolicy::Baseline;
+    job.outstanding = 6;
+    SweepJobResult r;
+    r.result.execTime = 1000;
+    r.wallSeconds = 170.0;
+    std::ostringstream os;
+    SweepProgressPrinter progress(os);
+    progress.jobFinished(job, r, 1, 2, /*eta_seconds=*/179.7);
+    const std::string line = os.str();
+    EXPECT_NE(line.find(" in 2m50s ("), std::string::npos) << line;
+    EXPECT_NE(line.find(", eta 3m00s\n"), std::string::npos) << line;
 }
