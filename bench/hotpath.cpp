@@ -36,7 +36,6 @@
 #include "common/flat_map.hh"
 #include "common/inplace_function.hh"
 #include "common/random.hh"
-#include "mem/replacement.hh"
 #include "mem/tag_array.hh"
 
 namespace cmpcache
@@ -234,8 +233,7 @@ runTagVictim(std::uint64_t ops)
 
     std::uint64_t current_sum = 0;
     {
-        TagArray tags(SizeBytes, Assoc, LineSize,
-                      makeReplacementPolicy("lru"));
+        TagArray tags(SizeBytes, Assoc, LineSize);
         Rng rng(99);
         const Timer t;
         for (std::uint64_t i = 0; i < ops; ++i) {

@@ -27,11 +27,6 @@ TraceCpu::TraceCpu(stats::Group *parent, EventQueue &eq,
 {
     cmp_assert(params_.maxOutstanding > 0,
                "need at least one outstanding miss");
-    if (params_.arrival == ArrivalModel::Open) {
-        arrivalLag_.emplace(this, "arrival_lag",
-                            "ticks issued after the open-loop arrival "
-                            "clock");
-    }
 }
 
 void
@@ -39,7 +34,7 @@ TraceCpu::startup()
 {
     loadNextRecord();
     if (haveRecord_)
-        scheduleAttempt(issueTime());
+        scheduleAttempt(curTick() + cur_.gap);
     else
         checkDone();
 }
@@ -54,20 +49,6 @@ TraceCpu::loadNextRecord()
     haveRecord_ = source_->next(cur_);
     if (!haveRecord_)
         sourceExhausted_ = true;
-    else if (params_.arrival == ArrivalModel::Open)
-        nextArrival_ += cur_.gap;
-}
-
-Tick
-TraceCpu::issueTime() const
-{
-    // Closed loop: think time relative to now (the previous issue).
-    // Open loop: the record's absolute arrival; when the thread has
-    // fallen behind, scheduleAttempt clamps to "now" and the backlog
-    // drains as a burst without shifting later arrivals.
-    return params_.arrival == ArrivalModel::Open
-               ? nextArrival_
-               : curTick() + cur_.gap;
 }
 
 void
@@ -114,18 +95,13 @@ TraceCpu::attempt()
     }
 
     ++issued_;
-    if (arrivalLag_) {
-        arrivalLag_->sample(curTick() >= nextArrival_
-                                ? static_cast<double>(curTick()
-                                                      - nextArrival_)
-                                : 0.0);
-    }
     loadNextRecord();
     if (!haveRecord_) {
         checkDone();
         return;
     }
-    scheduleAttempt(issueTime());
+    // Closed loop: the gap is think time after this issue.
+    scheduleAttempt(curTick() + cur_.gap);
 }
 
 void

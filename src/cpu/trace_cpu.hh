@@ -16,12 +16,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "l2/l2_cache.hh"
 #include "sim/sim_object.hh"
 #include "trace/trace.hh"
-#include "trace/trace_source.hh"
 
 namespace cmpcache
 {
@@ -32,14 +30,6 @@ struct CpuParams
     unsigned maxOutstanding = 6;
     /** Back-off when the L2 rejects an access (resources full). */
     Tick blockedRetry = 8;
-    /**
-     * How record gaps are interpreted (docs/serving.md). Closed loop:
-     * a gap is think time after the previous issue, so a stall pushes
-     * every later reference back (the batch-replay behavior). Open
-     * loop: gaps accumulate on an absolute arrival clock; a stalled
-     * thread falls behind the clock and catches up in a burst.
-     */
-    ArrivalModel arrival = ArrivalModel::Closed;
 };
 
 class TraceCpu : public SimObject
@@ -66,8 +56,6 @@ class TraceCpu : public SimObject
     void attempt();
     void loadNextRecord();
     void checkDone();
-    /** When the current record wants to issue, per arrival model. */
-    Tick issueTime() const;
 
     ThreadId tid_;
     CpuParams params_;
@@ -81,8 +69,6 @@ class TraceCpu : public SimObject
     bool waitingForSlot_ = false;
     bool done_ = false;
     Tick finishTick_ = 0;
-    /** Open loop: absolute arrival time of the current record. */
-    Tick nextArrival_ = 0;
 
     EventFunctionWrapper attemptEvent_;
 
@@ -91,12 +77,6 @@ class TraceCpu : public SimObject
     stats::Scalar missesSeen_;
     stats::Scalar blockedSeen_;
     stats::Scalar slotStalls_;
-    /**
-     * Open loop only (absent in closed mode so closed-loop stat
-     * dumps stay byte-identical): how far behind its arrival clock
-     * each reference issued, in ticks.
-     */
-    std::optional<stats::Average> arrivalLag_;
 };
 
 } // namespace cmpcache

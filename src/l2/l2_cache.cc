@@ -20,8 +20,7 @@ L2Cache::L2Cache(stats::Group *parent, EventQueue &eq,
       policy_(policy),
       ring_(ring),
       retryMonitor_(retry_monitor),
-      tags_(p.sizeBytes, p.assoc, p.lineSize,
-            makeReplacementPolicy(p.replPolicy)),
+      tags_(p.sizeBytes, p.assoc, p.lineSize),
       mshrs_(p.mshrs),
       wbq_(p.wbqDepth),
       sliceFree_(p.slices, 0),

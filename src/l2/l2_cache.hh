@@ -45,7 +45,6 @@ struct L2Params
     unsigned assoc = 8;
     unsigned lineSize = 128;
     unsigned slices = 4;
-    std::string replPolicy = "lru";
 
     /**
      * Allow clean (SL/E) copies to source cache-to-cache transfers.

@@ -15,8 +15,7 @@ L3Cache::L3Cache(stats::Group *parent, EventQueue &eq, AgentId id,
       id_(id),
       stop_(ring_stop),
       params_(p),
-      tags_(p.sizeBytes, p.assoc, p.lineSize,
-            makeReplacementPolicy(p.replPolicy)),
+      tags_(p.sizeBytes, p.assoc, p.lineSize),
       wbQueueBusy_(p.slices, 0),
       bankFree_(p.slices, 0),
       loadLookups_(this, "load_lookups",

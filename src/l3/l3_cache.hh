@@ -36,7 +36,6 @@ struct L3Params
     unsigned assoc = 16;
     unsigned lineSize = 128;
     unsigned slices = 4;
-    std::string replPolicy = "lru";
 
     Tick accessLatency = 112; ///< data-array access when supplying
     Tick bankOccupancy = 8;   ///< slice busy time per data read

@@ -7,8 +7,7 @@
  *           optional timing (bench) file
  *   serve   run one simulation: a trace streamed from a file, FIFO or
  *           stdin, or a synthetic generator, online with bounded
- *           memory under an open- or closed-loop arrival model, with
- *           optional stats dump and Perfetto trace
+ *           memory, with optional stats dump and Perfetto trace
  *   chaos   seeded coherence fuzzing: adversarial sharing workloads x
  *           fault plans x topologies under the conformance oracle,
  *           with automatic reproducer minimization on failure
@@ -31,7 +30,7 @@
  *   mkfifo /tmp/t.fifo
  *   generator > /tmp/t.fifo &
  *   cmpcache serve --trace=/tmp/t.fifo --sample-every=5000 \
- *       --arrival=open:0.02 --out=result.json
+ *       --out=result.json
  *
  *   # a quick stress grid with invariant checking and a bench file
  *   cmpcache sweep --workloads=thrash,pingpong \
@@ -110,14 +109,12 @@ usage()
         "                        file or FIFO ('-' = stdin); decoded\n"
         "                        incrementally, never materialized\n"
         "  --workload=NAME       synthetic generator instead of a\n"
-        "                        stream (--refs/--seed as for sweep)\n"
-        "  --arrival=SPEC        closed (default) or open:<rate>;\n"
-        "                        rate = mean arrivals/tick/thread,\n"
-        "                        e.g. open:0.02 (arrival.* keys tune\n"
-        "                        bursts and the sampler seed)\n"
-        "  stream.* keys set queue capacity and the block|drop\n"
-        "  backpressure policy; with sampling on, live ingest gauges\n"
-        "  (queue depth, ingest rate, drops) join the probes\n\n"
+        "                        stream; only it takes --refs, --seed\n"
+        "                        and wl.* keys (as for sweep)\n"
+        "  stream.* keys set the queue capacity and the demux window;\n"
+        "  the reader blocks while the queue is full. With sampling\n"
+        "  on, live ingest gauges (queue depth, ingest rate) join the\n"
+        "  probes\n\n"
         "sweep options:\n"
         "  --workloads=A,B,...   default: TP,CPW2,NotesBench,Trade2\n"
         "  --policies=a,b,...    default: baseline,wbht,snarf,"
@@ -430,17 +427,6 @@ serveMain(const CliArgs &args)
     // obs.ingest=false override below still disables them).
     cfg.obs.ingestGauges = true;
     const WorkloadOverrides wl_overrides = applyConfigArgs(args, cfg);
-
-    if (args.has("arrival")) {
-        const auto spec =
-            parseArrivalSpec(args.getString("arrival", ""));
-        if (!spec.ok())
-            cmp_fatal(spec.error().message);
-        // The spec sets model and rate; burst shape and the sampler
-        // seed stay whatever arrival.* keys configured.
-        cfg.arrival.model = spec->model;
-        cfg.arrival.rate = spec->rate;
-    }
     const StatsFormat stats_format = statsFormatArg(args);
 
     const std::string trace = args.getString("trace", "");
@@ -449,6 +435,19 @@ serveMain(const CliArgs &args)
         cmp_fatal("serve needs exactly one input: --trace=PATH|- or "
                   "--workload=NAME");
     }
+    // A stream brings its own records: the generator options would be
+    // silently ignored.
+    if (!trace.empty()) {
+        for (const char *opt : {"refs", "seed"})
+            if (args.has(opt))
+                cmp_fatal("serve: --", opt, " needs --workload");
+        if (!wl_overrides.empty())
+            cmp_fatal("serve: ", wl_overrides.front().first,
+                      " needs --workload");
+    }
+    const auto refs = args.getUnsigned("refs", std::uint64_t{20000});
+    if (refs == 0)
+        cmp_fatal("serve: --refs must be positive");
     cfg.validate();
 
     const bool quiet = args.getBool("quiet", false);
@@ -468,27 +467,19 @@ serveMain(const CliArgs &args)
         }
         if (!quiet)
             inform("serve: streaming ", name, " (queue ",
-                   cfg.stream.queueCapacity, " records, ",
-                   cfg.stream.overflow == OverflowPolicy::Block
-                       ? "block"
-                       : "drop",
-                   " on overflow, arrival ",
-                   toString(cfg.arrival.model), ")");
+                   cfg.stream.queueCapacity, " records)");
         sim = std::make_unique<Simulation>(cfg, std::move(in),
                                            std::move(name));
     } else {
         auto params = sweepWorkloadByName(
-            workload,
-            args.getUnsigned("refs", std::uint64_t{20000}),
-            args.getUnsigned("seed", std::uint64_t{1}));
+            workload, refs, args.getUnsigned("seed", std::uint64_t{1}));
         for (const auto &[key, value] : wl_overrides)
             applyWorkloadOption(params, key, value);
         // As in a sweep cell: the machine shape sets the thread count.
         params.numThreads = cfg.numThreads();
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
-                   params.recordsPerThread, " records/thread, "
-                   "arrival ", toString(cfg.arrival.model));
+                   params.recordsPerThread, " records/thread");
         sim = std::make_unique<Simulation>(cfg, params);
     }
     // A watchdog trip flushes whatever the tracer captured so the
@@ -524,8 +515,7 @@ serveMain(const CliArgs &args)
     if (!quiet) {
         if (const StreamIngest *ingest = sim->ingest()) {
             inform("serve: ingested ", ingest->recordsIngested(),
-                   " records (", ingest->recordsDropped(),
-                   " dropped, ", ingest->producerBlockedWaits(),
+                   " records (", ingest->producerBlockedWaits(),
                    " producer waits)");
         }
         inform("serve: finished at tick ", cell.result.execTime,
@@ -588,7 +578,7 @@ main(int argc, char **argv)
     }
     if (cmd == "serve") {
         args.requireKnown({"trace", "workload", "refs", "seed",
-                           "arrival", "sample-every", "trace-out",
+                           "sample-every", "trace-out",
                            "stats-format", "stats-out", "out", "config",
                            "quiet"});
         try {

@@ -1,27 +1,7 @@
 #include "mem/replacement.hh"
 
-#include <bit>
-
-#include "common/intmath.hh"
-#include "common/logging.hh"
-#include "common/types.hh"
-
 namespace cmpcache
 {
-
-namespace
-{
-
-/** Lowest set way of a non-zero mask. */
-inline unsigned
-lowestWay(WayMask m)
-{
-    return static_cast<unsigned>(std::countr_zero(m));
-}
-
-} // namespace
-
-// ---------------------------------------------------------------- LRU
 
 void
 LruPolicy::init(unsigned sets, unsigned ways)
@@ -43,172 +23,6 @@ LruPolicy::rank(unsigned set, unsigned way) const
         }
     }
     return r;
-}
-
-// ----------------------------------------------------------- TreePLRU
-
-void
-TreePlruPolicy::init(unsigned sets, unsigned ways)
-{
-    cmp_assert(isPowerOf2(ways), "tree-plru needs power-of-two ways");
-    ways_ = ways;
-    bits_.assign(static_cast<std::size_t>(sets) * (ways - 1), 0);
-}
-
-void
-TreePlruPolicy::promote(unsigned set, unsigned way)
-{
-    // Walk from the root; flip each node to point *away* from the
-    // accessed way.
-    auto *b = &bits_[static_cast<std::size_t>(set) * (ways_ - 1)];
-    unsigned node = 0;
-    unsigned lo = 0;
-    unsigned hi = ways_;
-    while (hi - lo > 1) {
-        const unsigned mid = (lo + hi) / 2;
-        const bool right = way >= mid;
-        b[node] = right ? 0 : 1; // 0 = LRU side is left
-        node = 2 * node + 1 + (right ? 1 : 0);
-        if (right)
-            lo = mid;
-        else
-            hi = mid;
-    }
-}
-
-void
-TreePlruPolicy::touch(unsigned set, unsigned way)
-{
-    promote(set, way);
-}
-
-void
-TreePlruPolicy::insert(unsigned set, unsigned way, InsertPos pos)
-{
-    if (pos == InsertPos::Mru)
-        promote(set, way);
-    // Lru insertion: leave the tree pointing at this way.
-}
-
-unsigned
-TreePlruPolicy::victim(unsigned set, WayMask candidates)
-{
-    cmp_assert(candidates != 0, "no replacement candidates");
-    // Follow the tree; if the chosen way is not a candidate, fall back
-    // to the lowest candidate (approximation consistent with hardware
-    // way-masking).
-    const auto *b = &bits_[static_cast<std::size_t>(set) * (ways_ - 1)];
-    unsigned node = 0;
-    unsigned lo = 0;
-    unsigned hi = ways_;
-    while (hi - lo > 1) {
-        const unsigned mid = (lo + hi) / 2;
-        const bool go_right = b[node] != 0;
-        node = 2 * node + 1 + (go_right ? 1 : 0);
-        if (go_right)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    const unsigned chosen = lo;
-    if (candidates >> chosen & 1)
-        return chosen;
-    return lowestWay(candidates);
-}
-
-// ------------------------------------------------------------- Random
-
-RandomPolicy::RandomPolicy(std::uint64_t seed) : rng_(seed) {}
-
-void
-RandomPolicy::init(unsigned sets, unsigned ways)
-{
-    (void)sets;
-    (void)ways;
-}
-
-void
-RandomPolicy::insert(unsigned set, unsigned way, InsertPos pos)
-{
-    (void)set;
-    (void)way;
-    (void)pos;
-}
-
-unsigned
-RandomPolicy::victim(unsigned set, WayMask candidates)
-{
-    (void)set;
-    cmp_assert(candidates != 0, "no replacement candidates");
-    // Consume exactly one below(count) draw, like the old vector API,
-    // so the RNG stream (and thus every simulated figure) is
-    // unchanged.
-    const auto count =
-        static_cast<std::uint64_t>(std::popcount(candidates));
-    std::uint64_t idx = rng_.below(count);
-    WayMask m = candidates;
-    while (idx--)
-        m &= m - 1;
-    return lowestWay(m);
-}
-
-// ---------------------------------------------------------------- NRU
-
-void
-NruPolicy::init(unsigned sets, unsigned ways)
-{
-    ways_ = ways;
-    refBit_.assign(static_cast<std::size_t>(sets) * ways, 0);
-}
-
-void
-NruPolicy::touch(unsigned set, unsigned way)
-{
-    auto *bits = &refBit_[static_cast<std::size_t>(set) * ways_];
-    bits[way] = 1;
-    // If every bit is set, clear all others (aging sweep).
-    bool all = true;
-    for (unsigned w = 0; w < ways_; ++w)
-        all = all && bits[w];
-    if (all) {
-        for (unsigned w = 0; w < ways_; ++w)
-            bits[w] = (w == way) ? 1 : 0;
-    }
-}
-
-void
-NruPolicy::insert(unsigned set, unsigned way, InsertPos pos)
-{
-    refBit_[static_cast<std::size_t>(set) * ways_ + way] =
-        pos == InsertPos::Mru ? 1 : 0;
-}
-
-unsigned
-NruPolicy::victim(unsigned set, WayMask candidates)
-{
-    cmp_assert(candidates != 0, "no replacement candidates");
-    for (WayMask m = candidates; m; m &= m - 1) {
-        const unsigned w = lowestWay(m);
-        if (!refBit_[static_cast<std::size_t>(set) * ways_ + w])
-            return w;
-    }
-    return lowestWay(candidates);
-}
-
-// -------------------------------------------------------------- factory
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(const std::string &name)
-{
-    if (name == "lru")
-        return std::make_unique<LruPolicy>();
-    if (name == "tree-plru")
-        return std::make_unique<TreePlruPolicy>();
-    if (name == "random")
-        return std::make_unique<RandomPolicy>();
-    if (name == "nru")
-        return std::make_unique<NruPolicy>();
-    cmp_fatal("unknown replacement policy '", name, "'");
 }
 
 } // namespace cmpcache

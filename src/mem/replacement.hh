@@ -1,12 +1,12 @@
 /**
  * @file
- * Pluggable replacement policies for set-associative arrays.
+ * LRU replacement state for set-associative arrays.
  *
- * A policy owns per-(set, way) metadata; the array calls touch() on
- * hits, insert() on fills, and victim() to rank replacement
- * candidates. insert() takes an InsertPos so the snarf mechanism can
- * experiment with recipient-side LRU management (the paper calls out
- * "managing the LRU information at the recipient cache" explicitly).
+ * The array calls touch() on hits, insert() on fills, and victim() to
+ * rank replacement candidates. insert() takes an InsertPos so the
+ * snarf mechanism can experiment with recipient-side LRU management
+ * (the paper calls out "managing the LRU information at the recipient
+ * cache" explicitly).
  */
 
 #ifndef CMPCACHE_MEM_REPLACEMENT_HH
@@ -14,11 +14,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "common/random.hh"
 #include "common/types.hh"
 
 namespace cmpcache
@@ -32,8 +29,8 @@ enum class InsertPos
 };
 
 /**
- * Candidate ways as a bit mask (bit w = way w eligible). Policies
- * scan candidates in ascending way order, so ties resolve exactly as
+ * Candidate ways as a bit mask (bit w = way w eligible). victim()
+ * scans candidates in ascending way order, so ties resolve exactly as
  * they did with the old ascending candidate vectors.
  */
 using WayMask = std::uint64_t;
@@ -45,86 +42,38 @@ allWaysMask(unsigned ways)
     return ways >= 64 ? ~WayMask{0} : (WayMask{1} << ways) - 1;
 }
 
-class ReplacementPolicy
+/**
+ * True least-recently-used via per-way timestamps. The per-reference
+ * methods are defined inline so TagArray's scans inline them.
+ */
+class LruPolicy
 {
   public:
-    virtual ~ReplacementPolicy() = default;
-
     /** Allocate metadata for @p sets x @p ways. */
-    virtual void init(unsigned sets, unsigned ways) = 0;
+    void init(unsigned sets, unsigned ways);
 
     /** A hit on (set, way). */
-    virtual void touch(unsigned set, unsigned way) = 0;
-
-    /** A fill into (set, way). */
-    virtual void insert(unsigned set, unsigned way, InsertPos pos) = 0;
-
-    /**
-     * Choose the replacement victim among the ways set in
-     * @p candidates (non-zero).
-     */
-    virtual unsigned victim(unsigned set, WayMask candidates) = 0;
-
-    /**
-     * Convenience overload taking explicit way indices (tests,
-     * analysis tools). The candidates are treated as a *set*: ties
-     * break toward the lowest way index, matching the ascending
-     * vectors every caller historically passed.
-     */
-    unsigned
-    victim(unsigned set, const std::vector<unsigned> &candidate_ways)
-    {
-        WayMask m = 0;
-        for (const unsigned w : candidate_ways)
-            m |= WayMask{1} << w;
-        return victim(set, m);
-    }
-
-    /** Policies that can rank ways by recency expose it (0 = LRU). */
-    virtual bool hasRanks() const { return false; }
-
-    /** Recency rank of a way (only meaningful when hasRanks()). */
-    virtual unsigned
-    rank(unsigned set, unsigned way) const
-    {
-        (void)set;
-        (void)way;
-        return 0;
-    }
-
-    virtual std::string name() const = 0;
-};
-
-/**
- * True least-recently-used via per-way timestamps.
- *
- * The class is final and its per-reference methods are defined inline
- * so TagArray's concrete-pointer fast path (the default policy is
- * LRU) devirtualizes and inlines them.
- */
-class LruPolicy final : public ReplacementPolicy
-{
-  public:
-    void init(unsigned sets, unsigned ways) override;
-
     void
-    touch(unsigned set, unsigned way) override
+    touch(unsigned set, unsigned way)
     {
         stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
     }
 
+    /** A fill into (set, way). */
     void
-    insert(unsigned set, unsigned way, InsertPos pos) override
+    insert(unsigned set, unsigned way, InsertPos pos)
     {
         auto &s = stamp_[static_cast<std::size_t>(set) * ways_ + way];
         // Lru insertion lands colder than everything resident.
         s = pos == InsertPos::Mru ? ++clock_ : 0;
     }
 
-    using ReplacementPolicy::victim;
-
+    /**
+     * Choose the replacement victim among the ways set in
+     * @p candidates (non-zero): the oldest stamp, lowest way on ties.
+     */
     unsigned
-    victim(unsigned set, WayMask candidates) override
+    victim(unsigned set, WayMask candidates) const
     {
         const auto *s = &stamp_[static_cast<std::size_t>(set) * ways_];
         if (candidates == allWaysMask(ways_)) {
@@ -155,73 +104,14 @@ class LruPolicy final : public ReplacementPolicy
         return best;
     }
 
-    std::string name() const override { return "lru"; }
-
-    bool hasRanks() const override { return true; }
-
     /** Recency rank of a way: 0 = LRU ... ways-1 = MRU. */
-    unsigned rank(unsigned set, unsigned way) const override;
+    unsigned rank(unsigned set, unsigned way) const;
 
   private:
     unsigned ways_ = 0;
     std::uint64_t clock_ = 0;
     std::vector<std::uint64_t> stamp_; // sets x ways
 };
-
-/** Tree pseudo-LRU (power-of-two ways). */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    void init(unsigned sets, unsigned ways) override;
-    void touch(unsigned set, unsigned way) override;
-    void insert(unsigned set, unsigned way, InsertPos pos) override;
-    using ReplacementPolicy::victim;
-    unsigned victim(unsigned set, WayMask candidates) override;
-    std::string name() const override { return "tree-plru"; }
-
-  private:
-    void promote(unsigned set, unsigned way);
-
-    unsigned ways_ = 0;
-    std::vector<std::uint8_t> bits_; // sets x (ways-1)
-};
-
-/** Deterministic pseudo-random replacement. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(std::uint64_t seed = 7);
-
-    void init(unsigned sets, unsigned ways) override;
-    void touch(unsigned set, unsigned way) override {(void)set;(void)way;}
-    void insert(unsigned set, unsigned way, InsertPos pos) override;
-    using ReplacementPolicy::victim;
-    unsigned victim(unsigned set, WayMask candidates) override;
-    std::string name() const override { return "random"; }
-
-  private:
-    Rng rng_;
-};
-
-/** Not-recently-used: one reference bit per way, cleared in sweeps. */
-class NruPolicy : public ReplacementPolicy
-{
-  public:
-    void init(unsigned sets, unsigned ways) override;
-    void touch(unsigned set, unsigned way) override;
-    void insert(unsigned set, unsigned way, InsertPos pos) override;
-    using ReplacementPolicy::victim;
-    unsigned victim(unsigned set, WayMask candidates) override;
-    std::string name() const override { return "nru"; }
-
-  private:
-    unsigned ways_ = 0;
-    std::vector<std::uint8_t> refBit_;
-};
-
-/** Factory: "lru", "tree-plru", "random", "nru". */
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(const std::string &name);
 
 } // namespace cmpcache
 

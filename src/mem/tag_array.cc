@@ -7,13 +7,11 @@ namespace cmpcache
 {
 
 TagArray::TagArray(std::uint64_t size_bytes, unsigned assoc,
-                   unsigned line_size,
-                   std::unique_ptr<ReplacementPolicy> policy)
+                   unsigned line_size)
     : assoc_(assoc),
       lineSize_(line_size),
       lineShift_(floorLog2(line_size)),
-      lineMask_(line_size - 1),
-      policy_(std::move(policy))
+      lineMask_(line_size - 1)
 {
     cmp_assert(isPowerOf2(line_size), "line size must be a power of 2");
     cmp_assert(assoc > 0, "associativity must be positive");
@@ -28,8 +26,7 @@ TagArray::TagArray(std::uint64_t size_bytes, unsigned assoc,
     numSets_ = static_cast<unsigned>(sets);
     entries_.resize(static_cast<std::size_t>(numSets_) * assoc_);
     tags_.assign(entries_.size(), InvalidAddr);
-    policy_->init(numSets_, assoc_);
-    lru_ = dynamic_cast<LruPolicy *>(policy_.get());
+    lru_.init(numSets_, assoc_);
 }
 
 unsigned
@@ -56,10 +53,7 @@ TagArray::insert(TagEntry *victim, Addr addr, LineState state,
     victim->snarfUsedLocal = false;
     victim->snarfUsedIntervention = false;
     tags_[static_cast<std::size_t>(victim - entries_.data())] = line;
-    if (lru_)
-        lru_->insert(set, wayOf(victim, set), pos);
-    else
-        policy_->insert(set, wayOf(victim, set), pos);
+    lru_.insert(set, wayOf(victim, set), pos);
 }
 
 void

@@ -8,16 +8,15 @@
  * The set-scan methods (lookup, peek, findVictim*, anyInSet) are the
  * per-reference hot path: they live in the header, take predicates as
  * template parameters so controller lambdas inline, and hand the
- * replacement policy a 64-bit candidate way mask instead of a
- * heap-allocated index vector. Only cold walks (forEach) keep the
- * type-erased std::function interface.
+ * LRU state a 64-bit candidate way mask instead of a heap-allocated
+ * index vector. Only cold walks (forEach) keep the type-erased
+ * std::function interface.
  */
 
 #ifndef CMPCACHE_MEM_TAG_ARRAY_HH
 #define CMPCACHE_MEM_TAG_ARRAY_HH
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "coherence/state.hh"
@@ -50,10 +49,8 @@ class TagArray
      * @param size_bytes total capacity
      * @param assoc      associativity (<= 64, for way masks)
      * @param line_size  line size in bytes (power of two)
-     * @param policy     replacement policy (owned)
      */
-    TagArray(std::uint64_t size_bytes, unsigned assoc, unsigned line_size,
-             std::unique_ptr<ReplacementPolicy> policy);
+    TagArray(std::uint64_t size_bytes, unsigned assoc, unsigned line_size);
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -93,7 +90,7 @@ class TagArray
         for (unsigned w = 0; w < assoc_; ++w) {
             if (tags[w] == line) {
                 if (touch)
-                    touchPolicy(set, w);
+                    lru_.touch(set, w);
                 return &entries_[base + w];
             }
         }
@@ -115,8 +112,8 @@ class TagArray
     }
 
     /**
-     * Pick a victim way for filling @p addr using the replacement
-     * policy over all ways (invalid ways win automatically).
+     * Pick a victim way for filling @p addr: the LRU way of the set
+     * (invalid ways win automatically).
      * The returned entry still holds the victim's old contents.
      */
     TagEntry *
@@ -129,7 +126,7 @@ class TagArray
             if (!base[w].valid())
                 return &base[w];
         }
-        return &base[victimPolicy(set, allWaysMask(assoc_))];
+        return &base[lru_.victim(set, allWaysMask(assoc_))];
     }
 
     /**
@@ -153,7 +150,7 @@ class TagArray
         }
         if (!cands)
             return nullptr;
-        return &base[victimPolicy(set, cands)];
+        return &base[lru_.victim(set, cands)];
     }
 
     /**
@@ -161,8 +158,7 @@ class TagArray
      * extension): among the *colder half* of the set, prefer entries
      * satisfying @p cheap (e.g. "the WBHT says this line is already
      * in the L3, so evicting it is nearly free"). Falls back to
-     * findVictim() when the policy cannot rank ways or nothing cold
-     * matches.
+     * findVictim() when nothing cold matches.
      */
     template <typename Pred>
     TagEntry *
@@ -175,15 +171,13 @@ class TagArray
             if (!base[w].valid())
                 return &base[w];
         }
-        if (!policy_->hasRanks())
-            return findVictim(addr);
 
         // Cheapest victim: a "cheap" entry in the colder half of the
         // set, coldest first.
         TagEntry *best = nullptr;
         unsigned best_rank = assoc_;
         for (unsigned w = 0; w < assoc_; ++w) {
-            const unsigned r = policy_->rank(set, w);
+            const unsigned r = lru_.rank(set, w);
             if (r < assoc_ / 2
                 && cheap(static_cast<const TagEntry &>(base[w]))
                 && r < best_rank) {
@@ -228,29 +222,6 @@ class TagArray
     void forEach(const std::function<void(const TagEntry &)> &fn) const;
 
   private:
-    /**
-     * Devirtualized policy fast path: the default policy is LRU, so
-     * the constructor caches a concrete pointer (LruPolicy is final)
-     * and the per-reference calls inline; other policies take the
-     * virtual call.
-     */
-    void
-    touchPolicy(unsigned set, unsigned way)
-    {
-        if (lru_)
-            lru_->touch(set, way);
-        else
-            policy_->touch(set, way);
-    }
-
-    unsigned
-    victimPolicy(unsigned set, WayMask candidates)
-    {
-        if (lru_)
-            return lru_->victim(set, candidates);
-        return policy_->victim(set, candidates);
-    }
-
     TagEntry *
     setBase(unsigned set)
     {
@@ -270,8 +241,7 @@ class TagArray
     unsigned lineShift_;
     Addr lineMask_;
     unsigned numSets_;
-    std::unique_ptr<ReplacementPolicy> policy_;
-    LruPolicy *lru_ = nullptr; // set iff policy_ is an LruPolicy
+    LruPolicy lru_;
     std::vector<TagEntry> entries_; // numSets x assoc
     /**
      * Dense mirror of entries_[i].lineAddr, kept in sync by insert()

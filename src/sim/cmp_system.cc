@@ -145,23 +145,13 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
             });
     }
 
-    CpuParams cpu_params = cfg_.cpu;
-    cpu_params.arrival = cfg_.arrival.model;
     for (unsigned t = 0; t < topo_.numThreads(); ++t) {
         const unsigned cluster = topo_.l2OfThread(t);
         L2Cache &l2 = *l2s_[cluster];
-        auto src = std::move(traces.perThread[t]);
-        if (cfg_.arrival.model == ArrivalModel::Open) {
-            // Open loop: the generator stamps interarrival times; the
-            // trace's own gaps are replaced by sampled ones.
-            src = std::make_unique<ArrivalStamper>(
-                std::move(src), cfg_.arrival,
-                static_cast<ThreadId>(t));
-        }
         cpus_.push_back(std::make_unique<TraceCpu>(
             this, eq_, cstr("cpu_", t),
-            static_cast<ThreadId>(t), cpu_params, l2,
-            std::move(src)));
+            static_cast<ThreadId>(t), cfg_.cpu, l2,
+            std::move(traces.perThread[t])));
     }
 }
 

@@ -1,6 +1,5 @@
 #include "sim/config_io.hh"
 
-#include <cmath>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -9,7 +8,6 @@
 #include <sstream>
 
 #include "common/cli.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -42,25 +40,6 @@ toU64(const std::string &key, const std::string &v)
     return configError(cstr("config key '", key,
                             "' expects an unsigned integer, got '", v,
                             "'"));
-}
-
-Expected<double>
-toDouble(const std::string &key, const std::string &v)
-{
-    double d = 0.0;
-    std::size_t used = 0;
-    try {
-        d = std::stod(v, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    // Non-finite values would not survive saveConfig's jsonDouble.
-    if (v.empty() || used != v.size() || !std::isfinite(d)) {
-        return configError(cstr("config key '", key,
-                                "' expects a finite number, got '", v,
-                                "'"));
-    }
-    return d;
 }
 
 Expected<bool>
@@ -120,20 +99,6 @@ struct KeyHandler
             [](const SystemConfig &c) {                                 \
                 return std::string(c.field ? "true" : "false");         \
             }                                                           \
-    }
-
-#define DBL_KEY(field)                                                  \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toDouble(k, v);                              \
-            if (!r)                                                     \
-                return r.error();                                       \
-            c.field = *r;                                               \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &c) { return jsonDouble(c.field); }   \
     }
 
 #define STR_KEY(field)                                                  \
@@ -202,49 +167,8 @@ handlers()
         {"obs.trace", BOOL_KEY(obs.traceEnabled)},
         {"obs.trace_capacity", U64_KEY(obs.traceCapacity)},
         {"obs.ingest", BOOL_KEY(obs.ingestGauges)},
-        {"arrival.rate", DBL_KEY(arrival.rate)},
-        {"arrival.burst_factor", DBL_KEY(arrival.burstFactor)},
-        {"arrival.burst_period", U64_KEY(arrival.burstPeriod)},
-        {"arrival.seed", U64_KEY(arrival.seed)},
         {"stream.queue_capacity", U64_KEY(stream.queueCapacity)},
         {"stream.demux_capacity", U64_KEY(stream.demuxCapacity)},
-        {"arrival.model",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        if (v == "closed")
-                            c.arrival.model = ArrivalModel::Closed;
-                        else if (v == "open")
-                            c.arrival.model = ArrivalModel::Open;
-                        else
-                            return configError(cstr(
-                                "config key '", k,
-                                "' expects closed|open, got '", v,
-                                "'"));
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return std::string(toString(c.arrival.model));
-                    }}},
-        {"stream.overflow",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        if (v == "block")
-                            c.stream.overflow = OverflowPolicy::Block;
-                        else if (v == "drop")
-                            c.stream.overflow = OverflowPolicy::Drop;
-                        else
-                            return configError(cstr(
-                                "config key '", k,
-                                "' expects block|drop, got '", v,
-                                "'"));
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return std::string(
-                            c.stream.overflow == OverflowPolicy::Block
-                                ? "block"
-                                : "drop");
-                    }}},
         {"ring.addr_slot_cycles", U64_KEY(ring.addrSlotCycles)},
         {"ring.snoop_latency", U64_KEY(ring.snoopLatency)},
         {"ring.hop_cycles", U64_KEY(ring.hopCycles)},
@@ -308,8 +232,6 @@ handlers()
                                 ? "mru"
                                 : "lru");
                     }}},
-        {"l2.repl", STR_KEY(l2.replPolicy)},
-        {"l3.repl", STR_KEY(l3.replPolicy)},
     };
     return h;
 }
@@ -332,7 +254,6 @@ removedShapeKeys()
 
 #undef U64_KEY
 #undef BOOL_KEY
-#undef DBL_KEY
 #undef STR_KEY
 
 } // namespace

@@ -140,15 +140,6 @@ SystemConfig::validationErrors() const
     if (watchdog.enabled() && watchdog.stallChecks == 0)
         errs.push_back("watchdog.stall_checks must be positive");
 
-    if (arrival.model == ArrivalModel::Open && arrival.rate <= 0.0) {
-        errs.push_back(cstr(
-            "arrival.rate must be positive when arrival.model is "
-            "open, got ", arrival.rate));
-    }
-    if (arrival.burstFactor < 1.0) {
-        errs.push_back(cstr("arrival.burst_factor must be >= 1, got ",
-                            arrival.burstFactor));
-    }
     if (stream.queueCapacity == 0)
         errs.push_back("stream.queue_capacity must be positive");
     if (stream.demuxCapacity == 0)

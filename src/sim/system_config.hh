@@ -69,13 +69,6 @@ struct SystemConfig
     WatchdogConfig watchdog;
     /** Conformance oracle + online invariant sweeps (check.* keys). */
     CheckConfig check;
-    /**
-     * Traffic model (arrival.* keys): closed-loop think time (the
-     * default, batch-replay behavior) or open-loop generator-stamped
-     * arrivals. Open mode re-stamps every source's gaps with sampled
-     * interarrival times (see trace/trace_source.hh).
-     */
-    ArrivalConfig arrival;
     /** Streaming-ingest pipeline knobs (stream.* keys). */
     StreamParams stream;
 

@@ -1,7 +1,6 @@
 #include "trace/trace_source.hh"
 
 #include <istream>
-#include <limits>
 
 #include "common/logging.hh"
 #include "trace/trace_io.hh"
@@ -9,81 +8,8 @@
 namespace cmpcache
 {
 
-const char *
-toString(ArrivalModel m)
-{
-    switch (m) {
-      case ArrivalModel::Closed:
-        return "closed";
-      case ArrivalModel::Open:
-        return "open";
-    }
-    return "?";
-}
-
-Expected<ArrivalConfig>
-parseArrivalSpec(const std::string &spec)
-{
-    ArrivalConfig cfg;
-    if (spec == "closed")
-        return cfg;
-    const std::string prefix = "open:";
-    if (spec.rfind(prefix, 0) == 0) {
-        const std::string rate_s = spec.substr(prefix.size());
-        double rate = 0.0;
-        std::size_t used = 0;
-        try {
-            rate = std::stod(rate_s, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        if (used != rate_s.size() || rate_s.empty() || rate <= 0.0) {
-            return SimError(SimErrorKind::Config,
-                            cstr("bad arrival rate '", rate_s,
-                                 "' (want a positive arrivals-per-tick "
-                                 "value, e.g. open:0.05)"));
-        }
-        cfg.model = ArrivalModel::Open;
-        cfg.rate = rate;
-        return cfg;
-    }
-    return SimError(SimErrorKind::Config,
-                    cstr("bad arrival spec '", spec,
-                         "' (want 'closed' or 'open:<rate>')"));
-}
-
-ArrivalStamper::ArrivalStamper(std::unique_ptr<TraceSource> inner,
-                               const ArrivalConfig &cfg, ThreadId tid)
-    : inner_(std::move(inner)), cfg_(cfg),
-      rng_(cfg.seed
-           + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(tid) + 1)),
-      meanGap_(cfg.rate > 0.0 ? 1.0 / cfg.rate : 0.0)
-{
-}
-
-bool
-ArrivalStamper::next(TraceRecord &rec)
-{
-    if (!inner_->next(rec))
-        return false;
-    double mean = meanGap_;
-    if (cfg_.burstPeriod > 0 && cfg_.burstFactor > 1.0
-        && (clock_ % cfg_.burstPeriod) < cfg_.burstPeriod / 2) {
-        mean = meanGap_ / cfg_.burstFactor;
-    }
-    std::uint64_t gap = rng_.geometric(mean);
-    constexpr std::uint64_t maxGap =
-        std::numeric_limits<std::uint32_t>::max();
-    if (gap > maxGap)
-        gap = maxGap;
-    rec.gap = static_cast<std::uint32_t>(gap);
-    clock_ += gap;
-    return true;
-}
-
-BoundedRecordQueue::BoundedRecordQueue(std::size_t capacity,
-                                       OverflowPolicy policy)
-    : capacity_(capacity ? capacity : 1), policy_(policy)
+BoundedRecordQueue::BoundedRecordQueue(std::size_t capacity)
+    : capacity_(capacity ? capacity : 1)
 {
 }
 
@@ -91,23 +17,14 @@ bool
 BoundedRecordQueue::push(const TraceRecord &rec)
 {
     std::unique_lock<std::mutex> lk(mtx_);
-    if (policy_ == OverflowPolicy::Drop) {
-        if (aborted_)
-            return false;
-        if (q_.size() >= capacity_) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            return true;
-        }
-    } else {
-        if (q_.size() >= capacity_ && !aborted_) {
-            blockedWaits_.fetch_add(1, std::memory_order_relaxed);
-            notFull_.wait(lk, [&] {
-                return q_.size() < capacity_ || aborted_;
-            });
-        }
-        if (aborted_)
-            return false;
+    if (q_.size() >= capacity_ && !aborted_) {
+        blockedWaits_.fetch_add(1, std::memory_order_relaxed);
+        notFull_.wait(lk, [&] {
+            return q_.size() < capacity_ || aborted_;
+        });
     }
+    if (aborted_)
+        return false;
     q_.push_back(rec);
     depth_.store(q_.size(), std::memory_order_relaxed);
     pushed_.fetch_add(1, std::memory_order_relaxed);
@@ -240,7 +157,7 @@ StreamDemux::pull(ThreadId tid, TraceRecord &rec)
 StreamIngest::StreamIngest(std::unique_ptr<std::istream> in,
                            const StreamParams &params,
                            unsigned numThreads)
-    : in_(std::move(in)), q_(params.queueCapacity, params.overflow),
+    : in_(std::move(in)), q_(params.queueCapacity),
       demux_(q_, numThreads, params.demuxCapacity),
       numThreads_(numThreads)
 {

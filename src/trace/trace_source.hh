@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming trace ingestion: bounded-buffer sources, arrival models,
- * and the reader-thread pipeline behind `cmpcache serve`.
+ * Streaming trace ingestion: bounded-buffer sources and the
+ * reader-thread pipeline behind `cmpcache serve`.
  *
  * The batch path materializes a whole trace and splits it per thread
  * (splitByThread). The streaming path keeps memory bounded instead:
@@ -11,15 +11,8 @@
  * at most a configured skew window. See docs/serving.md for the wire
  * format, the backpressure contract and the bounded-memory guarantee.
  *
- * Arrival models (docs/serving.md):
- *  - closed-loop: a record's gap is think time relative to the
- *    previous *completion* on that thread (the classic batch-replay
- *    behavior; stalls push all later work back).
- *  - open-loop: gaps are interarrival times on an absolute clock
- *    stamped by the generator; a stalled CPU falls behind and then
- *    catches up in a burst, like a server draining a request queue.
- *    ArrivalStamper re-stamps any source with Poisson (geometric in
- *    whole ticks) interarrivals, optionally burst-modulated.
+ * Replay is closed loop: a record's gap is think time after the
+ * previous issue on its thread, so stalls push all later work back.
  */
 
 #ifndef CMPCACHE_TRACE_TRACE_SOURCE_HH
@@ -37,93 +30,23 @@
 #include <vector>
 
 #include "common/error.hh"
-#include "common/random.hh"
 #include "trace/trace.hh"
 
 namespace cmpcache
 {
 
-/** How record gaps are interpreted by the issuing CPU. */
-enum class ArrivalModel : std::uint8_t
-{
-    Closed, ///< gap = think time after the previous issue (default)
-    Open,   ///< gap = interarrival time on an absolute clock
-};
-
-const char *toString(ArrivalModel m);
-
-/** Arrival-model selection plus open-loop generator parameters. */
-struct ArrivalConfig
-{
-    ArrivalModel model = ArrivalModel::Closed;
-    /**
-     * Open loop: mean arrivals per tick per thread (> 0). The mean
-     * interarrival gap is 1/rate ticks, sampled geometrically.
-     */
-    double rate = 0.0;
-    /**
-     * Burst modulation: when burstPeriod > 0, the first half of every
-     * burstPeriod-tick window runs burstFactor times faster than the
-     * configured rate (the second half runs at the plain rate).
-     */
-    double burstFactor = 1.0;
-    std::uint64_t burstPeriod = 0;
-    /** Seed for the per-thread interarrival samplers. */
-    std::uint64_t seed = 1;
-};
-
-/**
- * Parse a CLI arrival spec: "closed" or "open:<rate>".
- * SimError (Config) names the offending spec on failure.
- */
-Expected<ArrivalConfig> parseArrivalSpec(const std::string &spec);
-
-/**
- * Decorator that re-stamps a source's gaps with sampled open-loop
- * interarrival times. Deterministic: the sample sequence depends only
- * on (seed, tid). Used when the trace's own gaps encode closed-loop
- * think time but the run wants generator-driven open-loop load.
- */
-class ArrivalStamper : public TraceSource
-{
-  public:
-    ArrivalStamper(std::unique_ptr<TraceSource> inner,
-                   const ArrivalConfig &cfg, ThreadId tid);
-
-    bool next(TraceRecord &rec) override;
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    ArrivalConfig cfg_;
-    Rng rng_;
-    double meanGap_;
-    /** Cumulative stamped arrival time, drives burst phasing. */
-    std::uint64_t clock_ = 0;
-};
-
-/** What a producer does when the ingest queue is full. */
-enum class OverflowPolicy : std::uint8_t
-{
-    Block, ///< backpressure: push blocks until space (lossless)
-    Drop,  ///< load shedding: record is discarded and counted
-};
-
 /**
  * Bounded MPSC record queue between the reader thread and the sim.
- * All counters are monotonically increasing and safe to read from any
- * thread without the lock (obs gauges sample them live).
+ * Lossless: a producer facing a full queue blocks until there is
+ * space. All counters are monotonically increasing and safe to read
+ * from any thread without the lock (obs gauges sample them live).
  */
 class BoundedRecordQueue
 {
   public:
-    explicit BoundedRecordQueue(std::size_t capacity,
-                                OverflowPolicy policy);
+    explicit BoundedRecordQueue(std::size_t capacity);
 
-    /**
-     * Enqueue @p rec. Block policy: waits for space (false only after
-     * abort()). Drop policy: returns true immediately, counting the
-     * record as dropped when the queue was full.
-     */
+    /** Enqueue @p rec, waiting for space (false only after abort()). */
     bool push(const TraceRecord &rec);
 
     /**
@@ -152,13 +75,11 @@ class BoundedRecordQueue
     std::size_t depth() const { return depth_.load(std::memory_order_relaxed); }
     std::uint64_t pushed() const { return pushed_.load(std::memory_order_relaxed); }
     std::uint64_t popped() const { return popped_.load(std::memory_order_relaxed); }
-    std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-    /** Cumulative ticks producers spent blocked on a full queue. */
+    /** Times a producer blocked on a full queue. */
     std::uint64_t blockedWaits() const { return blockedWaits_.load(std::memory_order_relaxed); }
 
   private:
     const std::size_t capacity_;
-    const OverflowPolicy policy_;
     mutable std::mutex mtx_;
     std::condition_variable notFull_;
     std::condition_variable notEmpty_;
@@ -170,7 +91,6 @@ class BoundedRecordQueue
     std::atomic<std::size_t> depth_{0};
     std::atomic<std::uint64_t> pushed_{0};
     std::atomic<std::uint64_t> popped_{0};
-    std::atomic<std::uint64_t> dropped_{0};
     std::atomic<std::uint64_t> blockedWaits_{0};
 };
 
@@ -233,7 +153,6 @@ class DemuxSource : public TraceSource
 struct StreamParams
 {
     std::size_t queueCapacity = 4096;
-    OverflowPolicy overflow = OverflowPolicy::Block;
     /** Total records the demux may buffer across threads. */
     std::size_t demuxCapacity = 1u << 16;
 };
@@ -267,7 +186,6 @@ class StreamIngest
     /// @{
     std::size_t queueDepth() const { return q_.depth(); }
     std::uint64_t recordsIngested() const { return q_.pushed(); }
-    std::uint64_t recordsDropped() const { return q_.dropped(); }
     std::uint64_t producerBlockedWaits() const { return q_.blockedWaits(); }
     std::size_t demuxBuffered() const { return demux_.buffered(); }
     /// @}

@@ -1,25 +1,11 @@
-/** @file Unit tests for replacement policies. */
+/** @file Unit tests for the LRU replacement state. */
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
+#include "common/random.hh"
 #include "mem/replacement.hh"
 
 using namespace cmpcache;
-
-namespace
-{
-
-std::vector<unsigned>
-allWays(unsigned n)
-{
-    std::vector<unsigned> v(n);
-    std::iota(v.begin(), v.end(), 0u);
-    return v;
-}
-
-} // namespace
 
 TEST(Lru, VictimIsLeastRecentlyTouched)
 {
@@ -28,9 +14,9 @@ TEST(Lru, VictimIsLeastRecentlyTouched)
     for (unsigned w = 0; w < 4; ++w)
         lru.insert(0, w, InsertPos::Mru);
     lru.touch(0, 0); // order now: 1 (oldest), 2, 3, 0
-    EXPECT_EQ(lru.victim(0, allWays(4)), 1u);
+    EXPECT_EQ(lru.victim(0, allWaysMask(4)), 1u);
     lru.touch(0, 1);
-    EXPECT_EQ(lru.victim(0, allWays(4)), 2u);
+    EXPECT_EQ(lru.victim(0, allWaysMask(4)), 2u);
 }
 
 TEST(Lru, LruInsertGoesColdest)
@@ -40,7 +26,7 @@ TEST(Lru, LruInsertGoesColdest)
     for (unsigned w = 0; w < 4; ++w)
         lru.insert(0, w, InsertPos::Mru);
     lru.insert(0, 2, InsertPos::Lru);
-    EXPECT_EQ(lru.victim(0, allWays(4)), 2u);
+    EXPECT_EQ(lru.victim(0, allWaysMask(4)), 2u);
 }
 
 TEST(Lru, RestrictedCandidates)
@@ -49,7 +35,7 @@ TEST(Lru, RestrictedCandidates)
     lru.init(1, 4);
     for (unsigned w = 0; w < 4; ++w)
         lru.insert(0, w, InsertPos::Mru); // 0 oldest
-    EXPECT_EQ(lru.victim(0, {2, 3}), 2u);
+    EXPECT_EQ(lru.victim(0, WayMask{0b1100}), 2u); // ways 2 and 3
 }
 
 TEST(Lru, SetsAreIndependent)
@@ -62,8 +48,8 @@ TEST(Lru, SetsAreIndependent)
     lru.insert(1, 1, InsertPos::Mru);
     lru.touch(0, 0);
     // Set 1 is unaffected by set 0's touch.
-    EXPECT_EQ(lru.victim(1, allWays(2)), 0u);
-    EXPECT_EQ(lru.victim(0, allWays(2)), 1u);
+    EXPECT_EQ(lru.victim(1, allWaysMask(2)), 0u);
+    EXPECT_EQ(lru.victim(0, allWaysMask(2)), 1u);
 }
 
 TEST(Lru, RankReflectsRecency)
@@ -78,123 +64,26 @@ TEST(Lru, RankReflectsRecency)
     EXPECT_EQ(lru.rank(0, 0), 3u);
 }
 
-TEST(TreePlru, VictimAvoidsRecentlyTouched)
+// Property: the chosen victim is always among the candidates.
+TEST(Lru, VictimAlwaysACandidate)
 {
-    TreePlruPolicy plru;
-    plru.init(1, 8);
-    for (unsigned w = 0; w < 8; ++w)
-        plru.insert(0, w, InsertPos::Mru);
-    const unsigned hot = 5;
-    plru.touch(0, hot);
-    EXPECT_NE(plru.victim(0, allWays(8)), hot);
-}
-
-TEST(TreePlru, RepeatedVictimTouchCyclesThroughWays)
-{
-    TreePlruPolicy plru;
-    plru.init(1, 4);
-    std::set<unsigned> victims;
-    for (int i = 0; i < 4; ++i) {
-        const unsigned v = plru.victim(0, allWays(4));
-        victims.insert(v);
-        plru.touch(0, v);
-    }
-    // Touching each victim must steer the tree to fresh ways.
-    EXPECT_EQ(victims.size(), 4u);
-}
-
-TEST(TreePlruDeath, NonPowerOfTwoWaysPanics)
-{
-    TreePlruPolicy plru;
-    EXPECT_DEATH(plru.init(4, 6), "power-of-two");
-}
-
-TEST(Random, AlwaysPicksACandidate)
-{
-    RandomPolicy rnd(3);
-    rnd.init(4, 8);
-    for (int i = 0; i < 1000; ++i) {
-        const unsigned v = rnd.victim(0, {1, 4, 6});
-        EXPECT_TRUE(v == 1 || v == 4 || v == 6);
-    }
-}
-
-TEST(Random, DeterministicWithSeed)
-{
-    RandomPolicy a(42);
-    RandomPolicy b(42);
-    a.init(1, 8);
-    b.init(1, 8);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(a.victim(0, {0, 1, 2, 3, 4, 5, 6, 7}),
-                  b.victim(0, {0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(Nru, PrefersNotRecentlyUsed)
-{
-    NruPolicy nru;
-    nru.init(1, 4);
-    for (unsigned w = 0; w < 4; ++w)
-        nru.insert(0, w, InsertPos::Lru); // all ref bits clear
-    nru.touch(0, 0);
-    nru.touch(0, 1);
-    EXPECT_EQ(nru.victim(0, allWays(4)), 2u);
-}
-
-TEST(Nru, SweepResetsWhenAllBitsSet)
-{
-    NruPolicy nru;
-    nru.init(1, 2);
-    nru.touch(0, 0);
-    nru.touch(0, 1); // triggers the aging sweep, keeping only way 1
-    EXPECT_EQ(nru.victim(0, allWays(2)), 0u);
-}
-
-TEST(Factory, MakesAllPolicies)
-{
-    EXPECT_EQ(makeReplacementPolicy("lru")->name(), "lru");
-    EXPECT_EQ(makeReplacementPolicy("tree-plru")->name(), "tree-plru");
-    EXPECT_EQ(makeReplacementPolicy("random")->name(), "random");
-    EXPECT_EQ(makeReplacementPolicy("nru")->name(), "nru");
-}
-
-TEST(FactoryDeath, UnknownPolicyIsFatal)
-{
-    EXPECT_EXIT(makeReplacementPolicy("fifo"),
-                ::testing::ExitedWithCode(1), "unknown replacement");
-}
-
-// Property: for every policy, the chosen victim is always among the
-// candidates.
-class PolicySweep : public ::testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(PolicySweep, VictimAlwaysACandidate)
-{
-    auto policy = makeReplacementPolicy(GetParam());
-    policy->init(8, 8);
+    LruPolicy lru;
+    lru.init(8, 8);
     Rng rng(77);
     for (int i = 0; i < 2000; ++i) {
         const unsigned set = static_cast<unsigned>(rng.below(8));
-        std::vector<unsigned> cands;
+        WayMask cands = 0;
         for (unsigned w = 0; w < 8; ++w)
             if (rng.chance(0.5))
-                cands.push_back(w);
-        if (cands.empty())
-            cands.push_back(static_cast<unsigned>(rng.below(8)));
-        const unsigned v = policy->victim(set, cands);
-        EXPECT_NE(std::find(cands.begin(), cands.end(), v),
-                  cands.end());
+                cands |= WayMask{1} << w;
+        if (!cands)
+            cands = WayMask{1} << rng.below(8);
+        const unsigned v = lru.victim(set, cands);
+        EXPECT_TRUE(cands >> v & 1) << "way " << v << " mask " << cands;
         if (rng.chance(0.7))
-            policy->touch(set, v);
+            lru.touch(set, v);
         else
-            policy->insert(set, v,
-                           rng.chance(0.5) ? InsertPos::Mru
-                                           : InsertPos::Lru);
+            lru.insert(set, v,
+                       rng.chance(0.5) ? InsertPos::Mru : InsertPos::Lru);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicySweep,
-                         ::testing::Values("lru", "tree-plru", "random",
-                                           "nru"));

@@ -13,7 +13,7 @@ TagArray
 makeArray(std::uint64_t size = 16 * 1024, unsigned assoc = 4,
           unsigned line = 128)
 {
-    return TagArray(size, assoc, line, makeReplacementPolicy("lru"));
+    return TagArray(size, assoc, line);
 }
 
 } // namespace
@@ -257,16 +257,4 @@ TEST(TagArrayInformed, InvalidWaysStillWin)
         0x800, [](const TagEntry &) { return true; });
     ASSERT_NE(v, nullptr);
     EXPECT_FALSE(v->valid());
-}
-
-TEST(TagArrayInformed, NonRankingPolicyFallsBack)
-{
-    TagArray t(1024, 4, 128, makeReplacementPolicy("random"));
-    for (int i = 0; i < 4; ++i)
-        t.insert(t.findVictim(0x000),
-                 static_cast<Addr>(i) * 0x200, LineState::Shared);
-    TagEntry *v = t.findVictimInformed(
-        0x800, [](const TagEntry &) { return true; });
-    ASSERT_NE(v, nullptr);
-    EXPECT_TRUE(v->valid()); // some victim, chosen by the fallback
 }

@@ -84,8 +84,7 @@ TEST_P(TagArrayModelSweep, MatchesReferenceLru)
     constexpr unsigned Line = 128;
     constexpr unsigned Ways = 4;
     constexpr unsigned Sets = 8;
-    TagArray tags(Sets * Ways * Line, Ways, Line,
-                  makeReplacementPolicy("lru"));
+    TagArray tags(Sets * Ways * Line, Ways, Line);
     RefModel model(Sets, Ways, Line);
     Rng rng(GetParam());
 

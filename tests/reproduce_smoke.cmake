@@ -1,8 +1,11 @@
 # Run scripts/reproduce.py at a tiny trace length and pass only if it
-# exits 0, prints every section heading and writes the six figure
-# CSVs with their full row counts. Everything it writes stays in OUT.
+# exits 0, prints every section heading, prints exactly GOLDEN once
+# the `wrote ...` lines (they carry OUT, and the PNG ones appear only
+# with gnuplot) are dropped, and writes the six figure CSVs with their
+# full row counts. Everything it writes stays in OUT.
 #
-#   cmake -DSCRIPT=<reproduce.py> -DCMD=<cmpcache> -DOUT=<dir> -P <this file>
+#   cmake -DSCRIPT=<reproduce.py> -DCMD=<cmpcache> -DOUT=<dir>
+#         -DGOLDEN=<expected stdout> -P <this file>
 file(REMOVE_RECURSE "${OUT}")
 execute_process(COMMAND ${SCRIPT} --cmpcache=${CMD} --refs=300
                         --results-dir=${OUT}/results -o ${OUT}/figures
@@ -20,6 +23,18 @@ foreach(section "Table 1" "Table 2" "Table 3" "Table 4" "Table 5"
         message(FATAL_ERROR "no '${section}' section in:\n${out}")
     endif()
 endforeach()
+# Each match takes the newline before a `wrote` line, so runs of them
+# go too; the leading newline lets the first line match.
+string(REGEX REPLACE "\nwrote [^\n]*" "" tables "\n${out}")
+string(SUBSTRING "${tables}" 1 -1 tables)
+file(WRITE "${OUT}/stdout.txt" "${tables}")
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        "${OUT}/stdout.txt" "${GOLDEN}"
+                RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "reproduce.py stdout (without its 'wrote' "
+                        "lines) ${OUT}/stdout.txt differs from ${GOLDEN}")
+endif()
 foreach(fig 2 3 4 5 6 7)
     set(csv "${OUT}/figures/fig${fig}.csv")
     if(NOT EXISTS "${csv}")

@@ -64,10 +64,15 @@ TEST(ConfigIo, ParsesStreamWithCommentsAndBlanks)
 
 TEST(ConfigIo, UnknownKeyReportsError)
 {
-    // run.threads, run.fastpath and obs.sched configured features that
-    // no longer exist; files that still set them fail by key name.
+    // These keys configured features that no longer exist: the
+    // kernel's worker threads and fast path, the replacement-policy
+    // zoo, open-loop arrival and drop-mode ingest. Files that still
+    // set them fail by key name.
     for (const std::string key :
-         {"l4.size", "run.threads", "run.fastpath", "obs.sched"}) {
+         {"l4.size", "run.threads", "run.fastpath", "obs.sched",
+          "l2.repl", "l3.repl", "arrival.model", "arrival.rate",
+          "arrival.burst_factor", "arrival.burst_period",
+          "arrival.seed", "stream.overflow"}) {
         SystemConfig cfg;
         const auto r = applyConfigOption(cfg, key, "1");
         ASSERT_FALSE(r.ok()) << key;
@@ -172,9 +177,6 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     a.l3.wbQueueDepth = 12;
     a.policy.snarfInsert = InsertPos::Lru;
     a.enableWbReuseTracker = true;
-    // Reloads bit for bit only from all 17 significant digits
-    // (0.30000000000000004); six digits would give back 0.3.
-    a.arrival.rate = 0.1 + 0.2;
 
     std::stringstream ss;
     saveConfig(a, ss);
@@ -188,7 +190,6 @@ TEST(ConfigIo, SaveLoadRoundTrip)
     EXPECT_EQ(b.l3.wbQueueDepth, 12u);
     EXPECT_EQ(b.policy.snarfInsert, InsertPos::Lru);
     EXPECT_TRUE(b.enableWbReuseTracker);
-    EXPECT_EQ(b.arrival.rate, a.arrival.rate);
 
     std::ostringstream again;
     saveConfig(b, again);
@@ -291,11 +292,12 @@ TEST(ConfigIo, ChangedKeysReproduceTheSavedConfig)
     SystemConfig a;
     mustApply(a, "policy", "combined");
     mustApply(a, "topology.l3_slices", "8");
-    mustApply(a, "arrival.rate", "0.0123456789");
+    mustApply(a, "l3.access_latency", "40");
     mustApply(a, "fault.plan", "l3_retry:100:200");
     const auto changed = changedConfigKeys(a);
     ASSERT_EQ(changed.size(), 4u);
-    EXPECT_EQ(changed[0].first, "arrival.rate");
+    EXPECT_EQ(changed[0].first, "fault.plan");
+    EXPECT_EQ(changed[1].first, "l3.access_latency");
 
     SystemConfig b;
     for (const auto &[key, value] : changed)

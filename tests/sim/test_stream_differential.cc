@@ -171,20 +171,6 @@ TEST(StreamDifferential, TextStreamMatchesBatch)
                              "text");
 }
 
-TEST(StreamDifferential, OpenLoopStreamMatchesBatch)
-{
-    // The arrival stamper wraps the per-thread sources identically on
-    // both paths, so the open-loop model must stay deterministic and
-    // path-independent too.
-    SystemConfig cfg = baseConfig();
-    cfg.arrival.model = ArrivalModel::Open;
-    cfg.arrival.rate = 0.2;
-    cfg.arrival.seed = 7;
-    const auto recs = makeTrace(4, 300);
-    expectStreamMatchesBatch(cfg, serialize(recs, TraceFormat::Binary),
-                             "open-loop");
-}
-
 TEST(StreamDifferential, SentinelCountStreamMatchesBatch)
 {
     // The open-ended (record count = sentinel) framing a live

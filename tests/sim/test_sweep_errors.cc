@@ -189,7 +189,7 @@ TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
     spec.base.policy.wbht.entries = 48;
     spec.base.topology.l3Slices = 8;
     spec.base.fault.plan = "l3_retry:100:200";
-    spec.base.arrival.rate = 0.0123456789;
+    spec.base.l3.accessLatency = 40;
     spec.workloadOverrides = {{"wl.name", "it's thrash"}};
     const auto jobs = spec.expand();
     const auto results = runSweep(spec, 1);

@@ -2,8 +2,7 @@
  * @file
  * Streaming-ingestion tests: the incremental TraceStreamParser on
  * non-seekable streams (the silent-empty-trace regression), the
- * bounded queue's backpressure and drop accounting, the per-thread
- * demux, and the open-loop arrival stamper.
+ * bounded queue's backpressure, and the per-thread demux.
  */
 
 #include <gtest/gtest.h>
@@ -181,71 +180,11 @@ TEST(TraceStream, ParserErrorIsSticky)
 }
 
 // ---------------------------------------------------------------------
-// Arrival model parsing and stamping
-
-TEST(ArrivalSpec, ParsesClosedAndOpen)
-{
-    const auto closed = parseArrivalSpec("closed");
-    ASSERT_TRUE(closed.ok());
-    EXPECT_EQ(closed->model, ArrivalModel::Closed);
-
-    const auto open = parseArrivalSpec("open:0.05");
-    ASSERT_TRUE(open.ok()) << open.error().message;
-    EXPECT_EQ(open->model, ArrivalModel::Open);
-    EXPECT_DOUBLE_EQ(open->rate, 0.05);
-}
-
-TEST(ArrivalSpec, RejectsBadSpecs)
-{
-    for (const char *bad :
-         {"", "open", "open:", "open:0", "open:-1", "open:zz",
-          "poisson:3", "closed:1"}) {
-        const auto r = parseArrivalSpec(bad);
-        EXPECT_FALSE(r.ok()) << "accepted '" << bad << "'";
-        if (!r.ok())
-            EXPECT_EQ(r.error().kind, SimErrorKind::Config) << bad;
-    }
-}
-
-TEST(ArrivalStamperTest, DeterministicPerSeedAndThread)
-{
-    const auto run = [](std::uint64_t seed, ThreadId tid) {
-        std::vector<TraceRecord> recs(64, {0x40, 7, tid, MemOp::Load});
-        ArrivalConfig cfg;
-        cfg.model = ArrivalModel::Open;
-        cfg.rate = 0.1;
-        cfg.seed = seed;
-        ArrivalStamper s(std::make_unique<VectorSource>(recs), cfg,
-                         tid);
-        std::vector<std::uint32_t> gaps;
-        TraceRecord r;
-        while (s.next(r))
-            gaps.push_back(r.gap);
-        return gaps;
-    };
-    const auto a = run(1, 0);
-    EXPECT_EQ(a.size(), 64u);
-    EXPECT_EQ(a, run(1, 0)) << "same seed+tid must restamp "
-                               "identically";
-    EXPECT_NE(a, run(1, 1)) << "threads must sample independent "
-                               "interarrival streams";
-    EXPECT_NE(a, run(2, 0));
-
-    // The stamped gaps should average near 1/rate = 10 ticks.
-    double sum = 0;
-    for (const auto g : a)
-        sum += g;
-    const double mean = sum / double(a.size());
-    EXPECT_GT(mean, 2.0);
-    EXPECT_LT(mean, 40.0);
-}
-
-// ---------------------------------------------------------------------
 // Bounded queue
 
 TEST(BoundedQueue, BlockPolicyIsLosslessUnderBackpressure)
 {
-    BoundedRecordQueue q(4, OverflowPolicy::Block);
+    BoundedRecordQueue q(4);
     constexpr std::uint64_t kCount = 1000;
     std::thread producer([&] {
         for (std::uint64_t i = 0; i < kCount; ++i) {
@@ -262,29 +201,13 @@ TEST(BoundedQueue, BlockPolicyIsLosslessUnderBackpressure)
     }
     producer.join();
     EXPECT_EQ(seen, kCount);
-    EXPECT_EQ(q.dropped(), 0u);
     EXPECT_EQ(q.pushed(), kCount);
     EXPECT_EQ(q.popped(), kCount);
 }
 
-TEST(BoundedQueue, DropPolicyShedsAndCounts)
-{
-    BoundedRecordQueue q(4, OverflowPolicy::Drop);
-    for (std::uint64_t i = 0; i < 10; ++i)
-        ASSERT_TRUE(q.push({i, 0, 0, MemOp::Load}));
-    q.close();
-    EXPECT_EQ(q.pushed(), 4u);
-    EXPECT_EQ(q.dropped(), 6u);
-    TraceRecord r;
-    std::uint64_t seen = 0;
-    while (q.pop(r))
-        ++seen;
-    EXPECT_EQ(seen, 4u);
-}
-
 TEST(BoundedQueue, AbortUnblocksProducerAndConsumer)
 {
-    BoundedRecordQueue q(1, OverflowPolicy::Block);
+    BoundedRecordQueue q(1);
     ASSERT_TRUE(q.push({1, 0, 0, MemOp::Load}));
     std::atomic<bool> pushReturned{false};
     std::thread producer([&] {
@@ -305,7 +228,7 @@ TEST(BoundedQueue, AbortUnblocksProducerAndConsumer)
 
 TEST(StreamDemuxTest, PreservesPerThreadSubsequences)
 {
-    BoundedRecordQueue q(16, OverflowPolicy::Block);
+    BoundedRecordQueue q(16);
     // Interleave three threads with distinct per-thread sequences.
     std::vector<TraceRecord> recs;
     for (std::uint64_t i = 0; i < 30; ++i)
@@ -332,7 +255,7 @@ TEST(StreamDemuxTest, PreservesPerThreadSubsequences)
 
 TEST(StreamDemuxTest, SkewCapIsAStructuredError)
 {
-    BoundedRecordQueue q(4, OverflowPolicy::Block);
+    BoundedRecordQueue q(4);
     std::thread producer([&] {
         for (std::uint64_t i = 0; i < 100; ++i)
             if (!q.push({i, 0, 0, MemOp::Load}))
@@ -358,7 +281,7 @@ TEST(StreamDemuxTest, SkewCapIsAStructuredError)
 
 TEST(StreamDemuxTest, OutOfRangeTidIsAStructuredError)
 {
-    BoundedRecordQueue q(4, OverflowPolicy::Block);
+    BoundedRecordQueue q(4);
     q.push({0x40, 0, 7, MemOp::Load});
     q.close();
     StreamDemux demux(q, 2, 8);
@@ -368,7 +291,7 @@ TEST(StreamDemuxTest, OutOfRangeTidIsAStructuredError)
 
 TEST(StreamDemuxTest, ProducerErrorPropagatesToConsumers)
 {
-    BoundedRecordQueue q(4, OverflowPolicy::Block);
+    BoundedRecordQueue q(4);
     q.push({0x40, 0, 0, MemOp::Load});
     q.fail(SimError(SimErrorKind::Trace, "synthetic decode failure"));
     StreamDemux demux(q, 2, 8);
@@ -415,7 +338,6 @@ TEST(StreamIngestTest, MatchesSplitByThread)
             << "thread " << t << " has extra records";
     }
     EXPECT_EQ(ingest.recordsIngested(), recs.size());
-    EXPECT_EQ(ingest.recordsDropped(), 0u);
 }
 
 TEST(StreamIngestTest, DecodeErrorSurfacesAsException)
