@@ -29,8 +29,8 @@
 #                               # trip through --config
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core
-#                               # watchdogged run on every layout, and
-#                               # the BENCH_scale.json events/sec guard
+#                               # watchdogged run, and the
+#                               # BENCH_scale.json events/sec guard
 #   scripts/check.sh chaos      # conformance-oracle fuzzing smoke: a
 #                               # clean seeded campaign must pass, and
 #                               # a campaign with the wb_blind_spot
@@ -161,7 +161,7 @@ if [ "$SELECT" = scale ]; then
     # The topology API's scaled machines (docs/topology.md): a 32-core
     # sweep cell must pass the coherence invariant checker, and a
     # 64-core/16-L2 machine must run to completion under the stall
-    # watchdog on every interconnect layout.
+    # watchdog.
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     run_phase scale-32c-invariants \
@@ -172,20 +172,17 @@ if [ "$SELECT" = scale ]; then
         topology.l3_slices=8
     grep -q '"coherenceViolations": \[0\]' "$smoke_dir/32c.json" \
         || { echo "32-core sweep reported violations" >&2; exit 1; }
-    for layout in single_ring dual_ring hier_ring; do
-        run_phase "scale-64c-$layout" \
-            ./build/src/cmpcache sweep \
-            --workloads=thrash --policies=combined --refs=1000 \
-            --out="$smoke_dir/64c-$layout.json" --quiet \
-            topology.cores=64 topology.smt=1 topology.l2s=16 \
-            topology.l3_slices=16 "topology.layout=$layout" \
-            topology.rings=4 watchdog.every=50000 \
-            watchdog.stall_checks=10
-        if grep -q '"status"' "$smoke_dir/64c-$layout.json"; then
-            echo "64-core $layout run failed" >&2
-            exit 1
-        fi
-    done
+    run_phase scale-64c \
+        ./build/src/cmpcache sweep \
+        --workloads=thrash --policies=combined --refs=1000 \
+        --out="$smoke_dir/64c.json" --quiet \
+        topology.cores=64 topology.smt=1 topology.l2s=16 \
+        topology.l3_slices=16 watchdog.every=50000 \
+        watchdog.stall_checks=10
+    if grep -q '"status"' "$smoke_dir/64c.json"; then
+        echo "64-core run failed" >&2
+        exit 1
+    fi
     if [ -z "${CMPCACHE_SKIP_BENCH:-}" ]; then
         run_phase bench-scale python3 scripts/bench_guard.py \
             --bench build/bench/scale \
@@ -193,7 +190,7 @@ if [ "$SELECT" = scale ]; then
     else
         echo "scale: bench guard skipped (CMPCACHE_SKIP_BENCH set)"
     fi
-    echo "scale: 32-core invariants + 64-core layout smoke OK"
+    echo "scale: 32-core invariants + 64-core smoke OK"
     exit 0
 fi
 

@@ -160,29 +160,11 @@ drawSample(const ChaosOptions &opts, unsigned index)
     s.seed = rng.next() | 1;
 
     // Machine shape: small enough to run thousands of samples, varied
-    // enough to cover every interconnect layout and the thread-count
-    // dependent collector paths.
-    switch (rng.below(4)) {
-      case 0:
-        s.cfg.topology.cores = 2;
-        s.cfg.topology.l2s = 2;
-        break;
-      case 1:
-        s.cfg.topology.cores = 4;
-        s.cfg.topology.l2s = 4;
-        break;
-      case 2:
-        s.cfg.topology.cores = 4;
-        s.cfg.topology.l2s = 4;
-        s.cfg.topology.layout = RingLayout::DualRing;
-        break;
-      default:
-        s.cfg.topology.cores = 4;
-        s.cfg.topology.l2s = 4;
-        s.cfg.topology.layout = RingLayout::HierRing;
-        s.cfg.topology.rings = 2;
-        break;
-    }
+    // enough to cover the thread-count dependent collector paths: one
+    // draw in four is the 2-L2 machine, the rest the 4-L2 one.
+    const bool two_l2s = rng.below(4) == 0;
+    s.cfg.topology.cores = two_l2s ? 2 : 4;
+    s.cfg.topology.l2s = two_l2s ? 2 : 4;
     s.cfg.topology.smt = 2;
 
     // The full conformance stack, always on; chaos runs start cold
@@ -206,7 +188,6 @@ drawSample(const ChaosOptions &opts, unsigned index)
     s.cfg.fault.plan = plan;
     s.cfg.fault.seed = rng.next() | 1;
 
-    const unsigned threads = s.cfg.topology.cores * s.cfg.topology.smt;
     switch (rng.below(4)) {
       case 0:
         s.workload = workloads::producerConsumerStress(
@@ -226,19 +207,16 @@ drawSample(const ChaosOptions &opts, unsigned index)
             opts.recordsPerThread, s.seed, 128ull << (2 * rng.below(2)));
         break;
     }
-    s.workload.numThreads = threads;
-
-    // Pin the line size so a trace-driven re-run (which takes the
-    // config as-is) sees the exact machine the workload run resolved.
-    s.cfg.l2.lineSize = s.workload.lineSize;
-    s.cfg.l3.lineSize = s.workload.lineSize;
+    // As in a sweep cell, the machine sets the thread count and the
+    // line size.
+    s.workload.numThreads = s.cfg.numThreads();
+    s.workload.lineSize = s.cfg.l2.lineSize;
 
     std::ostringstream sum;
     sum << s.workload.name << " shared_lines="
         << s.workload.sharedLines << " cores="
         << s.cfg.topology.cores << "x" << s.cfg.topology.smt
-        << " l2s=" << s.cfg.topology.l2s << " layout="
-        << toString(s.cfg.topology.layout) << " seed=" << s.seed
+        << " l2s=" << s.cfg.topology.l2s << " seed=" << s.seed
         << " fault.plan='"
         << s.cfg.fault.plan << "' fault.seed=" << s.cfg.fault.seed;
     s.summary = sum.str();

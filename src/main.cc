@@ -150,9 +150,6 @@ usage()
         "status:\"error\" in the results)\n";
 }
 
-using WorkloadOverrides =
-    std::vector<std::pair<std::string, std::string>>;
-
 /**
  * The configuration options sweep, serve and help config share:
  * --config=FILE, then the positional KEY=VALUE overrides from index
@@ -471,12 +468,9 @@ serveMain(const CliArgs &args)
         sim = std::make_unique<Simulation>(cfg, std::move(in),
                                            std::move(name));
     } else {
-        auto params = sweepWorkloadByName(
-            workload, refs, args.getUnsigned("seed", std::uint64_t{1}));
-        for (const auto &[key, value] : wl_overrides)
-            applyWorkloadOption(params, key, value);
-        // As in a sweep cell: the machine shape sets the thread count.
-        params.numThreads = cfg.numThreads();
+        const auto params = resolveWorkload(
+            workload, refs, args.getUnsigned("seed", std::uint64_t{1}),
+            wl_overrides, cfg);
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
                    params.recordsPerThread, " records/thread");
@@ -536,6 +530,10 @@ helpConfigMain(const CliArgs &args)
     SystemConfig cfg;
     const WorkloadOverrides wl_overrides =
         applyConfigArgs(args, cfg, /*first=*/1);
+    // Echo only overrides that sweep and serve would accept.
+    WorkloadParams parsed;
+    for (const auto &[key, value] : wl_overrides)
+        applyWorkloadOption(parsed, key, value);
     saveConfig(cfg, std::cout);
     std::cout << "#\n# workload keys: KEY=VALUE overrides for sweep "
                  "and serve, not config-file keys\n";

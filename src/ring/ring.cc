@@ -36,15 +36,8 @@ Ring::Ring(stats::Group *parent, EventQueue &eq, const RingParams &p,
                       return static_cast<double>(reqQueue_.size());
                   })
 {
-    dataRings_.resize(topo_.numRings());
-    for (unsigned r = 0; r < topo_.numRings(); ++r) {
-        DataRing &ring = dataRings_[r];
-        ring.size = topo_.ringSize(r);
-        for (int dir = 0; dir < 2; ++dir) {
-            ring.nextFree[dir].assign(ring.size, 0);
-            ring.scratch[dir].reserve(ring.size);
-        }
-    }
+    for (auto &segments : nextFree_)
+        segments.assign(topo_.numStops(), 0);
 }
 
 void
@@ -262,94 +255,50 @@ Ring::reserveDataTransfer(RingStop src, RingStop dst, Tick earliest)
     if (src == dst)
         return earliest + params_.segmentOccupancy;
 
-    CmpTopology::DataLeg legs[3];
-    const unsigned nlegs = topo_.route(src, dst, legs);
-    cmp_assert(nlegs > 0, "no data path found");
+    // Evaluate both directions without committing and take the
+    // earlier arrival; ties go to the shorter path, then clockwise.
+    const unsigned n = topo_.numStops();
+    const unsigned from = src.value();
+    const unsigned to = dst.value();
+    const unsigned hops[2] = {(to + n - from) % n, (from + n - to) % n};
+    const Tick arrive[2] = {walkData(0, from, hops[0], earliest, nullptr),
+                            walkData(1, from, hops[1], earliest, nullptr)};
+    const int dir = arrive[1] < arrive[0]
+                            || (arrive[1] == arrive[0]
+                                && hops[1] < hops[0])
+                        ? 1
+                        : 0;
 
-    // Legs chain: each starts no earlier than the previous leg's
-    // arrival. A transfer counts as delayed at most once, however
-    // many legs queued.
+    // A transfer counts as delayed at most once, however many of its
+    // segments were busy.
     bool waited = false;
-    Tick at = earliest;
-    for (unsigned i = 0; i < nlegs; ++i)
-        at = reserveLeg(legs[i], at, waited);
+    walkData(dir, from, hops[dir], earliest, &waited);
     if (waited)
         ++dataSegmentWaits_;
-    return at;
+    return arrive[dir];
 }
 
 Tick
-Ring::reserveLeg(const CmpTopology::DataLeg &leg, Tick earliest,
-                 bool &waited)
+Ring::walkData(int dir, unsigned src, unsigned hops, Tick earliest,
+               bool *waited)
 {
-    const unsigned src = leg.srcPos;
-    const unsigned dst = leg.dstPos;
-
-    // Evaluate both directions -- on every interchangeable lane --
-    // without committing; pick the earlier arrival (ties go to the
-    // shorter path, then the lower lane). Reservation ticks land in
-    // the per-ring, per-direction scratch buffers (reserved at
-    // construction) so the evaluation allocates nothing.
-    const unsigned lanes = topo_.numDataLanes();
-    Tick best_arrive = MaxTick;
-    int best_dir = -1;
-    unsigned best_lane = 0;
-    unsigned best_hops = 0;
-
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-        DataRing &ring = dataRings_[leg.ring + lane];
-        const unsigned n = ring.size;
-        const unsigned hops_by_dir[2] = {(dst + n - src) % n,
-                                         (src + n - dst) % n};
-        for (int dir = 0; dir < 2; ++dir) {
-            const unsigned hops = hops_by_dir[dir];
-            if (hops == 0)
-                continue;
-            Tick head = earliest;
-            std::vector<Tick> &upd = ring.scratch[dir];
-            upd.clear();
-            unsigned stop = src;
-            for (unsigned h = 0; h < hops; ++h) {
-                const unsigned seg =
-                    dir == 0 ? stop : (stop + n - 1) % n;
-                head = std::max(head, ring.nextFree[dir][seg]);
-                upd.push_back(head + params_.segmentOccupancy);
-                head += params_.hopCycles;
-                stop = dir == 0 ? (stop + 1) % n : (stop + n - 1) % n;
-            }
-            // The tail of the line arrives one occupancy after the
-            // head entered the last segment.
-            const Tick arrive =
-                head - params_.hopCycles + params_.segmentOccupancy;
-            const bool better =
-                arrive < best_arrive
-                || (arrive == best_arrive && best_dir >= 0
-                    && hops < best_hops);
-            if (better) {
-                best_arrive = arrive;
-                best_dir = dir;
-                best_lane = lane;
-                best_hops = hops;
-            }
-        }
-    }
-
-    cmp_assert(best_dir >= 0, "no data path found");
-
-    // Commit the winning reservation.
-    DataRing &ring = dataRings_[leg.ring + best_lane];
-    const unsigned n = ring.size;
-    const std::vector<Tick> &best_free = ring.scratch[best_dir];
+    const unsigned n = topo_.numStops();
+    std::vector<Tick> &next_free = nextFree_[dir];
+    Tick head = earliest;
     unsigned stop = src;
-    for (unsigned h = 0; h < best_hops; ++h) {
-        const unsigned seg =
-            best_dir == 0 ? stop : (stop + n - 1) % n;
-        if (ring.nextFree[best_dir][seg] > earliest)
-            waited = true;
-        ring.nextFree[best_dir][seg] = best_free[h];
-        stop = best_dir == 0 ? (stop + 1) % n : (stop + n - 1) % n;
+    for (unsigned h = 0; h < hops; ++h) {
+        const unsigned seg = dir == 0 ? stop : (stop + n - 1) % n;
+        head = std::max(head, next_free[seg]);
+        if (waited) {
+            *waited = *waited || next_free[seg] > earliest;
+            next_free[seg] = head + params_.segmentOccupancy;
+        }
+        head += params_.hopCycles;
+        stop = dir == 0 ? (stop + 1) % n : (stop + n - 1) % n;
     }
-    return best_arrive;
+    // The tail of the line arrives one occupancy after the head
+    // entered the last segment.
+    return head - params_.hopCycles + params_.segmentOccupancy;
 }
 
 } // namespace cmpcache

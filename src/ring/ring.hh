@@ -13,9 +13,10 @@
  *
  *  - The *data ring* carries line transfers point-to-point between
  *    ring stops. Each inter-stop segment is a resource a transfer
- *    occupies for `segmentOccupancy` cycles. Transfers take the
- *    less-congested direction and queue on busy segments, so
- *    contention lengthens latency under load.
+ *    occupies for `segmentOccupancy` cycles, with one reservation
+ *    array per direction. Transfers take the direction that arrives
+ *    first and queue on busy segments, so contention lengthens
+ *    latency under load.
  *
  * Component latencies are chosen so the contention-free load-to-use
  * totals match paper Table 3: 77 cycles L2-to-L2, 167 cycles from the
@@ -99,9 +100,9 @@ class BusAgent
 };
 
 /**
- * Timing parameters of the ring. Geometry (stop counts, layout,
- * segment counts) is no longer a knob here: it derives entirely from
- * the CmpTopology the ring is built with.
+ * Timing parameters of the ring. Its geometry (one stop per agent,
+ * one segment between neighbouring stops) derives from the
+ * CmpTopology the ring is built with.
  */
 struct RingParams
 {
@@ -192,32 +193,23 @@ class Ring : public SimObject
 
     /**
      * Reserve the data path from stop @p src to stop @p dst for one
-     * line, no earlier than @p earliest. The topology decomposes the
-     * path into per-ring legs (one on the paper's single ring; up to
-     * three across a hierarchical layout); each leg evaluates both
-     * directions -- and, under dual_ring, both lanes -- and commits
-     * the earliest arrival.
+     * line, no earlier than @p earliest: evaluate both directions and
+     * commit the earlier arrival (ties go to the shorter path, then
+     * clockwise).
      * @return delivery tick at the destination
      */
     Tick reserveDataTransfer(RingStop src, RingStop dst,
                              Tick earliest);
 
   private:
-    /** Segment reservation state of one physical ring. */
-    struct DataRing
-    {
-        unsigned size = 0;
-        /** nextFree[direction][segment]; segment i joins position i
-         * and position (i+1) % size. Direction 0 = clockwise. */
-        std::vector<Tick> nextFree[2];
-        /** Reused per-direction evaluation buffers (reserved at
-         * construction so reservation allocates nothing). */
-        std::vector<Tick> scratch[2];
-    };
-
-    /** Reserve one leg; ORs segment-contention into @p waited. */
-    Tick reserveLeg(const CmpTopology::DataLeg &leg, Tick earliest,
-                    bool &waited);
+    /**
+     * Walk @p hops segments from stop @p src in direction @p dir for
+     * a line leaving no earlier than @p earliest and return the tick
+     * its tail arrives. Given @p waited, the walk also reserves each
+     * segment and sets *@p waited if one was busy past @p earliest.
+     */
+    Tick walkData(int dir, unsigned src, unsigned hops, Tick earliest,
+                  bool *waited);
     void scheduleDrain();
     void drain();
     void combineNow(BusRequest req, Tick enqueued);
@@ -246,9 +238,10 @@ class Ring : public SimObject
     std::uint64_t nextTxnId_ = 1;
     EventFunctionWrapper drainEvent_;
 
-    /** One reservation state per physical ring (topology order:
-     * local rings first, the global ring last under hier_ring). */
-    std::vector<DataRing> dataRings_;
+    /** Data-ring reservations, nextFree_[direction][segment]:
+     * segment i joins stop i and stop (i+1) % numStops, and
+     * direction 0 is clockwise. */
+    std::vector<Tick> nextFree_[2];
 
     /** Reused per-combine snoop-response buffer (combineNow is never
      * reentrant: it only runs from one-shot events). */

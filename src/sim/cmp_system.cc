@@ -72,10 +72,8 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
                "trace bundle has ", traces.numThreads(),
                " threads, system wants ", topo_.numThreads());
 
-    // Fold the topology's per-level sizing overrides in once, so every
-    // component below sees the effective cache parameters.
-    cfg_.l2 = cfg_.effectiveL2();
-    cfg_.l3 = cfg_.effectiveL3();
+    // The L3 is sliced as the topology says.
+    cfg_.l3.slices = topo_.numL3Slices();
 
     retryMonitor_ =
         std::make_unique<RetryMonitor>(this, cfg_.policy.retry);

@@ -62,25 +62,32 @@ struct KeyHandler
 };
 
 /**
- * An unsigned field of any width: values the field's type cannot hold
- * are a named error instead of silently wrapping.
+ * Set an unsigned field of any width: values the field's type cannot
+ * hold are a named error instead of silently wrapping.
  */
+template <typename T>
+Expected<void>
+setUnsigned(T &field, const std::string &k, const std::string &v)
+{
+    using Limits = std::numeric_limits<T>;
+    const auto r = toU64(k, v);
+    if (!r)
+        return r.error();
+    if (*r > Limits::max()) {
+        return configError(cstr("config key '", k, "' value ", *r,
+                                " overflows ", Limits::digits,
+                                " bits"));
+    }
+    field = static_cast<T>(*r);
+    return {};
+}
+
 #define U64_KEY(field)                                                  \
     KeyHandler                                                          \
     {                                                                   \
         [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            using Limits = std::numeric_limits<decltype(c.field)>;      \
-            const auto r = toU64(k, v);                                 \
-            if (!r)                                                     \
-                return r.error();                                       \
-            if (*r > Limits::max()) {                                   \
-                return configError(cstr("config key '", k, "' value ",  \
-                                        *r, " overflows ",              \
-                                        Limits::digits, " bits"));      \
-            }                                                           \
-            c.field = static_cast<decltype(c.field)>(*r);               \
-            return {};                                                  \
+           const std::string &v) {                                      \
+            return setUnsigned(c.field, k, v);                          \
         },                                                              \
             [](const SystemConfig &c) { return cstr(c.field); }         \
     }
@@ -120,31 +127,22 @@ handlers()
         {"topology.smt", U64_KEY(topology.smt)},
         {"topology.l2s", U64_KEY(topology.l2s)},
         {"topology.l3_slices", U64_KEY(topology.l3Slices)},
-        {"topology.rings", U64_KEY(topology.rings)},
-        {"topology.l2_kb_per_l2", U64_KEY(topology.l2KbPerL2)},
-        {"topology.l3_mb_per_slice", U64_KEY(topology.l3MbPerSlice)},
-        {"topology.layout",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        RingLayout l;
-                        if (!tryRingLayoutFromString(v, l)) {
-                            return configError(cstr(
-                                "config key '", k,
-                                "' expects single_ring|dual_ring|"
-                                "hier_ring, got '", v, "'"));
-                        }
-                        c.topology.layout = l;
-                        return {};
-                    },
-                    [](const SystemConfig &c) {
-                        return std::string(
-                            toString(c.topology.layout));
-                    }}},
         {"cpu.outstanding", U64_KEY(cpu.maxOutstanding)},
         {"cpu.blocked_retry", U64_KEY(cpu.blockedRetry)},
         {"l2.size_bytes", U64_KEY(l2.sizeBytes)},
         {"l2.assoc", U64_KEY(l2.assoc)},
-        {"l2.line_size", U64_KEY(l2.lineSize)},
+        // The machine has one line size: set both levels.
+        {"l2.line_size",
+         KeyHandler{[](SystemConfig &c, const std::string &k,
+                       const std::string &v) -> Expected<void> {
+                        const auto r = setUnsigned(c.l2.lineSize, k, v);
+                        if (r.ok())
+                            c.l3.lineSize = c.l2.lineSize;
+                        return r;
+                    },
+                    [](const SystemConfig &c) {
+                        return cstr(c.l2.lineSize);
+                    }}},
         {"l2.slices", U64_KEY(l2.slices)},
         {"l2.hit_latency", U64_KEY(l2.hitLatency)},
         {"l2.supply_latency", U64_KEY(l2.supplyLatency)},
@@ -155,7 +153,6 @@ handlers()
         {"l2.clean_interventions", BOOL_KEY(l2.cleanInterventions)},
         {"l3.size_bytes", U64_KEY(l3.sizeBytes)},
         {"l3.assoc", U64_KEY(l3.assoc)},
-        {"l3.line_size", U64_KEY(l3.lineSize)},
         {"l3.access_latency", U64_KEY(l3.accessLatency)},
         {"l3.bank_occupancy", U64_KEY(l3.bankOccupancy)},
         {"l3.write_occupancy", U64_KEY(l3.writeOccupancy)},
@@ -237,17 +234,21 @@ handlers()
 }
 
 /**
- * Machine-shape keys of earlier releases, with what replaced them; a
- * config that still sets one fails naming its topology.* successor.
+ * Keys of earlier releases that have a successor, with what replaced
+ * them; a config that still sets one fails naming its successor.
  */
 const std::map<std::string, const char *> &
-removedShapeKeys()
+removedKeys()
 {
     static const std::map<std::string, const char *> m = {
         {"num_l2s", "topology.l2s"},
         {"threads_per_l2", "topology.cores and topology.smt"},
         {"ring.num_stops", "topology.l2s (the stop count is derived)"},
         {"l3.slices", "topology.l3_slices"},
+        {"l3.line_size", "l2.line_size (it sets both levels)"},
+        {"topology.l2_kb_per_l2", "l2.size_bytes"},
+        {"topology.l3_mb_per_slice",
+         "l3.size_bytes (the total across slices)"},
     };
     return m;
 }
@@ -265,8 +266,8 @@ applyConfigOption(SystemConfig &cfg, const std::string &key,
     const auto it = handlers().find(key);
     if (it != handlers().end())
         return it->second.set(cfg, key, value);
-    const auto removed = removedShapeKeys().find(key);
-    if (removed != removedShapeKeys().end()) {
+    const auto removed = removedKeys().find(key);
+    if (removed != removedKeys().end()) {
         return configError(cstr("unknown config key '", key, "'; use ",
                                 removed->second));
     }

@@ -71,8 +71,7 @@ shellQuote(const std::string &token)
  */
 std::string
 rerunCommand(const SweepJob &job,
-             const std::vector<std::pair<std::string, std::string>>
-                 &workload_overrides)
+             const WorkloadOverrides &workload_overrides)
 {
     std::ostringstream cmd;
     cmd << "cmpcache serve --workload=" << job.workload
@@ -127,6 +126,28 @@ sweepWorkloadByName(const std::string &name,
               "' (commercial: TP, CPW2, NotesBench, Trade2; stress: "
               "uniform, streaming, pingpong, thrash, "
               "producer_consumer, migratory, false_sharing)");
+}
+
+WorkloadParams
+resolveWorkload(const std::string &name,
+                std::uint64_t records_per_thread, std::uint64_t seed,
+                const WorkloadOverrides &overrides,
+                const SystemConfig &cfg)
+{
+    WorkloadParams params =
+        sweepWorkloadByName(name, records_per_thread, seed);
+    for (const auto &[key, value] : overrides)
+        applyWorkloadOption(params, key, value);
+    const auto errs = workloadParamErrors(params);
+    if (!errs.empty()) {
+        std::string msg = cstr("invalid workload '", name, "':");
+        for (const auto &e : errs)
+            msg += "\n  - " + e;
+        cmp_fatal(msg);
+    }
+    params.numThreads = cfg.numThreads();
+    params.lineSize = cfg.l2.lineSize;
+    return params;
 }
 
 std::string
@@ -191,10 +212,8 @@ SweepSpec::expand() const
                 job.config.cpu.maxOutstanding = o;
 
                 job.params =
-                    sweepWorkloadByName(w, recordsPerThread, seed);
-                for (const auto &[key, value] : workloadOverrides)
-                    applyWorkloadOption(job.params, key, value);
-                job.params.numThreads = job.config.numThreads();
+                    resolveWorkload(w, recordsPerThread, seed,
+                                    workloadOverrides, job.config);
                 jobs.push_back(std::move(job));
             }
         }
@@ -307,8 +326,8 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                 const TopologyParams &shape = job.config.topology;
                 r.topologySummary = cstr(
                     "cores=", shape.cores, " smt=", shape.smt,
-                    " l2s=", shape.l2s, " layout=",
-                    toString(shape.layout));
+                    " l2s=", shape.l2s, " l3_slices=",
+                    shape.l3Slices);
                 r.rerun = rerunCommand(job, spec.workloadOverrides);
             }
             r.wallSeconds =

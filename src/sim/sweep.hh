@@ -47,6 +47,10 @@ enum class StatsFormat
 /** @p root's full stats dump in @p format (empty for None). */
 std::string dumpStats(const stats::Group &root, StatsFormat format);
 
+/** "wl.key" = value workload overrides, in the order given. */
+using WorkloadOverrides =
+    std::vector<std::pair<std::string, std::string>>;
+
 /** One expanded grid cell, ready to run. */
 struct SweepJob
 {
@@ -85,12 +89,13 @@ struct SweepSpec
     SystemConfig base;
 
     /**
-     * "wl.key" = value overrides applied to every cell's resolved
-     * workload parameters (footprints, sharing fractions, mixes), in
-     * order. The workload's name is preserved so results stay keyed
-     * by the axis value. fatal() on unknown keys at expand() time.
+     * wl.* overrides applied to every cell's workload by
+     * resolveWorkload(). They only shape the generator (footprints,
+     * sharing fractions, mixes); the axis name, recordsPerThread,
+     * seed, the topology and l2.line_size set the rest. fatal() on
+     * unknown keys or out-of-range parameters at expand() time.
      */
-    std::vector<std::pair<std::string, std::string>> workloadOverrides;
+    WorkloadOverrides workloadOverrides;
 
     /** Run the coherence invariant checker after every cell. */
     bool checkCoherence = false;
@@ -238,6 +243,18 @@ WorkloadParams sweepWorkloadByName(const std::string &name,
 
 /** Is @p name resolvable by sweepWorkloadByName()? */
 bool isSweepWorkload(const std::string &name);
+
+/**
+ * The workload a sweep cell or `serve --workload` runs on @p cfg:
+ * @p name at @p records_per_thread and @p seed, then @p overrides in
+ * order, then the machine's thread count and line size. fatal() on a
+ * bad name, key or value and on workloadParamErrors(), naming the key.
+ */
+WorkloadParams resolveWorkload(const std::string &name,
+                               std::uint64_t records_per_thread,
+                               std::uint64_t seed,
+                               const WorkloadOverrides &overrides,
+                               const SystemConfig &cfg);
 
 /**
  * Deterministic sweep results file, schema

@@ -1,7 +1,5 @@
 #include "sim/system_config.hh"
 
-#include <sstream>
-
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -35,41 +33,19 @@ checkGeometry(std::vector<std::string> &errs, const char *prefix,
     if (size_bytes % way_bytes != 0) {
         errs.push_back(cstr(prefix, ".size_bytes (", size_bytes,
                             ") must be a multiple of ", prefix,
-                            ".assoc * ", prefix, ".line_size (",
-                            way_bytes, ")"));
+                            ".assoc * l2.line_size (", way_bytes,
+                            ")"));
         return;
     }
     const std::uint64_t sets = size_bytes / way_bytes;
     if (!isPowerOf2(sets)) {
         errs.push_back(cstr(prefix, ".size_bytes / (", prefix,
-                            ".assoc * ", prefix,
-                            ".line_size) must give a power-of-two "
-                            "set count, got ", sets));
+                            ".assoc * l2.line_size) must give a "
+                            "power-of-two set count, got ", sets));
     }
 }
 
 } // namespace
-
-L2Params
-SystemConfig::effectiveL2() const
-{
-    L2Params p = l2;
-    if (topology.l2KbPerL2 != 0)
-        p.sizeBytes = std::uint64_t{topology.l2KbPerL2} * 1024;
-    return p;
-}
-
-L3Params
-SystemConfig::effectiveL3() const
-{
-    L3Params p = l3;
-    p.slices = topology.l3Slices;
-    if (topology.l3MbPerSlice != 0) {
-        p.sizeBytes = std::uint64_t{topology.l3MbPerSlice} * 1024 * 1024
-                      * topology.l3Slices;
-    }
-    return p;
-}
 
 std::vector<std::string>
 SystemConfig::validationErrors() const
@@ -80,14 +56,10 @@ SystemConfig::validationErrors() const
     for (auto &e : validateTopology(topology))
         errs.push_back(std::move(e));
 
-    // Geometry checks run on the *effective* cache parameters, after
-    // the topology's per-level sizing overrides are applied.
-    const L2Params l2 = effectiveL2();
-    const L3Params l3 = effectiveL3();
-
+    // l2.line_size sets both levels; C++ callers can still split them.
     if (l2.lineSize != l3.lineSize) {
         errs.push_back(cstr("l2.line_size (", l2.lineSize,
-                            ") and l3.line_size (", l3.lineSize,
+                            ") and the L3 line size (", l3.lineSize,
                             ") differ"));
     }
     if (l2.lineSize == 0 || !isPowerOf2(l2.lineSize))
@@ -158,22 +130,6 @@ SystemConfig::validate() const
     for (const auto &e : errs)
         msg += "\n  - " + e;
     throw SimException(SimError(SimErrorKind::Config, msg));
-}
-
-std::string
-SystemConfig::summary() const
-{
-    const L2Params l2 = effectiveL2();
-    const L3Params l3 = effectiveL3();
-    const TopologyParams &t = topology;
-    std::ostringstream os;
-    os << t.cores << "cx" << t.smt << "smt " << t.l2s << "xL2("
-       << l2.sizeBytes / 1024 << "KB," << l2.assoc << "w) L3("
-       << l3.sizeBytes / (1024 * 1024) << "MB," << l3.assoc << "w,"
-       << l3.slices << "sl) " << toString(t.layout)
-       << " policy=" << toString(policy.policy)
-       << " outstanding=" << cpu.maxOutstanding;
-    return os.str();
 }
 
 } // namespace cmpcache

@@ -52,9 +52,9 @@ struct SystemConfig
 {
     /**
      * Declarative machine shape (topology.* keys): cores, SMT ways,
-     * L2 count, L3 slicing, ring layout. Defaults to the paper's
-     * Table 3 machine: eight 2-way-SMT cores, four shared L2s, a
-     * 4-slice L3 and the memory controller on a single ring.
+     * L2 count, L3 slicing. Defaults to the paper's Table 3 machine:
+     * eight 2-way-SMT cores, four shared L2s, a 4-slice L3 and the
+     * memory controller on a single ring.
      */
     TopologyParams topology;
 
@@ -85,21 +85,7 @@ struct SystemConfig
     /** Hard stop for runaway simulations. */
     Tick maxTicks = 40ull * 1000 * 1000 * 1000;
 
-    unsigned numL2s() const { return topology.l2s; }
-    unsigned threadsPerL2() const { return topology.threadsPerL2(); }
     unsigned numThreads() const { return topology.threads(); }
-
-    /**
-     * L2 parameters with the topology's per-level sizing override
-     * (topology.l2_kb_per_l2) applied.
-     */
-    L2Params effectiveL2() const;
-
-    /**
-     * L3 parameters with the topology's slice count and per-slice
-     * sizing override (topology.l3_mb_per_slice) applied.
-     */
-    L3Params effectiveL3() const;
 
     /**
      * Cross-field consistency checks. Each returned string names the
@@ -111,9 +97,6 @@ struct SystemConfig
     /** Throw SimException (kind Config) if validationErrors() is
      * non-empty. */
     void validate() const;
-
-    /** One-line summary for logs. */
-    std::string summary() const;
 };
 
 } // namespace cmpcache

@@ -95,6 +95,8 @@ struct WorkloadParams
      */
     std::uint64_t phaseLength = 0; // 0 = no phases
     double phaseShift = 0.25;      // fraction of hot set re-seated
+
+    bool operator==(const WorkloadParams &) const = default;
 };
 
 /**

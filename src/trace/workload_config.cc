@@ -1,6 +1,9 @@
 #include "trace/workload_config.hh"
 
+#include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 
 #include "common/cli.hh"
@@ -12,26 +15,38 @@ namespace cmpcache
 namespace
 {
 
-std::uint64_t
-toU64(const std::string &key, const std::string &v)
+/** @p v as an unsigned @p T; fatal() on anything else, including
+ * values @p T cannot hold. */
+template <typename T>
+T
+toUnsigned(const std::string &key, const std::string &v)
 {
     const auto u = parseUnsigned(v);
     if (!u) {
         cmp_fatal("workload key '", key, "' expects an integer, "
                   "got '", v, "'");
     }
-    return *u;
+    if (*u > std::numeric_limits<T>::max()) {
+        cmp_fatal("workload key '", key, "' value ", *u, " overflows ",
+                  std::numeric_limits<T>::digits, " bits");
+    }
+    return static_cast<T>(*u);
 }
 
+/** @p v as a finite number: the whole token, decimal notation only
+ * (no suffixes, spaces, hex, nan or inf). */
 double
 toDouble(const std::string &key, const std::string &v)
 {
-    try {
-        return std::stod(v);
-    } catch (...) {
-        cmp_fatal("workload key '", key, "' expects a number, got '",
-                  v, "'");
+    if (!v.empty()
+        && v.find_first_not_of("0123456789.eE+-") == std::string::npos) {
+        char *end = nullptr;
+        const double d = std::strtod(v.c_str(), &end);
+        if (end == v.c_str() + v.size() && std::isfinite(d))
+            return d;
     }
+    cmp_fatal("workload key '", key, "' expects a finite number, got '",
+              v, "'");
 }
 
 using Setter = std::function<void(WorkloadParams &, const std::string &,
@@ -40,7 +55,7 @@ using Setter = std::function<void(WorkloadParams &, const std::string &,
 #define WL_U64(field)                                                   \
     [](WorkloadParams &p, const std::string &k,                         \
        const std::string &v) {                                          \
-        p.field = static_cast<decltype(p.field)>(toU64(k, v));          \
+        p.field = toUnsigned<decltype(p.field)>(k, v);                  \
     }
 
 #define WL_DBL(field)                                                   \
@@ -51,13 +66,6 @@ const std::map<std::string, Setter> &
 setters()
 {
     static const std::map<std::string, Setter> s = {
-        {"wl.name",
-         [](WorkloadParams &p, const std::string &,
-            const std::string &v) { p.name = v; }},
-        {"wl.threads", WL_U64(numThreads)},
-        {"wl.refs", WL_U64(recordsPerThread)},
-        {"wl.seed", WL_U64(seed)},
-        {"wl.line_size", WL_U64(lineSize)},
         {"wl.private_lines", WL_U64(privateLines)},
         {"wl.private_zipf", WL_DBL(privateZipf)},
         {"wl.private_group_size", WL_U64(privateGroupSize)},
@@ -80,6 +88,23 @@ setters()
 #undef WL_U64
 #undef WL_DBL
 
+/**
+ * Workload keys of earlier releases, with what sets that parameter
+ * now; an override that still uses one fails naming its successor.
+ */
+const std::map<std::string, const char *> &
+removedKeys()
+{
+    static const std::map<std::string, const char *> m = {
+        {"wl.name", "the --workloads or --workload value"},
+        {"wl.threads", "topology.cores and topology.smt"},
+        {"wl.refs", "--refs"},
+        {"wl.seed", "--seed"},
+        {"wl.line_size", "l2.line_size"},
+    };
+    return m;
+}
+
 } // namespace
 
 bool
@@ -93,9 +118,16 @@ applyWorkloadOption(WorkloadParams &params, const std::string &key,
                     const std::string &value)
 {
     const auto it = setters().find(key);
-    if (it == setters().end())
-        cmp_fatal("unknown workload key '", key, "'");
-    it->second(params, key, value);
+    if (it != setters().end()) {
+        it->second(params, key, value);
+        return;
+    }
+    const auto removed = removedKeys().find(key);
+    if (removed != removedKeys().end()) {
+        cmp_fatal("unknown workload key '", key, "'; use ",
+                  removed->second);
+    }
+    cmp_fatal("unknown workload key '", key, "'");
 }
 
 const std::vector<std::string> &
@@ -108,6 +140,54 @@ workloadConfigKeys()
         return k;
     }();
     return keys;
+}
+
+std::vector<std::string>
+workloadParamErrors(const WorkloadParams &p)
+{
+    std::vector<std::string> errs;
+    // Written so that NaN fails every check.
+    const auto fraction = [&errs](const char *key, double v) {
+        if (!(v >= 0.0 && v <= 1.0))
+            errs.push_back(cstr(key, " (", v, ") must lie in [0, 1]"));
+    };
+    const auto non_negative = [&errs](const char *key, double v) {
+        if (!(v >= 0.0))
+            errs.push_back(cstr(key, " (", v, ") must be at least 0"));
+    };
+    const auto positive = [&errs](const char *key, std::uint64_t v) {
+        if (v == 0)
+            errs.push_back(cstr(key, " (0) must be at least 1"));
+    };
+
+    fraction("wl.kernel_frac", p.kernelFrac);
+    fraction("wl.shared_frac", p.sharedFrac);
+    fraction("wl.stream_frac", p.streamFrac);
+    fraction("wl.store_frac", p.storeFrac);
+    fraction("wl.phase_shift", p.phaseShift);
+    // The three regions split one uniform draw; the private region
+    // takes what is left. The slack absorbs decimal rounding.
+    const double regions = p.kernelFrac + p.sharedFrac + p.streamFrac;
+    if (regions > 1.0 + 1e-9) {
+        errs.push_back(cstr("wl.kernel_frac + wl.shared_frac + "
+                            "wl.stream_frac (", regions,
+                            ") must be at most 1"));
+    }
+    // Negative keeps its meaning "same as wl.store_frac".
+    if (!(p.sharedStoreFrac <= 1.0)) {
+        errs.push_back(cstr("wl.shared_store_frac (", p.sharedStoreFrac,
+                            ") must lie in [0, 1], or be negative for "
+                            "'same as wl.store_frac'"));
+    }
+    non_negative("wl.gap_mean", p.gapMean);
+    non_negative("wl.private_zipf", p.privateZipf);
+    non_negative("wl.shared_zipf", p.sharedZipf);
+    positive("wl.private_lines", p.privateLines);
+    positive("wl.shared_lines", p.sharedLines);
+    positive("wl.kernel_lines", p.kernelLines);
+    positive("wl.stream_lines", p.streamLines);
+    positive("wl.private_group_size", p.privateGroupSize);
+    return errs;
 }
 
 } // namespace cmpcache

@@ -1,8 +1,9 @@
 /**
  * @file
- * Textual configuration for WorkloadParams ("wl.key = value" lines /
- * overrides), so custom synthetic workloads can live in the same
- * experiment files as the machine configuration.
+ * Textual configuration for WorkloadParams ("wl.key = value"
+ * overrides). The wl.* keys only shape the synthetic generator; the
+ * workload name, --refs, --seed, the topology and l2.line_size set
+ * the rest (see resolveWorkload in sim/sweep.hh).
  */
 
 #ifndef CMPCACHE_TRACE_WORKLOAD_CONFIG_HH
@@ -19,12 +20,21 @@ namespace cmpcache
 /** Is @p key a workload key (has the "wl." prefix)? */
 bool isWorkloadKey(const std::string &key);
 
-/** Apply one "wl.xxx", "value" pair; fatal() on unknown keys. */
+/**
+ * Apply one "wl.xxx", "value" pair; fatal() on unknown keys (naming
+ * the successor of a removed one) and on malformed values.
+ */
 void applyWorkloadOption(WorkloadParams &params, const std::string &key,
                          const std::string &value);
 
 /** All recognized workload keys. */
 const std::vector<std::string> &workloadConfigKeys();
+
+/**
+ * Range check of the generator's shape. Each returned string names
+ * the offending wl.* key. Empty means valid.
+ */
+std::vector<std::string> workloadParamErrors(const WorkloadParams &p);
 
 } // namespace cmpcache
 

@@ -66,13 +66,15 @@ TEST(ConfigIo, UnknownKeyReportsError)
 {
     // These keys configured features that no longer exist: the
     // kernel's worker threads and fast path, the replacement-policy
-    // zoo, open-loop arrival and drop-mode ingest. Files that still
-    // set them fail by key name.
+    // zoo, open-loop arrival, drop-mode ingest and the dual and
+    // hierarchical ring layouts. Files that still set them fail by
+    // key name.
     for (const std::string key :
          {"l4.size", "run.threads", "run.fastpath", "obs.sched",
           "l2.repl", "l3.repl", "arrival.model", "arrival.rate",
           "arrival.burst_factor", "arrival.burst_period",
-          "arrival.seed", "stream.overflow"}) {
+          "arrival.seed", "stream.overflow", "topology.layout",
+          "topology.rings"}) {
         SystemConfig cfg;
         const auto r = applyConfigOption(cfg, key, "1");
         ASSERT_FALSE(r.ok()) << key;
@@ -82,13 +84,15 @@ TEST(ConfigIo, UnknownKeyReportsError)
                   std::string::npos)
             << r.error().message;
     }
-    // The machine-shape keys of earlier releases also name the
-    // topology.* key that replaced them.
+    // Removed keys that have a successor also name it.
     const std::pair<std::string, std::string> removed[] = {
         {"num_l2s", "topology.l2s"},
         {"threads_per_l2", "topology.cores and topology.smt"},
         {"ring.num_stops", "topology.l2s"},
         {"l3.slices", "topology.l3_slices"},
+        {"l3.line_size", "l2.line_size"},
+        {"topology.l2_kb_per_l2", "l2.size_bytes"},
+        {"topology.l3_mb_per_slice", "l3.size_bytes"},
     };
     for (const auto &[key, replacement] : removed) {
         SystemConfig cfg;
@@ -240,18 +244,10 @@ TEST(ConfigIo, TopologyKeysApply)
     mustApply(cfg, "topology.smt", "1");
     mustApply(cfg, "topology.l2s", "16");
     mustApply(cfg, "topology.l3_slices", "16");
-    mustApply(cfg, "topology.layout", "hier_ring");
-    mustApply(cfg, "topology.rings", "4");
-    mustApply(cfg, "topology.l2_kb_per_l2", "256");
-    mustApply(cfg, "topology.l3_mb_per_slice", "2");
     EXPECT_EQ(cfg.topology.cores, 64u);
     EXPECT_EQ(cfg.topology.smt, 1u);
     EXPECT_EQ(cfg.topology.l2s, 16u);
     EXPECT_EQ(cfg.topology.l3Slices, 16u);
-    EXPECT_EQ(cfg.topology.layout, RingLayout::HierRing);
-    EXPECT_EQ(cfg.topology.rings, 4u);
-    EXPECT_EQ(cfg.topology.l2KbPerL2, 256u);
-    EXPECT_EQ(cfg.topology.l3MbPerSlice, 2u);
     EXPECT_TRUE(cfg.validationErrors().empty());
 }
 
@@ -262,7 +258,6 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     mustApply(a, "topology.smt", "2");
     mustApply(a, "topology.l2s", "8");
     mustApply(a, "topology.l3_slices", "8");
-    mustApply(a, "topology.layout", "dual_ring");
 
     std::stringstream ss;
     saveConfig(a, ss);
@@ -270,8 +265,6 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     // The topology.* keys are written; the removed shape keys never
     // are.
     EXPECT_NE(text.find("topology.cores = 32"), std::string::npos);
-    EXPECT_NE(text.find("topology.layout = dual_ring"),
-              std::string::npos);
     EXPECT_EQ(text.find("num_l2s"), std::string::npos);
     EXPECT_EQ(text.find("threads_per_l2"), std::string::npos);
     EXPECT_EQ(text.find("ring.num_stops"), std::string::npos);
@@ -284,7 +277,6 @@ TEST(ConfigIo, TopologyKeysRoundTripThroughSave)
     EXPECT_EQ(b.topology.smt, 2u);
     EXPECT_EQ(b.topology.l2s, 8u);
     EXPECT_EQ(b.topology.l3Slices, 8u);
-    EXPECT_EQ(b.topology.layout, RingLayout::DualRing);
 }
 
 TEST(ConfigIo, ChangedKeysReproduceTheSavedConfig)
@@ -311,13 +303,28 @@ TEST(ConfigIo, ChangedKeysReproduceTheSavedConfig)
 
 TEST(ConfigIo, TopologyLayoutRejectsUnknownNames)
 {
+    // The ring is the paper's single ring: topology.layout is gone,
+    // so every value fails naming the key, the old default included.
     SystemConfig cfg;
-    for (const auto *bad : {"moebius", "ring", "SINGLE_RING", ""}) {
-        const auto r = applyConfigOption(cfg, "topology.layout", bad);
-        ASSERT_FALSE(r.ok()) << "accepted '" << bad << "'";
+    for (const auto *name : {"single_ring", "moebius", ""}) {
+        const auto r = applyConfigOption(cfg, "topology.layout", name);
+        ASSERT_FALSE(r.ok()) << "accepted '" << name << "'";
         EXPECT_NE(r.error().message.find(
-                      "single_ring|dual_ring|hier_ring"),
+                      "unknown config key 'topology.layout'"),
                   std::string::npos)
             << r.error().message;
     }
+}
+
+TEST(ConfigIo, LineSizeKeySetsBothLevels)
+{
+    SystemConfig cfg;
+    mustApply(cfg, "l2.line_size", "64");
+    EXPECT_EQ(cfg.l2.lineSize, 64u);
+    EXPECT_EQ(cfg.l3.lineSize, 64u);
+    EXPECT_TRUE(cfg.validationErrors().empty());
+    // A rejected value leaves both levels alone.
+    EXPECT_FALSE(
+        applyConfigOption(cfg, "l2.line_size", "4294967296").ok());
+    EXPECT_EQ(cfg.l3.lineSize, 64u);
 }

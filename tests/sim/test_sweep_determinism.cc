@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
+#include "sim/config_io.hh"
 #include "sim/sweep.hh"
+#include "trace/workload_config.hh"
 
 using namespace cmpcache;
 
@@ -92,6 +95,51 @@ TEST(SweepExpand, WorkloadOverridesApply)
         EXPECT_EQ(job.params.privateLines, 160u) << job.label();
         // The axis name survives the override.
         EXPECT_EQ(job.params.name, job.workload);
+    }
+}
+
+TEST(SweepExpand, EveryWorkloadKeyTakesEffect)
+{
+    // One valid value per key, none of them TP's own.
+    const std::map<std::string, std::string> values = {
+        {"wl.gap_mean", "2.5"},
+        {"wl.kernel_frac", "0.0123"},
+        {"wl.kernel_lines", "77"},
+        {"wl.phase_length", "777"},
+        {"wl.phase_shift", "0.123"},
+        {"wl.private_group_size", "2"},
+        {"wl.private_lines", "777"},
+        {"wl.private_zipf", "0.321"},
+        {"wl.shared_frac", "0.0456"},
+        {"wl.shared_lines", "77"},
+        {"wl.shared_store_frac", "0.0789"},
+        {"wl.shared_zipf", "0.321"},
+        {"wl.store_frac", "0.0123"},
+        {"wl.stream_frac", "0.0123"},
+        {"wl.stream_lines", "77"},
+    };
+    SweepSpec spec;
+    spec.workloads = {"TP"};
+    spec.policies = {WbPolicy::Baseline};
+    spec.outstanding = {6};
+    const WorkloadParams plain = spec.expand()[0].params;
+    for (const auto &key : workloadConfigKeys()) {
+        const auto value = values.find(key);
+        ASSERT_NE(value, values.end()) << "no test value for " << key;
+        spec.workloadOverrides = {{key, value->second}};
+        EXPECT_FALSE(spec.expand()[0].params == plain)
+            << key << "=" << value->second << " was ignored";
+    }
+}
+
+TEST(SweepExpand, LineSizeKeyReachesWorkloadAndBothCaches)
+{
+    SweepSpec spec = smallSpec();
+    ASSERT_TRUE(applyConfigOption(spec.base, "l2.line_size", "64").ok());
+    for (const auto &job : spec.expand()) {
+        EXPECT_EQ(job.params.lineSize, 64u) << job.label();
+        EXPECT_EQ(job.config.l2.lineSize, 64u) << job.label();
+        EXPECT_EQ(job.config.l3.lineSize, 64u) << job.label();
     }
 }
 

@@ -180,7 +180,8 @@ TEST(SweepErrors, AllOkFilesCarryNoStatusFields)
 TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
 {
     // Combined halves wbht.entries to 24, which no 16-way WBHT holds;
-    // the rerun line must carry that and every other non-default key.
+    // the rerun line must carry that and every other non-default key,
+    // shell-quoted where the value needs it.
     SweepSpec spec;
     spec.workloads = {"thrash"};
     spec.policies = {WbPolicy::Baseline, WbPolicy::Combined};
@@ -188,9 +189,9 @@ TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
     spec.recordsPerThread = 500;
     spec.base.policy.wbht.entries = 48;
     spec.base.topology.l3Slices = 8;
-    spec.base.fault.plan = "l3_retry:100:200";
+    spec.base.fault.plan = "l3_retry:100:200;disable_snarf:100:200";
     spec.base.l3.accessLatency = 40;
-    spec.workloadOverrides = {{"wl.name", "it's thrash"}};
+    spec.workloadOverrides = {{"wl.private_lines", "160"}};
     const auto jobs = spec.expand();
     const auto results = runSweep(spec, 1);
     ASSERT_EQ(results.size(), 2u);
@@ -199,6 +200,12 @@ TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
     EXPECT_NE(results[1].error.find("wbht.entries (24)"),
               std::string::npos)
         << results[1].error;
+    EXPECT_EQ(results[1].topologySummary,
+              "cores=8 smt=2 l2s=4 l3_slices=8");
+    EXPECT_NE(results[1].rerun.find(
+                  " 'fault.plan=l3_retry:100:200;disable_snarf:100:200' "),
+              std::string::npos)
+        << results[1].rerun;
 
     const auto words = shellWords(results[1].rerun);
     ASSERT_GE(words.size(), 5u) << results[1].rerun;
@@ -225,7 +232,7 @@ TEST(SweepErrors, RerunLineReproducesTheFailedCellConfig)
     saveConfig(jobs[1].config, want);
     saveConfig(replay, got);
     EXPECT_EQ(got.str(), want.str()) << results[1].rerun;
-    EXPECT_EQ(wl, std::vector<std::string>{"wl.name=it's thrash"});
+    EXPECT_EQ(wl, std::vector<std::string>{"wl.private_lines=160"});
 }
 
 TEST(SweepProgress, LongTimesSplitIntoWholeMinutesAndSeconds)

@@ -2,14 +2,11 @@
  * @file
  * Tests for the declarative CmpTopology: validation of topology.*
  * parameter sets (each error names its key), the flat() factory,
- * agent/stop placement, physical data-ring geometry and routing for
- * all three layouts, and small end-to-end runs on the non-default
- * interconnects.
+ * agent/stop placement, and a small end-to-end run on a scaled
+ * machine.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "sim/config_io.hh"
 #include "sim/sweep.hh"
@@ -141,30 +138,6 @@ TEST(TopologyValidate, L3SlicesMustBePowerOfTwo)
     }
 }
 
-TEST(TopologyValidate, HierRingNeedsTwoRings)
-{
-    TopologyParams p;
-    p.layout = RingLayout::HierRing;
-    p.rings = 1;
-    const auto errs = validateTopology(p);
-    EXPECT_TRUE(mentions(errs, "topology.rings (1) must be >= 2"))
-        << joined(errs);
-}
-
-TEST(TopologyValidate, HierRingNeedsEvenL2Split)
-{
-    TopologyParams p;
-    p.cores = 6;
-    p.smt = 1;
-    p.l2s = 3;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto errs = validateTopology(p);
-    EXPECT_TRUE(mentions(errs, "topology.l2s (3) must divide evenly "
-                               "across topology.rings (2)"))
-        << joined(errs);
-}
-
 TEST(TopologyValidate, BuildRollsErrorsIntoConfigError)
 {
     TopologyParams p;
@@ -227,16 +200,9 @@ TEST(TopologyPlacement, AgentIdsInOrder)
 
 TEST(TopologyPlacement, EveryAgentOwnsItsStop)
 {
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
+    const auto t = CmpTopology::build(TopologyParams{});
     ASSERT_TRUE(t.ok());
-    // Stop index == agent id holds across every layout; the physical
-    // ring a stop maps to is route()'s business.
+    // Stop index == agent id: L2s, then the L3, then memory.
     for (unsigned a = 0; a < t->numAgents(); ++a) {
         EXPECT_EQ(t->stopOfAgent(static_cast<AgentId>(a)).value(), a);
     }
@@ -266,224 +232,28 @@ TEST(TopologyPlacement, SixtyFourCoreMachineBuilds)
 }
 
 // ---------------------------------------------------------------------
-// Physical data-ring geometry and routing.
+// End to end: a scaled machine runs a real workload cleanly, with the
+// coherence invariant checker on.
 // ---------------------------------------------------------------------
 
-TEST(TopologyRoute, SingleRingIsOneLane)
-{
-    const CmpTopology t = CmpTopology::flat(4, 4);
-    EXPECT_EQ(t.numRings(), 1u);
-    EXPECT_EQ(t.ringSize(0), 6u);
-    EXPECT_EQ(t.numDataLanes(), 1u);
-
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t.route(RingStop(0), RingStop(5), legs), 1u);
-    EXPECT_EQ(legs[0].ring, 0u);
-    EXPECT_EQ(legs[0].srcPos, 0u);
-    EXPECT_EQ(legs[0].dstPos, 5u);
-    EXPECT_EQ(t.route(RingStop(3), RingStop(3), legs), 0u);
-}
-
-TEST(TopologyRoute, DualRingDoublesLanesNotPlacement)
-{
-    TopologyParams p;
-    p.layout = RingLayout::DualRing;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    EXPECT_EQ(t->numRings(), 2u);
-    EXPECT_EQ(t->numDataLanes(), 2u);
-    EXPECT_EQ(t->ringSize(0), 6u);
-    EXPECT_EQ(t->ringSize(1), 6u);
-
-    // Routing is identical to single_ring: one leg on ring 0 and the
-    // caller substitutes any lane < numDataLanes().
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t->route(RingStop(1), RingStop(4), legs), 1u);
-    EXPECT_EQ(legs[0].ring, 0u);
-    EXPECT_EQ(legs[0].srcPos, 1u);
-    EXPECT_EQ(legs[0].dstPos, 4u);
-}
-
-TEST(TopologyRoute, HierRingGeometry)
-{
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    // Two local rings of 2 L2s + 1 bridge; global ring of 2 bridges +
-    // L3 + memory.
-    EXPECT_EQ(t->numRings(), 3u);
-    EXPECT_EQ(t->ringSize(0), 3u);
-    EXPECT_EQ(t->ringSize(1), 3u);
-    EXPECT_EQ(t->ringSize(2), 4u);
-    EXPECT_EQ(t->numDataLanes(), 1u);
-}
-
-TEST(TopologyRoute, HierRingLocalTransferIsOneLeg)
-{
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t->route(RingStop(0), RingStop(1), legs), 1u);
-    EXPECT_EQ(legs[0].ring, 0u);
-    EXPECT_EQ(legs[0].srcPos, 0u);
-    EXPECT_EQ(legs[0].dstPos, 1u);
-}
-
-TEST(TopologyRoute, HierRingCrossClusterTakesThreeLegs)
-{
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    // L2 0 (ring 0, pos 0) -> L2 2 (ring 1, pos 0): exit over the
-    // bridge at local pos 2, cross bridges 0 -> 1 on the global ring,
-    // enter through the far bridge.
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t->route(RingStop(0), RingStop(2), legs), 3u);
-    EXPECT_EQ(legs[0].ring, 0u);
-    EXPECT_EQ(legs[0].srcPos, 0u);
-    EXPECT_EQ(legs[0].dstPos, 2u);
-    EXPECT_EQ(legs[1].ring, 2u);
-    EXPECT_EQ(legs[1].srcPos, 0u);
-    EXPECT_EQ(legs[1].dstPos, 1u);
-    EXPECT_EQ(legs[2].ring, 1u);
-    EXPECT_EQ(legs[2].srcPos, 2u);
-    EXPECT_EQ(legs[2].dstPos, 0u);
-}
-
-TEST(TopologyRoute, HierRingL2ToL3TakesTwoLegs)
-{
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    // L2 0 -> L3 (global ring pos 2): local exit then global hop.
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t->route(RingStop(0), t->stopOfAgent(t->l3Agent()),
-                       legs),
-              2u);
-    EXPECT_EQ(legs[0].ring, 0u);
-    EXPECT_EQ(legs[0].dstPos, 2u);
-    EXPECT_EQ(legs[1].ring, 2u);
-    EXPECT_EQ(legs[1].srcPos, 0u);
-    EXPECT_EQ(legs[1].dstPos, 2u);
-}
-
-TEST(TopologyRoute, HierRingGlobalAgentsAreOneLeg)
-{
-    TopologyParams p;
-    p.cores = 8;
-    p.smt = 1;
-    p.l2s = 4;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    const auto t = CmpTopology::build(p);
-    ASSERT_TRUE(t.ok());
-    // L3 (global pos 2) -> memory (global pos 3).
-    CmpTopology::DataLeg legs[3];
-    ASSERT_EQ(t->route(t->stopOfAgent(t->l3Agent()),
-                       t->stopOfAgent(t->memAgent()), legs),
-              1u);
-    EXPECT_EQ(legs[0].ring, 2u);
-    EXPECT_EQ(legs[0].srcPos, 2u);
-    EXPECT_EQ(legs[0].dstPos, 3u);
-}
-
-TEST(TopologyDescribe, NamesShapeAndLayout)
-{
-    TopologyParams p;
-    EXPECT_EQ(CmpTopology::build(p)->describe(),
-              "8cx2smt 4xL2 4xL3sl single_ring(6)");
-
-    EXPECT_EQ(CmpTopology::flat(4, 4).describe(),
-              "16c 4xL2 4xL3sl single_ring(6)");
-
-    p.cores = 8;
-    p.smt = 1;
-    p.layout = RingLayout::HierRing;
-    p.rings = 2;
-    EXPECT_EQ(CmpTopology::build(p)->describe(),
-              "8c 4xL2 4xL3sl hier_ring(2x3+4)");
-}
-
-// ---------------------------------------------------------------------
-// End to end: the non-default interconnects run real workloads
-// cleanly, with the coherence invariant checker on.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-SweepSpec
-smallSpec()
+TEST(TopologyEndToEnd, SixtyFourCoreMachineRunsClean)
 {
     SweepSpec spec;
     spec.workloads = {"thrash"};
     spec.policies = {WbPolicy::Combined};
     spec.outstanding = {6};
-    spec.recordsPerThread = 1000;
+    spec.recordsPerThread = 300;
     spec.checkCoherence = true;
-    return spec;
-}
-
-void
-expectCleanRun(const SweepSpec &spec)
-{
+    spec.base.topology.cores = 64;
+    spec.base.topology.smt = 1;
+    spec.base.topology.l2s = 16;
+    spec.base.topology.l3Slices = 16;
     const auto results = runSweep(spec, 1);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
     EXPECT_EQ(results[0].coherenceViolations, 0u);
     EXPECT_GT(results[0].result.execTime, 0u);
     EXPECT_GT(results[0].eventsExecuted, 0u);
-}
-
-} // namespace
-
-TEST(TopologyEndToEnd, DualRingRunsClean)
-{
-    SweepSpec spec = smallSpec();
-    spec.base.topology.layout = RingLayout::DualRing;
-    expectCleanRun(spec);
-}
-
-TEST(TopologyEndToEnd, HierRingRunsClean)
-{
-    SweepSpec spec = smallSpec();
-    spec.base.topology.cores = 8;
-    spec.base.topology.smt = 1;
-    spec.base.topology.layout = RingLayout::HierRing;
-    spec.base.topology.rings = 2;
-    expectCleanRun(spec);
-}
-
-TEST(TopologyEndToEnd, SixtyFourCoreMachineRunsClean)
-{
-    SweepSpec spec = smallSpec();
-    spec.recordsPerThread = 300;
-    spec.base.topology.cores = 64;
-    spec.base.topology.smt = 1;
-    spec.base.topology.l2s = 16;
-    spec.base.topology.l3Slices = 16;
-    expectCleanRun(spec);
 }
 
 // ---------------------------------------------------------------------
@@ -500,8 +270,7 @@ TEST(TopologyHostileConfig, CanonicalKeysRejectHostileValues)
     // integers.
     for (const auto *key :
          {"topology.cores", "topology.smt", "topology.l2s",
-          "topology.l3_slices", "topology.rings",
-          "topology.l2_kb_per_l2", "topology.l3_mb_per_slice"}) {
+          "topology.l3_slices"}) {
         const auto over = applyConfigOption(cfg, key, "4294967296");
         ASSERT_FALSE(over.ok()) << key;
         EXPECT_NE(over.error().message.find("overflows 32 bits"),
@@ -516,18 +285,6 @@ TEST(TopologyHostileConfig, CanonicalKeysRejectHostileValues)
     }
     // Nothing above may have modified the config.
     EXPECT_EQ(cfg.topology.cores, 8u);
-}
-
-TEST(TopologyHostileConfig, BadLayoutInStreamNamesLine)
-{
-    SystemConfig cfg;
-    std::istringstream is(
-        "topology.cores = 16\n"
-        "topology.layout = klein_bottle\n");
-    const auto r = loadConfig(cfg, is);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.error().message.find("line 2"), std::string::npos)
-        << r.error().message;
 }
 
 TEST(TopologyHostileConfig, AbsurdShapesFailValidationNotAssertions)
@@ -554,15 +311,4 @@ TEST(TopologyHostileConfig, AbsurdShapesFailValidationNotAssertions)
         EXPECT_FALSE(CmpTopology::build(p).ok())
             << c.cores << "c x" << c.smt << " " << c.l2s << "xL2";
     }
-}
-
-TEST(TopologyEndToEnd, PerL2SizingOverridesApply)
-{
-    SystemConfig cfg;
-    cfg.topology.l2KbPerL2 = 256;
-    cfg.topology.l3MbPerSlice = 2;
-    EXPECT_EQ(cfg.effectiveL2().sizeBytes, 256u * 1024);
-    EXPECT_EQ(cfg.effectiveL3().sizeBytes, 2ull * 1024 * 1024 * 4);
-    EXPECT_EQ(cfg.effectiveL3().slices, 4u);
-    EXPECT_TRUE(cfg.validationErrors().empty());
 }

@@ -2,13 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/sweep.hh"
 #include "trace/workload_config.hh"
+#include "trace/workloads_commercial.hh"
+#include "trace/workloads_stress.hh"
 
 using namespace cmpcache;
 
+namespace
+{
+
+/** TP resolved as a sweep cell with the one override @p key=@p value. */
+WorkloadParams
+resolveWith(const std::string &key, const std::string &value)
+{
+    return resolveWorkload("TP", 100, 1, {{key, value}}, SystemConfig{});
+}
+
+} // namespace
+
 TEST(WorkloadConfig, KeyPrefixDetection)
 {
-    EXPECT_TRUE(isWorkloadKey("wl.refs"));
+    EXPECT_TRUE(isWorkloadKey("wl.phase_length"));
     EXPECT_TRUE(isWorkloadKey("wl.private_zipf"));
     EXPECT_FALSE(isWorkloadKey("l2.size_bytes"));
     EXPECT_FALSE(isWorkloadKey("wlrefs"));
@@ -17,23 +32,16 @@ TEST(WorkloadConfig, KeyPrefixDetection)
 TEST(WorkloadConfig, AppliesIntegerAndDoubleKeys)
 {
     WorkloadParams p;
-    applyWorkloadOption(p, "wl.refs", "12345");
+    applyWorkloadOption(p, "wl.phase_length", "12345");
     applyWorkloadOption(p, "wl.private_lines", "2048");
     applyWorkloadOption(p, "wl.private_zipf", "0.9");
     applyWorkloadOption(p, "wl.store_frac", "0.33");
     applyWorkloadOption(p, "wl.private_group_size", "4");
-    EXPECT_EQ(p.recordsPerThread, 12345u);
+    EXPECT_EQ(p.phaseLength, 12345u);
     EXPECT_EQ(p.privateLines, 2048u);
     EXPECT_DOUBLE_EQ(p.privateZipf, 0.9);
     EXPECT_DOUBLE_EQ(p.storeFrac, 0.33);
     EXPECT_EQ(p.privateGroupSize, 4u);
-}
-
-TEST(WorkloadConfig, AppliesName)
-{
-    WorkloadParams p;
-    applyWorkloadOption(p, "wl.name", "custom");
-    EXPECT_EQ(p.name, "custom");
 }
 
 TEST(WorkloadConfigDeath, UnknownKeyIsFatal)
@@ -43,28 +51,61 @@ TEST(WorkloadConfigDeath, UnknownKeyIsFatal)
                 ::testing::ExitedWithCode(1), "unknown workload key");
 }
 
+TEST(WorkloadConfigDeath, RemovedKeysNameTheirSuccessor)
+{
+    // The name, --refs, --seed, the topology and l2.line_size are the
+    // one spelling of each of these.
+    const std::pair<const char *, const char *> removed[] = {
+        {"wl.name", "the --workloads or --workload value"},
+        {"wl.threads", "topology.cores and topology.smt"},
+        {"wl.refs", "--refs"},
+        {"wl.seed", "--seed"},
+        {"wl.line_size", "l2.line_size"},
+    };
+    for (const auto &[key, successor] : removed) {
+        WorkloadParams p;
+        EXPECT_EXIT(applyWorkloadOption(p, key, "1"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown workload key '") + key
+                        + "'; use " + successor);
+    }
+}
+
 TEST(WorkloadConfigDeath, MalformedValueIsFatal)
 {
     WorkloadParams p;
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "lots"),
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "lots"),
                 ::testing::ExitedWithCode(1), "expects an integer");
     // The config files' digits-only rule: no wrapping, no suffixes.
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "-1"),
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "-1"),
                 ::testing::ExitedWithCode(1), "expects an integer");
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.refs", "300abc"),
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "300abc"),
                 ::testing::ExitedWithCode(1), "expects an integer");
+    EXPECT_EXIT(applyWorkloadOption(p, "wl.private_group_size",
+                                    "4294967296"),
+                ::testing::ExitedWithCode(1), "overflows 32 bits");
+    // Real values: the whole token, and finite.
+    for (const char *bad :
+         {"0.3abc", "nan", "inf", "-inf", "1e999", " 0.3", "0x1p-2",
+          ""}) {
+        EXPECT_EXIT(applyWorkloadOption(p, "wl.store_frac", bad),
+                    ::testing::ExitedWithCode(1),
+                    "'wl.store_frac' expects a finite number")
+            << "'" << bad << "'";
+    }
 }
 
 TEST(WorkloadConfig, KeyListCoversEveryParamsField)
 {
-    // Structural check: at least one key per WorkloadParams member we
-    // care about (guards against new fields silently missing).
+    // Every generator-shape field of WorkloadParams has one key; the
+    // identity fields (name, threads, records, seed, line size) have
+    // none.
     const auto &keys = workloadConfigKeys();
-    EXPECT_GE(keys.size(), 19u);
+    EXPECT_EQ(keys.size(), 15u);
     for (const char *needle :
-         {"wl.refs", "wl.seed", "wl.threads", "wl.private_lines",
-          "wl.shared_frac", "wl.kernel_frac", "wl.stream_frac",
-          "wl.gap_mean", "wl.phase_length", "wl.shared_store_frac"}) {
+         {"wl.private_lines", "wl.shared_frac", "wl.kernel_frac",
+          "wl.stream_frac", "wl.gap_mean", "wl.phase_length",
+          "wl.shared_store_frac"}) {
         EXPECT_NE(std::find(keys.begin(), keys.end(), needle),
                   keys.end())
             << needle;
@@ -75,9 +116,79 @@ TEST(WorkloadConfig, ConfiguredWorkloadGenerates)
 {
     WorkloadParams p;
     p.numThreads = 2;
-    applyWorkloadOption(p, "wl.refs", "100");
+    p.recordsPerThread = 100;
     applyWorkloadOption(p, "wl.private_lines", "32");
     applyWorkloadOption(p, "wl.gap_mean", "0");
     SyntheticWorkload wl(p);
     EXPECT_EQ(wl.materialize().size(), 200u);
+}
+
+TEST(WorkloadConfig, BuiltInWorkloadsPassTheRangeCheck)
+{
+    std::vector<std::string> names = workloads::allNames();
+    for (const auto &n : workloads::stressNames())
+        names.push_back(n);
+    for (const auto &name : names) {
+        const auto errs =
+            workloadParamErrors(sweepWorkloadByName(name, 100, 1));
+        EXPECT_TRUE(errs.empty()) << name << ": " << errs.front();
+    }
+}
+
+// One case per range rule: resolving a cell whose override breaks the
+// rule exits 1 naming the key.
+
+TEST(WorkloadConfigDeath, FractionsLieInTheUnitInterval)
+{
+    for (const char *key :
+         {"wl.kernel_frac", "wl.shared_frac", "wl.stream_frac",
+          "wl.store_frac", "wl.phase_shift"}) {
+        EXPECT_EXIT(resolveWith(key, "1.5"),
+                    ::testing::ExitedWithCode(1),
+                    std::string(key) + " \\(1.5\\) must lie in");
+        EXPECT_EXIT(resolveWith(key, "-0.5"),
+                    ::testing::ExitedWithCode(1),
+                    std::string(key) + " \\(-0.5\\) must lie in");
+    }
+}
+
+TEST(WorkloadConfigDeath, RegionFractionsSumToAtMostOne)
+{
+    // TP's kernel and shared shares are 0.06 and 0.32.
+    EXPECT_EXIT(resolveWith("wl.stream_frac", "0.7"),
+                ::testing::ExitedWithCode(1),
+                "wl.kernel_frac \\+ wl.shared_frac \\+ wl.stream_frac "
+                "\\(1.08\\) must be at most 1");
+    EXPECT_EQ(resolveWith("wl.stream_frac", "0.62").streamFrac, 0.62);
+}
+
+TEST(WorkloadConfigDeath, SharedStoreFracIsAFractionOrNegative)
+{
+    // Negative keeps its meaning "same as wl.store_frac".
+    EXPECT_EQ(resolveWith("wl.shared_store_frac", "-1").sharedStoreFrac,
+              -1.0);
+    EXPECT_EXIT(resolveWith("wl.shared_store_frac", "1.5"),
+                ::testing::ExitedWithCode(1),
+                "wl.shared_store_frac \\(1.5\\) must lie in");
+}
+
+TEST(WorkloadConfigDeath, RatesAreNonNegative)
+{
+    for (const char *key :
+         {"wl.gap_mean", "wl.private_zipf", "wl.shared_zipf"}) {
+        EXPECT_EXIT(resolveWith(key, "-1"),
+                    ::testing::ExitedWithCode(1),
+                    std::string(key) + " \\(-1\\) must be at least 0");
+    }
+}
+
+TEST(WorkloadConfigDeath, SizesArePositive)
+{
+    for (const char *key :
+         {"wl.private_lines", "wl.shared_lines", "wl.kernel_lines",
+          "wl.stream_lines", "wl.private_group_size"}) {
+        EXPECT_EXIT(resolveWith(key, "0"),
+                    ::testing::ExitedWithCode(1),
+                    std::string(key) + " \\(0\\) must be at least 1");
+    }
 }
