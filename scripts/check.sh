@@ -7,7 +7,7 @@
 #   scripts/check.sh e2e        # end-to-end (sweep) tests only
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
 #   scripts/check.sh tsan       # TSan build, tsan-labelled (sweep pool and
-#                               # serve reader) tests plus a sampled sweep
+#                               # FIFO writer) tests plus a sampled sweep
 #                               # byte-compared across worker counts
 #   scripts/check.sh obs        # ASan+UBSan build, obs-labelled tests,
 #                               # then a sampled sweep smoke run
@@ -23,10 +23,10 @@
 #                               # upload
 #   scripts/check.sh serve      # streaming smoke: a 1M-record trace
 #                               # through a FIFO with bounded memory
-#                               # and live ingest gauges, a sampled
-#                               # run from a file, a stats + trace
-#                               # dump, and a `help config` round
-#                               # trip through --config
+#                               # and ingest gauges, a sampled run
+#                               # from a file twice, byte-compared,
+#                               # a stats + trace dump, and a `help
+#                               # config` round trip through --config
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core
 #                               # watchdogged run, and the
@@ -100,8 +100,9 @@ fi
 if [ "$SELECT" = tsan ]; then
     # ThreadSanitizer is incompatible with ASan, so it gets its own
     # mode and build tree; the tsan label selects exactly the suites
-    # that run more than one thread (the sweep worker pool and the
-    # serve reader thread).
+    # that run more than one thread (the sweep worker pool, and the
+    # streaming differential's FIFO writer threads; every simulation
+    # itself runs on one thread).
     run_phase configure \
         cmake -B build-tsan -S . -DCMPCACHE_SANITIZE=thread
     run_phase build cmake --build build-tsan -j"$(nproc)"
@@ -238,9 +239,9 @@ fi
 if [ "$SELECT" = serve ]; then
     # End-to-end smoke of the streaming service (docs/serving.md):
     # a >= 1M-record open-ended binary trace pushed through a FIFO
-    # must simulate with bounded memory and surface live ingest
-    # gauges in the sampled output, and a sampled run from a trace
-    # file must emit its time series.
+    # must simulate with bounded memory and surface ingest gauges in
+    # the sampled output, and a sampled run from a trace file must
+    # emit its time series, byte-identical across two runs.
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     gen_trace() { # <path> <records> -- streaming-framed binary trace
@@ -273,17 +274,22 @@ PY
     wait "$writer"
     run_phase serve-json \
         python3 -m json.tool "$smoke_dir/fifo.json" /dev/null
-    for gauge in ingest.queue_depth_now ingest.rate_per_ktick; do
+    for gauge in ingest.demux_buffered_now ingest.rate_per_ktick; do
         grep -q "\"$gauge\"" "$smoke_dir/fifo.json" \
             || { echo "serve output sampled no $gauge gauge" >&2; exit 1; }
     done
-    # A sampled run from a (smaller) trace file.
+    # A sampled run from a (smaller) trace file, twice: ingest gauges
+    # included, the bytes must repeat.
     run_phase serve-gen-small gen_trace "$smoke_dir/small.bin" 64000
-    run_phase serve-file \
-        ./build/src/cmpcache serve --trace="$smoke_dir/small.bin" \
-        --sample-every=5000 --out="$smoke_dir/small.json" --quiet
-    grep -q '"timeSeries"' "$smoke_dir/small.json" \
+    for run in 1 2; do
+        run_phase "serve-file-$run" \
+            ./build/src/cmpcache serve --trace="$smoke_dir/small.bin" \
+            --sample-every=5000 --out="$smoke_dir/small$run.json" --quiet
+    done
+    grep -q '"timeSeries"' "$smoke_dir/small1.json" \
         || { echo "serve (trace file) emitted no timeSeries" >&2; exit 1; }
+    cmp "$smoke_dir/small1.json" "$smoke_dir/small2.json" \
+        || { echo "serve: sampled trace-file runs differ" >&2; exit 1; }
     # One synthetic run with a JSON stats dump and a Perfetto trace.
     run_phase serve-stats-trace \
         ./build/src/cmpcache serve --workload=thrash --refs=2000 \
@@ -307,7 +313,7 @@ PY
         --out="$smoke_dir/config-file.json" --quiet
     cmp "$smoke_dir/config-none.json" "$smoke_dir/config-file.json" \
         || { echo "serve: help config output does not reload to the same run" >&2; exit 1; }
-    echo "serve: FIFO 1M-record stream, trace-file, stats/trace dump and help config smoke OK"
+    echo "serve: FIFO 1M-record stream, repeatable trace-file, stats/trace dump and help config smoke OK"
     exit 0
 fi
 

@@ -26,7 +26,7 @@
  *   # the paper grid: 4 workloads x 4 policies, deterministic output
  *   cmpcache sweep --out=results.json --threads=4
  *
- *   # stream a trace through a FIFO with live ingest gauges
+ *   # stream a trace through a FIFO with ingest gauges
  *   mkfifo /tmp/t.fifo
  *   generator > /tmp/t.fifo &
  *   cmpcache serve --trace=/tmp/t.fifo --sample-every=5000 \
@@ -111,10 +111,10 @@ usage()
         "  --workload=NAME       synthetic generator instead of a\n"
         "                        stream; only it takes --refs, --seed\n"
         "                        and wl.* keys (as for sweep)\n"
-        "  stream.* keys set the queue capacity and the demux window;\n"
-        "  the reader blocks while the queue is full. With sampling\n"
-        "  on, live ingest gauges (queue depth, ingest rate) join the\n"
-        "  probes\n\n"
+        "  The stream is decoded as the CPUs need records;\n"
+        "  stream.demux_capacity bounds the records buffered for\n"
+        "  threads that lag the stream. With sampling on, ingest\n"
+        "  gauges (records decoded, ingest rate) join the probes\n\n"
         "sweep options:\n"
         "  --workloads=A,B,...   default: TP,CPW2,NotesBench,Trade2\n"
         "  --policies=a,b,...    default: baseline,wbht,snarf,"
@@ -463,8 +463,8 @@ serveMain(const CliArgs &args)
             in = std::move(f);
         }
         if (!quiet)
-            inform("serve: streaming ", name, " (queue ",
-                   cfg.stream.queueCapacity, " records)");
+            inform("serve: streaming ", name, " (demux window ",
+                   cfg.stream.demuxCapacity, " records)");
         sim = std::make_unique<Simulation>(cfg, std::move(in),
                                            std::move(name));
     } else {
@@ -507,11 +507,8 @@ serveMain(const CliArgs &args)
     writeCellOutputs(args, "serve", cells, quiet);
 
     if (!quiet) {
-        if (const StreamIngest *ingest = sim->ingest()) {
-            inform("serve: ingested ", ingest->recordsIngested(),
-                   " records (", ingest->producerBlockedWaits(),
-                   " producer waits)");
-        }
+        if (const StreamIngest *ingest = sim->ingest())
+            inform("serve: ingested ", ingest->recordsIngested(), " records");
         inform("serve: finished at tick ", cell.result.execTime,
                ", result written to ",
                file.is_open() ? out : std::string("stdout"));

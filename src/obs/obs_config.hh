@@ -33,12 +33,12 @@ struct ObsConfig
     std::uint64_t traceCapacity = 65536;
 
     /**
-     * Register live streaming-ingest gauges (ingest.* stats: queue
-     * depth, ingested/dropped counts, producer waits). Off by
-     * default: the gauges read wall-clock-dependent reader-thread
-     * counters, so they are inherently non-deterministic and must
-     * not appear in outputs that are compared byte-for-byte.
-     * `cmpcache serve` turns them on.
+     * Register streaming-ingest gauges (ingest.* stats: records
+     * decoded, demux window, ingest rate). They are deterministic,
+     * but only a streaming run has them, so they are off by default:
+     * a streamed run's stats dump then compares byte-for-byte with
+     * the batch replay of the same trace. `cmpcache serve` turns
+     * them on.
      */
     bool ingestGauges = false;
 };

@@ -164,7 +164,6 @@ handlers()
         {"obs.trace", BOOL_KEY(obs.traceEnabled)},
         {"obs.trace_capacity", U64_KEY(obs.traceCapacity)},
         {"obs.ingest", BOOL_KEY(obs.ingestGauges)},
-        {"stream.queue_capacity", U64_KEY(stream.queueCapacity)},
         {"stream.demux_capacity", U64_KEY(stream.demuxCapacity)},
         {"ring.addr_slot_cycles", U64_KEY(ring.addrSlotCycles)},
         {"ring.snoop_latency", U64_KEY(ring.snoopLatency)},
@@ -249,6 +248,8 @@ removedKeys()
         {"topology.l2_kb_per_l2", "l2.size_bytes"},
         {"topology.l3_mb_per_slice",
          "l3.size_bytes (the total across slices)"},
+        {"stream.queue_capacity",
+         "stream.demux_capacity (the only stream buffer)"},
     };
     return m;
 }

@@ -10,36 +10,30 @@ namespace cmpcache
 {
 
 /**
- * Live gauges over the streaming-ingest pipeline. Formulas read the
- * reader thread's atomic counters, so sampled values depend on
- * wall-clock producer/consumer interleaving -- which is why they are
- * only registered when obs.ingest asks for them (deterministic
- * outputs must not include them; see ObsConfig::ingestGauges).
+ * Gauges over streaming ingestion. Records are decoded on the
+ * simulation thread as the CPUs need them, so every value is a
+ * deterministic function of the stream and the simulated time. They
+ * are registered only when obs.ingest asks for them: batch runs have
+ * no ingest group, and the streaming differential compares streamed
+ * and batch stats dumps (see ObsConfig::ingestGauges).
  */
 struct Simulation::IngestStats
 {
     IngestStats(stats::Group *parent, StreamIngest &ingest,
                 EventQueue *eq)
         : group(parent, "ingest"),
-          queueDepthNow(&group, "queue_depth_now",
-                        "records in the ingest queue right now",
-                        [&ingest] {
-                            return double(ingest.queueDepth());
-                        }),
-          ingested(&group, "ingested",
-                   "records accepted into the ingest queue",
+          ingested(&group, "ingested", "records decoded so far",
                    [&ingest] {
                        return double(ingest.recordsIngested());
                    }),
-          // Lossless queue; kept at 0 for cmpbench's serve-notes check.
+          // Both always 0 (decode is lossless and nothing waits on a
+          // queue); kept for cmpbench's serve-notes check and report.
           dropped(&group, "dropped",
-                  "records shed (always 0: the queue blocks)",
+                  "records shed (always 0: decode is lossless)",
                   [] { return 0.0; }),
           producerWaits(&group, "producer_waits",
-                        "times the producer blocked on a full queue",
-                        [&ingest] {
-                            return double(ingest.producerBlockedWaits());
-                        }),
+                        "producer waits (always 0: no ingest queue)",
+                        [] { return 0.0; }),
           demuxBufferedNow(&group, "demux_buffered_now",
                            "records buffered in the demux skew window",
                            [&ingest] {
@@ -59,7 +53,6 @@ struct Simulation::IngestStats
     }
 
     stats::Group group;
-    stats::Formula queueDepthNow;
     stats::Formula ingested;
     stats::Formula dropped;
     stats::Formula producerWaits;
@@ -151,9 +144,8 @@ Simulation::initObservability()
         }
         if (ingestStats_) {
             for (const char *path :
-                 {"ingest.queue_depth_now", "ingest.ingested",
-                  "ingest.dropped", "ingest.producer_waits",
-                  "ingest.demux_buffered_now",
+                 {"ingest.ingested", "ingest.dropped",
+                  "ingest.producer_waits", "ingest.demux_buffered_now",
                   "ingest.rate_per_ktick"}) {
                 const bool ok = sampler_->watch(path);
                 cmp_assert(ok, "unresolvable probe path '", path,

@@ -54,12 +54,12 @@ class Simulation
 
     /**
      * Streaming run (`cmpcache serve`): records are decoded from
-     * @p stream by a reader thread and consumed online through a
-     * bounded queue + demux, so resident memory stays bounded no
-     * matter how long the stream is (docs/serving.md). Warmup is
-     * forced off -- a stream can only be consumed once. When
-     * cfg.obs.ingestGauges is set, live ingest.* gauges (queue
-     * depth, ingested/dropped, producer waits) are registered and
+     * @p stream on demand, as each CPU needs its next one, and
+     * split per thread by a bounded demux, so resident memory stays
+     * bounded no matter how long the stream is (docs/serving.md).
+     * Warmup is forced off -- a stream can only be consumed once.
+     * When cfg.obs.ingestGauges is set, ingest.* gauges (records
+     * decoded, demux window, ingest rate) are registered and
      * sampled alongside the default probes.
      */
     Simulation(const SystemConfig &cfg,

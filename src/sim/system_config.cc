@@ -112,8 +112,6 @@ SystemConfig::validationErrors() const
     if (watchdog.enabled() && watchdog.stallChecks == 0)
         errs.push_back("watchdog.stall_checks must be positive");
 
-    if (stream.queueCapacity == 0)
-        errs.push_back("stream.queue_capacity must be positive");
     if (stream.demuxCapacity == 0)
         errs.push_back("stream.demux_capacity must be positive");
 

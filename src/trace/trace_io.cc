@@ -1,13 +1,13 @@
 #include "trace/trace_io.hh"
 
 #include <array>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -91,7 +91,7 @@ opFromChar(char c)
  * ~4-billion-tick gap or thread id.
  */
 bool
-parseU32Token(const std::string &tok, std::uint32_t &out)
+parseU32Token(std::string_view tok, std::uint32_t &out)
 {
     if (tok.empty() || tok.size() > 10)
         return false;
@@ -107,28 +107,63 @@ parseU32Token(const std::string &tok, std::uint32_t &out)
     return true;
 }
 
+/** The characters istream extraction skips between fields ("C" locale). */
+bool
+isFieldSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f'
+           || c == '\r';
+}
+
+/** Pop the next whitespace-separated field off @p rest ("" at end). */
+std::string_view
+nextField(std::string_view &rest)
+{
+    std::size_t b = 0;
+    while (b < rest.size() && isFieldSpace(rest[b]))
+        ++b;
+    std::size_t e = b;
+    while (e < rest.size() && !isFieldSpace(rest[e]))
+        ++e;
+    const std::string_view field = rest.substr(b, e - b);
+    rest.remove_prefix(e);
+    return field;
+}
+
 /**
- * Parse one text trace line into @p rec.
+ * Parse a hex address the way strtoull(s, 16) reads a whole token:
+ * an optional 0x/0X prefix, then hex digits only -- no sign, and
+ * nothing over 64 bits.
+ */
+bool
+parseHexAddr(std::string_view tok, std::uint64_t &out)
+{
+    if (tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X'))
+        tok.remove_prefix(2);
+    const char *end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, out, 16);
+    return ec == std::errc{} && ptr == end;
+}
+
+/**
+ * Parse one text trace line into @p rec: exactly four fields, with
+ * anything after a '#' ignored. Allocates only to report an error.
  * @return Expected of "line carried a record" (false = blank or
  *         comment-only line), or the structured parse error.
  */
 Expected<bool>
-parseTextLine(const std::string &raw, std::size_t lineno,
+parseTextLine(std::string_view raw, std::size_t lineno,
               TraceRecord &rec)
 {
-    std::string line = raw;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos)
-        line.erase(hash);
-    std::istringstream ls(line);
-    std::string tid_s;
-    std::string op;
-    std::string addr_s;
-    std::string gap_s;
-    if (!(ls >> tid_s))
+    std::string_view rest = raw.substr(0, raw.find('#'));
+    const std::string_view tid_s = nextField(rest);
+    if (tid_s.empty())
         return false; // blank (or comment-only) line
+    const std::string_view op = nextField(rest);
+    const std::string_view addr_s = nextField(rest);
+    const std::string_view gap_s = nextField(rest);
     std::uint32_t tid;
-    if (!(ls >> op >> addr_s >> gap_s) || op.size() != 1
+    if (gap_s.empty() || !nextField(rest).empty() || op.size() != 1
         || !parseU32Token(tid_s, tid)) {
         return traceError(cstr("malformed trace line ", lineno,
                                ": '", raw, "'"));
@@ -146,20 +181,7 @@ parseTextLine(const std::string &raw, std::size_t lineno,
     }
     rec.tid = static_cast<ThreadId>(tid);
     rec.op = static_cast<MemOp>(opv);
-    // std::stoull throws on non-hex garbage and on overflow; it also
-    // accepts a leading '-' by wrapping, so that is rejected up
-    // front. All three report as a bad address.
-    std::size_t used = 0;
-    if (addr_s[0] == '-' || addr_s[0] == '+') {
-        used = 0;
-    } else {
-        try {
-            rec.addr = std::stoull(addr_s, &used, 16);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-    }
-    if (used != addr_s.size()) {
+    if (!parseHexAddr(addr_s, rec.addr)) {
         return traceError(cstr("trace line ", lineno,
                                ": bad hex address '", addr_s,
                                "'"));
@@ -306,7 +328,7 @@ TraceStreamParser::nextLine(std::string &line)
     if (!carry_.empty()) {
         const auto nl = carry_.find('\n');
         if (nl != std::string::npos) {
-            line = carry_.substr(0, nl);
+            line.assign(carry_, 0, nl);
             carry_.erase(0, nl + 1);
             return true;
         }
@@ -325,11 +347,10 @@ TraceStreamParser::nextLine(std::string &line)
 TraceStreamParser::Status
 TraceStreamParser::nextText(TraceRecord &rec)
 {
-    std::string line;
-    while (nextLine(line)) {
+    while (nextLine(line_)) {
         ++lineno_;
         TraceRecord r;
-        auto parsed = parseTextLine(line, lineno_, r);
+        auto parsed = parseTextLine(line_, lineno_, r);
         if (!parsed)
             return fail(std::move(parsed.error()));
         if (!*parsed)

@@ -3,14 +3,16 @@
  * Trace file readers and writers, batch and streaming.
  *
  * Two interchange formats are supported (docs/serving.md):
- *  - text:   one record per line, "tid op hex-addr gap", '#' comments
+ *  - text:   one record per line, "tid op hex-addr gap" split by any
+ *            whitespace (CRLF line ends too), an optional 0x/0X
+ *            address prefix, '#' comments
  *  - binary: "CMPT" magic + version + record count + packed
  *            little-endian records; a count of kStreamingRecordCount
  *            marks an open-ended stream that ends at EOF
  *
  * Files store records interleaved across threads; splitByThread()
- * turns a loaded vector into per-thread sources, StreamDemux
- * (trace_source.hh) does the same online.
+ * turns a loaded vector into per-thread sources, StreamIngest
+ * (trace_source.hh) does the same online, decoding on demand.
  *
  * Readers treat the input as hostile: header counts are checked
  * against the bytes actually present, every decoded field is
@@ -129,6 +131,9 @@ class TraceStreamParser
     Mode mode_ = Mode::Unsniffed;
     /** Sniffed bytes awaiting replay into the text parser. */
     std::string carry_;
+    /** Text mode: the current line, reused so decoding does not
+     * allocate per record. */
+    std::string line_;
     std::size_t lineno_ = 0;
     /** Binary mode: declared record count (or the streaming
      * sentinel) and the index of the next record. */

@@ -93,6 +93,7 @@ TEST(ConfigIo, UnknownKeyReportsError)
         {"l3.line_size", "l2.line_size"},
         {"topology.l2_kb_per_l2", "l2.size_bytes"},
         {"topology.l3_mb_per_slice", "l3.size_bytes"},
+        {"stream.queue_capacity", "stream.demux_capacity"},
     };
     for (const auto &[key, replacement] : removed) {
         SystemConfig cfg;

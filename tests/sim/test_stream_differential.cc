@@ -6,17 +6,21 @@
  * byte-identical result JSON, sampled time series, and stats dumps.
  * This is the determinism contract in docs/serving.md: the demux
  * preserves per-thread subsequences, so streaming only changes memory
- * behavior, never results. Also covers the FIFO end-to-end path and the
- * skew-cap failure mode.
+ * behavior, never results. Also covers the FIFO end-to-end path, a
+ * failed FIFO stream whose writer goes idle, the skew-cap failure
+ * mode, and sampled ingest gauges repeating byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,11 +94,9 @@ baseConfig()
     // batch leg must run cold too for the outputs to be comparable.
     cfg.warmupPass = false;
     cfg.obs.sampleEvery = 256;
-    // Ingest gauges are wall-clock dependent; the differential needs
-    // deterministic sampled output.
+    // Only a streamed run has ingest gauges; leave them out so its
+    // sampled series and stats dump compare with the batch run's.
     cfg.obs.ingestGauges = false;
-    // A small queue forces real producer/consumer interleaving.
-    cfg.stream.queueCapacity = 64;
     return cfg;
 }
 
@@ -219,6 +221,72 @@ TEST(StreamDifferential, FifoEndToEnd)
     EXPECT_EQ(fifo.resultJson, batch.resultJson);
     EXPECT_EQ(fifo.samplesJson, batch.samplesJson);
     EXPECT_EQ(fifo.statsJson, batch.statsJson);
+}
+
+TEST(StreamDifferential, FifoErrorDoesNotWaitForAnIdleWriter)
+{
+    // A producer that sends a bad record and then goes quiet with its
+    // end still open: the run must fail on the bad record, and tearing
+    // the Simulation down must not wait for the producer.
+    const std::string path =
+        testing::TempDir() + "cmpcache_stream_idle_fifo";
+    std::remove(path.c_str());
+    if (mkfifo(path.c_str(), 0600) != 0)
+        GTEST_SKIP() << "mkfifo unavailable here";
+
+    std::mutex mtx;
+    std::condition_variable cv;
+    bool released = false;
+    std::thread writer([&] {
+        std::ofstream os(path, std::ios::binary);
+        os << "0 L 40 0\n99 L 80 0\n" << std::flush;
+        std::unique_lock<std::mutex> lk(mtx);
+        cv.wait_for(lk, std::chrono::seconds(10),
+                    [&] { return released; });
+    });
+    auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
+    ASSERT_TRUE(in->is_open());
+
+    std::chrono::steady_clock::time_point thrown;
+    {
+        Simulation sim(baseConfig(), std::move(in), "idle-writer");
+        try {
+            sim.run();
+            ADD_FAILURE() << "the out-of-range thread did not surface";
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Trace);
+            EXPECT_NE(e.error().message.find("thread 99"),
+                      std::string::npos)
+                << e.error().message;
+        }
+        thrown = std::chrono::steady_clock::now();
+    }
+    const auto teardown = std::chrono::steady_clock::now() - thrown;
+    {
+        std::lock_guard<std::mutex> lk(mtx);
+        released = true;
+    }
+    cv.notify_all();
+    writer.join();
+    std::remove(path.c_str());
+    EXPECT_LT(teardown, std::chrono::seconds(2))
+        << "destroying the Simulation waited for the idle writer";
+}
+
+TEST(StreamDifferential, SampledIngestGaugesRepeatByteForByte)
+{
+    // The ingest gauges sample decode progress on the simulation
+    // thread, so two runs over one stream sample identical series,
+    // ingest.* channels included.
+    SystemConfig cfg = baseConfig();
+    cfg.obs.ingestGauges = true;
+    const std::string data =
+        serialize(makeTrace(4, 3000), TraceFormat::Binary);
+    const RunSnapshot first = runStreamed(cfg, data);
+    const RunSnapshot second = runStreamed(cfg, data);
+    EXPECT_NE(first.samplesJson.find("ingest.ingested"),
+              std::string::npos);
+    EXPECT_EQ(first.samplesJson, second.samplesJson);
 }
 
 TEST(StreamDifferential, SkewCapOverflowIsAStructuredError)

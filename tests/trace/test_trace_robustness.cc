@@ -78,15 +78,36 @@ TEST(TraceRobustness, MalformedTextCorpusAllReportErrors)
         "0 L 10 +1\n",              // explicit sign on gap
         "0 L 10 4294967296\n",      // gap overflows u32
         "4294967296 L 10 0\n",      // tid overflows u32
+        "0 L 1000 3 junk\n",        // a fifth field
+        "0 L 0x 0\n",               // bare hex prefix
+        "0 L 0x-10 0\n",            // sign after the hex prefix
     };
     for (const auto &bad : corpus) {
         const auto r = parse(bad);
         EXPECT_FALSE(r.ok()) << "accepted: " << bad;
         if (!r.ok()) {
             EXPECT_EQ(r.error().kind, SimErrorKind::Trace) << bad;
-            EXPECT_FALSE(r.error().message.empty()) << bad;
+            EXPECT_NE(r.error().message.find("line 1"),
+                      std::string::npos)
+                << r.error().message;
         }
     }
+}
+
+TEST(TraceRobustness, TextAcceptsAnyWhitespaceCrlfAndHexPrefix)
+{
+    const auto r = parse("0\tL\t7f2a40\t3\r\n"
+                         "1 S 0x10c0 0\r\n"
+                         "  2  I  0XABC \t 7  # trailing comment\n"
+                         "3 L FfFf 4294967295\n");
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    const std::vector<TraceRecord> want = {
+        {0x7f2a40, 3, 0, MemOp::Load},
+        {0x10c0, 0, 1, MemOp::Store},
+        {0xabc, 7, 2, MemOp::IFetch},
+        {0xffff, 4294967295u, 3, MemOp::Load},
+    };
+    EXPECT_EQ(*r, want);
 }
 
 TEST(TraceRobustness, TextErrorsNameTheLine)

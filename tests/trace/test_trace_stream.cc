@@ -1,18 +1,16 @@
 /**
  * @file
  * Streaming-ingestion tests: the incremental TraceStreamParser on
- * non-seekable streams (the silent-empty-trace regression), the
- * bounded queue's backpressure, and the per-thread demux.
+ * non-seekable streams (the silent-empty-trace regression) and the
+ * on-demand per-thread demux.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <sstream>
 #include <streambuf>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/trace_io.hh"
@@ -180,65 +178,17 @@ TEST(TraceStream, ParserErrorIsSticky)
 }
 
 // ---------------------------------------------------------------------
-// Bounded queue
-
-TEST(BoundedQueue, BlockPolicyIsLosslessUnderBackpressure)
-{
-    BoundedRecordQueue q(4);
-    constexpr std::uint64_t kCount = 1000;
-    std::thread producer([&] {
-        for (std::uint64_t i = 0; i < kCount; ++i) {
-            TraceRecord r{i, 0, 0, MemOp::Load};
-            ASSERT_TRUE(q.push(r));
-        }
-        q.close();
-    });
-    TraceRecord r;
-    std::uint64_t seen = 0;
-    while (q.pop(r)) {
-        EXPECT_EQ(r.addr, seen);
-        ++seen;
-    }
-    producer.join();
-    EXPECT_EQ(seen, kCount);
-    EXPECT_EQ(q.pushed(), kCount);
-    EXPECT_EQ(q.popped(), kCount);
-}
-
-TEST(BoundedQueue, AbortUnblocksProducerAndConsumer)
-{
-    BoundedRecordQueue q(1);
-    ASSERT_TRUE(q.push({1, 0, 0, MemOp::Load}));
-    std::atomic<bool> pushReturned{false};
-    std::thread producer([&] {
-        // Queue full: this blocks until the abort below.
-        const bool ok = q.push({2, 0, 0, MemOp::Load});
-        EXPECT_FALSE(ok);
-        pushReturned = true;
-    });
-    q.abort();
-    producer.join();
-    EXPECT_TRUE(pushReturned);
-    TraceRecord r;
-    EXPECT_FALSE(q.pop(r));
-}
-
-// ---------------------------------------------------------------------
 // Demux
 
 TEST(StreamDemuxTest, PreservesPerThreadSubsequences)
 {
-    BoundedRecordQueue q(16);
     // Interleave three threads with distinct per-thread sequences.
     std::vector<TraceRecord> recs;
     for (std::uint64_t i = 0; i < 30; ++i)
         recs.push_back({i, 0, ThreadId(i % 3), MemOp::Load});
-    std::thread producer([&] {
-        for (const auto &r : recs)
-            q.push(r);
-        q.close();
-    });
-    StreamDemux demux(q, 3, 64);
+    StreamIngest demux(
+        std::make_unique<std::istringstream>(asBinary(recs)),
+        StreamParams{.demuxCapacity = 64}, 3);
     // Pull thread 2 fully first: everything else gets buffered.
     for (ThreadId t : {ThreadId(2), ThreadId(0), ThreadId(1)}) {
         TraceRecord r;
@@ -250,19 +200,17 @@ TEST(StreamDemuxTest, PreservesPerThreadSubsequences)
         }
         EXPECT_EQ(expect, 30u + t) << "thread " << t;
     }
-    producer.join();
+    EXPECT_EQ(demux.demuxBuffered(), 0u);
 }
 
 TEST(StreamDemuxTest, SkewCapIsAStructuredError)
 {
-    BoundedRecordQueue q(4);
-    std::thread producer([&] {
-        for (std::uint64_t i = 0; i < 100; ++i)
-            if (!q.push({i, 0, 0, MemOp::Load}))
-                return;
-        q.close();
-    });
-    StreamDemux demux(q, 2, 8);
+    std::vector<TraceRecord> recs;
+    for (std::uint64_t i = 0; i < 100; ++i)
+        recs.push_back({i, 0, 0, MemOp::Load});
+    StreamIngest demux(
+        std::make_unique<std::istringstream>(asBinary(recs)),
+        StreamParams{.demuxCapacity = 8}, 2);
     TraceRecord r;
     // Thread 1 never shows up; buffering thread 0 past the cap must
     // throw instead of growing without bound.
@@ -275,37 +223,47 @@ TEST(StreamDemuxTest, SkewCapIsAStructuredError)
                   std::string::npos)
             << e.error().message;
     }
-    q.abort();
-    producer.join();
+    EXPECT_EQ(demux.demuxBuffered(), 8u);
 }
 
 TEST(StreamDemuxTest, OutOfRangeTidIsAStructuredError)
 {
-    BoundedRecordQueue q(4);
-    q.push({0x40, 0, 7, MemOp::Load});
-    q.close();
-    StreamDemux demux(q, 2, 8);
+    StreamIngest demux(std::make_unique<std::istringstream>(asBinary(
+                           {{0x40, 0, 7, MemOp::Load}})),
+                       StreamParams{.demuxCapacity = 8}, 2);
     TraceRecord r;
     EXPECT_THROW(demux.pull(0, r), SimException);
 }
 
 TEST(StreamDemuxTest, ProducerErrorPropagatesToConsumers)
 {
-    BoundedRecordQueue q(4);
-    q.push({0x40, 0, 0, MemOp::Load});
-    q.fail(SimError(SimErrorKind::Trace, "synthetic decode failure"));
-    StreamDemux demux(q, 2, 8);
+    // Line 3 fails to decode while thread 0 looks for its second
+    // record, after thread 1's record was buffered.
+    StreamIngest demux(std::make_unique<std::istringstream>(
+                           "0 L 40 0\n1 L 80 0\n0 L 10 -1\n0 L c0 0\n"),
+                       StreamParams{.demuxCapacity = 8}, 2);
     TraceRecord r;
-    // The record queued before the failure still arrives...
     ASSERT_TRUE(demux.pull(0, r));
-    // ...then the error surfaces instead of a silent end-of-trace.
-    try {
-        demux.pull(0, r);
-        FAIL() << "producer error did not propagate";
-    } catch (const SimException &e) {
-        EXPECT_NE(e.error().message.find("synthetic decode failure"),
-                  std::string::npos);
-    }
+    EXPECT_EQ(r.addr, 0x40u);
+    const auto expectDecodeError = [&](ThreadId t) {
+        try {
+            demux.pull(t, r);
+            FAIL() << "decode error did not surface for thread " << t;
+        } catch (const SimException &e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::Trace);
+            EXPECT_NE(e.error().message.find("line 3"),
+                      std::string::npos)
+                << e.error().message;
+        }
+    };
+    expectDecodeError(0);
+    // The record decoded before the failure still arrives...
+    ASSERT_TRUE(demux.pull(1, r));
+    EXPECT_EQ(r.addr, 0x80u);
+    // ...then every thread sees the same error, never a silent
+    // end-of-trace or the record after the bad line.
+    expectDecodeError(1);
+    expectDecodeError(0);
 }
 
 // ---------------------------------------------------------------------
@@ -319,11 +277,9 @@ TEST(StreamIngestTest, MatchesSplitByThread)
             {0x40 * i, std::uint32_t(i % 5), ThreadId(i % 4),
              i % 2 ? MemOp::Store : MemOp::Load});
 
-    StreamParams params;
-    params.queueCapacity = 8; // force producer/consumer interleaving
     StreamIngest ingest(
-        std::make_unique<std::istringstream>(asBinary(recs)), params,
-        4);
+        std::make_unique<std::istringstream>(asBinary(recs)),
+        StreamParams{}, 4);
     auto bundle = ingest.makeBundle();
 
     auto expected = splitByThread(recs, 4);
@@ -350,21 +306,4 @@ TEST(StreamIngestTest, DecodeErrorSurfacesAsException)
     TraceRecord r;
     ASSERT_TRUE(bundle.perThread[0]->next(r));
     EXPECT_THROW(bundle.perThread[0]->next(r), SimException);
-}
-
-TEST(StreamIngestTest, StopWhileProducerBlockedJoinsCleanly)
-{
-    // A tiny queue against a large input: the reader thread is
-    // blocked mid-push when stop() tears everything down.
-    std::vector<TraceRecord> recs(
-        5000, {0x40, 0, 0, MemOp::Load});
-    StreamParams params;
-    params.queueCapacity = 2;
-    auto ingest = std::make_unique<StreamIngest>(
-        std::make_unique<std::istringstream>(asBinary(recs)), params,
-        1);
-    auto bundle = ingest->makeBundle();
-    TraceRecord r;
-    ASSERT_TRUE(bundle.perThread[0]->next(r));
-    ingest.reset(); // stop() + join; must not hang or crash
 }
