@@ -3,16 +3,12 @@
 
 Runs a benchmark binary that emits pair-based JSON (the hotpath
 microbenchmarks' cmpcache-hotpath-bench-v1 or the scaling study's
-cmpcache-scale-bench-v1) and compares each pair's
-current-implementation throughput (currentOpsPerSec) against the
-committed baseline in bench/BENCH_*.json. Any guarded pair that drops
+cmpcache-scale-bench-v1) and compares each pair's throughput
+(currentOpsPerSec) against the committed baseline in bench/BENCH_*.json. Any guarded pair that drops
 more than --max-drop (default 20%) below its baseline fails the
 guard; pairs marked "guard": false in the baseline are reported but
 never gate (the scale bench guards only its 8-core cell -- larger
-machines are informational). A baseline pair may set
-"metric": "speedup" to gate on the within-run legacy-vs-current
-ratio instead of absolute throughput: absolute Mops/s drifts with VM
-noisy-neighbor load that the same-run ratio cancels out.
+machines are informational).
 
 Baselines that record the machine they were measured on (a top-level
 "hostCores" field) only gate when the current host reports the same
@@ -95,9 +91,8 @@ def main():
                   f"{args.baseline})", file=sys.stderr)
             failed = True
             continue
-        metric = base.get("metric", "currentOpsPerSec")
-        now = pair[metric]
-        ref = base[metric]
+        now = pair["currentOpsPerSec"]
+        ref = base["currentOpsPerSec"]
         ratio = now / ref if ref > 0 else 0.0
         status = "ok"
         if not base.get("guard", True):
@@ -107,12 +102,8 @@ def main():
         elif ratio < 1.0 - args.max_drop:
             status = "REGRESSION"
             failed = True
-        if metric == "speedup":
-            print(f"{name}: {now:.3f}x vs baseline {ref:.3f}x "
-                  f"({ratio:.2f}x) {status}")
-        else:
-            print(f"{name}: {now / 1e6:.2f} Mops/s vs baseline "
-                  f"{ref / 1e6:.2f} Mops/s ({ratio:.2f}x) {status}")
+        print(f"{name}: {now / 1e6:.2f} Mops/s vs baseline "
+              f"{ref / 1e6:.2f} Mops/s ({ratio:.2f}x) {status}")
 
     if failed:
         print(f"hot-path throughput regressed more than "

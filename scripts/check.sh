@@ -6,6 +6,8 @@
 #   scripts/check.sh unit       # unit tests only
 #   scripts/check.sh e2e        # end-to-end (sweep) tests only
 #   scripts/check.sh sanitize   # ASan+UBSan build, sanitize-labelled tests
+#                               # (among them the whole-machine text
+#                               # and JSON stats dump goldens)
 #   scripts/check.sh tsan       # TSan build, tsan-labelled (sweep pool and
 #                               # FIFO writer) tests plus a sampled sweep
 #                               # byte-compared across worker counts
@@ -14,7 +16,8 @@
 #   scripts/check.sh faults     # fault/watchdog suite, then smoke runs:
 #                               # an injected-fault sweep plus a faults-off
 #                               # thread-count byte-identity check
-#   scripts/check.sh bench      # perf-regression guards against the
+#   scripts/check.sh bench      # perf-regression guards: each pair's
+#                               # currentOpsPerSec against the
 #                               # committed BENCH_hotpath.json and
 #                               # BENCH_scale.json baselines (skip
 #                               # with CMPCACHE_SKIP_BENCH=1)
@@ -25,7 +28,7 @@
 #                               # through a FIFO with bounded memory
 #                               # and ingest gauges, a sampled run
 #                               # from a file twice, byte-compared,
-#                               # a stats + trace dump, and a `help
+#                               # a JSON stats + trace dump, and a `help
 #                               # config` round trip through --config
 #   scripts/check.sh scale      # big-machine smoke: a 32-core sweep
 #                               # with invariant checking, a 64-core

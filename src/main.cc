@@ -100,9 +100,10 @@ usage()
         "                        JSON per cell; multi-cell grids get\n"
         "                        FILE.<cell-index> before the extension\n"
         "  --stats-format=F      capture a full stats dump per cell:\n"
-        "                        text, csv or json (default: none)\n"
+        "                        text or json (default: none)\n"
         "  --stats-out=FILE      stats dump destination (per cell,\n"
-        "                        like --trace-out; default: stderr)\n"
+        "                        like --trace-out; default: stderr);\n"
+        "                        needs --stats-format\n"
         "  --quiet               suppress progress lines\n\n"
         "serve options:\n"
         "  --trace=PATH          stream a text or binary trace from a\n"
@@ -195,16 +196,17 @@ applyConfigArgs(const CliArgs &args, SystemConfig &cfg,
 StatsFormat
 statsFormatArg(const CliArgs &args)
 {
-    if (!args.has("stats-format"))
+    if (!args.has("stats-format")) {
+        if (args.has("stats-out"))
+            cmp_fatal("--stats-out needs --stats-format=text|json");
         return StatsFormat::None;
+    }
     const std::string s = args.getString("stats-format", "");
     if (s == "text")
         return StatsFormat::Text;
-    if (s == "csv")
-        return StatsFormat::Csv;
     if (s == "json")
         return StatsFormat::Json;
-    cmp_fatal("--stats-format expects text|csv|json, got '", s, "'");
+    cmp_fatal("--stats-format expects text|json, got '", s, "'");
 }
 
 /**

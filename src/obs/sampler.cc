@@ -35,43 +35,6 @@ Sampler::watch(const std::string &path)
     return true;
 }
 
-std::size_t
-Sampler::watchMatching(const SamplerSink::Filter &filter)
-{
-    // Paths arrive with the root group's own name prefixed
-    // ("system.ring.requests"); both the filter and the channel names
-    // use root-relative paths, matching watch().
-    const std::string prefix = root_.path() + ".";
-    const auto strip = [&prefix](const std::string &p) {
-        return p.compare(0, prefix.size(), prefix) == 0
-                   ? p.substr(prefix.size())
-                   : p;
-    };
-    SamplerSink sink(filter ? SamplerSink::Filter(
-                         [&](const std::string &p) {
-                             return filter(strip(p));
-                         })
-                            : SamplerSink::Filter{});
-    root_.emitStats(sink);
-    std::size_t added = 0;
-    for (const auto &ch : sink.channels()) {
-        std::string rel = ch.path;
-        if (rel.compare(0, prefix.size(), prefix) == 0)
-            rel = rel.substr(prefix.size());
-        if (std::find(series_.names.begin(), series_.names.end(), rel)
-            != series_.names.end())
-            continue;
-        cmp_assert(series_.ticks.empty(),
-                   "cannot add channels once sampling has produced "
-                   "data");
-        series_.names.push_back(std::move(rel));
-        series_.values.emplace_back();
-        stats_.push_back(ch.stat);
-        ++added;
-    }
-    return added;
-}
-
 void
 Sampler::start()
 {

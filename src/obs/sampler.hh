@@ -14,16 +14,11 @@
  * sample it reschedules itself only while other events are pending,
  * so it never keeps the queue alive on its own and EventQueue::run()
  * still drains.
- *
- * SamplerSink is the StatSink face of the same machinery: visiting a
- * Group subtree with it enumerates sampleable stats (optionally
- * through a path filter), which backs Sampler::watchMatching().
  */
 
 #ifndef CMPCACHE_OBS_SAMPLER_HH
 #define CMPCACHE_OBS_SAMPLER_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,66 +28,6 @@
 
 namespace cmpcache
 {
-
-/**
- * StatSink that collects (path, stat) channels instead of formatting
- * anything. All four visit methods funnel into the same registration;
- * the optional filter decides which paths are kept.
- */
-class SamplerSink : public stats::StatSink
-{
-  public:
-    using Filter = std::function<bool(const std::string &)>;
-
-    struct Channel
-    {
-        std::string path;
-        const stats::Stat *stat;
-    };
-
-    explicit SamplerSink(Filter filter = {})
-        : filter_(std::move(filter))
-    {
-    }
-
-    void
-    visitScalar(const std::string &path,
-                const stats::Scalar &s) override
-    {
-        add(path, s);
-    }
-    void
-    visitAverage(const std::string &path,
-                 const stats::Average &s) override
-    {
-        add(path, s);
-    }
-    void
-    visitHistogram(const std::string &path,
-                   const stats::Histogram &s) override
-    {
-        add(path, s);
-    }
-    void
-    visitFormula(const std::string &path,
-                 const stats::Formula &s) override
-    {
-        add(path, s);
-    }
-
-    const std::vector<Channel> &channels() const { return channels_; }
-
-  private:
-    void
-    add(const std::string &path, const stats::Stat &s)
-    {
-        if (!filter_ || filter_(path))
-            channels_.push_back({path, &s});
-    }
-
-    Filter filter_;
-    std::vector<Channel> channels_;
-};
 
 class Sampler
 {
@@ -112,13 +47,6 @@ class Sampler
      *         watched)
      */
     bool watch(const std::string &path);
-
-    /**
-     * Watch every stat in the subtree whose root-relative path the
-     * filter admits (all of them with a null filter), in emission
-     * order. @return the number of channels added.
-     */
-    std::size_t watchMatching(const SamplerSink::Filter &filter);
 
     /** Schedule the first sample one interval from now. */
     void start();

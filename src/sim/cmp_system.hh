@@ -78,7 +78,10 @@ class CmpSystem : public stats::Group
      * Functionally pre-warm the L2s and L3 (no timing, no events):
      * replays @p traces through a simplified install/evict model so
      * measured runs start from steady-state cache contents. The
-     * adaptive tables start cold, as in the paper.
+     * adaptive tables warm alongside: every snarf table sees each
+     * miss and each victim's write back, and a clean victim the L3
+     * already holds allocates WBHT entries as its combined response
+     * would.
      */
     void functionalWarmup(TraceBundle traces);
 

@@ -94,9 +94,6 @@ dumpStats(const stats::Group &root, StatsFormat format)
       case StatsFormat::Text:
         stats::writeText(root, dump);
         break;
-      case StatsFormat::Csv:
-        stats::writeCsv(root, dump);
-        break;
       case StatsFormat::Json:
         stats::writeJson(root, dump);
         break;

@@ -40,7 +40,6 @@ enum class StatsFormat
 {
     None,
     Text,
-    Csv,
     Json,
 };
 

@@ -1,8 +1,9 @@
 #include "stats/sink.hh"
 
+#include <optional>
 #include <sstream>
-
-#include "common/logging.hh"
+#include <string>
+#include <vector>
 
 namespace cmpcache
 {
@@ -33,152 +34,73 @@ bucketKey(const Histogram &h, std::size_t i)
     return os.str();
 }
 
+/**
+ * One dump row. The text dump appends " # comment"; a histogram's
+ * detail rows have no comment, which is not the same as an empty one.
+ */
+struct Row
+{
+    std::string key;
+    std::string value;
+    std::optional<std::string> comment;
+};
+
+/** The rows of stat @p s at dotted path @p path. */
+std::vector<Row>
+statRows(const std::string &path, const Stat &s)
+{
+    if (const auto *sc = dynamic_cast<const Scalar *>(&s))
+        return {{path, fmt(sc->value()), s.desc()}};
+    if (const auto *a = dynamic_cast<const Average *>(&s)) {
+        return {{path, fmt(a->mean()),
+                 s.desc() + " (samples=" + fmt(a->count()) + ")"}};
+    }
+    if (const auto *h = dynamic_cast<const Histogram *>(&s)) {
+        std::vector<Row> rows{{path + ".mean", fmt(h->mean()), s.desc()},
+                              {path + ".count", fmt(h->count()), {}}};
+        if (h->underflow())
+            rows.push_back({path + ".underflow", fmt(h->underflow()), {}});
+        for (std::size_t i = 0; i < h->numBuckets(); ++i) {
+            if (h->bucketCount(i)) {
+                rows.push_back({path + "." + bucketKey(*h, i),
+                                fmt(h->bucketCount(i)), {}});
+            }
+        }
+        if (h->overflow())
+            rows.push_back({path + ".overflow", fmt(h->overflow()), {}});
+        return rows;
+    }
+    // A Formula: its evaluation.
+    return {{path, fmt(s.sampledValue()), s.desc()}};
+}
+
 } // namespace
-
-void
-TextSink::visitScalar(const std::string &path, const Scalar &s)
-{
-    os_ << path << " " << s.value() << " # " << s.desc() << "\n";
-}
-
-void
-TextSink::visitAverage(const std::string &path, const Average &s)
-{
-    os_ << path << " " << fmt(s.mean()) << " # " << s.desc()
-        << " (samples=" << s.count() << ")\n";
-}
-
-void
-TextSink::visitHistogram(const std::string &path, const Histogram &s)
-{
-    os_ << path << ".mean " << fmt(s.mean()) << " # " << s.desc()
-        << "\n";
-    os_ << path << ".count " << s.count() << "\n";
-    if (s.underflow())
-        os_ << path << ".underflow " << s.underflow() << "\n";
-    for (std::size_t i = 0; i < s.numBuckets(); ++i) {
-        if (!s.bucketCount(i))
-            continue;
-        os_ << path << "." << bucketKey(s, i) << " " << s.bucketCount(i)
-            << "\n";
-    }
-    if (s.overflow())
-        os_ << path << ".overflow " << s.overflow() << "\n";
-}
-
-void
-TextSink::visitFormula(const std::string &path, const Formula &s)
-{
-    os_ << path << " " << fmt(s.value()) << " # " << s.desc() << "\n";
-}
-
-void
-CsvSink::visitScalar(const std::string &path, const Scalar &s)
-{
-    os_ << path << "," << s.value() << "\n";
-}
-
-void
-CsvSink::visitAverage(const std::string &path, const Average &s)
-{
-    os_ << path << "," << fmt(s.mean()) << "\n";
-}
-
-void
-CsvSink::visitHistogram(const std::string &path, const Histogram &s)
-{
-    os_ << path << ".mean," << fmt(s.mean()) << "\n";
-    os_ << path << ".count," << s.count() << "\n";
-    if (s.underflow())
-        os_ << path << ".underflow," << s.underflow() << "\n";
-    for (std::size_t i = 0; i < s.numBuckets(); ++i) {
-        if (!s.bucketCount(i))
-            continue;
-        os_ << path << "." << bucketKey(s, i) << ","
-            << s.bucketCount(i) << "\n";
-    }
-    if (s.overflow())
-        os_ << path << ".overflow," << s.overflow() << "\n";
-}
-
-void
-CsvSink::visitFormula(const std::string &path, const Formula &s)
-{
-    os_ << path << "," << fmt(s.value()) << "\n";
-}
-
-void
-JsonSink::row(const std::string &key, const std::string &value)
-{
-    cmp_assert(!closed_, "JsonSink visited after close()");
-    if (!first_)
-        os_ << ",\n";
-    first_ = false;
-    os_ << "  \"" << key << "\": " << value;
-}
-
-void
-JsonSink::close()
-{
-    cmp_assert(!closed_, "JsonSink closed twice");
-    closed_ = true;
-    os_ << "\n}\n";
-}
-
-void
-JsonSink::visitScalar(const std::string &path, const Scalar &s)
-{
-    row(path, fmt(s.value()));
-}
-
-void
-JsonSink::visitAverage(const std::string &path, const Average &s)
-{
-    row(path, fmt(s.mean()));
-}
-
-void
-JsonSink::visitHistogram(const std::string &path, const Histogram &s)
-{
-    row(path + ".mean", fmt(s.mean()));
-    row(path + ".count", fmt(s.count()));
-    if (s.underflow())
-        row(path + ".underflow", fmt(s.underflow()));
-    for (std::size_t i = 0; i < s.numBuckets(); ++i) {
-        if (!s.bucketCount(i))
-            continue;
-        row(path + "." + bucketKey(s, i), fmt(s.bucketCount(i)));
-    }
-    if (s.overflow())
-        row(path + ".overflow", fmt(s.overflow()));
-}
-
-void
-JsonSink::visitFormula(const std::string &path, const Formula &s)
-{
-    row(path, fmt(s.value()));
-}
 
 void
 writeText(const Group &g, std::ostream &os)
 {
-    TextSink sink(os);
-    g.emitStats(sink);
-}
-
-void
-writeCsv(const Group &g, std::ostream &os)
-{
-    CsvSink sink(os);
-    g.emitStats(sink);
+    g.forEachStat([&os](const std::string &path, const Stat &s) {
+        for (const Row &r : statRows(path, s)) {
+            os << r.key << " " << r.value;
+            if (r.comment)
+                os << " # " << *r.comment;
+            os << "\n";
+        }
+    });
 }
 
 void
 writeJson(const Group &g, std::ostream &os)
 {
-    JsonSink sink(os);
-    g.emitStats(sink);
-    sink.close();
+    const char *sep = "";
+    os << "{\n";
+    g.forEachStat([&](const std::string &path, const Stat &s) {
+        for (const Row &r : statRows(path, s)) {
+            os << sep << "  \"" << r.key << "\": " << r.value;
+            sep = ",\n";
+        }
+    });
+    os << "\n}\n";
 }
 
 } // namespace stats

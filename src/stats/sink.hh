@@ -1,23 +1,19 @@
 /**
  * @file
- * Concrete StatSink implementations for the classic output formats.
- *
- * A Group subtree is serialized by visiting it with a sink:
+ * Full stats dumps of a Group subtree, in the two formats the CLI's
+ * --stats-format offers:
  *
  *     stats::writeText(system, std::cout);       // "path value # desc"
- *     stats::writeCsv(system, file);             // "path,value"
  *     stats::writeJson(system, file);            // {"path": value, ...}
  *
- * The sinks replace the old Group::dump / dumpCsv / dumpJson trio;
- * their output is byte-identical to what those produced. The periodic
- * time-series sampler (src/obs/sampler.hh) is just another sink.
+ * Both walk the tree with Group::forEachStat and expand each stat into
+ * the same rows, so the formats list the same keys in the same order.
  */
 
 #ifndef CMPCACHE_STATS_SINK_HH
 #define CMPCACHE_STATS_SINK_HH
 
 #include <ostream>
-#include <string>
 
 #include "stats/stats.hh"
 
@@ -27,79 +23,12 @@ namespace stats
 {
 
 /**
- * Human-readable text: "path value # desc" lines, histograms expanded
- * into .mean/.count/.bucket[lo,hi) rows.
+ * Serialize @p g as text lines ("path value # desc"), histograms
+ * expanded into .mean/.count/.bucket[lo,hi) rows.
  */
-class TextSink : public StatSink
-{
-  public:
-    explicit TextSink(std::ostream &os) : os_(os) {}
-
-    void visitScalar(const std::string &path, const Scalar &s) override;
-    void visitAverage(const std::string &path,
-                      const Average &s) override;
-    void visitHistogram(const std::string &path,
-                        const Histogram &s) override;
-    void visitFormula(const std::string &path,
-                      const Formula &s) override;
-
-  private:
-    std::ostream &os_;
-};
-
-/** "path,value" rows (histograms expanded as in TextSink). */
-class CsvSink : public StatSink
-{
-  public:
-    explicit CsvSink(std::ostream &os) : os_(os) {}
-
-    void visitScalar(const std::string &path, const Scalar &s) override;
-    void visitAverage(const std::string &path,
-                      const Average &s) override;
-    void visitHistogram(const std::string &path,
-                        const Histogram &s) override;
-    void visitFormula(const std::string &path,
-                      const Formula &s) override;
-
-  private:
-    std::ostream &os_;
-};
-
-/**
- * Flat JSON object {"path": value, ...}. The object is opened on
- * construction; call close() (exactly once) after the last visit to
- * balance the braces. The writeJson() helper handles this.
- */
-class JsonSink : public StatSink
-{
-  public:
-    explicit JsonSink(std::ostream &os) : os_(os) { os_ << "{\n"; }
-
-    void close();
-
-    void visitScalar(const std::string &path, const Scalar &s) override;
-    void visitAverage(const std::string &path,
-                      const Average &s) override;
-    void visitHistogram(const std::string &path,
-                        const Histogram &s) override;
-    void visitFormula(const std::string &path,
-                      const Formula &s) override;
-
-  private:
-    void row(const std::string &key, const std::string &value);
-
-    std::ostream &os_;
-    bool first_ = true;
-    bool closed_ = false;
-};
-
-/** Serialize @p g as text lines ("path value # desc"). */
 void writeText(const Group &g, std::ostream &os);
 
-/** Serialize @p g as "path,value" CSV rows. */
-void writeCsv(const Group &g, std::ostream &os);
-
-/** Serialize @p g as one flat JSON object. */
+/** Serialize @p g as one flat JSON object, rows as in writeText. */
 void writeJson(const Group &g, std::ostream &os);
 
 } // namespace stats

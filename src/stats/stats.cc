@@ -16,18 +16,6 @@ Stat::Stat(Group *parent, std::string name, std::string desc)
     parent->addStat(this);
 }
 
-void
-Scalar::emit(StatSink &sink, const std::string &prefix) const
-{
-    sink.visitScalar(prefix + name(), *this);
-}
-
-void
-Average::emit(StatSink &sink, const std::string &prefix) const
-{
-    sink.visitAverage(prefix + name(), *this);
-}
-
 Histogram::Histogram(Group *parent, std::string name, std::string desc,
                      double min, double max, std::size_t buckets)
     : Stat(parent, std::move(name), std::move(desc)),
@@ -56,30 +44,10 @@ Histogram::sample(double v)
     }
 }
 
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = count_ = 0;
-    sum_ = 0.0;
-}
-
-void
-Histogram::emit(StatSink &sink, const std::string &prefix) const
-{
-    sink.visitHistogram(prefix + name(), *this);
-}
-
 Formula::Formula(Group *parent, std::string name, std::string desc,
                  std::function<double()> fn)
     : Stat(parent, std::move(name), std::move(desc)), fn_(std::move(fn))
 {
-}
-
-void
-Formula::emit(StatSink &sink, const std::string &prefix) const
-{
-    sink.visitFormula(prefix + name(), *this);
 }
 
 Group::Group(std::string name) : name_(std::move(name)) {}
@@ -111,25 +79,6 @@ Group::path() const
     if (!parent_)
         return name_;
     return parent_->path() + "." + name_;
-}
-
-void
-Group::resetStats()
-{
-    for (auto *s : stats_)
-        s->reset();
-    for (auto *g : children_)
-        g->resetStats();
-}
-
-void
-Group::emitStats(StatSink &sink) const
-{
-    const std::string prefix = path() + ".";
-    for (const auto *s : stats_)
-        s->emit(sink, prefix);
-    for (const auto *g : children_)
-        g->emitStats(sink);
 }
 
 void

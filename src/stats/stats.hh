@@ -4,11 +4,11 @@
  *
  * Every simulated component owns a stats::Group and registers named
  * statistics with it. Groups nest, forming a dotted hierarchy
- * (e.g. "system.l2_1.wbht.hits"). Output goes through the StatSink
- * visitor interface (src/stats/sink.hh): a Group emits every stat in
- * registration order into a sink, and the sink decides the format
- * (text, CSV, JSON, an in-memory time series, ...). Statistics can be
- * reset between warmup and measurement phases.
+ * (e.g. "system.l2_1.wbht.hits"). Group::forEachStat walks a subtree
+ * in registration order; the text and JSON dumps (src/stats/sink.hh)
+ * format that walk, and the periodic sampler (src/obs/sampler.hh)
+ * resolves its paths once with Group::find. Nothing resets a stat:
+ * each counts from construction to the end of its simulation.
  */
 
 #ifndef CMPCACHE_STATS_STATS_HH
@@ -25,35 +25,6 @@ namespace stats
 {
 
 class Group;
-class Scalar;
-class Average;
-class Histogram;
-class Formula;
-
-/**
- * Visitor receiving every statistic of a Group subtree, one typed
- * callback per stat, in registration order. @p path is the full
- * dotted path including the stat name ("system.l2_0.hits").
- *
- * Implementations: TextSink / CsvSink / JsonSink (sink.hh) for the
- * classic dump formats, SamplerSink (obs/sampler.hh) for periodic
- * time-series capture.
- */
-class StatSink
-{
-  public:
-    virtual ~StatSink() = default;
-
-    virtual void visitScalar(const std::string &path, const Scalar &s)
-        = 0;
-    virtual void visitAverage(const std::string &path, const Average &s)
-        = 0;
-    virtual void visitHistogram(const std::string &path,
-                                const Histogram &s)
-        = 0;
-    virtual void visitFormula(const std::string &path, const Formula &s)
-        = 0;
-};
 
 /** Base class of all statistics. */
 class Stat
@@ -67,13 +38,6 @@ class Stat
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
-
-    /** Zero the statistic (used after cache warmup). */
-    virtual void reset() = 0;
-
-    /** Visit @p sink with this stat at path @p prefix + name. */
-    virtual void emit(StatSink &sink, const std::string &prefix) const
-        = 0;
 
     /**
      * The stat's instantaneous numeric value, as captured by the
@@ -99,8 +63,6 @@ class Scalar : public Stat
 
     std::uint64_t value() const { return value_; }
 
-    void reset() override { value_ = 0; }
-    void emit(StatSink &sink, const std::string &prefix) const override;
     double sampledValue() const override
     {
         return static_cast<double>(value_);
@@ -121,8 +83,6 @@ class Average : public Stat
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     std::uint64_t count() const { return count_; }
 
-    void reset() override { sum_ = 0.0; count_ = 0; }
-    void emit(StatSink &sink, const std::string &prefix) const override;
     double sampledValue() const override { return mean(); }
 
   private:
@@ -154,8 +114,6 @@ class Histogram : public Stat
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
 
-    void reset() override;
-    void emit(StatSink &sink, const std::string &prefix) const override;
     double sampledValue() const override { return mean(); }
 
   private:
@@ -178,8 +136,6 @@ class Formula : public Stat
 
     double value() const { return fn_ ? fn_() : 0.0; }
 
-    void reset() override {}
-    void emit(StatSink &sink, const std::string &prefix) const override;
     double sampledValue() const override { return value(); }
 
   private:
@@ -206,20 +162,11 @@ class Group
     /** Full dotted path from the root. */
     std::string path() const;
 
-    /** Recursively zero every stat in this subtree. */
-    void resetStats();
-
     /**
-     * Visit every stat in this subtree in registration order: a
-     * group's own stats first, then its children, depth first. All
-     * output paths (text, CSV, JSON, sampling) build on this.
-     */
-    void emitStats(StatSink &sink) const;
-
-    /**
-     * Invoke @p fn for every stat in the subtree with its full dotted
-     * path, in the same order as emitStats. Used by the sampler to
-     * enumerate sampleable stats without formatting anything.
+     * Invoke @p fn for every stat in this subtree with its full dotted
+     * path ("system.l2_0.hits"), in registration order: a group's own
+     * stats first, then its children, depth first. The text and JSON
+     * dumps are formatted from this walk.
      */
     void forEachStat(
         const std::function<void(const std::string &, const Stat &)>

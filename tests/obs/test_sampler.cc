@@ -94,16 +94,6 @@ TEST_F(SamplerTest, DoesNotKeepTheQueueAliveAlone)
     EXPECT_EQ(s.series().values[0].back(), 1.0);
 }
 
-TEST_F(SamplerTest, WatchMatchingFiltersBySubtreePath)
-{
-    Sampler s(eq, root, 10);
-    EXPECT_EQ(s.watchMatching([](const std::string &p) {
-        return p.rfind("l2.", 0) == 0;
-    }), 1u);
-    ASSERT_EQ(s.numChannels(), 1u);
-    EXPECT_EQ(s.series().names[0], "l2.depth");
-}
-
 TEST(SampleSeriesJsonTest, WriterEmitsValidDeterministicJson)
 {
     SampleSeries s;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Golden-output tests for the StatSink implementations. The literals
- * below are exactly what the pre-redesign Group::dump / dumpCsv /
- * dumpJson produced for the same tree, so these tests pin the sink
- * API to byte-identical output.
+ * Golden-output tests for the text and JSON stats dumps
+ * (stats/sink.hh). The literals pin both formats byte for byte on a
+ * tree with one stat of every kind; the ctests stats_dump_*_golden
+ * pin them on a whole machine (tests/golden/stats_thrash300.*).
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "common/json.hh"
-#include "obs/sampler.hh"
 #include "stats/sink.hh"
 #include "stats/stats.hh"
 
@@ -32,7 +31,8 @@ class SinkTest : public ::testing::Test
           occ(&root, "occ", "occupancy", 0.0, 4.0, 2),
           ratio(&root, "ratio", "hit ratio", [] { return 0.25; }),
           l2(&root, "l2"),
-          misses(&l2, "misses", "miss count")
+          misses(&l2, "misses", "miss count"),
+          evictions(&l2, "evictions", "")
     {
         hits += 42;
         lat.sample(1.0);
@@ -43,6 +43,7 @@ class SinkTest : public ::testing::Test
         occ.sample(3.0);  // bucket[2,4)
         occ.sample(5.0);  // overflow
         misses += 7;
+        evictions += 3;
     }
 
     Group root;
@@ -52,6 +53,7 @@ class SinkTest : public ::testing::Test
     Formula ratio;
     Group l2;
     Scalar misses;
+    Scalar evictions; ///< empty description: text still prints " # "
 };
 
 TEST_F(SinkTest, TextGolden)
@@ -68,24 +70,8 @@ TEST_F(SinkTest, TextGolden)
               "sys.occ.bucket[2,4) 1\n"
               "sys.occ.overflow 1\n"
               "sys.ratio 0.25 # hit ratio\n"
-              "sys.l2.misses 7 # miss count\n");
-}
-
-TEST_F(SinkTest, CsvGolden)
-{
-    std::ostringstream os;
-    writeCsv(root, os);
-    EXPECT_EQ(os.str(),
-              "sys.hits,42\n"
-              "sys.lat,1.5\n"
-              "sys.occ.mean,1.7\n"
-              "sys.occ.count,5\n"
-              "sys.occ.underflow,1\n"
-              "sys.occ.bucket[0,2),2\n"
-              "sys.occ.bucket[2,4),1\n"
-              "sys.occ.overflow,1\n"
-              "sys.ratio,0.25\n"
-              "sys.l2.misses,7\n");
+              "sys.l2.misses 7 # miss count\n"
+              "sys.l2.evictions 3 # \n");
 }
 
 TEST_F(SinkTest, JsonGolden)
@@ -103,7 +89,8 @@ TEST_F(SinkTest, JsonGolden)
               "  \"sys.occ.bucket[2,4)\": 1,\n"
               "  \"sys.occ.overflow\": 1,\n"
               "  \"sys.ratio\": 0.25,\n"
-              "  \"sys.l2.misses\": 7\n"
+              "  \"sys.l2.misses\": 7,\n"
+              "  \"sys.l2.evictions\": 3\n"
               "}\n");
     std::string error;
     EXPECT_TRUE(validateJson(os.str(), &error)) << error;
@@ -111,28 +98,33 @@ TEST_F(SinkTest, JsonGolden)
 
 TEST_F(SinkTest, CallerStreamStateDoesNotLeakIn)
 {
-    // The sinks format through a fresh default-state stream, so a
+    // Values format through a fresh default-state stream, so a
     // caller's precision/flags cannot perturb golden output.
-    std::ostringstream os;
-    os.precision(1);
-    os.setf(std::ios::fixed);
-    std::ostringstream plain;
-    writeCsv(root, os);
-    writeCsv(root, plain);
-    EXPECT_EQ(os.str(), plain.str());
+    for (const auto write : {&writeText, &writeJson}) {
+        std::ostringstream os;
+        os.precision(1);
+        os.setf(std::ios::fixed);
+        os.setf(std::ios::hex, std::ios::basefield);
+        std::ostringstream plain;
+        write(root, os);
+        write(root, plain);
+        EXPECT_EQ(os.str(), plain.str());
+    }
 }
 
 TEST_F(SinkTest, EmissionOrderIsRegistrationOrderDepthFirst)
 {
     // Group stats precede child groups; both in registration order.
-    std::ostringstream os;
-    writeCsv(root, os);
-    const auto text = os.str();
-    EXPECT_LT(text.find("sys.hits"), text.find("sys.lat"));
-    EXPECT_LT(text.find("sys.ratio"), text.find("sys.l2.misses"));
+    for (const auto write : {&writeText, &writeJson}) {
+        std::ostringstream os;
+        write(root, os);
+        const auto text = os.str();
+        EXPECT_LT(text.find("sys.hits"), text.find("sys.lat"));
+        EXPECT_LT(text.find("sys.ratio"), text.find("sys.l2.misses"));
+    }
 }
 
-TEST(JsonSinkTest, EmptyGroupStillBalancesBraces)
+TEST(JsonDump, EmptyGroupStillBalancesBraces)
 {
     Group root("empty");
     std::ostringstream os;
@@ -140,28 +132,6 @@ TEST(JsonSinkTest, EmptyGroupStillBalancesBraces)
     EXPECT_EQ(os.str(), "{\n\n}\n");
     std::string error;
     EXPECT_TRUE(validateJson(os.str(), &error)) << error;
-}
-
-TEST(SamplerSinkTest, CollectsChannelsThroughVisitorInterface)
-{
-    Group root("sys");
-    Scalar a(&root, "a", "");
-    Average b(&root, "b", "");
-    Histogram c(&root, "c", "", 0.0, 1.0, 1);
-    Formula d(&root, "d", "", [] { return 4.0; });
-
-    SamplerSink all;
-    root.emitStats(all);
-    ASSERT_EQ(all.channels().size(), 4u);
-    EXPECT_EQ(all.channels()[0].path, "sys.a");
-    EXPECT_EQ(all.channels()[3].path, "sys.d");
-    EXPECT_EQ(all.channels()[3].stat->sampledValue(), 4.0);
-
-    SamplerSink filtered(
-        [](const std::string &p) { return p == "sys.b"; });
-    root.emitStats(filtered);
-    ASSERT_EQ(filtered.channels().size(), 1u);
-    EXPECT_EQ(filtered.channels()[0].path, "sys.b");
 }
 
 } // namespace

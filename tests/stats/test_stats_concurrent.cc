@@ -99,12 +99,9 @@ TEST(StatsConcurrent, IdenticalTreesDumpIdentically)
     b.exercise(500);
     EXPECT_EQ(a.dumpText(), b.dumpText());
 
-    std::ostringstream csv_a, csv_b, json_a, json_b;
-    writeCsv(a.root, csv_a);
-    writeCsv(b.root, csv_b);
+    std::ostringstream json_a, json_b;
     writeJson(a.root, json_a);
     writeJson(b.root, json_b);
-    EXPECT_EQ(csv_a.str(), csv_b.str());
     EXPECT_EQ(json_a.str(), json_b.str());
 }
 
@@ -137,14 +134,4 @@ TEST(StatsConcurrent, ConcurrentTreesMatchSerialReference)
     }
     for (unsigned t = 0; t < kThreads; ++t)
         EXPECT_EQ(dumps[t], expected) << "thread " << t;
-}
-
-TEST(StatsConcurrent, ResetIsPerTree)
-{
-    SystemStats a, b;
-    a.exercise(100);
-    b.exercise(100);
-    a.root.resetStats();
-    EXPECT_EQ(a.hits.value(), 0u);
-    EXPECT_EQ(b.hits.value(), 100u) << "reset leaked across trees";
 }
