@@ -9,8 +9,9 @@
 #                               # (among them the whole-machine text
 #                               # and JSON stats dump goldens)
 #   scripts/check.sh tsan       # TSan build, tsan-labelled (sweep pool and
-#                               # FIFO writer) tests plus a sampled sweep
-#                               # byte-compared across worker counts
+#                               # FIFO writer) tests plus a sampled
+#                               # two-workload sweep byte-compared across
+#                               # worker counts
 #   scripts/check.sh obs        # ASan+UBSan build, obs-labelled tests,
 #                               # then a sampled sweep smoke run
 #   scripts/check.sh faults     # fault/watchdog suite, then smoke runs:
@@ -115,12 +116,14 @@ if [ "$SELECT" = tsan ]; then
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
     # A sampled sweep on four pool workers must race-free reproduce the
-    # one-worker bytes.
+    # one-worker bytes. Two workloads of three cells each: the workers
+    # wait on each other while one generates a shared trace or builds
+    # a warm image, then all read it at once.
     for t in 1 4; do
         run_phase "tsan-smoke-t$t" \
             ./build-tsan/src/cmpcache sweep \
-            --workloads=thrash --policies=baseline,combined --refs=2000 \
-            --threads="$t" --sample-every=5000 \
+            --workloads=thrash,TP --policies=baseline,snarf,combined \
+            --refs=2000 --threads="$t" --sample-every=5000 \
             --out="$smoke_dir/sweep$t.json" --quiet
     done
     cmp "$smoke_dir/sweep1.json" "$smoke_dir/sweep4.json" \

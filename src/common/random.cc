@@ -157,9 +157,10 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent)
     // matching the old it == end() fallback.
     const std::size_t slots = std::bit_ceil(n + 1) - 1;
     cdf.resize(slots, std::numeric_limits<double>::infinity());
-    eyt_.assign(slots + 1, 0.0);
+    auto eyt = std::make_shared<std::vector<double>>(slots + 1, 0.0);
     std::size_t next = 0;
-    eytzingerize(cdf, next, 1, eyt_);
+    eytzingerize(cdf, next, 1, *eyt);
+    eyt_ = std::move(eyt);
 }
 
 std::size_t
@@ -177,15 +178,16 @@ ZipfSampler::sampleAt(double u) const
     // parallelism explicitly; the top levels are shared by every draw
     // and stay cache-hot, and the last four levels skip the prefetch
     // via a perfectly predicted branch.
-    const std::size_t slots = eyt_.size() - 1;
+    const double *eyt = eyt_->data();
+    const std::size_t slots = eyt_->size() - 1;
     std::size_t k = 1;
     while (k <= slots) {
         const std::size_t pf = k << 4;
         if (pf <= slots) {
-            __builtin_prefetch(&eyt_[pf]);
-            __builtin_prefetch(&eyt_[std::min(pf + 8, slots)]);
+            __builtin_prefetch(&eyt[pf]);
+            __builtin_prefetch(&eyt[std::min(pf + 8, slots)]);
         }
-        k = 2 * k + (eyt_[k] < u);
+        k = 2 * k + (eyt[k] < u);
     }
     // The tree is complete, so the virtual leaf offset is the
     // lower-bound rank; padding hits clamp to the last real rank.

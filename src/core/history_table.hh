@@ -74,6 +74,9 @@ class HistoryTable
     /** Remove every entry. */
     void clear();
 
+    /** Same geometry, entries, use bits and LRU stamps. */
+    bool operator==(const HistoryTable &) const = default;
+
   private:
     static constexpr std::size_t npos = ~std::size_t{0};
 

@@ -41,4 +41,14 @@ SnarfTable::shouldFlagSnarf(Addr addr)
     return flag;
 }
 
+void
+SnarfTable::copyStateFrom(const SnarfTable &other)
+{
+    table_ = other.table_;
+    wbRecorded_.set(other.wbRecorded_.value());
+    missMarked_.set(other.missMarked_.value());
+    consulted_.set(other.consulted_.value());
+    flagged_.set(other.flagged_.value());
+}
+
 } // namespace cmpcache

@@ -47,6 +47,10 @@ class SnarfTable : public stats::Group
      */
     bool shouldFlagSnarf(Addr addr);
 
+    /** Become a copy of @p other, entries and counters (functional
+     * warmup gives every peer table the same history). */
+    void copyStateFrom(const SnarfTable &other);
+
     HistoryTable &table() { return table_; }
 
   private:

@@ -57,6 +57,19 @@ WriteBackHistoryTable::invalidate(Addr addr)
     table_.erase(addr);
 }
 
+void
+WriteBackHistoryTable::copyStateFrom(const WriteBackHistoryTable &other)
+{
+    table_ = other.table_;
+    allocated_.set(other.allocated_.value());
+    consulted_.set(other.consulted_.value());
+    hits_.set(other.hits_.value());
+    aborted_.set(other.aborted_.value());
+    correct_.set(other.correct_.value());
+    falseAbort_.set(other.falseAbort_.value());
+    missedAbort_.set(other.missedAbort_.value());
+}
+
 double
 WriteBackHistoryTable::correctFraction() const
 {

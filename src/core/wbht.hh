@@ -61,6 +61,11 @@ class WriteBackHistoryTable : public stats::Group
      * hook; the paper's design tolerates divergence instead). */
     void invalidate(Addr addr);
 
+    /** Become a copy of @p other, entries and counters (functional
+     * warmup gives every WBHT the same history under global
+     * allocation). */
+    void copyStateFrom(const WriteBackHistoryTable &other);
+
     HistoryTable &table() { return table_; }
 
     std::uint64_t aborts() const { return aborted_.value(); }

@@ -107,6 +107,8 @@ class LruPolicy
     /** Recency rank of a way: 0 = LRU ... ways-1 = MRU. */
     unsigned rank(unsigned set, unsigned way) const;
 
+    bool operator==(const LruPolicy &) const = default;
+
   private:
     unsigned ways_ = 0;
     std::uint64_t clock_ = 0;

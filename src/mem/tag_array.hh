@@ -40,6 +40,8 @@ struct TagEntry
     bool snarfUsedIntervention = false;
 
     bool valid() const { return isValid(state); }
+
+    bool operator==(const TagEntry &) const = default;
 };
 
 class TagArray
@@ -220,6 +222,9 @@ class TagArray
 
     /** Iterate over all entries (analysis hooks; cold path). */
     void forEach(const std::function<void(const TagEntry &)> &fn) const;
+
+    /** Same geometry, entries and LRU state. */
+    bool operator==(const TagArray &) const = default;
 
   private:
     TagEntry *

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -155,25 +154,36 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
 
 CmpSystem::~CmpSystem() = default;
 
-void
-CmpSystem::functionalWarmup(TraceBundle traces)
+WarmImage
+buildWarmImage(const SystemConfig &cfg, TraceBundle traces)
 {
-    cmp_assert(traces.numThreads() == topo_.numThreads(),
+    const auto topo = CmpTopology::build(cfg.topology);
+    cmp_assert(topo.ok(), "warm image for an invalid topology");
+    cmp_assert(traces.numThreads() == topo->numThreads(),
                "warmup bundle has the wrong thread count");
-    cmp_assert(eq_.curTick() == 0 && totalPending() == 0,
-               "warmup must precede the timed run");
 
-    TagArray &l3tags = l3_->tags();
+    WarmImage img{{},
+                  TagArray(cfg.l3.sizeBytes, cfg.l3.assoc,
+                           cfg.l3.lineSize),
+                  {},
+                  {}};
+    img.l2Tags.reserve(topo->numL2s());
+    for (unsigned i = 0; i < topo->numL2s(); ++i)
+        img.l2Tags.emplace_back(cfg.l2.sizeBytes, cfg.l2.assoc,
+                                cfg.l2.lineSize);
+
+    using Kind = WarmImage::TableEvent::Kind;
+    TagArray &l3tags = img.l3Tags;
     bool any = true;
     TraceRecord r;
     while (any) {
         any = false;
-        for (unsigned t = 0; t < topo_.numThreads(); ++t) {
+        for (unsigned t = 0; t < topo->numThreads(); ++t) {
             if (!traces.perThread[t]->next(r))
                 continue;
             any = true;
-            L2Cache &l2 = *l2s_[topo_.l2OfThread(t)];
-            TagArray &tags = l2.tags();
+            const unsigned l2 = topo->l2OfThread(t);
+            TagArray &tags = img.l2Tags[l2];
             const Addr line = tags.lineAlign(r.addr);
             const bool store = r.op == MemOp::Store;
 
@@ -185,10 +195,7 @@ CmpSystem::functionalWarmup(TraceBundle traces)
             // Adaptive tables reach steady state alongside the
             // caches: every L2 observes misses (snarf use bits) the
             // way it would on the snooped address ring.
-            for (auto &peer : l2s_) {
-                if (auto *st = peer->snarfTable())
-                    st->recordMiss(line);
-            }
+            img.tableEvents.push_back({line, l2, Kind::Miss});
 
             TagEntry *victim = tags.findVictim(line);
             if (victim->valid()) {
@@ -207,23 +214,11 @@ CmpSystem::functionalWarmup(TraceBundle traces)
                                   vdirty ? LineState::Modified
                                          : LineState::Shared);
                 }
-                for (auto &peer : l2s_) {
-                    if (auto *st = peer->snarfTable())
-                        st->recordWriteBack(va);
-                }
-                if (!vdirty && l3_had_line) {
-                    // The combined response would have reported
-                    // "valid in L3": allocate WBHT entries (locally,
-                    // or in every table under global allocation).
-                    if (cfg_.policy.globalWbhtAllocation()) {
-                        for (auto &peer : l2s_) {
-                            if (auto *w = peer->wbht())
-                                w->recordL3Valid(va);
-                        }
-                    } else if (auto *w = l2.wbht()) {
-                        w->recordL3Valid(va);
-                    }
-                }
+                img.tableEvents.push_back({va, l2, Kind::WriteBack});
+                // The combined response would have reported "valid in
+                // L3".
+                if (!vdirty && l3_had_line)
+                    img.tableEvents.push_back({va, l2, Kind::L3Valid});
             }
             tags.insert(victim, line,
                         store ? LineState::Modified
@@ -241,20 +236,105 @@ CmpSystem::functionalWarmup(TraceBundle traces)
     // can end up writable in several L2s at once -- a state no
     // running machine produces. Remember those lines so the
     // structural invariant checker can skip them (the oracle taints
-    // them the same way below).
-    {
-        std::unordered_map<Addr, unsigned> seeded;
-        for (auto &l2 : l2s_) {
-            l2->tags().forEach([&](const TagEntry &e) {
-                if (e.valid())
-                    ++seeded[e.lineAddr];
-            });
+    // them the same way on load).
+    std::vector<Addr> seeded;
+    for (const TagArray &tags : img.l2Tags) {
+        tags.forEach([&](const TagEntry &e) {
+            if (e.valid())
+                seeded.push_back(e.lineAddr);
+        });
+    }
+    std::sort(seeded.begin(), seeded.end());
+    for (std::size_t i = 1; i < seeded.size(); ++i) {
+        if (seeded[i] == seeded[i - 1]
+            && (img.approximateLines.empty()
+                || img.approximateLines.back() != seeded[i]))
+            img.approximateLines.push_back(seeded[i]);
+    }
+    return img;
+}
+
+void
+CmpSystem::functionalWarmup(TraceBundle traces)
+{
+    loadWarmImage(buildWarmImage(cfg_, std::move(traces)));
+}
+
+void
+CmpSystem::checkWarmImage(const WarmImage &image) const
+{
+    cmp_assert(eq_.curTick() == 0 && totalPending() == 0,
+               "warmup must precede the timed run");
+    const auto same_shape = [](const TagArray &a, const TagArray &b) {
+        return a.numSets() == b.numSets() && a.assoc() == b.assoc()
+               && a.lineSize() == b.lineSize();
+    };
+    cmp_assert(image.l2Tags.size() == topo_.numL2s(),
+               "warm image has ", image.l2Tags.size(), " L2s, system ",
+               topo_.numL2s());
+    for (unsigned i = 0; i < topo_.numL2s(); ++i)
+        cmp_assert(same_shape(image.l2Tags[i], l2s_[i]->tags()),
+                   "warm image L2 geometry differs");
+    cmp_assert(same_shape(image.l3Tags, l3_->tags()),
+               "warm image L3 geometry differs");
+}
+
+void
+CmpSystem::loadWarmImage(const WarmImage &image)
+{
+    checkWarmImage(image);
+    for (unsigned i = 0; i < topo_.numL2s(); ++i)
+        l2s_[i]->tags() = image.l2Tags[i];
+    l3_->tags() = image.l3Tags;
+    loadWarmTables(image);
+}
+
+void
+CmpSystem::loadWarmImage(WarmImage &&image)
+{
+    checkWarmImage(image);
+    for (unsigned i = 0; i < topo_.numL2s(); ++i)
+        l2s_[i]->tags() = std::move(image.l2Tags[i]);
+    l3_->tags() = std::move(image.l3Tags);
+    loadWarmTables(image);
+}
+
+void
+CmpSystem::loadWarmTables(const WarmImage &image)
+{
+    // Warmup feeds every snarf table the same events, and every WBHT
+    // too under global allocation, and consults none of them, so
+    // those peers end identical: replay into the first table of each
+    // kind and copy it to the rest.
+    const bool global = cfg_.policy.globalWbhtAllocation();
+    SnarfTable *snarf = l2s_[0]->snarfTable();
+    if (snarf || cfg_.policy.usesWbht()) {
+        using Kind = WarmImage::TableEvent::Kind;
+        for (const auto &ev : image.tableEvents) {
+            switch (ev.kind) {
+              case Kind::Miss:
+                if (snarf)
+                    snarf->recordMiss(ev.line);
+                break;
+              case Kind::WriteBack:
+                if (snarf)
+                    snarf->recordWriteBack(ev.line);
+                break;
+              case Kind::L3Valid:
+                if (auto *w = l2s_[global ? 0 : ev.l2]->wbht())
+                    w->recordL3Valid(ev.line);
+                break;
+            }
         }
-        for (const auto &[line, count] : seeded) {
-            if (count >= 2)
-                warmupApprox_.insert(line);
+        for (unsigned i = 1; i < topo_.numL2s(); ++i) {
+            if (snarf)
+                l2s_[i]->snarfTable()->copyStateFrom(*snarf);
+            if (global)
+                l2s_[i]->wbht()->copyStateFrom(*l2s_[0]->wbht());
         }
     }
+
+    warmupApprox_ = image.approximateLines;
 
     // Hand the warmed cache contents to the conformance oracle as
     // version-0 seeds. Warmup installs per-L2 without invalidating
@@ -270,7 +350,7 @@ CmpSystem::functionalWarmup(TraceBundle traces)
             });
         }
         const AgentId l3_id = topo_.l3Agent();
-        l3tags.forEach([&](const TagEntry &e) {
+        l3_->tags().forEach([&](const TagEntry &e) {
             if (e.valid())
                 oracle_->onSeedCopy(l3_id, e.lineAddr,
                                     isDirty(e.state));

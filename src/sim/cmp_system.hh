@@ -13,8 +13,8 @@
 #ifndef CMPCACHE_SIM_CMP_SYSTEM_HH
 #define CMPCACHE_SIM_CMP_SYSTEM_HH
 
+#include <algorithm>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "check/version_oracle.hh"
@@ -56,6 +56,53 @@ class WbReuseTracker
     FlatSet pendingAccepted_;
 };
 
+/**
+ * What a functional warmup pass leaves behind, whatever the
+ * write-back policy: the warmed L2 and L3 tag arrays with their LRU
+ * state, and the events the pass feeds the adaptive tables, in order.
+ * Built once per trace and machine shape (buildWarmImage), it loads
+ * into any machine of that shape and any policy
+ * (CmpSystem::loadWarmImage).
+ */
+struct WarmImage
+{
+    /** One adaptive-table event of the pass. */
+    struct TableEvent
+    {
+        enum class Kind : std::uint8_t
+        {
+            /** A demand miss: every snarf table marks the line used. */
+            Miss,
+            /** A victim left an L2: every snarf table enters it. */
+            WriteBack,
+            /** A clean victim the L3 already held: the WBHT of L2
+             * `l2` allocates it (every WBHT under global allocation). */
+            L3Valid,
+        };
+
+        Addr line = 0;
+        std::uint32_t l2 = 0;
+        Kind kind = Kind::Miss;
+    };
+
+    std::vector<TagArray> l2Tags;
+    TagArray l3Tags;
+    std::vector<TableEvent> tableEvents;
+    /** Lines the pass left valid in two or more L2s, ascending (see
+     * CmpSystem::isWarmupApproximate). */
+    std::vector<Addr> approximateLines;
+};
+
+/**
+ * Run the functional warmup pass (no timing, no events) over
+ * @p traces on fresh caches shaped like @p cfg's: each reference
+ * installs into its thread's L2 and evicts with plain findVictim;
+ * victims migrate to the L3, clean and dirty alike, and a demand
+ * store claims the L3's copy. @p cfg's topology and cache geometry
+ * must be valid.
+ */
+WarmImage buildWarmImage(const SystemConfig &cfg, TraceBundle traces);
+
 class CmpSystem : public stats::Group
 {
   public:
@@ -75,15 +122,22 @@ class CmpSystem : public stats::Group
     Tick run();
 
     /**
-     * Functionally pre-warm the L2s and L3 (no timing, no events):
-     * replays @p traces through a simplified install/evict model so
-     * measured runs start from steady-state cache contents. The
-     * adaptive tables warm alongside: every snarf table sees each
-     * miss and each victim's write back, and a clean victim the L3
-     * already holds allocates WBHT entries as its combined response
-     * would.
+     * Functionally pre-warm the L2s and L3 so measured runs start
+     * from steady-state cache contents: buildWarmImage over
+     * @p traces, then loadWarmImage.
      */
     void functionalWarmup(TraceBundle traces);
+
+    /**
+     * Start the timed run from @p image instead of cold caches: take
+     * its tag arrays (copied, or moved from an rvalue) and replay its
+     * table events into this policy's tables. Every snarf table sees
+     * each miss and each victim's write back, and a clean victim the
+     * L3 already held allocates WBHT entries as its combined response
+     * would. @p image must come from a machine of this shape.
+     */
+    void loadWarmImage(const WarmImage &image);
+    void loadWarmImage(WarmImage &&image);
 
     bool finished() const;
 
@@ -126,7 +180,8 @@ class CmpSystem : public stats::Group
     bool
     isWarmupApproximate(Addr line) const
     {
-        return warmupApprox_.count(line) != 0;
+        return std::binary_search(warmupApprox_.begin(),
+                                  warmupApprox_.end(), line);
     }
 
     /**
@@ -154,6 +209,12 @@ class CmpSystem : public stats::Group
     /** Violation-report appendix for the conformance oracle. */
     std::string conformanceSnapshot();
 
+    /** Warmup preconditions: no timed run yet, @p image shaped like
+     * this machine. */
+    void checkWarmImage(const WarmImage &image) const;
+    /** Everything of loadWarmImage but the tags. */
+    void loadWarmTables(const WarmImage &image);
+
     SystemConfig cfg_;
     /** Built (and validated) from cfg_.topology before any component:
      * every id, stop and cluster computation below goes through it. */
@@ -172,9 +233,9 @@ class CmpSystem : public stats::Group
     std::unique_ptr<WbReuseTracker> reuseTracker_;
     /** Built only when cfg.check.oracle is set. */
     std::unique_ptr<VersionOracle> oracle_;
-    /** Lines functional warmup seeded into >= 2 L2s (see
+    /** Lines functional warmup seeded into >= 2 L2s, ascending (see
      * isWarmupApproximate). */
-    std::unordered_set<Addr> warmupApprox_;
+    std::vector<Addr> warmupApprox_;
 };
 
 } // namespace cmpcache

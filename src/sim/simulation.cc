@@ -94,6 +94,19 @@ Simulation::Simulation(const SystemConfig &cfg,
     initObservability();
 }
 
+Simulation::Simulation(const SystemConfig &cfg,
+                       const WorkloadParams &workload,
+                       std::shared_ptr<const PerThreadRecords> trace,
+                       std::shared_ptr<const WarmImage> warm)
+    : inputName_(workload.name), trace_(std::move(trace))
+{
+    sys_ = std::make_unique<CmpSystem>(resolveConfig(cfg, workload),
+                                       spanBundle(*trace_));
+    if (warm)
+        sys_->loadWarmImage(*warm);
+    initObservability();
+}
+
 Simulation::Simulation(const SystemConfig &cfg, TraceBundle traces,
                        std::string input_name, TraceBundle *warmup)
     : inputName_(std::move(input_name))

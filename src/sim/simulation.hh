@@ -44,6 +44,18 @@ class Simulation
     Simulation(const SystemConfig &cfg, const WorkloadParams &workload);
 
     /**
+     * Synthetic-workload run over a trace generated beforehand (a
+     * sweep cell): each CPU replays its thread's array of @p trace in
+     * place -- it is shared read-only with other runs, and this
+     * Simulation keeps it alive -- and a non-null @p warm is loaded
+     * as the functional warmup. The config is resolved as by the
+     * constructor above.
+     */
+    Simulation(const SystemConfig &cfg, const WorkloadParams &workload,
+               std::shared_ptr<const PerThreadRecords> trace,
+               std::shared_ptr<const WarmImage> warm);
+
+    /**
      * Pre-built trace run (e.g. trace files). The bundle is consumed;
      * @p warmup, when non-null, feeds a functional warmup pass first.
      * The config is taken as-is (line sizes must already be set).
@@ -124,9 +136,11 @@ class Simulation
     std::string inputName_;
     /**
      * Declared before sys_: the CPUs hold DemuxSources into the
-     * ingest pipeline, so it must be destroyed after them.
+     * ingest pipeline, or SpanSources into the shared trace, so both
+     * must be destroyed after them.
      */
     std::unique_ptr<StreamIngest> ingest_;
+    std::shared_ptr<const PerThreadRecords> trace_;
     std::unique_ptr<CmpSystem> sys_;
     /** ingest.* gauge stats; child of sys_'s group, reads ingest_. */
     struct IngestStats;

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -84,6 +86,61 @@ rerunCommand(const SweepJob &job,
     return cmd.str();
 }
 
+/**
+ * Setup a group of cells shares: a workload's trace, or a warm image.
+ * The first cell to take it builds it while any other that asks
+ * waits. Each cell of the group takes it once, and the group's last
+ * take drops the sweep's own reference, so the artifact is freed
+ * with the last cell holding it. A build that throws fails every
+ * cell of the group with the same error.
+ */
+template <class T>
+class SharedSetup
+{
+  public:
+    /** One more cell will take this (counted before workers start). */
+    void addUser() { ++users_; }
+
+    /** The artifact, built by @p build if no cell has yet; @p built
+     * tells whether this call built it. */
+    template <class Build>
+    std::shared_ptr<const T>
+    take(Build &&build, bool &built)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        built = !built_;
+        if (!built_) {
+            built_ = true;
+            try {
+                value_ = std::make_shared<const T>(build());
+            } catch (...) {
+                error_ = std::current_exception();
+            }
+        }
+        cmp_assert(users_ > 0, "shared setup taken by a non-user");
+        const bool last = --users_ == 0;
+        if (error_)
+            std::rethrow_exception(error_);
+        if (last)
+            return std::move(value_);
+        return value_;
+    }
+
+  private:
+    std::mutex mutex_;
+    unsigned users_ = 0;
+    bool built_ = false;
+    std::shared_ptr<const T> value_;
+    std::exception_ptr error_;
+};
+
+/** What the cells of one workload share. */
+struct WorkloadSetup
+{
+    SharedSetup<PerThreadRecords> trace;
+    SharedSetup<WarmImage> image;
+};
+
 } // namespace
 
 std::string
@@ -135,6 +192,8 @@ resolveWorkload(const std::string &name,
         sweepWorkloadByName(name, records_per_thread, seed);
     for (const auto &[key, value] : overrides)
         applyWorkloadOption(params, key, value);
+    params.numThreads = cfg.numThreads();
+    params.lineSize = cfg.l2.lineSize;
     const auto errs = workloadParamErrors(params);
     if (!errs.empty()) {
         std::string msg = cstr("invalid workload '", name, "':");
@@ -142,8 +201,6 @@ resolveWorkload(const std::string &name,
             msg += "\n  - " + e;
         cmp_fatal(msg);
     }
-    params.numThreads = cfg.numThreads();
-    params.lineSize = cfg.l2.lineSize;
     return params;
 }
 
@@ -264,9 +321,38 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
     const auto total = static_cast<unsigned>(jobs.size());
     const unsigned pool = std::clamp(num_threads, 1u, total);
 
+    // Cells with equal workload parameters replay one trace. They
+    // also load one warm image: every cell has the base machine's
+    // shape and cache geometry (expand() varies only the policy and
+    // the outstanding limit).
+    std::vector<std::size_t> setup_of(jobs.size());
+    std::size_t num_setups = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        setup_of[i] = num_setups;
+        for (std::size_t j = 0; j < i; ++j) {
+            if (jobs[j].params == jobs[i].params) {
+                setup_of[i] = setup_of[j];
+                break;
+            }
+        }
+        num_setups += setup_of[i] == num_setups;
+    }
+    std::vector<WorkloadSetup> setups(num_setups);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        setups[setup_of[i]].trace.addUser();
+        if (jobs[i].config.warmupPass)
+            setups[setup_of[i]].image.addUser();
+    }
+
     std::atomic<std::size_t> next{0};
     std::atomic<unsigned> done{0};
     std::mutex observer_mutex;
+    const auto notify = [&](const auto &call) {
+        if (observer) {
+            std::lock_guard<std::mutex> lock(observer_mutex);
+            call(*observer);
+        }
+    };
     const auto sweep_start = Clock::now();
 
     const auto worker = [&]() {
@@ -275,15 +361,33 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
             if (i >= jobs.size())
                 break;
             const SweepJob &job = jobs[i];
-            if (observer) {
-                std::lock_guard<std::mutex> lock(observer_mutex);
-                observer->jobStarted(job, total);
-            }
+            notify([&](SweepObserver &o) { o.jobStarted(job, total); });
 
             SweepJobResult r;
             const auto job_start = Clock::now();
             try {
-                Simulation sim(job.config, job.params);
+                WorkloadSetup &setup = setups[setup_of[i]];
+                bool built = false;
+                auto trace = setup.trace.take(
+                    [&] { return SyntheticWorkload(job.params).generate(); },
+                    built);
+                if (built)
+                    notify([&](SweepObserver &o) { o.traceGenerated(job); });
+                std::shared_ptr<const WarmImage> warm;
+                if (job.config.warmupPass) {
+                    warm = setup.image.take(
+                        [&] {
+                            return buildWarmImage(job.config,
+                                                  spanBundle(*trace));
+                        },
+                        built);
+                    if (built)
+                        notify([&](SweepObserver &o) {
+                            o.warmImageBuilt(job);
+                        });
+                }
+                Simulation sim(job.config, job.params, std::move(trace),
+                               std::move(warm));
                 r.result = sim.run();
                 r.eventsExecuted = sim.system().totalExecuted();
                 if (spec.checkCoherence)
@@ -343,17 +447,14 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
             results[i] = std::move(r);
 
             const unsigned d = ++done;
-            if (observer) {
-                const double elapsed =
-                    std::chrono::duration<double>(Clock::now()
-                                                  - sweep_start)
-                        .count();
-                // Completion rate already reflects the pool width.
-                const double eta =
-                    d > 0 ? elapsed * (total - d) / d : -1.0;
-                std::lock_guard<std::mutex> lock(observer_mutex);
-                observer->jobFinished(job, results[i], d, total, eta);
-            }
+            const double elapsed =
+                std::chrono::duration<double>(Clock::now() - sweep_start)
+                    .count();
+            // Completion rate already reflects the pool width.
+            const double eta = elapsed * (total - d) / d;
+            notify([&](SweepObserver &o) {
+                o.jobFinished(job, results[i], d, total, eta);
+            });
         }
     };
 
@@ -490,6 +591,7 @@ writeSweepBenchJson(std::ostream &os, const SweepSpec &spec,
     os << "{\n  \"schema\": \"cmpcache-sweep-bench-v1\",\n";
     writeSpecAxes(os, spec);
     os << ",\n  \"threads\": " << num_threads
+       << ",\n  \"hostCores\": " << std::thread::hardware_concurrency()
        << ",\n  \"jobs\": " << results.size()
        << ",\n  \"totalWallSeconds\": "
        << jsonDouble(total_wall_seconds)

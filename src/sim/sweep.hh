@@ -7,10 +7,13 @@
  * the paper. expand() flattens it into independent jobs in row-major
  * axis order; runSweep() executes the jobs on a std::thread pool.
  *
- * Determinism contract: every job builds its own CmpSystem, event
- * queue and workload RNG streams, and nothing in the simulator
- * mutates shared global state, so results depend only on the spec.
- * Jobs are collected by job index, which makes the returned vector --
+ * Determinism contract: every job builds its own CmpSystem and event
+ * queue, and nothing in the simulator mutates shared global state, so
+ * results depend only on the spec. The setup jobs share -- each
+ * distinct workload trace, generated once, and its warm image, built
+ * once -- is read-only once built and equals what a lone Simulation
+ * builds for itself. Jobs are collected
+ * by job index, which makes the returned vector --
  * and any JSON serialization of it -- byte-identical whether the
  * sweep ran on one thread or sixteen. Wall-clock timing is inherently
  * non-deterministic and therefore lives in separate fields that only
@@ -206,6 +209,14 @@ class SweepObserver
         (void)total;
         (void)eta_seconds;
     }
+
+    /** @p job's cell generated the trace it shares with the other
+     * cells of its workload (tests count these; no output does). */
+    virtual void traceGenerated(const SweepJob &job) { (void)job; }
+
+    /** @p job's cell built the warm image it shares with the other
+     * cells of its trace. */
+    virtual void warmImageBuilt(const SweepJob &job) { (void)job; }
 };
 
 /** Observer printing "start"/"done" lines with an ETA to a stream. */
@@ -247,7 +258,8 @@ bool isSweepWorkload(const std::string &name);
  * The workload a sweep cell or `serve --workload` runs on @p cfg:
  * @p name at @p records_per_thread and @p seed, then @p overrides in
  * order, then the machine's thread count and line size. fatal() on a
- * bad name, key or value and on workloadParamErrors(), naming the key.
+ * bad name, key or value and on workloadParamErrors() at that line
+ * size, naming the key.
  */
 WorkloadParams resolveWorkload(const std::string &name,
                                std::uint64_t records_per_thread,
@@ -275,7 +287,8 @@ void writeSweepResultsJson(std::ostream &os, const SweepSpec &spec,
 /**
  * Timing companion file, schema "cmpcache-sweep-bench-v1": per-job
  * wall seconds and simulated-cycles-per-second throughput, plus
- * aggregate totals. This is what bench/BENCH_*.json files hold.
+ * aggregate totals and the host's core count. This is what
+ * bench/BENCH_*.json files hold.
  */
 void writeSweepBenchJson(std::ostream &os, const SweepSpec &spec,
                          const std::vector<SweepJobResult> &results,

@@ -38,4 +38,14 @@ splitByThread(const std::vector<TraceRecord> &records,
     return bundle;
 }
 
+TraceBundle
+spanBundle(const PerThreadRecords &records)
+{
+    TraceBundle bundle;
+    bundle.perThread.reserve(records.size());
+    for (const auto &thread : records)
+        bundle.perThread.push_back(std::make_unique<SpanSource>(thread));
+    return bundle;
+}
+
 } // namespace cmpcache

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -93,6 +94,32 @@ class VectorSource : public TraceSource
 };
 
 /**
+ * TraceSource over records it does not own: many sources can replay
+ * one array, which must outlive them.
+ */
+class SpanSource : public TraceSource
+{
+  public:
+    explicit SpanSource(std::span<const TraceRecord> recs)
+        : records_(recs)
+    {
+    }
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ >= records_.size())
+            return false;
+        rec = records_[pos_++];
+        return true;
+    }
+
+  private:
+    std::span<const TraceRecord> records_;
+    std::size_t pos_ = 0;
+};
+
+/**
  * A bundle of per-thread sources: what a CmpSystem consumes.
  */
 struct TraceBundle
@@ -108,6 +135,13 @@ struct TraceBundle
 /** Split one interleaved record vector into per-thread VectorSources. */
 TraceBundle splitByThread(const std::vector<TraceRecord> &records,
                           unsigned num_threads);
+
+/** A whole trace held per thread: element t is thread t's stream. */
+using PerThreadRecords = std::vector<std::vector<TraceRecord>>;
+
+/** SpanSources replaying @p records in place (nothing is copied;
+ * @p records must outlive the bundle). */
+TraceBundle spanBundle(const PerThreadRecords &records);
 
 } // namespace cmpcache
 

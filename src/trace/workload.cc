@@ -6,17 +6,28 @@
 namespace cmpcache
 {
 
+WorkloadSamplers::WorkloadSamplers(const WorkloadParams &params)
+    : privateRegion(std::max<std::uint64_t>(params.privateLines, 1),
+                    params.privateZipf),
+      sharedRegion(std::max<std::uint64_t>(params.sharedLines, 1),
+                   params.sharedZipf),
+      kernelRegion(std::max<std::uint64_t>(params.kernelLines, 1), 0.5)
+{
+}
+
 WorkloadThreadSource::WorkloadThreadSource(const WorkloadParams &params,
                                            ThreadId tid)
+    : WorkloadThreadSource(params, tid, WorkloadSamplers(params))
+{
+}
+
+WorkloadThreadSource::WorkloadThreadSource(
+    const WorkloadParams &params, ThreadId tid,
+    const WorkloadSamplers &samplers)
     : params_(params),
       tid_(tid),
       rng_(params.seed * 0x9e3779b97f4a7c15ull + tid + 1),
-      privateSampler_(std::max<std::uint64_t>(params.privateLines, 1),
-                      params.privateZipf),
-      sharedSampler_(std::max<std::uint64_t>(params.sharedLines, 1),
-                     params.sharedZipf),
-      kernelSampler_(std::max<std::uint64_t>(params.kernelLines, 1),
-                     0.5)
+      samplers_(samplers)
 {
     cmp_assert(isPowerOf2(params_.lineSize), "line size must be 2^k");
     cmp_assert(tid < params_.numThreads, "tid out of range");
@@ -58,7 +69,7 @@ WorkloadThreadSource::next(TraceRecord &rec)
     double edge = params_.kernelFrac;
     if (region_draw < edge) {
         // Kernel region: shared by all threads, instruction-heavy.
-        const std::uint64_t line = kernelSampler_.sample(rng_);
+        const std::uint64_t line = samplers_.kernelRegion.sample(rng_);
         rec.addr = lineToAddr(region::KernelBase, line);
         rec.op = rng_.chance(0.7) ? MemOp::IFetch
                                   : (rng_.chance(params_.storeFrac * 0.3)
@@ -69,7 +80,7 @@ WorkloadThreadSource::next(TraceRecord &rec)
     }
     edge += params_.sharedFrac;
     if (region_draw < edge) {
-        const std::uint64_t line = sharedSampler_.sample(rng_);
+        const std::uint64_t line = samplers_.sharedRegion.sample(rng_);
         rec.addr = lineToAddr(region::SharedBase, line);
         const double sf = params_.sharedStoreFrac >= 0.0
                               ? params_.sharedStoreFrac
@@ -97,7 +108,7 @@ WorkloadThreadSource::next(TraceRecord &rec)
         tid_ / std::max(params_.privateGroupSize, 1u);
     const Addr base = region::PrivateBase + group * region::PerThreadSpan;
     const std::uint64_t line =
-        (phaseBase_ + privateSampler_.sample(rng_))
+        (phaseBase_ + samplers_.privateRegion.sample(rng_))
         % std::max<std::uint64_t>(params_.privateLines, 1);
     rec.addr = lineToAddr(base, line);
     rec.op = rng_.chance(params_.storeFrac) ? MemOp::Store : MemOp::Load;
@@ -113,9 +124,23 @@ SyntheticWorkload::makeBundle() const
     for (unsigned t = 0; t < params_.numThreads; ++t) {
         bundle.perThread.push_back(
             std::make_unique<WorkloadThreadSource>(
-                params_, static_cast<ThreadId>(t)));
+                params_, static_cast<ThreadId>(t), samplers_));
     }
     return bundle;
+}
+
+PerThreadRecords
+SyntheticWorkload::generate() const
+{
+    TraceBundle bundle = makeBundle();
+    PerThreadRecords out(params_.numThreads);
+    for (unsigned t = 0; t < params_.numThreads; ++t) {
+        out[t].reserve(params_.recordsPerThread);
+        TraceRecord r;
+        while (bundle.perThread[t]->next(r))
+            out[t].push_back(r);
+    }
+    return out;
 }
 
 std::vector<TraceRecord>

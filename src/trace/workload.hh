@@ -100,13 +100,32 @@ struct WorkloadParams
 };
 
 /**
+ * The generator's three reuse samplers for one WorkloadParams. Their
+ * CDF tables are read-only and shared by copies, so one set serves
+ * every thread of a workload and every pass over it.
+ */
+struct WorkloadSamplers
+{
+    explicit WorkloadSamplers(const WorkloadParams &params);
+
+    ZipfSampler privateRegion;
+    ZipfSampler sharedRegion;
+    ZipfSampler kernelRegion;
+};
+
+/**
  * Generates the stream for one hardware thread. Stateless across
  * threads: all cross-thread structure comes from shared region bases.
  */
 class WorkloadThreadSource : public TraceSource
 {
   public:
+    /** A source with its own samplers. */
     WorkloadThreadSource(const WorkloadParams &params, ThreadId tid);
+    /** A source drawing from @p samplers' tables, built from
+     * @p params. */
+    WorkloadThreadSource(const WorkloadParams &params, ThreadId tid,
+                         const WorkloadSamplers &samplers);
 
     bool next(TraceRecord &rec) override;
 
@@ -116,9 +135,7 @@ class WorkloadThreadSource : public TraceSource
     const WorkloadParams params_;
     const ThreadId tid_;
     Rng rng_;
-    ZipfSampler privateSampler_;
-    ZipfSampler sharedSampler_;
-    ZipfSampler kernelSampler_;
+    const WorkloadSamplers samplers_;
     std::uint64_t produced_ = 0;
     std::uint64_t streamCursor_ = 0;
     std::uint64_t phaseBase_ = 0;
@@ -126,13 +143,14 @@ class WorkloadThreadSource : public TraceSource
 
 /**
  * A named synthetic workload: bundles parameters and builds per-thread
- * sources.
+ * sources. Its samplers are built once, here, and shared by every
+ * source of every bundle it makes.
  */
 class SyntheticWorkload
 {
   public:
     explicit SyntheticWorkload(WorkloadParams params)
-        : params_(std::move(params))
+        : params_(std::move(params)), samplers_(params_)
     {
     }
 
@@ -142,12 +160,17 @@ class SyntheticWorkload
     /** Build sources for all threads. */
     TraceBundle makeBundle() const;
 
+    /** Generate each thread's whole stream into its own array: a
+     * trace to replay many times (spanBundle). */
+    PerThreadRecords generate() const;
+
     /** Materialize the whole workload as one interleaved vector
      * (round-robin across threads), e.g. for writing trace files. */
     std::vector<TraceRecord> materialize() const;
 
   private:
     WorkloadParams params_;
+    WorkloadSamplers samplers_;
 };
 
 /** Region base addresses used by the generator (also used in tests). */

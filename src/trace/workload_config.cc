@@ -1,5 +1,6 @@
 #include "trace/workload_config.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -187,6 +188,26 @@ workloadParamErrors(const WorkloadParams &p)
     positive("wl.kernel_lines", p.kernelLines);
     positive("wl.stream_lines", p.streamLines);
     positive("wl.private_group_size", p.privateGroupSize);
+    // A region's footprint must fit the address span reserved for one
+    // thread (region::PerThreadSpan): a bigger private or stream
+    // region runs into its neighbour's lines and fakes sharing. The
+    // same bound caps the shared and kernel regions' CDF tables.
+    const std::uint64_t line_bytes = std::max(p.lineSize, 1u);
+    const auto fits = [&errs, line_bytes](const char *key,
+                                          std::uint64_t lines) {
+        const std::uint64_t max_lines = region::PerThreadSpan / line_bytes;
+        if (lines > max_lines) {
+            errs.push_back(cstr(key, " (", lines, ") at ", line_bytes,
+                                " B per line exceeds the ",
+                                region::PerThreadSpan,
+                                "-byte region limit: at most ",
+                                max_lines, " lines"));
+        }
+    };
+    fits("wl.private_lines", p.privateLines);
+    fits("wl.shared_lines", p.sharedLines);
+    fits("wl.kernel_lines", p.kernelLines);
+    fits("wl.stream_lines", p.streamLines);
     return errs;
 }
 

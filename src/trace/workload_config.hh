@@ -31,8 +31,8 @@ void applyWorkloadOption(WorkloadParams &params, const std::string &key,
 const std::vector<std::string> &workloadConfigKeys();
 
 /**
- * Range check of the generator's shape. Each returned string names
- * the offending wl.* key. Empty means valid.
+ * Range check of the generator's shape, at @p p's line size. Each
+ * returned string names the offending wl.* key. Empty means valid.
  */
 std::vector<std::string> workloadParamErrors(const WorkloadParams &p);
 

@@ -123,3 +123,20 @@ TEST(ZipfEytzinger, ZeroExponentIsUniformish)
     const std::size_t mid = eyt.sampleAt(0.5);
     EXPECT_NEAR(static_cast<double>(mid), 50.0, 2.0);
 }
+
+TEST(ZipfEytzinger, CopiesShareOneTable)
+{
+    // A copy is another view of the same CDF table: it draws exactly
+    // what the original draws, on any thread, for any lifetime.
+    std::vector<ZipfSampler> copies;
+    {
+        const ZipfSampler original(4096, 0.9);
+        copies.assign(3, original);
+    }
+    SortedZipf sorted(4096, 0.9);
+    for (std::size_t c = 0; c < copies.size(); ++c) {
+        Rng a(77), b(77);
+        for (int i = 0; i < 5000; ++i)
+            ASSERT_EQ(copies[c].sample(a), sorted.sampleAt(b.real()));
+    }
+}

@@ -85,3 +85,25 @@ TEST(Trace, RecordEquality)
     b.gap = 4;
     EXPECT_FALSE(a == b);
 }
+
+TEST(Trace, SpanBundleReplaysEachThreadInPlace)
+{
+    const PerThreadRecords recs = {
+        {{0x100, 1, 0, MemOp::Load}, {0x180, 0, 0, MemOp::Store}},
+        {},
+        {{0x200, 3, 2, MemOp::IFetch}},
+    };
+    // Two bundles over one trace replay it independently.
+    for (int pass = 0; pass < 2; ++pass) {
+        TraceBundle bundle = spanBundle(recs);
+        ASSERT_EQ(bundle.numThreads(), 3u);
+        for (unsigned t = 0; t < 3; ++t) {
+            TraceRecord r;
+            for (const TraceRecord &want : recs[t]) {
+                ASSERT_TRUE(bundle.perThread[t]->next(r));
+                EXPECT_TRUE(r == want);
+            }
+            EXPECT_FALSE(bundle.perThread[t]->next(r));
+        }
+    }
+}

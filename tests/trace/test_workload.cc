@@ -195,6 +195,33 @@ TEST(Workload, BundleHasOneSourcePerThread)
     EXPECT_EQ(bundle.numThreads(), p.numThreads);
 }
 
+TEST(Workload, SharedSamplersChangeNoRecord)
+{
+    // A workload builds its samplers once for every bundle; each
+    // thread's stream, and the generated per-thread arrays, equal a
+    // source that built its own.
+    const auto p = workloads::byName("TP", 1500, 9);
+    const SyntheticWorkload wl(p);
+    const PerThreadRecords generated = wl.generate();
+    ASSERT_EQ(generated.size(), p.numThreads);
+    auto first = wl.makeBundle();
+    auto second = wl.makeBundle();
+    for (unsigned t = 0; t < p.numThreads; ++t) {
+        WorkloadThreadSource own(p, static_cast<ThreadId>(t));
+        ASSERT_EQ(generated[t].size(), p.recordsPerThread);
+        TraceRecord want;
+        TraceRecord a;
+        TraceRecord b;
+        for (const TraceRecord &g : generated[t]) {
+            ASSERT_TRUE(own.next(want));
+            ASSERT_TRUE(first.perThread[t]->next(a));
+            ASSERT_TRUE(second.perThread[t]->next(b));
+            ASSERT_TRUE(g == want && a == want && b == want);
+        }
+        EXPECT_FALSE(own.next(want));
+    }
+}
+
 TEST(WorkloadCommercial, AllFourByName)
 {
     for (const auto &name : workloads::allNames()) {

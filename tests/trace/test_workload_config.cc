@@ -192,3 +192,36 @@ TEST(WorkloadConfigDeath, SizesArePositive)
                     std::string(key) + " \\(0\\) must be at least 1");
     }
 }
+
+TEST(WorkloadConfigDeath, RegionsFitThePerThreadSpan)
+{
+    // 1 GiB of 128-byte lines is the most any region may hold: more
+    // would overlap the next thread's region (or, for the shared and
+    // kernel regions, build an unbounded CDF table).
+    for (const char *key :
+         {"wl.private_lines", "wl.shared_lines", "wl.kernel_lines",
+          "wl.stream_lines"}) {
+        resolveWith(key, "8388608"); // exactly 1 GiB: accepted
+        EXPECT_EXIT(resolveWith(key, "8388609"),
+                    ::testing::ExitedWithCode(1),
+                    std::string(key) + " \\(8388609\\) at 128 B per line "
+                    "exceeds the 1073741824-byte region limit: at most "
+                    "8388608 lines");
+    }
+    EXPECT_EXIT(resolveWith("wl.shared_lines", "18446744073709551615"),
+                ::testing::ExitedWithCode(1),
+                "wl.shared_lines \\(18446744073709551615\\)");
+}
+
+TEST(WorkloadConfigDeath, RegionLimitFollowsTheLineSize)
+{
+    // streaming walks 4 Mi lines: 512 MiB at 128 B, 2 GiB at 512 B.
+    SystemConfig cfg;
+    cfg.l2.lineSize = cfg.l3.lineSize = 256;
+    EXPECT_EQ(resolveWorkload("streaming", 100, 1, {}, cfg).lineSize,
+              256u);
+    cfg.l2.lineSize = cfg.l3.lineSize = 512;
+    EXPECT_EXIT(resolveWorkload("streaming", 100, 1, {}, cfg),
+                ::testing::ExitedWithCode(1),
+                "wl.stream_lines \\(4194304\\) at 512 B per line exceeds");
+}
