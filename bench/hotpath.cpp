@@ -1,10 +1,10 @@
 /**
  * @file
- * Per-reference hot-path microbenchmarks: the throughput of four
+ * Per-reference hot-path microbenchmarks: the throughput of three
  * structures on the simulator's per-reference path -- TagArray lookup
- * and victim selection, ZipfSampler's Eytzinger CDF descent, FlatMap
- * and the InplaceFunction one-shot callable -- each on a seeded
- * workload shaped like its use in the model.
+ * and victim selection, ZipfSampler's Eytzinger CDF descent and the
+ * InplaceFunction one-shot callable -- each on a seeded workload
+ * shaped like its use in the model.
  *
  * Every loop folds its results into a checksum that is written to a
  * volatile, so the compiler cannot dead-code the timed work. Whether
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "coherence/state.hh"
-#include "common/flat_map.hh"
 #include "common/inplace_function.hh"
 #include "common/random.hh"
 #include "mem/tag_array.hh"
@@ -139,47 +138,7 @@ runZipf(std::uint64_t ops)
 }
 
 // ---------------------------------------------------------------------
-// Pair 3: per-line transaction table -- FlatMap on the
-// pendingSnarfs-style insert/find/erase mix.
-// ---------------------------------------------------------------------
-
-PairStats
-runFlatMapPair(std::uint64_t ops)
-{
-    constexpr std::uint64_t Lines = 4096;
-    constexpr unsigned LineSize = 64;
-
-    PairStats s;
-    s.name = "flat-map";
-    s.ops = ops;
-
-    std::uint64_t current_sum = 0;
-    {
-        FlatMap<std::uint64_t> map;
-        Rng rng(5);
-        const Timer t;
-        for (std::uint64_t i = 0; i < ops; ++i) {
-            const Addr line = rng.below(Lines) * LineSize;
-            switch (rng.below(4)) {
-              case 0:
-                map[line] = i;
-                break;
-              case 1:
-                map.erase(line);
-                break;
-              default:
-                if (const std::uint64_t *v = map.find(line))
-                    current_sum += *v;
-            }
-        }
-        s.currentSeconds = t.seconds();
-    }
-    checksumSink = current_sum;
-    return s;
-}
-
-// ---------------------------------------------------------------------
-// Pair 4: one-shot callable storage -- InplaceFunction with the
+// Pair 3: one-shot callable storage -- InplaceFunction with the
 // ~40-byte capture the ring completion events carry.
 // ---------------------------------------------------------------------
 
@@ -268,7 +227,6 @@ main(int argc, char **argv)
     const std::vector<PairStats> pairs{
         runTagVictim(ops),
         runZipf(ops),
-        runFlatMapPair(ops),
         runCallable(ops),
     };
 

@@ -78,20 +78,6 @@ CliArgs::getUnsignedMax(const std::string &key, std::uint64_t def,
     return *v;
 }
 
-double
-CliArgs::getDouble(const std::string &key, double def) const
-{
-    const auto it = options_.find(key);
-    if (it == options_.end())
-        return def;
-    try {
-        return std::stod(it->second);
-    } catch (...) {
-        cmp_fatal("option --", key, " expects a number, got '",
-                  it->second, "'");
-    }
-}
-
 bool
 CliArgs::getBool(const std::string &key, bool def) const
 {

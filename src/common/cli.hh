@@ -63,7 +63,6 @@ class CliArgs
             getUnsignedMax(key, def, std::numeric_limits<T>::max()));
     }
 
-    double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
     const std::vector<std::string> &positional() const

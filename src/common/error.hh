@@ -36,7 +36,6 @@ enum class SimErrorKind
     Io,       ///< unreadable / unwritable file
     Trace,    ///< malformed trace input
     Config,   ///< unknown key, bad value, or cross-field inconsistency
-    Result,   ///< malformed results JSON
     Watchdog, ///< forward-progress watchdog tripped (live/deadlock)
     Budget,   ///< tick or wall-clock budget exhausted
     Conformance, ///< coherence conformance oracle detected stale data
@@ -53,8 +52,6 @@ toString(SimErrorKind k)
         return "trace";
       case SimErrorKind::Config:
         return "config";
-      case SimErrorKind::Result:
-        return "result";
       case SimErrorKind::Watchdog:
         return "watchdog";
       case SimErrorKind::Budget:

@@ -1,9 +1,7 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace cmpcache
 {
@@ -48,253 +46,6 @@ jsonDouble(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-namespace
-{
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    bool
-    parse(JsonValue &out, std::string &err)
-    {
-        if (!value(out, err))
-            return false;
-        skipWs();
-        if (pos_ != s_.size()) {
-            err = at("trailing characters after JSON value");
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    std::string
-    at(const std::string &msg) const
-    {
-        return msg + " (offset " + std::to_string(pos_) + ")";
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size()
-               && std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word, std::string &err)
-    {
-        for (const char *p = word; *p; ++p, ++pos_) {
-            if (pos_ >= s_.size() || s_[pos_] != *p) {
-                err = at(std::string("expected '") + word + "'");
-                return false;
-            }
-        }
-        return true;
-    }
-
-    bool
-    value(JsonValue &out, std::string &err)
-    {
-        skipWs();
-        if (pos_ >= s_.size()) {
-            err = at("unexpected end of input");
-            return false;
-        }
-        const char c = s_[pos_];
-        if (c == '{')
-            return object(out, err);
-        if (c == '[')
-            return array(out, err);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return string(out.string, err);
-        }
-        if (c == 't' || c == 'f') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = c == 't';
-            return literal(c == 't' ? "true" : "false", err);
-        }
-        if (c == 'n') {
-            out.kind = JsonValue::Kind::Null;
-            return literal("null", err);
-        }
-        return number(out, err);
-    }
-
-    bool
-    string(std::string &out, std::string &err)
-    {
-        ++pos_; // opening quote
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    break;
-                const char e = s_[pos_++];
-                switch (e) {
-                  case '"':
-                    out += '"';
-                    break;
-                  case '\\':
-                    out += '\\';
-                    break;
-                  case '/':
-                    out += '/';
-                    break;
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  default:
-                    err = at(std::string("unsupported escape '\\")
-                             + e + "'");
-                    return false;
-                }
-            } else {
-                out += c;
-            }
-        }
-        err = at("unterminated string");
-        return false;
-    }
-
-    bool
-    number(JsonValue &out, std::string &err)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool digits = false;
-        while (pos_ < s_.size()
-               && (std::isdigit(static_cast<unsigned char>(s_[pos_]))
-                   || s_[pos_] == '.' || s_[pos_] == 'e'
-                   || s_[pos_] == 'E' || s_[pos_] == '-'
-                   || s_[pos_] == '+')) {
-            digits |= std::isdigit(static_cast<unsigned char>(s_[pos_]))
-                      != 0;
-            ++pos_;
-        }
-        if (!digits) {
-            err = at("expected a JSON value");
-            return false;
-        }
-        out.kind = JsonValue::Kind::Number;
-        out.number = s_.substr(start, pos_ - start);
-        // Validate the token parses as a double.
-        char *end = nullptr;
-        std::strtod(out.number.c_str(), &end);
-        if (end != out.number.c_str() + out.number.size()) {
-            err = at("malformed number '" + out.number + "'");
-            return false;
-        }
-        return true;
-    }
-
-    bool
-    object(JsonValue &out, std::string &err)
-    {
-        out.kind = JsonValue::Kind::Object;
-        ++pos_; // '{'
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != '"') {
-                err = at("expected object key");
-                return false;
-            }
-            std::string key;
-            if (!string(key, err))
-                return false;
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != ':') {
-                err = at("expected ':' after key '" + key + "'");
-                return false;
-            }
-            ++pos_;
-            JsonValue v;
-            if (!value(v, err))
-                return false;
-            out.object.emplace_back(std::move(key), std::move(v));
-            skipWs();
-            if (pos_ < s_.size() && s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < s_.size() && s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            err = at("expected ',' or '}' in object");
-            return false;
-        }
-    }
-
-    bool
-    array(JsonValue &out, std::string &err)
-    {
-        out.kind = JsonValue::Kind::Array;
-        ++pos_; // '['
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue v;
-            if (!value(v, err))
-                return false;
-            out.array.push_back(std::move(v));
-            skipWs();
-            if (pos_ < s_.size() && s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < s_.size() && s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            err = at("expected ',' or ']' in array");
-            return false;
-        }
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-parseJson(const std::string &text, JsonValue &out, std::string *error)
-{
-    std::string err;
-    JsonParser p(text);
-    if (p.parse(out, err))
-        return true;
-    if (error)
-        *error = err;
-    return false;
-}
-
-bool
-validateJson(const std::string &text, std::string *error)
-{
-    JsonValue v;
-    return parseJson(text, v, error);
 }
 
 } // namespace cmpcache

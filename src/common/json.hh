@@ -1,21 +1,18 @@
 /**
  * @file
- * Minimal JSON building blocks shared by the result writer/parser
- * (sim/result_json.cc), the time-series exporter (obs/) and tests.
+ * JSON emission helpers shared by the result writer
+ * (sim/result_json.cc), the stats, time-series and trace exporters
+ * (stats/, obs/) and the sweep writer. Every program that reads the
+ * JSON back is Python (scripts/, cmpbench/run.py).
  *
- * Emission helpers are deterministic: jsonDouble prints 17 significant
- * digits so a write/parse round trip reproduces doubles bit-for-bit.
- * The parser is strict (no comments, no trailing commas) and keeps
- * numbers as raw tokens so integers survive without a double round
- * trip.
+ * Both helpers are deterministic: jsonDouble prints 17 significant
+ * digits, so a reader's strtod gets every double back bit for bit.
  */
 
 #ifndef CMPCACHE_COMMON_JSON_HH
 #define CMPCACHE_COMMON_JSON_HH
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace cmpcache
 {
@@ -25,51 +22,6 @@ std::string jsonEscape(const std::string &s);
 
 /** Deterministic JSON representation of a double (17 sig. digits). */
 std::string jsonDouble(double v);
-
-/**
- * Minimal strict JSON value. Numbers keep their raw token so integer
- * fields can be converted without a double round trip.
- */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    std::string number; // raw token
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-/**
- * Parse @p text into @p out. Strict: the whole input must be exactly
- * one JSON value.
- * @param error receives a diagnostic on failure (may be null)
- * @return true on success
- */
-bool parseJson(const std::string &text, JsonValue &out,
-               std::string *error = nullptr);
-
-/** parseJson without keeping the value (syntax check only). */
-bool validateJson(const std::string &text, std::string *error = nullptr);
 
 } // namespace cmpcache
 

@@ -92,7 +92,10 @@ L2Cache::L2Cache(stats::Group *parent, EventQueue &eq,
         auto sp = policy_.snarf;
         sp.lineSize = p.lineSize;
         snarfTable_ = std::make_unique<SnarfTable>(this, sp);
+        pendingSnarfs_.reserve(policy_.snarfBuffers);
     }
+    // A fill parks at most its MSHR's waiters here.
+    storesPendingScratch_.reserve(MshrFile::kReservedWaiters);
 }
 
 double
@@ -173,7 +176,7 @@ L2Cache::access(ThreadId tid, Addr addr, MemOp op)
     }
 
     // Tag miss.
-    if (pendingSnarfs_.contains(line)) {
+    if (findPendingSnarf(line)) {
         // We already won this line's write back on the bus and its
         // data is in flight; issuing a demand fetch now would race it
         // (two installs of the same line). Hold the access off -- the
@@ -351,7 +354,7 @@ L2Cache::snoop(const BusRequest &req)
             resp.hasDirty = queued->dirty;
             return resp;
         }
-        if (const PendingSnarf *ps = pendingSnarfs_.find(line);
+        if (const PendingSnarf *ps = findPendingSnarf(line);
             ps && !blind) {
             // Same story for a snarf we have already won: the copy is
             // in flight to us and will be installed, so a concurrent
@@ -370,10 +373,10 @@ L2Cache::snoop(const BusRequest &req)
         }
         // Offer to absorb if we have buffers, a victim candidate, and
         // no conflicting activity on the line.
-        if (snarfInFlight_ < policy_.snarfBuffers
+        if (pendingSnarfs_.size() < policy_.snarfBuffers
             && !(faults_ && faults_->snarfDisabled(curTick()))
             && !mshrs_.find(line) && !wbq_.find(line)
-            && !pendingSnarfs_.contains(line)
+            && !findPendingSnarf(line)
             && snarfVictimAvailable(line)) {
             resp.snarfAccept = true;
         }
@@ -390,7 +393,7 @@ L2Cache::snoop(const BusRequest &req)
     // NOT retry -- otherwise two racing requesters would retry each
     // other forever; the one that combines first wins, the other
     // backs off.
-    if (!blind && (wbq_.find(line) || pendingSnarfs_.contains(line))) {
+    if (!blind && (wbq_.find(line) || findPendingSnarf(line))) {
         resp.retry = true;
         return resp;
     }
@@ -473,10 +476,11 @@ L2Cache::observeCombined(const BusRequest &req, const CombinedResult &res)
                                             curTick());
                     tags_.invalidate(victim);
                 }
-                pendingSnarfs_[line] =
-                    PendingSnarf{req.cmd == BusCmd::WbDirty,
-                                 res.otherSharers};
-                ++snarfInFlight_;
+                cmp_assert(!findPendingSnarf(line),
+                           "second snarf reservation for a line");
+                pendingSnarfs_.push_back(
+                    PendingSnarf{line, req.cmd == BusCmd::WbDirty,
+                                 res.otherSharers});
             }
             return;
         }
@@ -487,7 +491,7 @@ L2Cache::observeCombined(const BusRequest &req, const CombinedResult &res)
         // (Unless the wb_blind_spot fault hid the reservation -- then
         // reaching this state *is* the injected bug, left for the
         // conformance oracle to flag at the stale supply.)
-        cmp_assert(!pendingSnarfs_.contains(line)
+        cmp_assert(!findPendingSnarf(line)
                        || (faults_ && faults_->wbBlindSpot(curTick())),
                    "effective peer demand with a snarf reservation");
 
@@ -714,13 +718,13 @@ L2Cache::receiveWriteBack(const BusRequest &req)
 {
     // Snarfed data arriving from a peer's write back.
     const Addr line = req.lineAddr;
-    const PendingSnarf *ps = pendingSnarfs_.find(line);
+    PendingSnarf *ps = findPendingSnarf(line);
     cmp_assert(ps != nullptr, "snarf data without reservation");
     const bool dirty = ps->dirty;
     const bool sharers = ps->sharers;
-    pendingSnarfs_.erase(line);
-    cmp_assert(snarfInFlight_ > 0, "snarf buffer underflow");
-    --snarfInFlight_;
+    // Lookups go by line, so the freed buffer takes the last entry.
+    *ps = pendingSnarfs_.back();
+    pendingSnarfs_.pop_back();
 
     if (tags_.lookup(line, /*touch=*/false)) {
         // We refetched the line ourselves in the meantime.

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "coherence/protocol.hh"
-#include "common/flat_map.hh"
 #include "common/inplace_function.hh"
 #include "core/policy.hh"
 #include "core/retry_monitor.hh"
@@ -165,20 +164,18 @@ class L2Cache : public SimObject, public BusAgent
     // Watchdog / diagnostics
     const WriteBackQueue &writeBackQueue() const { return wbq_; }
     MshrFile &mshrFile() { return mshrs_; }
-    /** Snarf wins still awaiting their data (invariant checker: must
-     * be zero once the machine has quiesced). */
+    /** Snarf wins still awaiting their data, one snarf buffer each
+     * (invariant checker: must be zero once the machine has
+     * quiesced). */
     std::size_t pendingSnarfCount() const
     {
         return pendingSnarfs_.size();
     }
-    /** Snarf buffer reservations held right now (ditto). */
-    unsigned snarfInFlightCount() const { return snarfInFlight_; }
     /** TEST ONLY: forge a dangling snarf reservation so the
      * invariant checker's negative path can be exercised. */
     void forgePendingSnarfForTest(Addr line)
     {
-        pendingSnarfs_[tags_.lineAlign(line)] = PendingSnarf{};
-        ++snarfInFlight_;
+        pendingSnarfs_.push_back(PendingSnarf{tags_.lineAlign(line)});
     }
     /** Write backs resolved one way or another (forward-progress
      * signal: accepted by the L3, squashed, snarfed out, or aborted
@@ -219,15 +216,26 @@ class L2Cache : public SimObject, public BusAgent
     CompletionCallback cpuDone_;
     L3PeekFn l3Peek_;
 
-    /** Snarfed lines won on the bus, awaiting their data. */
+    /** A snarfed line won on the bus, awaiting its data. */
     struct PendingSnarf
     {
+        Addr lineAddr = InvalidAddr;
         bool dirty = false;
         /** Clean sharers existed at combine time (Tagged install). */
         bool sharers = false;
     };
-    FlatMap<PendingSnarf> pendingSnarfs_;
-    unsigned snarfInFlight_ = 0;
+    /** The snarf buffers in use: at most policy.snarfBuffers entries
+     * (reserved up front), scanned like the write-back queue. */
+    std::vector<PendingSnarf> pendingSnarfs_;
+    PendingSnarf *
+    findPendingSnarf(Addr line)
+    {
+        for (auto &p : pendingSnarfs_) {
+            if (p.lineAddr == line)
+                return &p;
+        }
+        return nullptr;
+    }
 
     /** Reused fill-time buffer for waiters parked on an upgrade. */
     std::vector<MshrWaiter> storesPendingScratch_;

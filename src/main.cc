@@ -232,8 +232,9 @@ perCellPath(const std::string &base, std::size_t index,
 
 /**
  * The --trace-out and --stats-out files of @p cells, one per cell;
- * stats dumps go to stderr when --stats-out is not given. @p cmd
- * prefixes the progress lines.
+ * stats dumps go to stderr when --stats-out is not given. A failed
+ * cell has no stats to dump, so it writes no stats file (its error is
+ * in the results). @p cmd prefixes the progress lines.
  */
 void
 writeCellOutputs(const CliArgs &args, const char *cmd,
@@ -254,7 +255,7 @@ writeCellOutputs(const CliArgs &args, const char *cmd,
             if (!quiet)
                 inform(cmd, ": trace written to ", path);
         }
-        if (!stats)
+        if (!stats || !r.ok)
             continue;
         if (stats_out.empty()) {
             std::cerr << "# stats: cell " << i << "\n" << r.statsDump;

@@ -12,10 +12,9 @@ MshrFile::MshrFile(unsigned capacity)
     cmp_assert(capacity > 0, "MSHR file needs at least one slot");
     // Waiter lists survive deallocate() (clear() keeps capacity), so
     // they only ever grow to their high-water mark -- but that growth
-    // would land mid-run. Reserve a generous coalescing depth up front
-    // to keep the steady state allocation-free.
+    // would land mid-run.
     for (auto &m : slots_)
-        m.waiters.reserve(16);
+        m.waiters.reserve(kReservedWaiters);
 }
 
 Mshr *

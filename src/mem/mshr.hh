@@ -47,6 +47,11 @@ struct Mshr
 class MshrFile
 {
   public:
+    /** Waiters each MSHR holds without growing (a generous coalescing
+     * depth, reserved up front to keep the steady state
+     * allocation-free). */
+    static constexpr std::size_t kReservedWaiters = 16;
+
     explicit MshrFile(unsigned capacity);
 
     unsigned capacity() const { return capacity_; }

@@ -15,10 +15,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "check/version_oracle.hh"
-#include "common/flat_map.hh"
 #include "core/retry_monitor.hh"
 #include "cpu/trace_cpu.hh"
 #include "fault/fault_injector.hh"
@@ -52,8 +52,8 @@ class WbReuseTracker
     std::uint64_t acceptedWb_ = 0;
     std::uint64_t reusedTotal_ = 0;
     std::uint64_t reusedAccepted_ = 0;
-    FlatSet pendingTotal_;
-    FlatSet pendingAccepted_;
+    std::unordered_set<Addr> pendingTotal_;
+    std::unordered_set<Addr> pendingAccepted_;
 };
 
 /**

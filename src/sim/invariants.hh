@@ -12,17 +12,16 @@
  *    L2 copy: stores invalidate the L3 at combine, so an owned line
  *    normally must not still look valid off chip;
  *  - (quiesced systems only) no dangling snarf reservations: with the
- *    machine drained every pending-snarf entry and in-flight snarf
- *    counter must have resolved to zero.
+ *    machine drained every L2's pending-snarf table must be empty.
  *
  * Lines functional warmup seeded into several L2s at once start the
  * run in states no running machine produces; the checker skips them
  * (reported via linesSkipped), mirroring the conformance oracle's
  * warmup taint.
  *
- * Used by the whole-system property tests, the chaos harness's
- * periodic online sweep, and, optionally, the sweep runner after
- * every grid cell.
+ * Used by the whole-system property tests, the online invariant
+ * sweeps (check.invariants_every, which the chaos harness turns on),
+ * and, optionally, the sweep runner after every grid cell.
  */
 
 #ifndef CMPCACHE_SIM_INVARIANTS_HH
@@ -85,11 +84,12 @@ CoherenceCheck checkCoherence(CmpSystem &sys,
                               const CoherenceCheckOptions &opts);
 
 /**
- * Compatibility overload: default options (L2-only rules, not
- * quiesced) with @p max_messages as the diagnostic cap.
+ * The check of a drained machine: checkCoherence with the quiesced
+ * rules on and default options otherwise. `sweep --check-coherence`
+ * runs it on every finished cell, and Simulation::run on the drained
+ * machine when check.invariants_every > 0.
  */
-CoherenceCheck checkCoherence(CmpSystem &sys,
-                              std::size_t max_messages = 16);
+CoherenceCheck checkDrainedCoherence(CmpSystem &sys);
 
 } // namespace cmpcache
 

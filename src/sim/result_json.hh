@@ -1,15 +1,15 @@
 /**
  * @file
- * Machine-readable experiment results: JSON emission and strict
- * parsing of ExperimentResult records (see docs/sweep.md).
+ * Machine-readable experiment results: the JSON writer for
+ * ExperimentResult records (see docs/sweep.md). The readers are the
+ * Python scripts (scripts/reproduce.py, cmpbench/run.py).
  *
  * Emission is deterministic: fixed key order, integers printed
- * exactly, doubles printed with 17 significant digits so a
- * write/parse round trip reproduces every field bit-for-bit.
+ * exactly, doubles printed with 17 significant digits so a reader
+ * gets every field back bit for bit.
  *
  * Result objects are versioned: emission writes
- * "schemaVersion": kResultSchemaVersion as the first field, and
- * parsing requires that field with that value.
+ * "schemaVersion": kResultSchemaVersion as the first field.
  */
 
 #ifndef CMPCACHE_SIM_RESULT_JSON_HH
@@ -17,7 +17,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "common/json.hh"
 #include "sim/experiment.hh"
@@ -38,39 +37,6 @@ void writeResultJson(std::ostream &os, const ExperimentResult &r,
 
 /** writeResultJson into a string. */
 std::string resultToJson(const ExperimentResult &r);
-
-/**
- * Parse a JSON object produced by writeResultJson. Strict: malformed
- * JSON, a missing field, or a wrong-typed field fails the parse.
- * @param error receives a diagnostic on failure (may be null)
- * @return true on success
- */
-bool parseResultJson(const std::string &text, ExperimentResult &out,
-                     std::string *error = nullptr);
-
-/**
- * One cell read back from a sweep results file. Cells that failed
- * (the writer's {"status": "error", ...} form) carry ok = false, the
- * structured error, and identity-only result fields
- * (workload/policy/maxOutstanding); everything else in result is
- * default-initialized.
- */
-struct SweepCellOutcome
-{
-    bool ok = true;
-    std::string errorKind; ///< SimErrorKind name; empty when ok
-    std::string error;     ///< failure message; empty when ok
-    ExperimentResult result;
-};
-
-/**
- * Parse a whole sweep results file ("cmpcache-sweep-results-v2"):
- * checks the schema tag and returns every cell of the "results"
- * array, failed ones included, in file order.
- */
-bool parseSweepResultsJson(const std::string &text,
-                           std::vector<SweepCellOutcome> &out,
-                           std::string *error = nullptr);
 
 } // namespace cmpcache
 

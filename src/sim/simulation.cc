@@ -108,12 +108,10 @@ Simulation::Simulation(const SystemConfig &cfg,
 }
 
 Simulation::Simulation(const SystemConfig &cfg, TraceBundle traces,
-                       std::string input_name, TraceBundle *warmup)
+                       std::string input_name)
     : inputName_(std::move(input_name))
 {
     sys_ = std::make_unique<CmpSystem>(cfg, std::move(traces));
-    if (warmup)
-        sys_->functionalWarmup(std::move(*warmup));
     initObservability();
 }
 
@@ -234,9 +232,7 @@ Simulation::run()
         // invariants once more on the drained machine, where the
         // transient-bookkeeping (snarf reservation) rules apply too.
         if (sys_->config().check.invariantsEvery > 0) {
-            CoherenceCheckOptions opts;
-            opts.quiesced = true;
-            const CoherenceCheck chk = checkCoherence(*sys_, opts);
+            const CoherenceCheck chk = checkDrainedCoherence(*sys_);
             if (!chk.clean()) {
                 throw SimException(SimError(
                     SimErrorKind::Conformance,

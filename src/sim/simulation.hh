@@ -56,13 +56,12 @@ class Simulation
                std::shared_ptr<const WarmImage> warm);
 
     /**
-     * Pre-built trace run (e.g. trace files). The bundle is consumed;
-     * @p warmup, when non-null, feeds a functional warmup pass first.
-     * The config is taken as-is (line sizes must already be set).
+     * Pre-built trace run (e.g. trace files). The bundle is consumed
+     * and the run starts cold. The config is taken as-is (line sizes
+     * must already be set).
      */
     Simulation(const SystemConfig &cfg, TraceBundle traces,
-               std::string input_name,
-               TraceBundle *warmup = nullptr);
+               std::string input_name);
 
     /**
      * Streaming run (`cmpcache serve`): records are decoded from

@@ -392,7 +392,7 @@ runSweep(const SweepSpec &spec, unsigned num_threads,
                 r.eventsExecuted = sim.system().totalExecuted();
                 if (spec.checkCoherence)
                     r.coherenceViolations =
-                        checkCoherence(sim.system()).violations;
+                        checkDrainedCoherence(sim.system()).violations;
                 if (sim.sampled())
                     r.samples = sim.samples();
                 if (sim.traced())

@@ -99,7 +99,8 @@ struct SweepSpec
      */
     WorkloadOverrides workloadOverrides;
 
-    /** Run the coherence invariant checker after every cell. */
+    /** Run the drained-machine coherence check
+     * (checkDrainedCoherence) on every finished cell. */
     bool checkCoherence = false;
 
     /**
@@ -272,7 +273,7 @@ WorkloadParams resolveWorkload(const std::string &name,
  * "cmpcache-sweep-results-v2": the spec's axes, an optional
  * "timeSeries" block (one sampled-series object per cell, present
  * when base.obs.sampleEvery > 0), and one result object per cell in
- * job order (parseSweepResultsJson reads it back).
+ * job order (read by scripts/reproduce.py).
  * Failed cells appear as {"status": "error", "errorKind": ...,
  * "error": ..., workload/policy/maxOutstanding, plus the rerun
  * identity: seed, topology, faultPlan, faultSeed and a one-line

@@ -1,5 +1,7 @@
 #include "sim/system_config.hh"
 
+#include <utility>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -74,6 +76,16 @@ SystemConfig::validationErrors() const
         errs.push_back("l2.mshrs must be positive");
     if (l2.wbqDepth == 0)
         errs.push_back("l2.wbq_depth must be positive");
+    for (const auto &[key, value] :
+         {std::pair{"l2.mshrs", l2.mshrs},
+          {"l2.wbq_depth", l2.wbqDepth},
+          {"snarf.buffers", policy.snarfBuffers}}) {
+        if (value > kMaxL2Buffers) {
+            errs.push_back(cstr(key, " (", value,
+                                ") exceeds the per-L2 limit of ",
+                                kMaxL2Buffers));
+        }
+    }
     if (l3.wbQueueDepth == 0)
         errs.push_back("l3.wb_queue_depth must be positive");
     if (cpu.maxOutstanding == 0)

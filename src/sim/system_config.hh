@@ -48,6 +48,13 @@ struct CheckConfig
     bool enabled() const { return oracle || invariantsEvery > 0; }
 };
 
+/**
+ * Largest l2.mshrs, l2.wbq_depth and snarf.buffers a config may ask
+ * for. Each L2 sizes these buffers when it is built, so a larger
+ * value fails validation instead of the allocator.
+ */
+constexpr unsigned kMaxL2Buffers = 4096;
+
 struct SystemConfig
 {
     /**

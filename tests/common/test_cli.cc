@@ -39,7 +39,6 @@ TEST(Cli, DefaultsWhenAbsent)
     const auto a = parse({});
     EXPECT_EQ(a.getUnsigned("x", std::uint64_t{42}), 42u);
     EXPECT_EQ(a.getString("y", "dflt"), "dflt");
-    EXPECT_DOUBLE_EQ(a.getDouble("z", 2.5), 2.5);
     EXPECT_FALSE(a.getBool("w", false));
 }
 
@@ -58,12 +57,6 @@ TEST(Cli, BooleanSpellings)
     EXPECT_FALSE(a.getBool("b", true));
     EXPECT_TRUE(a.getBool("c", false));
     EXPECT_FALSE(a.getBool("d", true));
-}
-
-TEST(Cli, DoubleParsing)
-{
-    const auto a = parse({"--f=0.125"});
-    EXPECT_DOUBLE_EQ(a.getDouble("f", 0.0), 0.125);
 }
 
 TEST(Cli, NegativeIntegers)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Proof that the steady-state per-reference path is allocation-free:
- * global operator new/delete are replaced with counting versions, a
- * full CmpSystem is warmed up past every pool/table growth phase, and
- * a multi-thousand-tick simulation slice must then execute without a
- * single heap allocation.
+ * Proof that the steady-state per-reference path is allocation-free
+ * under every write-back policy: global operator new/delete are
+ * replaced with counting versions, a full CmpSystem is warmed up past
+ * every pool/table growth phase, and a multi-thousand-tick simulation
+ * slice must then execute without a single heap allocation.
  *
  * This binary must NOT be linked into the sanitizer suite: ASan
  * interposes operator new itself. (The test carries only the plain
@@ -84,13 +84,15 @@ namespace
 
 /**
  * A small but complete machine under enough load to keep every
- * mechanism busy: tiny caches so fills, evictions, write backs,
- * snarfs and retries all flow continuously.
+ * mechanism @p policy has busy: tiny caches so fills, evictions,
+ * write backs, WBHT decisions, snarfs and retries all flow
+ * continuously.
  */
 SystemConfig
-stressConfig()
+stressConfig(WbPolicy policy)
 {
     SystemConfig cfg;
+    cfg.policy.policy = policy;
     cfg.topology = TopologyParams::flat(2, 2);
     cfg.l2.sizeBytes = 2048;
     cfg.l2.assoc = 2;
@@ -128,37 +130,42 @@ syntheticBundle(unsigned threads, std::uint64_t refs_per_thread)
 
 TEST(AllocFree, SteadyStateSliceAllocatesNothing)
 {
-    auto cfg = stressConfig();
-    CmpSystem sys(cfg, syntheticBundle(cfg.numThreads(), 30000));
-    for (unsigned t = 0; t < sys.numCpus(); ++t)
-        sys.cpu(t).startup();
+    for (const WbPolicy policy :
+         {WbPolicy::Baseline, WbPolicy::Wbht, WbPolicy::WbhtGlobal,
+          WbPolicy::Snarf, WbPolicy::Combined}) {
+        SCOPED_TRACE(toString(policy));
+        const auto cfg = stressConfig(policy);
+        CmpSystem sys(cfg, syntheticBundle(cfg.numThreads(), 30000));
+        for (unsigned t = 0; t < sys.numCpus(); ++t)
+            sys.cpu(t).startup();
 
-    // Warm up: long enough that every pool, MSHR list, pending table,
-    // scratch buffer and wheel bucket has hit its steady-state high
-    // water mark.
-    const Tick warm = 200000;
-    sys.eventq().run(warm);
-    ASSERT_FALSE(sys.finished())
-        << "warmup consumed the whole trace; grow refs_per_thread";
+        // Warm up: long enough that every pool, MSHR list, scratch
+        // buffer, history table and wheel bucket has hit its
+        // steady-state high water mark.
+        const Tick warm = 200000;
+        sys.eventq().run(warm);
+        ASSERT_FALSE(sys.finished())
+            << "warmup consumed the whole trace; grow refs_per_thread";
 
-    // The measured slice: thousands of references end to end.
-    g_allocs = 0;
-    g_counting = true;
-    sys.eventq().run(warm + 50000);
-    g_counting = false;
+        // The measured slice: thousands of references end to end.
+        g_allocs = 0;
+        g_counting = true;
+        sys.eventq().run(warm + 50000);
+        g_counting = false;
 
-    EXPECT_FALSE(sys.finished());
-    EXPECT_EQ(g_allocs, 0u)
-        << "the steady-state per-reference path heap-allocated";
+        EXPECT_FALSE(sys.finished());
+        EXPECT_EQ(g_allocs, 0u)
+            << "the steady-state per-reference path heap-allocated";
 
-    // Sanity-check the counter actually counts.
-    g_counting = true;
-    auto *probe = new std::uint64_t(1);
-    g_counting = false;
-    EXPECT_EQ(g_allocs, 1u);
-    delete probe;
+        // Sanity-check the counter actually counts.
+        g_counting = true;
+        auto *probe = new std::uint64_t(1);
+        g_counting = false;
+        EXPECT_EQ(g_allocs, 1u);
+        delete probe;
 
-    // Drain to completion so the run stays a valid simulation.
-    sys.eventq().run();
-    EXPECT_TRUE(sys.finished());
+        // Drain to completion so the run stays a valid simulation.
+        sys.eventq().run();
+        EXPECT_TRUE(sys.finished());
+    }
 }

@@ -111,8 +111,8 @@ TEST_P(CoherenceInvariants, RunAndCheckGlobalState)
     EXPECT_GT(t, 0u);
     EXPECT_TRUE(sys.finished());
 
-    // The shared checker the sweep runner also uses.
-    const CoherenceCheck check = checkCoherence(sys);
+    // The drained-machine check `sweep --check-coherence` runs.
+    const CoherenceCheck check = checkDrainedCoherence(sys);
     EXPECT_GT(check.linesChecked, 0u);
     EXPECT_EQ(check.violations, 0u) << check.report();
 
@@ -173,7 +173,8 @@ TEST_F(ForgedState, DualOwnersAreFlagged)
 {
     forgeL2(0, LineState::Modified);
     forgeL2(1, LineState::Modified);
-    const CoherenceCheck check = checkCoherence(*sys_);
+    const CoherenceCheck check =
+        checkCoherence(*sys_, CoherenceCheckOptions{});
     // Both the dual-owner and the M-alongside-copies rule fire.
     EXPECT_GE(check.violations, 2u);
     EXPECT_NE(check.report().find("dirty owners"), std::string::npos)
@@ -184,7 +185,8 @@ TEST_F(ForgedState, ExclusiveAlongsideSharerIsFlagged)
 {
     forgeL2(0, LineState::Exclusive);
     forgeL2(1, LineState::Shared);
-    const CoherenceCheck check = checkCoherence(*sys_);
+    const CoherenceCheck check =
+        checkCoherence(*sys_, CoherenceCheckOptions{});
     EXPECT_EQ(check.violations, 1u);
     EXPECT_NE(check.report().find("E alongside"), std::string::npos)
         << check.report();
@@ -197,7 +199,8 @@ TEST_F(ForgedState, StaleL3CopyIsAdvisoryOptIn)
     // Default options skip the L3 rule: the architected self-refetch
     // race makes "owned L2 copy + valid L3 copy" reachable on a
     // correct machine (see invariants.hh).
-    EXPECT_EQ(checkCoherence(*sys_).violations, 0u);
+    EXPECT_EQ(
+        checkCoherence(*sys_, CoherenceCheckOptions{}).violations, 0u);
     CoherenceCheckOptions opts;
     opts.checkL3 = true;
     const CoherenceCheck check = checkCoherence(*sys_, opts);
@@ -210,11 +213,10 @@ TEST_F(ForgedState, DanglingSnarfEntryFlaggedOnlyWhenQuiesced)
 {
     sys_->l2(1).forgePendingSnarfForTest(line_);
     // Mid-run a pending reservation is normal bookkeeping...
-    EXPECT_EQ(checkCoherence(*sys_).violations, 0u);
+    EXPECT_EQ(
+        checkCoherence(*sys_, CoherenceCheckOptions{}).violations, 0u);
     // ...but on a drained machine it means a transaction leaked.
-    CoherenceCheckOptions opts;
-    opts.quiesced = true;
-    const CoherenceCheck check = checkCoherence(*sys_, opts);
+    const CoherenceCheck check = checkDrainedCoherence(*sys_);
     EXPECT_EQ(check.violations, 1u);
     EXPECT_NE(check.report().find("dangling snarf"), std::string::npos)
         << check.report();
@@ -239,6 +241,33 @@ TEST_F(ForgedState, MessageCapStillCountsEverything)
     EXPECT_EQ(check.messages.size(), 3u);
     EXPECT_GE(check.violations, 16u);
     EXPECT_NE(check.report().find("more"), std::string::npos);
+}
+
+TEST(DrainedCheck, CountsAReservationLeftOnAFinishedRun)
+{
+    // A snarf run drains clean; the same machine with one forged
+    // reservation must fail the check `sweep --check-coherence` runs
+    // on every finished cell.
+    SystemConfig cfg;
+    cfg.policy = PolicyConfig::make(WbPolicy::Snarf);
+    cfg.warmupPass = false;
+    WorkloadParams p;
+    p.numThreads = cfg.numThreads();
+    p.recordsPerThread = 2000;
+    SyntheticWorkload wl(p);
+    CmpSystem sys(cfg, wl.makeBundle());
+    sys.run();
+    ASSERT_TRUE(sys.finished());
+    EXPECT_TRUE(checkDrainedCoherence(sys).clean())
+        << checkDrainedCoherence(sys).report();
+
+    sys.l2(2).forgePendingSnarfForTest(0x8000);
+    const CoherenceCheck check = checkDrainedCoherence(sys);
+    EXPECT_EQ(check.violations, 1u);
+    EXPECT_NE(check.report().find("dangling snarf reservations in "
+                                  "quiesced L2 2: 1"),
+              std::string::npos)
+        << check.report();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,7 @@
  * @file
  * Per-cell failure isolation in sweeps: one poisoned grid cell must
  * report a structured error while every other cell completes, and the
- * results file must round-trip the error cells. Also the progress
+ * results file must carry the error cells whole. Also the progress
  * lines' time format.
  */
 
@@ -104,24 +104,33 @@ TEST(SweepErrors, ErrorCellsRoundTripThroughResultsJson)
     std::ostringstream os;
     writeSweepResultsJson(os, spec, results);
     const std::string text = os.str();
-    EXPECT_NE(text.find("\"status\": \"error\""), std::string::npos);
-    EXPECT_NE(text.find("\"errorKind\": \"config\""),
-              std::string::npos);
 
-    // The parser returns every cell, the error intact on failed ones.
-    std::vector<SweepCellOutcome> cells;
-    std::string err;
-    ASSERT_TRUE(parseSweepResultsJson(text, cells, &err)) << err;
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_TRUE(cells[0].ok);
-    EXPECT_EQ(cells[0].result.policy, "baseline");
-    EXPECT_EQ(cells[0].result, results[0].result);
-    EXPECT_FALSE(cells[1].ok);
-    EXPECT_EQ(cells[1].errorKind, "config");
-    EXPECT_NE(cells[1].error.find("wbht.entries"), std::string::npos);
-    EXPECT_EQ(cells[1].result.workload, "thrash");
-    EXPECT_EQ(cells[1].result.policy, "combined");
-    EXPECT_EQ(cells[1].result.maxOutstanding, 4u);
+    // Every cell is written whole, in job order: the ok one exactly
+    // as the result writer prints it, the failed one with its error
+    // and the identity its rerun line needs.
+    std::ostringstream ok_cell;
+    writeResultJson(ok_cell, results[0].result, 4);
+    const SweepJobResult &bad = results[1];
+    ASSERT_NE(bad.error.find("wbht.entries"), std::string::npos);
+    const std::string bad_cell =
+        "    {\n"
+        "      \"schemaVersion\": 2,\n"
+        "      \"status\": \"error\",\n"
+        "      \"errorKind\": \"config\",\n"
+        "      \"error\": \"" + jsonEscape(bad.error) + "\",\n"
+        "      \"workload\": \"thrash\",\n"
+        "      \"policy\": \"combined\",\n"
+        "      \"maxOutstanding\": 4,\n"
+        "      \"seed\": 1,\n"
+        "      \"topology\": \"cores=8 smt=2 l2s=4 l3_slices=4\",\n"
+        "      \"faultPlan\": \"\",\n"
+        "      \"faultSeed\": " + std::to_string(bad.faultSeed) + ",\n"
+        "      \"rerun\": \"" + jsonEscape(bad.rerun) + "\"\n"
+        "    }";
+    EXPECT_NE(text.find("  \"results\": [\n" + ok_cell.str() + ",\n"
+                        + bad_cell + "\n  ]\n}\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST(SweepErrors, ErrorCellsAreThreadCountInvariant)

@@ -10,7 +10,6 @@
 
 #include <sstream>
 
-#include "common/json.hh"
 #include "stats/sink.hh"
 #include "stats/stats.hh"
 
@@ -92,8 +91,6 @@ TEST_F(SinkTest, JsonGolden)
               "  \"sys.l2.misses\": 7,\n"
               "  \"sys.l2.evictions\": 3\n"
               "}\n");
-    std::string error;
-    EXPECT_TRUE(validateJson(os.str(), &error)) << error;
 }
 
 TEST_F(SinkTest, CallerStreamStateDoesNotLeakIn)
@@ -130,8 +127,6 @@ TEST(JsonDump, EmptyGroupStillBalancesBraces)
     std::ostringstream os;
     writeJson(root, os);
     EXPECT_EQ(os.str(), "{\n\n}\n");
-    std::string error;
-    EXPECT_TRUE(validateJson(os.str(), &error)) << error;
 }
 
 } // namespace
