@@ -11,7 +11,9 @@
  * the structures compute the right answers is the unit tests' job.
  *
  * Emits cmpcache-hotpath-bench-v1 JSON (see bench/BENCH_hotpath.json
- * for the committed baseline; scripts/check.sh bench guards it).
+ * for the committed baseline; scripts/check.sh bench guards it). The
+ * JSON records the host's hardware thread count as `hostCores`: the
+ * guard gates only where it equals the baseline's.
  */
 
 #include <chrono>
@@ -20,6 +22,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "coherence/state.hh"
@@ -190,7 +193,8 @@ writeJson(std::ostream &os, std::uint64_t ops,
           const std::vector<PairStats> &pairs)
 {
     os << "{\n  \"schema\": \"cmpcache-hotpath-bench-v1\",\n"
-       << "  \"opsPerPair\": " << ops << ",\n  \"pairs\": [\n";
+       << "  \"hostCores\": " << std::thread::hardware_concurrency()
+       << ",\n  \"opsPerPair\": " << ops << ",\n  \"pairs\": [\n";
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         const auto &p = pairs[i];
         os << "    {\"name\": \"" << p.name

@@ -10,11 +10,14 @@ guard; pairs marked "guard": false in the baseline are reported but
 never gate (the scale bench guards only its 8-core cell -- larger
 machines are informational).
 
-Baselines that record the machine they were measured on (a top-level
-"hostCores" field) only gate when the current host reports the same
-core count: a 16-core box and a 1-core CI runner are different
-experiments, so a mismatch downgrades every pair to informational
-instead of cross-failing.
+Baselines that record the core count of the host they were measured
+on (a top-level "hostCores" field) only gate when the fresh run
+reports the same count: a 16-core box and a 1-core CI runner are
+different experiments, so a mismatch downgrades every pair to
+informational instead of cross-failing. The count names no host, so
+any other machine with as many cores still gates. A fresh run that
+records no "hostCores" against a baseline that does is broken input:
+the guard cannot tell whether it should gate.
 
 Exit codes: 0 pass, 1 regression (or broken inputs), 77 skipped.
 Set CMPCACHE_SKIP_BENCH=1 to skip (slow or contended CI machines);
@@ -71,11 +74,15 @@ def main():
         with open(args.fresh_out, "w") as f:
             json.dump(fresh, f, indent=2)
 
-    host_match = True
     base_cores = baseline.get("hostCores")
     fresh_cores = fresh.get("hostCores")
-    if base_cores is not None and base_cores != fresh_cores:
-        host_match = False
+    if base_cores is not None and fresh_cores is None:
+        print(f"{args.baseline} records hostCores {base_cores} but "
+              f"{args.bench} wrote none; cannot tell whether to gate",
+              file=sys.stderr)
+        return 1
+    host_match = base_cores is None or base_cores == fresh_cores
+    if not host_match:
         print(f"baseline was measured on a {base_cores}-core host, "
               f"this one reports {fresh_cores}; pairs are "
               f"informational only (re-baseline on this machine to "

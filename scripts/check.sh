@@ -21,7 +21,11 @@
 #                               # currentOpsPerSec against the
 #                               # committed BENCH_hotpath.json and
 #                               # BENCH_scale.json baselines (skip
-#                               # with CMPCACHE_SKIP_BENCH=1)
+#                               # with CMPCACHE_SKIP_BENCH=1); the
+#                               # hotpath baseline records hostCores
+#                               # and gates only on a host with that
+#                               # many cores, the scale baseline
+#                               # records none and gates everywhere
 #   scripts/check.sh perf       # the hotpath guard; fresh bench JSON
 #                               # lands in build/perf for CI artifact
 #                               # upload
@@ -154,9 +158,10 @@ if [ "$SELECT" = perf ]; then
         echo "perf: skipped (CMPCACHE_SKIP_BENCH set)"
         exit 0
     fi
-    # hostCores-mismatched baselines report informationally instead
-    # of gating (scripts/bench_guard.py), so this is safe on any
-    # runner; the fresh JSON is kept for artifact upload.
+    # The hotpath baseline records hostCores: a runner with another
+    # core count reports informationally (scripts/bench_guard.py), one
+    # with the same count gates against numbers timed on the host that
+    # recorded the baseline. The fresh JSON is kept for artifact upload.
     run_phase perf-hotpath python3 scripts/bench_guard.py \
         --bench build/bench/hotpath \
         --baseline bench/BENCH_hotpath.json \
