@@ -13,7 +13,9 @@
  * Emits cmpcache-scale-bench-v1 JSON. The committed baseline lives in
  * bench/BENCH_scale.json; scripts/bench_guard.py guards only the
  * 8-core cell's events/sec (marked "guard": true), the larger
- * machines are informational.
+ * machines are informational. The JSON records the host's hardware
+ * thread count as `hostCores`: the guard gates only where it equals
+ * the baseline's.
  */
 
 #include <cstdint>
@@ -21,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -94,7 +97,8 @@ writeJson(std::ostream &os, std::uint64_t refs,
           const std::vector<ScaleCell> &cells)
 {
     os << "{\n  \"schema\": \"cmpcache-scale-bench-v1\",\n"
-       << "  \"workload\": \"thrash\",\n"
+       << "  \"hostCores\": " << std::thread::hardware_concurrency()
+       << ",\n  \"workload\": \"thrash\",\n"
        << "  \"policy\": \"combined\",\n"
        << "  \"refsPerThread\": " << refs << ",\n  \"pairs\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -21,11 +21,9 @@
 #                               # currentOpsPerSec against the
 #                               # committed BENCH_hotpath.json and
 #                               # BENCH_scale.json baselines (skip
-#                               # with CMPCACHE_SKIP_BENCH=1); the
-#                               # hotpath baseline records hostCores
-#                               # and gates only on a host with that
-#                               # many cores, the scale baseline
-#                               # records none and gates everywhere
+#                               # with CMPCACHE_SKIP_BENCH=1); both
+#                               # baselines record hostCores and gate
+#                               # only on a host with that many cores
 #   scripts/check.sh perf       # the hotpath guard; fresh bench JSON
 #                               # lands in build/perf for CI artifact
 #                               # upload

@@ -42,6 +42,19 @@ class InplaceFunction<R(Args...), N>
                   std::decay_t<F>, InplaceFunction>>>
     InplaceFunction(F &&f) // NOLINT: implicit like std::function
     {
+        emplace(std::forward<F>(f));
+    }
+
+    InplaceFunction(InplaceFunction &&other) noexcept { steal(other); }
+
+    /**
+     * Destroy the held callable, if any, and construct @p f in the
+     * buffer in its place (no temporary, no move).
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
                       "callable signature mismatch");
@@ -52,6 +65,7 @@ class InplaceFunction<R(Args...), N>
                       "capture over-aligned for the inline buffer");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "captures must be nothrow-movable");
+        reset();
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
         invoke_ = [](void *b, Args... args) -> R {
             return (*static_cast<Fn *>(b))(
@@ -64,8 +78,6 @@ class InplaceFunction<R(Args...), N>
             victim->~Fn();
         };
     }
-
-    InplaceFunction(InplaceFunction &&other) noexcept { steal(other); }
 
     InplaceFunction &
     operator=(InplaceFunction &&other) noexcept

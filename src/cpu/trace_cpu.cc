@@ -16,7 +16,6 @@ TraceCpu::TraceCpu(stats::Group *parent, EventQueue &eq,
       params_(p),
       l2_(l2),
       source_(std::move(source)),
-      attemptEvent_([this] { attempt(); }, name + "-attempt"),
       issued_(this, "issued", "references issued to the L2"),
       hitsSeen_(this, "hits", "references that hit"),
       missesSeen_(this, "misses", "references that missed"),
@@ -54,12 +53,11 @@ TraceCpu::loadNextRecord()
 void
 TraceCpu::scheduleAttempt(Tick when)
 {
-    when = std::max(when, curTick());
-    if (!attemptEvent_.scheduled()) {
-        eventq().schedule(&attemptEvent_, when);
-    } else if (attemptEvent_.when() > when) {
-        eventq().reschedule(&attemptEvent_, when);
-    }
+    // At most one attempt is ever pending: startup posts the first,
+    // each attempt posts the next unless it stalls at the slot limit,
+    // and only that stall lets a miss completion post one.
+    eventq().at(std::max(when, curTick()), [this] { attempt(); },
+                "cpu-attempt");
 }
 
 void

@@ -70,8 +70,6 @@ class TraceCpu : public SimObject
     bool done_ = false;
     Tick finishTick_ = 0;
 
-    EventFunctionWrapper attemptEvent_;
-
     stats::Scalar issued_;
     stats::Scalar hitsSeen_;
     stats::Scalar missesSeen_;

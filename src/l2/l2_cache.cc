@@ -24,7 +24,6 @@ L2Cache::L2Cache(stats::Group *parent, EventQueue &eq,
       mshrs_(p.mshrs),
       wbq_(p.wbqDepth),
       sliceFree_(p.slices, 0),
-      wbDrainEvent_([this] { drainWriteBacks(); }, name + "-wb-drain"),
       accesses_(this, "accesses", "CPU-side demand accesses"),
       loads_(this, "loads", "demand loads and ifetches"),
       stores_(this, "stores", "demand stores"),
@@ -240,17 +239,20 @@ L2Cache::queueWriteBack(const TagEntry &victim)
 void
 L2Cache::scheduleWbDrain()
 {
-    if (wbDrainEvent_.scheduled())
+    if (wbDrainPending_)
         return;
     const Tick earliest = wbq_.earliestReady();
     if (earliest == MaxTick)
         return;
-    eventq().schedule(&wbDrainEvent_, std::max(earliest, curTick()));
+    wbDrainPending_ = true;
+    eventq().at(std::max(earliest, curTick()),
+                [this] { drainWriteBacks(); }, "l2-wb-drain");
 }
 
 void
 L2Cache::drainWriteBacks()
 {
+    wbDrainPending_ = false;
     const Tick now = curTick();
     while (WbEntry *e = wbq_.nextReady(now)) {
         if (!e->dirty && policy_.usesWbht() && wbhtDecisionsActive()) {

@@ -243,7 +243,8 @@ class L2Cache : public SimObject, public BusAgent
     /** Per-slice bank availability for sourcing data. */
     std::vector<Tick> sliceFree_;
 
-    EventFunctionWrapper wbDrainEvent_;
+    /** A drainWriteBacks() callback is posted and has not run. */
+    bool wbDrainPending_ = false;
 
     // --- statistics ---
     stats::Scalar accesses_;

@@ -11,8 +11,7 @@ Sampler::Sampler(EventQueue &eq, const stats::Group &root,
                  Tick interval)
     : eq_(eq),
       root_(root),
-      interval_(interval),
-      event_([this] { fire(); }, "obs-sampler", Event::StatPri)
+      interval_(interval)
 {
     cmp_assert(interval_ > 0, "sampler interval must be positive");
     series_.interval = interval_;
@@ -40,7 +39,14 @@ Sampler::start()
 {
     cmp_assert(!started_, "sampler started twice");
     started_ = true;
-    eq_.schedule(&event_, eq_.curTick() + interval_);
+    post();
+}
+
+void
+Sampler::post()
+{
+    eq_.at(eq_.curTick() + interval_, [this] { fire(); }, "obs-sampler",
+           EventQueue::StatPri);
 }
 
 void
@@ -50,10 +56,10 @@ Sampler::fire()
     for (std::size_t i = 0; i < stats_.size(); ++i)
         series_.values[i].push_back(stats_[i]->sampledValue());
 
-    // Reschedule only while the simulation itself still has work:
-    // a lone self-rescheduling sampler must not keep the queue alive.
+    // Post the next sample only while the simulation itself still
+    // has work: a lone periodic sampler must not keep the queue alive.
     if (eq_.numPending() > 0)
-        eq_.schedule(&event_, eq_.curTick() + interval_);
+        post();
 }
 
 } // namespace cmpcache

@@ -2,18 +2,18 @@
  * @file
  * Periodic statistic sampler (docs/observability.md).
  *
- * The Sampler owns an event-kernel callback that fires every
- * `interval` ticks at Event::StatPri -- after all same-cycle model
- * activity -- and appends the instantaneous value of every watched
+ * The Sampler posts an event-kernel callback that fires every
+ * `interval` ticks at EventQueue::StatPri -- after all same-cycle
+ * model activity -- and appends the instantaneous value of every watched
  * statistic to an in-memory SampleSeries. Watching resolves each
  * dotted path through Group::find() exactly once and caches the
  * resolved Stat pointer, so a sample is O(#channels) regardless of
  * the size of the stats tree.
  *
  * The sampler terminates with the simulation: after recording a
- * sample it reschedules itself only while other events are pending,
+ * sample it posts the next one only while other events are pending,
  * so it never keeps the queue alive on its own and EventQueue::run()
- * still drains.
+ * still drains. It must outlive every run of the queue it samples.
  */
 
 #ifndef CMPCACHE_OBS_SAMPLER_HH
@@ -39,6 +39,10 @@ class Sampler
      */
     Sampler(EventQueue &eq, const stats::Group &root, Tick interval);
 
+    /** Its posted callbacks hold its address. */
+    Sampler(const Sampler &) = delete;
+    Sampler &operator=(const Sampler &) = delete;
+
     /**
      * Watch one stat by dotted path relative to the root group
      * ("ring.pending_now"). The path is resolved once, here; the
@@ -48,7 +52,7 @@ class Sampler
      */
     bool watch(const std::string &path);
 
-    /** Schedule the first sample one interval from now. */
+    /** Post the first sample one interval from now. */
     void start();
 
     std::size_t numChannels() const { return series_.names.size(); }
@@ -58,6 +62,8 @@ class Sampler
     const SampleSeries &series() const { return series_; }
 
   private:
+    /** Post the next sample one interval from now. */
+    void post();
     void fire();
 
     EventQueue &eq_;
@@ -65,7 +71,6 @@ class Sampler
     Tick interval_;
     std::vector<const stats::Stat *> stats_;
     SampleSeries series_;
-    EventFunctionWrapper event_;
     bool started_ = false;
 };
 

@@ -17,7 +17,6 @@ Ring::Ring(stats::Group *parent, EventQueue &eq, const RingParams &p,
       params_(p),
       topo_(topo),
       collector_(this, topo_),
-      drainEvent_([this] { drain(); }, "ring-drain"),
       requests_(this, "requests", "address-ring transactions issued"),
       launches_(this, "launches", "address-ring slots used"),
       dataTransfers_(this, "data_transfers",
@@ -87,20 +86,26 @@ Ring::issue(const BusRequest &req)
 void
 Ring::scheduleDrain()
 {
-    if (reqQueue_.empty() || drainEvent_.scheduled())
+    if (reqQueue_.empty() || drainPending_)
         return;
-    const Tick when =
-        std::max(curTick() + params_.requesterOverhead, nextLaunch_);
-    eventq().schedule(&drainEvent_, when);
+    postDrain(std::max(curTick() + params_.requesterOverhead, nextLaunch_));
+}
+
+void
+Ring::postDrain(Tick when)
+{
+    drainPending_ = true;
+    eventq().at(when, [this] { drain(); }, "ring-drain");
 }
 
 void
 Ring::drain()
 {
+    drainPending_ = false;
     cmp_assert(!reqQueue_.empty(), "ring drain with empty queue");
     const Tick now = curTick();
     if (now < nextLaunch_) {
-        eventq().schedule(&drainEvent_, nextLaunch_);
+        postDrain(nextLaunch_);
         return;
     }
 
@@ -118,7 +123,7 @@ Ring::drain()
                 "ring-oneshot");
 
     if (!reqQueue_.empty())
-        eventq().schedule(&drainEvent_, nextLaunch_);
+        postDrain(nextLaunch_);
 }
 
 void

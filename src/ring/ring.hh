@@ -211,6 +211,8 @@ class Ring : public SimObject
     Tick walkData(int dir, unsigned src, unsigned hops, Tick earliest,
                   bool *waited);
     void scheduleDrain();
+    /** Post drain() at @p when. */
+    void postDrain(Tick when);
     void drain();
     void combineNow(BusRequest req, Tick enqueued);
     BusAgent *agentById(AgentId id);
@@ -236,7 +238,8 @@ class Ring : public SimObject
     CircularBuffer<PendingReq> reqQueue_;
     Tick nextLaunch_ = 0;
     std::uint64_t nextTxnId_ = 1;
-    EventFunctionWrapper drainEvent_;
+    /** A drain() callback is posted and has not run. */
+    bool drainPending_ = false;
 
     /** Data-ring reservations, nextFree_[direction][segment]:
      * segment i joins stop i and stop (i+1) % numStops, and

@@ -219,8 +219,8 @@ class CmpSystem : public stats::Group
     /** Built (and validated) from cfg_.topology before any component:
      * every id, stop and cluster computation below goes through it. */
     CmpTopology topo_;
-    /** Declared before the components bound to it: events
-     * deregister from their queue on destruction. */
+    /** Declared before the components whose callbacks it holds, so
+     * it outlives them: pending callbacks die unrun with it. */
     EventQueue eq_;
 
     std::unique_ptr<RetryMonitor> retryMonitor_;

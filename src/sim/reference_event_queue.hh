@@ -1,8 +1,9 @@
 /**
  * @file
- * Reference discrete-event kernel: the pre-overhaul implementation
- * (std::priority_queue plus a cancelled-sequence hash set), preserved
- * verbatim in its own namespace.
+ * Reference discrete-event kernel: a std::priority_queue of (tick,
+ * priority, sequence) entries, each pointing at a heap-allocated
+ * RefEvent that is deleted once it has run -- the shape of the kernel
+ * the bucketed wheel replaced, kept in its own namespace.
  *
  * This is NOT used by the simulator. It exists so that
  *  - the randomized differential test
@@ -10,12 +11,14 @@
  *    production bucketed kernel against an independent, obviously
  *    correct ordering oracle, and
  *  - bench/kernel_throughput.cpp can measure the production kernel
- *    against the committed baseline it replaced (the "reference-heap"
- *    rows of bench/BENCH_kernel.json).
+ *    against it (the "reference-heap" rows of
+ *    bench/BENCH_kernel.json): one allocation per posted event instead
+ *    of EventQueue's pool, one heap push and pop instead of a wheel
+ *    bucket.
  *
- * The ordering contract is identical to the production kernel: events
- * execute in (tick, priority, insertion-sequence) order. See
- * docs/kernel.md.
+ * Its at() and run() mirror EventQueue's, and so does the ordering
+ * contract: events execute in (tick, priority, insertion-sequence)
+ * order. See docs/kernel.md.
  */
 
 #ifndef CMPCACHE_SIM_REFERENCE_EVENT_QUEUE_HH
@@ -23,9 +26,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
-#include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -36,142 +39,60 @@ namespace cmpcache
 namespace ref
 {
 
-class RefEventQueue;
+/** One posted callback; run once, then deleted. */
+struct RefEvent
+{
+    std::function<void()> fn;
+};
 
-/** Reference counterpart of cmpcache::Event. */
-class RefEvent
+class RefEventQueue
 {
   public:
     using Priority = std::int8_t;
 
     static constexpr Priority DefaultPri = 0;
-    static constexpr Priority CombinePri = 10;
     static constexpr Priority StatPri = 100;
 
-    explicit RefEvent(Priority prio = DefaultPri) : priority_(prio) {}
-    virtual ~RefEvent();
-
-    RefEvent(const RefEvent &) = delete;
-    RefEvent &operator=(const RefEvent &) = delete;
-
-    virtual void process() = 0;
-    virtual std::string name() const { return "anon-event"; }
-
-    bool scheduled() const { return scheduled_; }
-    Tick when() const { return when_; }
-    Priority priority() const { return priority_; }
-
-  private:
-    friend class RefEventQueue;
-
-    bool scheduled_ = false;
-    Tick when_ = 0;
-    std::uint64_t sequence_ = 0;
-    Priority priority_;
-    RefEventQueue *queue_ = nullptr;
-};
-
-/** Reference counterpart of cmpcache::EventFunctionWrapper. */
-class RefEventFunctionWrapper : public RefEvent
-{
-  public:
-    RefEventFunctionWrapper(std::function<void()> fn, std::string name,
-                            Priority prio = DefaultPri)
-        : RefEvent(prio), fn_(std::move(fn)), name_(std::move(name))
-    {
-    }
-
-    void process() override { fn_(); }
-    std::string name() const override { return name_; }
-
-  private:
-    std::function<void()> fn_;
-    std::string name_;
-};
-
-/**
- * The pre-overhaul kernel: a binary heap of (tick, priority,
- * sequence) entries with lazy cancellation through an unordered_set
- * of dead sequence numbers, probed once per executed event.
- */
-class RefEventQueue
-{
-  public:
     RefEventQueue() = default;
+
+    RefEventQueue(const RefEventQueue &) = delete;
+    RefEventQueue &operator=(const RefEventQueue &) = delete;
+
+    ~RefEventQueue()
+    {
+        for (; !heap_.empty(); heap_.pop())
+            delete heap_.top().event;
+    }
 
     Tick curTick() const { return curTick_; }
 
+    template <typename Fn>
     void
-    schedule(RefEvent *ev, Tick when)
+    at(Tick when, Fn &&fn, const char *what = "one-shot",
+       Priority prio = DefaultPri)
     {
-        cmp_assert(ev != nullptr, "scheduling null event");
-        cmp_assert(!ev->scheduled_, "event '", ev->name(),
-                   "' is already scheduled");
-        cmp_assert(when >= curTick_, "event '", ev->name(),
+        cmp_assert(when >= curTick_, "event '", what,
                    "' scheduled in the past (", when, " < ", curTick_,
                    ")");
-
-        ev->scheduled_ = true;
-        ev->when_ = when;
-        ev->sequence_ = nextSequence_++;
-        ev->queue_ = this;
-        heap_.push(Entry{when, ev->priority_, ev->sequence_, ev});
-        ++liveEvents_;
-    }
-
-    void
-    deschedule(RefEvent *ev)
-    {
-        cmp_assert(ev != nullptr && ev->scheduled_,
-                   "descheduling an unscheduled event");
-        cmp_assert(ev->queue_ == this, "event belongs to another queue");
-        cancelled_.insert(ev->sequence_);
-        ev->scheduled_ = false;
-        ev->queue_ = nullptr;
-        --liveEvents_;
-    }
-
-    void
-    reschedule(RefEvent *ev, Tick when)
-    {
-        if (ev->scheduled_)
-            deschedule(ev);
-        schedule(ev, when);
-    }
-
-    bool empty() const { return liveEvents_ == 0; }
-    std::size_t numPending() const { return liveEvents_; }
-
-    void
-    step()
-    {
-        skimCancelled();
-        cmp_assert(!heap_.empty(), "step() on an empty event queue");
-
-        Entry top = heap_.top();
-        heap_.pop();
-        RefEvent *ev = top.event;
-        cmp_assert(top.when >= curTick_, "time went backwards");
-        curTick_ = top.when;
-        ev->scheduled_ = false;
-        ev->queue_ = nullptr;
-        --liveEvents_;
-        ++numExecuted_;
-        ev->process();
+        heap_.push(Entry{when, prio, nextSequence_++,
+                         new RefEvent{std::forward<Fn>(fn)}});
     }
 
     Tick
     run(Tick max_tick = MaxTick)
     {
-        while (!empty()) {
-            skimCancelled();
-            if (heap_.empty())
-                break;
-            if (heap_.top().when > max_tick) {
+        while (!heap_.empty()) {
+            const Entry top = heap_.top();
+            if (top.when > max_tick) {
                 curTick_ = max_tick;
-                return curTick_;
+                break;
             }
-            step();
+            heap_.pop();
+            cmp_assert(top.when >= curTick_, "time went backwards");
+            curTick_ = top.when;
+            ++numExecuted_;
+            const std::unique_ptr<RefEvent> ev(top.event);
+            ev->fn();
         }
         return curTick_;
     }
@@ -182,7 +103,7 @@ class RefEventQueue
     struct Entry
     {
         Tick when;
-        RefEvent::Priority priority;
+        Priority priority;
         std::uint64_t sequence;
         RefEvent *event;
 
@@ -197,32 +118,12 @@ class RefEventQueue
         }
     };
 
-    void
-    skimCancelled()
-    {
-        while (!heap_.empty()) {
-            const auto it = cancelled_.find(heap_.top().sequence);
-            if (it == cancelled_.end())
-                return;
-            cancelled_.erase(it);
-            heap_.pop();
-        }
-    }
-
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
         heap_;
-    std::unordered_set<std::uint64_t> cancelled_;
     Tick curTick_ = 0;
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numExecuted_ = 0;
-    std::size_t liveEvents_ = 0;
 };
-
-inline RefEvent::~RefEvent()
-{
-    if (scheduled_ && queue_)
-        queue_->deschedule(this);
-}
 
 } // namespace ref
 } // namespace cmpcache

@@ -9,10 +9,4 @@ SimObject::SimObject(stats::Group *parent, std::string name,
 {
 }
 
-void
-SimObject::schedule(Event &ev, Tick delta)
-{
-    eq_.schedule(&ev, eq_.curTick() + delta);
-}
-
 } // namespace cmpcache

@@ -27,9 +27,6 @@ class SimObject : public stats::Group
     EventQueue &eventq() { return eq_; }
     Tick curTick() const { return eq_.curTick(); }
 
-    /** Schedule @p ev @p delta ticks from now. */
-    void schedule(Event &ev, Tick delta);
-
     /** Called once after the whole system is wired, before run. */
     virtual void startup() {}
 

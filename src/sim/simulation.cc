@@ -170,15 +170,8 @@ Simulation::initObservability()
             std::make_unique<TraceRecorder>(obs.traceCapacity);
         sys_->ring().setTracer(tracer_.get());
     }
-    if (sys_->config().check.invariantsEvery > 0) {
-        invariantEvent_ = std::make_unique<EventFunctionWrapper>(
-            [this] { invariantSweep(); }, "invariant-sweep",
-            Event::StatPri);
-        EventQueue &eq = sys_->eventq();
-        eq.schedule(invariantEvent_.get(),
-                    eq.curTick()
-                        + sys_->config().check.invariantsEvery);
-    }
+    if (sys_->config().check.invariantsEvery > 0)
+        postInvariantSweep();
     const WatchdogConfig &wd = sys_->config().watchdog;
     if (wd.enabled()) {
         watchdog_ = std::make_unique<Watchdog>(*sys_, wd);
@@ -199,6 +192,16 @@ Simulation::initObservability()
 }
 
 void
+Simulation::postInvariantSweep()
+{
+    // Like the watchdog, the sweep never keeps the event queue alive.
+    EventQueue &eq = sys_->eventq();
+    eq.at(eq.curTick() + sys_->config().check.invariantsEvery,
+          [this] { invariantSweep(); }, "invariant-sweep",
+          EventQueue::StatPri);
+}
+
+void
 Simulation::invariantSweep()
 {
     if (sys_->finished())
@@ -216,9 +219,7 @@ Simulation::invariantSweep()
     if (VersionOracle *oracle = sys_->conformanceOracle())
         oracle->throwIfViolated();
 
-    EventQueue &eq = sys_->eventq();
-    eq.schedule(invariantEvent_.get(),
-                eq.curTick() + sys_->config().check.invariantsEvery);
+    postInvariantSweep();
 }
 
 const ExperimentResult &

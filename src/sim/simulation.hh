@@ -126,9 +126,12 @@ class Simulation
     /**
      * One online conformance sweep (check.invariants_every): run the
      * structural coherence invariants plus the oracle's violation
-     * flush mid-run, then reschedule while the machine is still busy.
+     * flush mid-run, then post the next while the machine is still
+     * busy.
      */
     void invariantSweep();
+    /** Post the next invariant sweep one period from now. */
+    void postInvariantSweep();
     /** Register live ingest.* gauges (streaming + obs.ingest only). */
     void initIngestGauges();
 
@@ -147,9 +150,6 @@ class Simulation
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<TraceRecorder> tracer_;
     std::unique_ptr<Watchdog> watchdog_;
-    /** Online invariant sweep; built when check.invariants_every > 0.
-     * Like the watchdog, it never keeps the event queue alive. */
-    std::unique_ptr<EventFunctionWrapper> invariantEvent_;
     std::string watchdogFlushPath_;
     ExperimentResult result_;
     bool ran_ = false;

@@ -11,7 +11,6 @@ namespace cmpcache
 Watchdog::Watchdog(CmpSystem &sys, const WatchdogConfig &cfg)
     : sys_(sys),
       cfg_(cfg),
-      event_([this] { check(); }, "watchdog", Event::StatPri),
       wallStart_(std::chrono::steady_clock::now())
 {
     cmp_assert(cfg_.enabled(), "watchdog built with every == 0");
@@ -22,9 +21,16 @@ Watchdog::Watchdog(CmpSystem &sys, const WatchdogConfig &cfg)
 void
 Watchdog::start()
 {
-    EventQueue &eq = sys_.eventq();
-    eq.schedule(&event_, eq.curTick() + cfg_.every);
+    post();
     lastProgress_ = progressCount();
+}
+
+void
+Watchdog::post()
+{
+    EventQueue &eq = sys_.eventq();
+    eq.at(eq.curTick() + cfg_.every, [this] { check(); }, "watchdog",
+          EventQueue::StatPri);
 }
 
 std::uint64_t
@@ -123,7 +129,7 @@ Watchdog::check()
     }
     lastProgress_ = progress;
 
-    eq.schedule(&event_, now + cfg_.every);
+    post();
 }
 
 std::string

@@ -25,9 +25,10 @@
  * catch it, so one wedged cell cannot stall a grid.
  *
  * Like the obs sampler, the watchdog never keeps the event queue
- * alive: it reschedules itself only while other work is pending, and
- * with `every == 0` (the default) it is never constructed at all, so
- * watchdog-free runs are byte-identical.
+ * alive: it posts its next check only while other work is pending,
+ * and with `every == 0` (the default) it is never constructed at all,
+ * so watchdog-free runs are byte-identical. It must outlive every run
+ * of the system's queue.
  */
 
 #ifndef CMPCACHE_SIM_WATCHDOG_HH
@@ -68,7 +69,11 @@ class Watchdog
   public:
     Watchdog(CmpSystem &sys, const WatchdogConfig &cfg);
 
-    /** Schedule the first check (call before CmpSystem::run). */
+    /** Its posted callbacks hold its address. */
+    Watchdog(const Watchdog &) = delete;
+    Watchdog &operator=(const Watchdog &) = delete;
+
+    /** Post the first check (call before CmpSystem::run). */
     void start();
 
     /**
@@ -82,6 +87,8 @@ class Watchdog
     std::uint64_t checksRun() const { return checks_; }
 
   private:
+    /** Post the next check one period from now. */
+    void post();
     void check();
     /** Build the diagnostic, run the hook, throw SimException. */
     [[noreturn]] void trip(SimErrorKind kind, const std::string &why);
@@ -93,7 +100,6 @@ class Watchdog
 
     CmpSystem &sys_;
     WatchdogConfig cfg_;
-    EventFunctionWrapper event_;
     TripHook onTrip_;
 
     std::uint64_t checks_ = 0;

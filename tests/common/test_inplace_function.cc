@@ -119,6 +119,13 @@ TEST(InplaceFunction, DestructorRunsCaptureDestructors)
     g.reset();
     EXPECT_EQ(counter.use_count(), 1);
 
+    // emplace() over a held callable destroys it first.
+    InplaceFunction<int()> e([counter] { return 2; });
+    EXPECT_EQ(counter.use_count(), 2);
+    e.emplace([] { return 3; });
+    EXPECT_EQ(counter.use_count(), 1);
+    EXPECT_EQ(e(), 3);
+
     // Moved-from sources must not double-destroy.
     {
         InplaceFunction<int()> a([counter] { return 1; });

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -11,12 +13,12 @@ using namespace cmpcache;
 namespace
 {
 
-EventFunctionWrapper
-makeEvent(std::vector<int> &log, int id,
-          Event::Priority prio = Event::DefaultPri)
+/** Post a callback that logs @p id when it runs. */
+void
+post(EventQueue &eq, std::vector<int> &log, Tick when, int id,
+     EventQueue::Priority prio = EventQueue::DefaultPri)
 {
-    return EventFunctionWrapper([&log, id] { log.push_back(id); },
-                                "ev", prio);
+    eq.at(when, [&log, id] { log.push_back(id); }, "log", prio);
 }
 
 } // namespace
@@ -25,12 +27,9 @@ TEST(EventQueue, ExecutesInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    auto e3 = makeEvent(log, 3);
-    eq.schedule(&e2, 20);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e3, 30);
+    post(eq, log, 20, 2);
+    post(eq, log, 10, 1);
+    post(eq, log, 30, 3);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.curTick(), 30u);
@@ -40,12 +39,9 @@ TEST(EventQueue, SameTickFifoBySequence)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    auto e3 = makeEvent(log, 3);
-    eq.schedule(&e1, 5);
-    eq.schedule(&e2, 5);
-    eq.schedule(&e3, 5);
+    post(eq, log, 5, 1);
+    post(eq, log, 5, 2);
+    post(eq, log, 5, 3);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
@@ -54,65 +50,18 @@ TEST(EventQueue, PriorityBreaksTies)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto low = makeEvent(log, 1, Event::StatPri);
-    auto high = makeEvent(log, 2, Event::DefaultPri);
-    eq.schedule(&low, 5);
-    eq.schedule(&high, 5);
+    post(eq, log, 5, 1, EventQueue::StatPri);
+    post(eq, log, 5, 2, EventQueue::DefaultPri);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
-}
-
-TEST(EventQueue, DescheduleSkipsEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 20);
-    eq.deschedule(&e1);
-    EXPECT_FALSE(e1.scheduled());
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, DescheduledEventMayDieSafely)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto keeper = makeEvent(log, 1);
-    {
-        auto goner = makeEvent(log, 99);
-        eq.schedule(&goner, 5);
-        eq.deschedule(&goner);
-    } // destroyed while its heap entry is still in the queue
-    eq.schedule(&keeper, 10);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1}));
-}
-
-TEST(EventQueue, RescheduleMovesEvent)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 20);
-    eq.reschedule(&e1, 30);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{2, 1}));
-    EXPECT_EQ(eq.curTick(), 30u);
 }
 
 TEST(EventQueue, RunStopsAtMaxTick)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    eq.schedule(&e1, 10);
-    eq.schedule(&e2, 100);
+    post(eq, log, 10, 1);
+    post(eq, log, 100, 2);
     eq.run(50);
     EXPECT_EQ(log, (std::vector<int>{1}));
     EXPECT_EQ(eq.curTick(), 50u);
@@ -125,15 +74,10 @@ TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
     std::vector<Tick> ticks;
-    EventFunctionWrapper second(
-        [&] { ticks.push_back(eq.curTick()); }, "second");
-    EventFunctionWrapper first(
-        [&] {
-            ticks.push_back(eq.curTick());
-            eq.schedule(&second, eq.curTick() + 7);
-        },
-        "first");
-    eq.schedule(&first, 3);
+    eq.at(3, [&] {
+        ticks.push_back(eq.curTick());
+        eq.at(eq.curTick() + 7, [&] { ticks.push_back(eq.curTick()); });
+    });
     eq.run();
     EXPECT_EQ(ticks, (std::vector<Tick>{3, 10}));
 }
@@ -142,13 +86,11 @@ TEST(EventQueue, SameTickSelfSchedulingProgresses)
 {
     EventQueue eq;
     int count = 0;
-    EventFunctionWrapper ev(
-        [&] {
-            if (++count < 5)
-                eq.schedule(&ev, eq.curTick()); // zero-delay reschedule
-        },
-        "self");
-    eq.schedule(&ev, 0);
+    std::function<void()> self = [&] {
+        if (++count < 5)
+            eq.at(eq.curTick(), self); // zero-delay repost
+    };
+    eq.at(0, self);
     eq.run();
     EXPECT_EQ(count, 5);
 }
@@ -157,10 +99,8 @@ TEST(EventQueue, CountsExecutedAndPending)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    eq.schedule(&e1, 1);
-    eq.schedule(&e2, 2);
+    post(eq, log, 1, 1);
+    post(eq, log, 2, 2);
     EXPECT_EQ(eq.numPending(), 2u);
     eq.run();
     EXPECT_EQ(eq.numPending(), 0u);
@@ -171,20 +111,9 @@ TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    auto e2 = makeEvent(log, 2);
-    eq.schedule(&e1, 10);
+    post(eq, log, 10, 1);
     eq.run();
-    EXPECT_DEATH(eq.schedule(&e2, 5), "in the past");
-}
-
-TEST(EventQueueDeath, DoubleSchedulePanics)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    eq.schedule(&e1, 10);
-    EXPECT_DEATH(eq.schedule(&e1, 20), "already scheduled");
+    EXPECT_DEATH(post(eq, log, 5, 2), "in the past");
 }
 
 TEST(EventQueue, DeterministicInterleaving)
@@ -193,12 +122,8 @@ TEST(EventQueue, DeterministicInterleaving)
     auto run = [] {
         EventQueue eq;
         std::vector<int> log;
-        std::vector<std::unique_ptr<EventFunctionWrapper>> evs;
         for (int i = 0; i < 50; ++i)
-            evs.push_back(std::make_unique<EventFunctionWrapper>(
-                [&log, i] { log.push_back(i); }, "e"));
-        for (int i = 0; i < 50; ++i)
-            eq.schedule(evs[i].get(), (i * 7) % 13);
+            post(eq, log, static_cast<Tick>((i * 7) % 13), i);
         eq.run();
         return log;
     };
@@ -207,74 +132,69 @@ TEST(EventQueue, DeterministicInterleaving)
 
 TEST(EventQueue, RescheduleFromWithinProcess)
 {
+    // A periodic actor posts its next run from the current one.
     EventQueue eq;
     std::vector<Tick> ticks;
-    EventFunctionWrapper ev(
-        [&] {
-            ticks.push_back(eq.curTick());
-            if (ticks.size() < 4)
-                eq.schedule(&ev, eq.curTick() + 100);
-        },
-        "self-resched");
-    eq.schedule(&ev, 1);
+    std::function<void()> tick = [&] {
+        ticks.push_back(eq.curTick());
+        if (ticks.size() < 4)
+            eq.at(eq.curTick() + 100, tick);
+    };
+    eq.at(1, tick);
     eq.run();
     EXPECT_EQ(ticks, (std::vector<Tick>{1, 101, 201, 301}));
 }
 
-TEST(EventQueue, RescheduleOtherEventFromWithinProcess)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto victim = makeEvent(log, 9);
-    EventFunctionWrapper mover(
-        [&] { eq.reschedule(&victim, eq.curTick() + 50); }, "mover");
-    eq.schedule(&victim, 10);
-    eq.schedule(&mover, 5);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{9}));
-    EXPECT_EQ(eq.curTick(), 55u);
-}
-
 TEST(EventQueue, UrgentSameTickLatecomerRunsBeforePending)
 {
-    // From within a tick, scheduling a more urgent event at that same
+    // From within a tick, posting a more urgent event at that same
     // tick must still order it before the already-pending lower
     // priority events (exercises the dirty-bucket re-sort).
     EventQueue eq;
     std::vector<int> log;
-    auto stat1 = makeEvent(log, 1, Event::StatPri);
-    auto stat2 = makeEvent(log, 2, Event::StatPri);
-    auto urgent = makeEvent(log, 3, Event::DefaultPri);
-    EventFunctionWrapper trigger(
-        [&] { eq.schedule(&urgent, eq.curTick()); }, "trigger",
-        Event::CombinePri);
-    eq.schedule(&stat1, 7);
-    eq.schedule(&stat2, 7);
-    eq.schedule(&trigger, 7);
+    post(eq, log, 7, 1, EventQueue::StatPri);
+    post(eq, log, 7, 2, EventQueue::StatPri);
+    eq.at(7, [&] { post(eq, log, eq.curTick(), 3); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{3, 1, 2}));
 }
 
+TEST(EventQueue, SameTickDefaultPostedBehindStatRunsFirst)
+{
+    // Model callbacks keep posting DefaultPri and StatPri work at the
+    // current tick while a StatPri event is pending there: every
+    // DefaultPri event runs first, each class in posting order, and
+    // the bucket is re-sorted as often as it falls out of order.
+    EventQueue eq;
+    std::vector<int> log;
+    post(eq, log, 9, 1, EventQueue::StatPri);
+    eq.at(9, [&] {
+        log.push_back(2);
+        eq.at(eq.curTick(), [&] {
+            log.push_back(3);
+            post(eq, log, eq.curTick(), 5);
+        });
+        post(eq, log, eq.curTick(), 4, EventQueue::StatPri);
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2, 3, 5, 1, 4}));
+    EXPECT_EQ(eq.curTick(), 9u);
+}
+
 TEST(EventQueue, MixedPrioritySameTickFullOrder)
 {
-    // Many events at one tick across all priority classes: priority
+    // Many events at one tick across both priority classes: priority
     // ranks first, insertion order breaks ties within a class.
     EventQueue eq;
     std::vector<int> log;
-    std::vector<std::unique_ptr<EventFunctionWrapper>> evs;
-    const Event::Priority prios[] = {Event::StatPri, Event::DefaultPri,
-                                     Event::CombinePri};
     for (int i = 0; i < 30; ++i)
-        evs.push_back(std::make_unique<EventFunctionWrapper>(
-            [&log, i] { log.push_back(i); }, "mix", prios[i % 3]));
-    for (auto &ev : evs)
-        eq.schedule(ev.get(), 42);
+        post(eq, log, 42, i,
+             i % 3 == 0 ? EventQueue::StatPri : EventQueue::DefaultPri);
     eq.run();
     std::vector<int> expect;
-    for (int i = 1; i < 30; i += 3) // DefaultPri first
-        expect.push_back(i);
-    for (int i = 2; i < 30; i += 3) // then CombinePri
-        expect.push_back(i);
+    for (int i = 0; i < 30; ++i) // DefaultPri first
+        if (i % 3 != 0)
+            expect.push_back(i);
     for (int i = 0; i < 30; i += 3) // then StatPri
         expect.push_back(i);
     EXPECT_EQ(log, expect);
@@ -286,14 +206,10 @@ TEST(EventQueue, WheelHeapBoundaryOrdering)
     // including the exact WheelSpan-1 / WheelSpan / WheelSpan+1 edge.
     EventQueue eq;
     std::vector<int> log;
-    auto near = makeEvent(log, 1);
-    auto edge = makeEvent(log, 2);
-    auto far1 = makeEvent(log, 3);
-    auto far2 = makeEvent(log, 4);
-    eq.schedule(&far2, 5 * EventQueue::WheelSpan);
-    eq.schedule(&far1, EventQueue::WheelSpan + 1);
-    eq.schedule(&edge, EventQueue::WheelSpan);
-    eq.schedule(&near, EventQueue::WheelSpan - 1);
+    post(eq, log, 5 * EventQueue::WheelSpan, 4);
+    post(eq, log, EventQueue::WheelSpan + 1, 3);
+    post(eq, log, EventQueue::WheelSpan, 2);
+    post(eq, log, EventQueue::WheelSpan - 1, 1);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
     EXPECT_EQ(eq.curTick(), 5 * EventQueue::WheelSpan);
@@ -301,19 +217,16 @@ TEST(EventQueue, WheelHeapBoundaryOrdering)
 
 TEST(EventQueue, SelfRescheduleAcrossWheelBoundary)
 {
-    // An event hopping by exactly WheelSpan keeps crossing from the
+    // A callback hopping by exactly WheelSpan keeps crossing from the
     // far heap into the wheel as time advances.
     EventQueue eq;
     std::vector<Tick> ticks;
-    EventFunctionWrapper hopper(
-        [&] {
-            ticks.push_back(eq.curTick());
-            if (ticks.size() < 5)
-                eq.schedule(&hopper,
-                            eq.curTick() + EventQueue::WheelSpan);
-        },
-        "hopper");
-    eq.schedule(&hopper, 0);
+    std::function<void()> hopper = [&] {
+        ticks.push_back(eq.curTick());
+        if (ticks.size() < 5)
+            eq.at(eq.curTick() + EventQueue::WheelSpan, hopper);
+    };
+    eq.at(0, hopper);
     eq.run();
     ASSERT_EQ(ticks.size(), 5u);
     for (std::size_t i = 0; i < ticks.size(); ++i)
@@ -323,83 +236,52 @@ TEST(EventQueue, SelfRescheduleAcrossWheelBoundary)
 TEST(EventQueue, SameTickPrioritySequenceAgreeAcrossBoundary)
 {
     // Far-heap events migrated into the wheel must interleave with
-    // directly scheduled same-tick events per (priority, sequence).
+    // directly posted same-tick events per (priority, sequence).
     EventQueue eq;
     std::vector<int> log;
     const Tick target = EventQueue::WheelSpan + 500;
-    auto far_stat = makeEvent(log, 1, Event::StatPri);
-    auto far_def = makeEvent(log, 2, Event::DefaultPri);
-    eq.schedule(&far_stat, target); // scheduled first: lower sequence
-    eq.schedule(&far_def, target);
-    auto near_def = makeEvent(log, 3, Event::DefaultPri);
-    EventFunctionWrapper kick(
-        [&] {
-            // target now lies inside the wheel window: this schedule
-            // appends directly to a bucket already holding migrants.
-            log.push_back(0);
-            eq.schedule(&near_def, target);
-        },
-        "kick");
-    eq.schedule(&kick, 600); // pulls time forward past migration
+    post(eq, log, target, 1, EventQueue::StatPri); // lower sequence
+    post(eq, log, target, 2);
+    eq.at(600, [&] { // pulls time forward past migration
+        // target now lies inside the wheel window: this post appends
+        // directly to a bucket already holding migrants.
+        log.push_back(0);
+        post(eq, log, target, 3);
+    });
     eq.run();
     // DefaultPri in sequence order (2 before 3), StatPri last.
     EXPECT_EQ(log, (std::vector<int>{0, 2, 3, 1}));
-}
-
-TEST(EventQueue, FarEventDescheduleThenDestroySafely)
-{
-    EventQueue eq;
-    std::vector<int> log;
-    auto keeper = makeEvent(log, 1);
-    {
-        auto goner = makeEvent(log, 99);
-        eq.schedule(&goner, 3 * EventQueue::WheelSpan);
-        eq.deschedule(&goner);
-    } // dies while its far-heap entry is still pending
-    eq.schedule(&keeper, 4 * EventQueue::WheelSpan);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1}));
-}
-
-TEST(EventQueue, ScheduledEventDestroyedWithoutDeschedule)
-{
-    // ~Event deschedules itself; the stale queue entry must not fire.
-    EventQueue eq;
-    std::vector<int> log;
-    auto keeper = makeEvent(log, 1);
-    {
-        auto goner = makeEvent(log, 99);
-        eq.schedule(&goner, 5);
-    }
-    eq.schedule(&keeper, 10);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{1}));
-}
-
-TEST(EventQueue, EventsMayOutliveTheQueue)
-{
-    std::vector<int> log;
-    auto survivor = makeEvent(log, 1);
-    {
-        EventQueue eq;
-        eq.schedule(&survivor, 12);
-        eq.deschedule(&survivor); // leaves a stale entry behind
-        eq.schedule(&survivor, 15); // and a live one
-    } // queue dies first; survivor's destructor must not touch it
-    EXPECT_TRUE(log.empty());
-    EXPECT_FALSE(survivor.scheduled());
 }
 
 TEST(EventQueue, RunBoundedOnEmptyQueueKeepsTime)
 {
     EventQueue eq;
     std::vector<int> log;
-    auto e1 = makeEvent(log, 1);
-    eq.schedule(&e1, 10);
+    post(eq, log, 10, 1);
     eq.run();
     EXPECT_EQ(eq.curTick(), 10u);
     eq.run(500); // empty queue: time must not jump to the bound
     EXPECT_EQ(eq.curTick(), 10u);
+}
+
+TEST(EventQueue, DestroyedQueueRunsNoPendingCallback)
+{
+    // Callbacks still pending when their queue dies -- in the wheel
+    // and in the far heap -- never run, and their captures are
+    // destroyed with the queue.
+    auto token = std::make_shared<int>(0);
+    std::vector<int> log;
+    {
+        EventQueue eq;
+        post(eq, log, 5, 1);
+        eq.at(10, [token, &log] { log.push_back(2); });
+        eq.at(3 * EventQueue::WheelSpan,
+              [token, &log] { log.push_back(3); });
+        eq.run(7);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(log, (std::vector<int>{1}));
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueue, PooledAtRunsInOrder)
