@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
+    args.requireKnown({"refs", "outstanding"});
     const std::uint64_t refs =
         args.getUnsigned("refs", std::uint64_t{20000});
     const unsigned outstanding = args.getUnsigned("outstanding", 6u);

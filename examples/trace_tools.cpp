@@ -8,12 +8,16 @@
  *
  * Run:  ./examples/trace_tools --workload=Trade2 --refs=2000 \
  *           --out=/tmp/trade2.trace --format=binary
+ *
+ * --format is text or binary (the default); any other option fails
+ * by name before anything is written.
  */
 
 #include <iostream>
 #include <map>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads_commercial.hh"
@@ -24,11 +28,15 @@ int
 main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
+    args.requireKnown({"workload", "refs", "seed", "out", "format"});
     const std::string name = args.getString("workload", "TP");
     const auto refs = args.getUnsigned("refs", std::uint64_t{2000});
     const std::string path =
         args.getString("out", "/tmp/cmpcache_example.trace");
-    const bool binary = args.getString("format", "binary") == "binary";
+    const std::string format = args.getString("format", "binary");
+    if (format != "text" && format != "binary")
+        cmp_fatal("--format must be text or binary, got '", format, "'");
+    const bool binary = format == "binary";
 
     // 1. Synthesize.
     const auto params = workloads::byName(

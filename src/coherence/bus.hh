@@ -47,10 +47,13 @@ struct BusRequest
     std::uint64_t txnId = 0;
 };
 
-/** One agent's snoop response to a request. */
+/**
+ * One agent's snoop response to a request. The ring hands the
+ * collector one per agent, indexed by AgentId; the requester's slot
+ * stays default-constructed, which no combine rule reacts to.
+ */
 struct SnoopResponse
 {
-    AgentId responder = InvalidAgent;
     /** Resource conflict: the transaction must be retried. */
     bool retry = false;
     /** Agent holds a valid copy (any valid state). */

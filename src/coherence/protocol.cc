@@ -71,12 +71,11 @@ namespace protocol
 {
 
 SnoopResponse
-l2Snoop(LineState state, BusCmd cmd, AgentId self)
+l2Snoop(LineState state, BusCmd cmd)
 {
     cmp_assert(!isWriteBack(cmd),
                "l2Snoop does not handle write backs");
     SnoopResponse r;
-    r.responder = self;
     if (state == LineState::Invalid)
         return r;
 

@@ -24,7 +24,7 @@ namespace protocol
  * requested line. Write backs are handled separately (snarf logic
  * needs victim-buffer context); this covers Read/ReadExcl/Upgrade.
  */
-SnoopResponse l2Snoop(LineState state, BusCmd cmd, AgentId self);
+SnoopResponse l2Snoop(LineState state, BusCmd cmd);
 
 /**
  * Next state of a peer L2 copy after the transaction completes with

@@ -30,6 +30,9 @@ CombinedResult
 SnoopCollector::combine(const BusRequest &req,
                         const std::vector<SnoopResponse> &responses)
 {
+    cmp_assert(responses.size() == topo_.numAgents(), "combine of ",
+               responses.size(), " responses for ", topo_.numAgents(),
+               " agents");
     ++combines_;
     CombinedResult res = isWriteBack(req.cmd)
                              ? combineWriteBack(req, responses)
@@ -46,17 +49,18 @@ SnoopCollector::combineAccess(const BusRequest &req,
     CombinedResult out;
 
     bool retry = false;
-    const SnoopResponse *supplier = nullptr;
-    const SnoopResponse *dirty_supplier = nullptr;
-    for (const auto &r : rs) {
+    AgentId supplier = InvalidAgent;
+    AgentId dirty_supplier = InvalidAgent;
+    for (unsigned a = 0; a < rs.size(); ++a) {
+        const SnoopResponse &r = rs[a];
         retry = retry || r.retry;
         out.l3HasLine = out.l3HasLine || r.l3Hit;
         if (r.hasLine && !r.l3Hit)
             out.otherSharers = true;
-        if (r.canSupply && !r.l3Hit && !supplier)
-            supplier = &r;
+        if (r.canSupply && !r.l3Hit && supplier == InvalidAgent)
+            supplier = static_cast<AgentId>(a);
         if (r.hasDirty)
-            dirty_supplier = &r;
+            dirty_supplier = static_cast<AgentId>(a);
     }
 
     if (retry) {
@@ -65,18 +69,18 @@ SnoopCollector::combineAccess(const BusRequest &req,
     }
 
     // A dirty copy must win arbitration over clean interventions.
-    if (dirty_supplier)
+    if (dirty_supplier != InvalidAgent)
         supplier = dirty_supplier;
 
     switch (req.cmd) {
       case BusCmd::Read:
       case BusCmd::ReadExcl:
-        if (supplier) {
+        if (supplier != InvalidAgent) {
             out.resp = CombinedResp::L2Data;
-            out.source = supplier->responder;
-            out.dirtySource = supplier->hasDirty;
+            out.source = supplier;
+            out.dirtySource = rs[supplier].hasDirty;
             ++interventions_;
-            if (supplier->hasDirty)
+            if (out.dirtySource)
                 ++dirtyInterventions_;
         } else if (out.l3HasLine) {
             out.resp = CombinedResp::L3Data;
@@ -170,11 +174,9 @@ SnoopCollector::pickSnarfWinner(const std::vector<SnoopResponse> &rs)
     const unsigned n = topo_.numL2s();
     for (unsigned k = 0; k < n; ++k) {
         const AgentId cand = topo_.l2Agent((rrNext_ + k) % n);
-        for (const auto &r : rs) {
-            if (r.snarfAccept && r.responder == cand) {
-                rrNext_ = (cand + 1u) % n;
-                return cand;
-            }
+        if (rs[cand].snarfAccept) {
+            rrNext_ = (cand + 1u) % n;
+            return cand;
         }
     }
     cmp_panic("pickSnarfWinner called with no willing snarfer");

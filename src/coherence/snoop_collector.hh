@@ -37,15 +37,21 @@ class SnoopCollector : public stats::Group
      * Combine all snoop responses for @p req.
      *
      * @param req       the request on the address ring
-     * @param responses one response per snooping agent (the requester
-     *                  itself does not respond); the L3's response has
-     *                  its l3Hit/wbAccept fields filled in
+     * @param responses one response per agent, indexed by AgentId
+     *                  (the requester's slot is a default response);
+     *                  the L3's response has its l3Hit/wbAccept fields
+     *                  filled in
      */
     CombinedResult combine(const BusRequest &req,
                            const std::vector<SnoopResponse> &responses);
 
     /** Retries observed so far (input to the WBHT RetryMonitor). */
     std::uint64_t totalRetries() const { return retries_.value(); }
+    /** Reads served by L2-to-L2 transfer so far. */
+    std::uint64_t totalInterventions() const
+    {
+        return interventions_.value();
+    }
 
   private:
     CombinedResult combineAccess(const BusRequest &req,

@@ -27,42 +27,14 @@ constexpr Addr InvalidAddr = std::numeric_limits<Addr>::max();
 /** Hardware thread identifier (0..numThreads-1). */
 using ThreadId = std::uint16_t;
 
-/** Identifier of a bus agent (L2 caches, L3, memory controller). */
+/**
+ * Identifier of a bus agent (L2 caches, L3, memory controller). The
+ * one number for an agent: its ring stop and its slot in the ring's
+ * agent and snoop-response vectors (CmpTopology assigns them).
+ */
 using AgentId = std::uint8_t;
 
 constexpr AgentId InvalidAgent = 0xff;
-
-/**
- * Physical ring-stop position, strongly typed so stop indices cannot
- * be silently mixed with AgentId arithmetic. The CmpTopology owns the
- * agent-to-stop mapping; nothing else computes stop numbers.
- */
-struct RingStop
-{
-    constexpr RingStop() = default;
-    constexpr explicit RingStop(unsigned v) : v_(v) {}
-
-    constexpr unsigned value() const { return v_; }
-
-    friend constexpr bool
-    operator==(RingStop a, RingStop b)
-    {
-        return a.v_ == b.v_;
-    }
-    friend constexpr bool
-    operator!=(RingStop a, RingStop b)
-    {
-        return a.v_ != b.v_;
-    }
-    friend constexpr bool
-    operator<(RingStop a, RingStop b)
-    {
-        return a.v_ < b.v_;
-    }
-
-  private:
-    unsigned v_ = 0;
-};
 
 } // namespace cmpcache
 

@@ -6,7 +6,6 @@ namespace cmpcache
 RetryMonitor::RetryMonitor(stats::Group *parent, const Params &p)
     : stats::Group(parent, "retry_monitor"),
       params_(p),
-      active_(p.initiallyActive),
       retriesSeen_(this, "retries_seen", "retry responses observed"),
       windowsOn_(this, "windows_on",
                  "windows that enabled the WBHT"),

@@ -32,8 +32,6 @@ class RetryMonitor : public stats::Group
         /** Retries per window required to enable the WBHT
          * (paper: 2,000). */
         std::uint64_t threshold = 2000;
-        /** WBHT state before the first full window completes. */
-        bool initiallyActive = false;
     };
 
     RetryMonitor(stats::Group *parent, const Params &p);
@@ -70,6 +68,7 @@ class RetryMonitor : public stats::Group
     std::uint64_t windowCount_ = 0;
     /** Retry count of the most recently closed window. */
     std::uint64_t lastWindowCount_ = 0;
+    /** WBHT gate; closed until the first full window completes. */
     bool active_ = false;
     std::function<Tick()> timeSource_;
 

@@ -10,12 +10,11 @@ namespace cmpcache
 {
 
 L2Cache::L2Cache(stats::Group *parent, EventQueue &eq,
-                 const std::string &name, AgentId id, RingStop ring_stop,
+                 const std::string &name, AgentId id,
                  const L2Params &p, const PolicyConfig &policy,
                  Ring &ring, RetryMonitor *retry_monitor)
     : SimObject(parent, name, eq),
       id_(id),
-      stop_(ring_stop),
       params_(p),
       policy_(policy),
       ring_(ring),
@@ -322,7 +321,6 @@ SnoopResponse
 L2Cache::snoop(const BusRequest &req)
 {
     SnoopResponse resp;
-    resp.responder = id_;
     const Addr line = req.lineAddr;
 
     // TEST ONLY (wb_blind_spot fault): pretend the transient copies
@@ -410,12 +408,7 @@ L2Cache::snoop(const BusRequest &req)
     }
 
     const TagEntry *entry = tags_.peek(line);
-    if (entry) {
-        resp = protocol::l2Snoop(entry->state, req.cmd, id_);
-        if (!params_.cleanInterventions && !resp.hasDirty)
-            resp.canSupply = false;
-    }
-    return resp;
+    return entry ? protocol::l2Snoop(entry->state, req.cmd) : resp;
 }
 
 Tick

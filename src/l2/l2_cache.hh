@@ -45,15 +45,6 @@ struct L2Params
     unsigned lineSize = 128;
     unsigned slices = 4;
 
-    /**
-     * Allow clean (SL/E) copies to source cache-to-cache transfers.
-     * The paper's POWER4-style protocol supports interventions "for
-     * all dirty lines and a subset of lines in the shared state";
-     * disabling this ablates the shared-intervention capability the
-     * snarf mechanism builds on (dirty interventions remain).
-     */
-    bool cleanInterventions = true;
-
     Tick hitLatency = 20;    ///< load-to-use on an L2 hit
     Tick supplyLatency = 23; ///< array access when sourcing data
     Tick supplyOccupancy = 8;///< slice bank busy time per supply
@@ -76,7 +67,7 @@ class L2Cache : public SimObject, public BusAgent
     };
 
     L2Cache(stats::Group *parent, EventQueue &eq, const std::string &name,
-            AgentId id, RingStop ring_stop, const L2Params &p,
+            AgentId id, const L2Params &p,
             const PolicyConfig &policy, Ring &ring,
             RetryMonitor *retry_monitor);
 
@@ -117,7 +108,6 @@ class L2Cache : public SimObject, public BusAgent
 
     // BusAgent interface
     AgentId agentId() const override { return id_; }
-    RingStop ringStop() const override { return stop_; }
     SnoopResponse snoop(const BusRequest &req) override;
     void observeCombined(const BusRequest &req,
                          const CombinedResult &res) override;
@@ -199,7 +189,6 @@ class L2Cache : public SimObject, public BusAgent
     bool wbhtDecisionsActive() const;
 
     AgentId id_;
-    RingStop stop_;
     L2Params params_;
     PolicyConfig policy_;
     Ring &ring_;

@@ -10,10 +10,9 @@ namespace cmpcache
 {
 
 L3Cache::L3Cache(stats::Group *parent, EventQueue &eq, AgentId id,
-                 RingStop ring_stop, const L3Params &p)
+                 const L3Params &p)
     : SimObject(parent, "l3", eq),
       id_(id),
-      stop_(ring_stop),
       params_(p),
       tags_(p.sizeBytes, p.assoc, p.lineSize),
       wbQueueBusy_(p.slices, 0),
@@ -72,7 +71,6 @@ SnoopResponse
 L3Cache::snoop(const BusRequest &req)
 {
     SnoopResponse resp;
-    resp.responder = id_;
     const Addr line = req.lineAddr;
     const bool present = tags_.peek(line) != nullptr;
 

@@ -54,7 +54,7 @@ class L3Cache : public SimObject, public BusAgent
 {
   public:
     L3Cache(stats::Group *parent, EventQueue &eq, AgentId id,
-            RingStop ring_stop, const L3Params &p);
+            const L3Params &p);
 
     /** Dirty victims leave through the dedicated memory pathway. */
     void setMemWriteFn(std::function<void()> fn)
@@ -76,7 +76,6 @@ class L3Cache : public SimObject, public BusAgent
 
     // BusAgent interface
     AgentId agentId() const override { return id_; }
-    RingStop ringStop() const override { return stop_; }
     SnoopResponse snoop(const BusRequest &req) override;
     void observeCombined(const BusRequest &req,
                          const CombinedResult &res) override;
@@ -132,7 +131,6 @@ class L3Cache : public SimObject, public BusAgent
     }
 
     AgentId id_;
-    RingStop stop_;
     L3Params params_;
     TagArray tags_;
 

@@ -6,10 +6,9 @@ namespace cmpcache
 {
 
 MemCtrl::MemCtrl(stats::Group *parent, EventQueue &eq, AgentId id,
-                 RingStop ring_stop, const MemParams &p)
+                 const MemParams &p)
     : SimObject(parent, "mem", eq),
       id_(id),
-      stop_(ring_stop),
       params_(p),
       reads_(this, "reads", "demand lines supplied from memory"),
       writes_(this, "writes", "lines written (dirty L3 victims)"),
@@ -32,10 +31,8 @@ MemCtrl::snoop(const BusRequest &req)
 {
     // Memory never retries demand requests and, in the modelled
     // protocol, never absorbs L2 write backs (the L3 retries instead).
-    SnoopResponse resp;
-    resp.responder = id_;
     (void)req;
-    return resp;
+    return SnoopResponse{};
 }
 
 void

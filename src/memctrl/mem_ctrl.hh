@@ -25,14 +25,13 @@ class MemCtrl : public SimObject, public BusAgent
 {
   public:
     MemCtrl(stats::Group *parent, EventQueue &eq, AgentId id,
-            RingStop ring_stop, const MemParams &p);
+            const MemParams &p);
 
     /** A dirty L3 victim arrives over the dedicated path. */
     void writeFromL3();
 
     // BusAgent interface
     AgentId agentId() const override { return id_; }
-    RingStop ringStop() const override { return stop_; }
     SnoopResponse snoop(const BusRequest &req) override;
     void observeCombined(const BusRequest &req,
                          const CombinedResult &res) override;
@@ -44,7 +43,6 @@ class MemCtrl : public SimObject, public BusAgent
 
   private:
     AgentId id_;
-    RingStop stop_;
     MemParams params_;
     Tick channelFree_ = 0;
     /** Completion tick of each in-flight demand read; pruned lazily

@@ -25,7 +25,8 @@ struct ObsConfig
     Tick sampleEvery = 0;
 
     /** Record coherence-transaction duration events for Chrome-trace
-     * export. */
+     * export. Not a config key: `--trace-out` turns it on, since a
+     * trace nothing writes is of no use. */
     bool traceEnabled = false;
 
     /** Ring-buffer capacity of the trace recorder (newest events are

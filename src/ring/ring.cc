@@ -36,39 +36,19 @@ Ring::Ring(stats::Group *parent, EventQueue &eq, const RingParams &p,
                   })
 {
     for (auto &segments : nextFree_)
-        segments.assign(topo_.numStops(), 0);
+        segments.assign(topo_.numAgents(), 0);
 }
 
 void
-Ring::attach(BusAgent *agent, Role role)
+Ring::attach(BusAgent *agent)
 {
     cmp_assert(agent != nullptr, "attaching null agent");
-    cmp_assert(agent->ringStop().value() < topo_.numStops(),
-               "agent stop out of range");
-    for (const auto *a : agents_) {
-        cmp_assert(a->agentId() != agent->agentId(),
-                   "duplicate agent id ", unsigned{agent->agentId()});
-        cmp_assert(a->ringStop() != agent->ringStop(),
-                   "duplicate ring stop ",
-                   agent->ringStop().value());
-    }
+    cmp_assert(agents_.size() < topo_.numAgents(), "attaching agent ",
+               unsigned{agent->agentId()}, " to a ring of ",
+               topo_.numAgents());
+    cmp_assert(agent->agentId() == agents_.size(), "agent ",
+               unsigned{agent->agentId()}, " attached out of id order");
     agents_.push_back(agent);
-    if (role == Role::L3) {
-        cmp_assert(!l3Agent_, "two L3 agents attached");
-        l3Agent_ = agent;
-    } else if (role == Role::Memory) {
-        cmp_assert(!memAgent_, "two memory agents attached");
-        memAgent_ = agent;
-    }
-}
-
-BusAgent *
-Ring::agentById(AgentId id)
-{
-    for (auto *a : agents_)
-        if (a->agentId() == id)
-            return a;
-    cmp_panic("no agent with id ", unsigned{id});
 }
 
 std::uint64_t
@@ -129,22 +109,20 @@ Ring::drain()
 void
 Ring::combineNow(BusRequest req, Tick enqueued)
 {
-    // Gather snoop responses from everyone except the requester.
-    // (Member scratch: combineNow only runs from one-shot events and
-    // the buffer is dead once the collector has combined it.)
+    cmp_assert(req.requester < agents_.size(),
+               "request from unknown agent ", unsigned{req.requester});
+
+    // Gather one snoop response per agent. The requester does not
+    // snoop itself: its slot stays a default response, which no
+    // combine rule reacts to. (Member scratch: combineNow only runs
+    // from one-shot events and the buffer is dead once the collector
+    // has combined it.)
     std::vector<SnoopResponse> &responses = snoopScratch_;
-    responses.clear();
-    responses.reserve(agents_.size());
-    BusAgent *requester = nullptr;
-    for (auto *a : agents_) {
-        if (a->agentId() == req.requester) {
-            requester = a;
-            continue;
-        }
-        responses.push_back(a->snoop(req));
+    responses.assign(agents_.size(), SnoopResponse{});
+    for (unsigned a = 0; a < agents_.size(); ++a) {
+        if (a != req.requester)
+            responses[a] = agents_[a]->snoop(req);
     }
-    cmp_assert(requester != nullptr, "request from unknown agent ",
-               unsigned{req.requester});
 
     const Tick now = curTick();
 
@@ -191,35 +169,31 @@ Ring::combineNow(BusRequest req, Tick enqueued)
 
     // Everyone sees the combined response; peers first so their state
     // transitions precede the requester's reaction.
-    for (auto *a : agents_) {
-        if (a != requester)
-            a->observeCombined(req, res);
+    for (unsigned a = 0; a < agents_.size(); ++a) {
+        if (a != req.requester)
+            agents_[a]->observeCombined(req, res);
     }
-    requester->observeCombined(req, res);
+    agents_[req.requester]->observeCombined(req, res);
 
-    // Route the data phase.
-    BusAgent *supplier = nullptr;
-    BusAgent *sink = nullptr;
+    // Route the data phase; the requester is one end of every
+    // transfer.
+    AgentId supplier = req.requester;
+    AgentId sink = req.requester;
     switch (res.resp) {
       case CombinedResp::L2Data:
-        supplier = agentById(res.source);
-        sink = requester;
+        supplier = res.source;
         break;
       case CombinedResp::L3Data:
-        supplier = l3Agent_;
-        sink = requester;
+        supplier = topo_.l3Agent();
         break;
       case CombinedResp::MemData:
-        supplier = memAgent_;
-        sink = requester;
+        supplier = topo_.memAgent();
         break;
       case CombinedResp::WbAcceptL3:
-        supplier = requester;
-        sink = l3Agent_;
+        sink = topo_.l3Agent();
         break;
       case CombinedResp::WbSnarfed:
-        supplier = requester;
-        sink = agentById(res.source);
+        sink = res.source;
         break;
       case CombinedResp::Retry:
       case CombinedResp::Upgraded:
@@ -233,28 +207,28 @@ Ring::combineNow(BusRequest req, Tick enqueued)
         return;
     }
 
-    cmp_assert(supplier && sink, "data phase without endpoints");
+    cmp_assert(supplier < agents_.size() && sink < agents_.size(),
+               "data phase to or from an unknown agent");
 
-    const Tick ready = supplier->scheduleSupply(req, now);
-    const Tick arrive = reserveDataTransfer(
-        supplier->ringStop(), sink->ringStop(), ready);
+    const Tick ready = agents_[supplier]->scheduleSupply(req, now);
+    const Tick arrive = reserveDataTransfer(supplier, sink, ready);
     if (tracer_) {
         tracer_->record({toString(req.cmd), "coherence", enqueued,
                          arrive, req.requester, 0, req.lineAddr,
                          toString(res.resp)});
     }
+    BusAgent *to = agents_[sink];
     if (isWriteBack(req.cmd)) {
-        eventq().at(arrive, [sink, req] { sink->receiveWriteBack(req); },
+        eventq().at(arrive, [to, req] { to->receiveWriteBack(req); },
                     "ring-oneshot");
     } else {
-        eventq().at(arrive,
-                    [sink, req, res] { sink->receiveData(req, res); },
+        eventq().at(arrive, [to, req, res] { to->receiveData(req, res); },
                     "ring-oneshot");
     }
 }
 
 Tick
-Ring::reserveDataTransfer(RingStop src, RingStop dst, Tick earliest)
+Ring::reserveDataTransfer(AgentId src, AgentId dst, Tick earliest)
 {
     ++dataTransfers_;
     if (src == dst)
@@ -262,12 +236,10 @@ Ring::reserveDataTransfer(RingStop src, RingStop dst, Tick earliest)
 
     // Evaluate both directions without committing and take the
     // earlier arrival; ties go to the shorter path, then clockwise.
-    const unsigned n = topo_.numStops();
-    const unsigned from = src.value();
-    const unsigned to = dst.value();
-    const unsigned hops[2] = {(to + n - from) % n, (from + n - to) % n};
-    const Tick arrive[2] = {walkData(0, from, hops[0], earliest, nullptr),
-                            walkData(1, from, hops[1], earliest, nullptr)};
+    const unsigned n = topo_.numAgents();
+    const unsigned hops[2] = {(dst + n - src) % n, (src + n - dst) % n};
+    const Tick arrive[2] = {walkData(0, src, hops[0], earliest, nullptr),
+                            walkData(1, src, hops[1], earliest, nullptr)};
     const int dir = arrive[1] < arrive[0]
                             || (arrive[1] == arrive[0]
                                 && hops[1] < hops[0])
@@ -277,7 +249,7 @@ Ring::reserveDataTransfer(RingStop src, RingStop dst, Tick earliest)
     // A transfer counts as delayed at most once, however many of its
     // segments were busy.
     bool waited = false;
-    walkData(dir, from, hops[dir], earliest, &waited);
+    walkData(dir, src, hops[dir], earliest, &waited);
     if (waited)
         ++dataSegmentWaits_;
     return arrive[dir];
@@ -287,7 +259,7 @@ Tick
 Ring::walkData(int dir, unsigned src, unsigned hops, Tick earliest,
                bool *waited)
 {
-    const unsigned n = topo_.numStops();
+    const unsigned n = topo_.numAgents();
     std::vector<Tick> &next_free = nextFree_[dir];
     Tick head = earliest;
     unsigned stop = src;

@@ -12,11 +12,11 @@
  *    them, and the combined response becomes visible to all agents.
  *
  *  - The *data ring* carries line transfers point-to-point between
- *    ring stops. Each inter-stop segment is a resource a transfer
- *    occupies for `segmentOccupancy` cycles, with one reservation
- *    array per direction. Transfers take the direction that arrives
- *    first and queue on busy segments, so contention lengthens
- *    latency under load.
+ *    ring stops; agent a sits at stop a. Each inter-stop segment is
+ *    a resource a transfer occupies for `segmentOccupancy` cycles,
+ *    with one reservation array per direction. Transfers take the
+ *    direction that arrives first and queue on busy segments, so
+ *    contention lengthens latency under load.
  *
  * Component latencies are chosen so the contention-free load-to-use
  * totals match paper Table 3: 77 cycles L2-to-L2, 167 cycles from the
@@ -54,9 +54,8 @@ class BusAgent
   public:
     virtual ~BusAgent() = default;
 
+    /** The agent's topology id, which is also its ring stop. */
     virtual AgentId agentId() const = 0;
-    /** The stop this agent occupies (CmpTopology::stopOfAgent). */
-    virtual RingStop ringStop() const = 0;
 
     /**
      * Produce a snoop response for a foreign request. Must not mutate
@@ -119,16 +118,12 @@ class Ring : public SimObject
     Ring(stats::Group *parent, EventQueue &eq, const RingParams &p,
          const CmpTopology &topo);
 
-    /** Roles an agent can play for data-phase routing. */
-    enum class Role
-    {
-        L2,
-        L3,
-        Memory,
-    };
-
-    /** Register an agent; ids and stops must be unique. */
-    void attach(BusAgent *agent, Role role);
+    /**
+     * Register an agent. Agents attach in id order (the L2s, the L3,
+     * then memory: CmpTopology's numbering), so agents_[a] is agent
+     * a; every agent must be attached before the first combine.
+     */
+    void attach(BusAgent *agent);
 
     /** The system's retry monitor observes ring retries. */
     void setRetryMonitor(RetryMonitor *mon) { retryMonitor_ = mon; }
@@ -192,14 +187,13 @@ class Ring : public SimObject
     const CmpTopology &topology() const { return topo_; }
 
     /**
-     * Reserve the data path from stop @p src to stop @p dst for one
+     * Reserve the data path from agent @p src to agent @p dst for one
      * line, no earlier than @p earliest: evaluate both directions and
      * commit the earlier arrival (ties go to the shorter path, then
      * clockwise).
      * @return delivery tick at the destination
      */
-    Tick reserveDataTransfer(RingStop src, RingStop dst,
-                             Tick earliest);
+    Tick reserveDataTransfer(AgentId src, AgentId dst, Tick earliest);
 
   private:
     /**
@@ -215,7 +209,6 @@ class Ring : public SimObject
     void postDrain(Tick when);
     void drain();
     void combineNow(BusRequest req, Tick enqueued);
-    BusAgent *agentById(AgentId id);
 
     struct PendingReq
     {
@@ -232,9 +225,8 @@ class Ring : public SimObject
     Observer observer_;
     VersionOracle *conformance_ = nullptr;
 
+    /** Indexed by AgentId. */
     std::vector<BusAgent *> agents_;
-    BusAgent *l3Agent_ = nullptr;
-    BusAgent *memAgent_ = nullptr;
     CircularBuffer<PendingReq> reqQueue_;
     Tick nextLaunch_ = 0;
     std::uint64_t nextTxnId_ = 1;
@@ -242,12 +234,13 @@ class Ring : public SimObject
     bool drainPending_ = false;
 
     /** Data-ring reservations, nextFree_[direction][segment]:
-     * segment i joins stop i and stop (i+1) % numStops, and
+     * segment i joins stop i and stop (i+1) % numAgents, and
      * direction 0 is clockwise. */
     std::vector<Tick> nextFree_[2];
 
-    /** Reused per-combine snoop-response buffer (combineNow is never
-     * reentrant: it only runs from one-shot events). */
+    /** Reused per-combine snoop-response buffer, one slot per agent
+     * (combineNow is never reentrant: it only runs from one-shot
+     * events). */
     std::vector<SnoopResponse> snoopScratch_;
 
     stats::Scalar requests_;

@@ -93,15 +93,11 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
     ring_->setRetryMonitor(retryMonitor_.get());
     ring_->setFaultInjector(faults_.get());
 
-    // Agent ids and ring stops come from the topology; nothing here
-    // computes placement arithmetic.
+    // Agent ids come from the topology; nothing here computes
+    // placement arithmetic.
     const AgentId l3_id = topo_.l3Agent();
-    const AgentId mem_id = topo_.memAgent();
-
-    l3_ = std::make_unique<L3Cache>(this, eq_, l3_id,
-                                    topo_.stopOfAgent(l3_id), cfg_.l3);
-    mem_ = std::make_unique<MemCtrl>(this, eq_, mem_id,
-                                     topo_.stopOfAgent(mem_id),
+    l3_ = std::make_unique<L3Cache>(this, eq_, l3_id, cfg_.l3);
+    mem_ = std::make_unique<MemCtrl>(this, eq_, topo_.memAgent(),
                                      cfg_.mem);
     l3_->setMemWriteFn([this] { mem_->writeFromL3(); });
 
@@ -116,11 +112,9 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
     }
 
     for (unsigned i = 0; i < topo_.numL2s(); ++i) {
-        const AgentId id = topo_.l2Agent(i);
         auto l2 = std::make_unique<L2Cache>(
-            this, eq_, cstr("l2_", i), id,
-            topo_.stopOfAgent(id), cfg_.l2, cfg_.policy, *ring_,
-            retryMonitor_.get());
+            this, eq_, cstr("l2_", i), topo_.l2Agent(i), cfg_.l2,
+            cfg_.policy, *ring_, retryMonitor_.get());
         l2->setL3Peek(
             [this](Addr a) { return l3_->hasLineValid(a); });
         l2->setCompletionCallback([this](ThreadId tid) {
@@ -128,11 +122,12 @@ CmpSystem::CmpSystem(const SystemConfig &cfg, TraceBundle traces)
         });
         l2->setFaultInjector(faults_.get());
         l2->setConformance(oracle_.get());
-        ring_->attach(l2.get(), Ring::Role::L2);
+        ring_->attach(l2.get());
         l2s_.push_back(std::move(l2));
     }
-    ring_->attach(l3_.get(), Ring::Role::L3);
-    ring_->attach(mem_.get(), Ring::Role::Memory);
+    // Attached in id order, as Ring::attach requires.
+    ring_->attach(l3_.get());
+    ring_->attach(mem_.get());
 
     if (cfg_.enableWbReuseTracker) {
         reuseTracker_ = std::make_unique<WbReuseTracker>();

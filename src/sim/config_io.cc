@@ -150,7 +150,6 @@ handlers()
         {"l2.mshrs", U64_KEY(l2.mshrs)},
         {"l2.wbq_depth", U64_KEY(l2.wbqDepth)},
         {"l2.retry_backoff", U64_KEY(l2.retryBackoff)},
-        {"l2.clean_interventions", BOOL_KEY(l2.cleanInterventions)},
         {"l3.size_bytes", U64_KEY(l3.sizeBytes)},
         {"l3.assoc", U64_KEY(l3.assoc)},
         {"l3.access_latency", U64_KEY(l3.accessLatency)},
@@ -161,7 +160,6 @@ handlers()
         {"mem.access_latency", U64_KEY(mem.accessLatency)},
         {"mem.channel_occupancy", U64_KEY(mem.channelOccupancy)},
         {"obs.sample_every", U64_KEY(obs.sampleEvery)},
-        {"obs.trace", BOOL_KEY(obs.traceEnabled)},
         {"obs.trace_capacity", U64_KEY(obs.traceCapacity)},
         {"obs.ingest", BOOL_KEY(obs.ingestGauges)},
         {"stream.demux_capacity", U64_KEY(stream.demuxCapacity)},
@@ -177,8 +175,6 @@ handlers()
         {"snarf.buffers", U64_KEY(policy.snarfBuffers)},
         {"retry.window", U64_KEY(policy.retry.windowCycles)},
         {"retry.threshold", U64_KEY(policy.retry.threshold)},
-        {"retry.initially_active",
-         BOOL_KEY(policy.retry.initiallyActive)},
         {"use_retry_switch", BOOL_KEY(policy.useRetrySwitch)},
         {"snarf_shared_victims", BOOL_KEY(policy.snarfSharedVictims)},
         {"wbht_informed_replacement",
@@ -250,6 +246,7 @@ removedKeys()
          "l3.size_bytes (the total across slices)"},
         {"stream.queue_capacity",
          "stream.demux_capacity (the only stream buffer)"},
+        {"obs.trace", "--trace-out (the only tracing switch)"},
     };
     return m;
 }

@@ -93,7 +93,7 @@ collectResult(CmpSystem &sys, Tick exec_time,
     for (unsigned i = 0; i < sys.numL2s(); ++i)
         r.wbAborted += sys.l2(i).wbAbortedByWbht();
     r.memReads = sys.mem().reads();
-    r.interventions = 0;
+    r.interventions = sys.ring().collector().totalInterventions();
     r.busRetries = sys.ring().collector().totalRetries();
     return r;
 }

@@ -48,6 +48,7 @@ struct ExperimentResult
     // Additional diagnostics
     std::uint64_t wbAborted = 0;
     std::uint64_t memReads = 0;
+    /** Reads served by L2-to-L2 transfer. */
     std::uint64_t interventions = 0;
     std::uint64_t busRetries = 0;
 };

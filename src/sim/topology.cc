@@ -107,13 +107,4 @@ CmpTopology::l2OfThread(unsigned t) const
     return t / threadsPerL2();
 }
 
-RingStop
-CmpTopology::stopOfAgent(AgentId a) const
-{
-    cmp_assert(a < numAgents(), "agent ", unsigned{a}, " of ",
-               numAgents());
-    // Agents own stops in id order: L2s first, then L3, then memory.
-    return RingStop(a);
-}
-
 } // namespace cmpcache

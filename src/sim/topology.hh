@@ -4,15 +4,16 @@
  * shape -- cores, SMT width, L2 clusters, L3 slices, memory controller
  * and their placement on the ring interconnect.
  *
- * The topology is the single owner of agent-id and ring-stop
- * arithmetic. Nothing outside this file computes "numL2s + 1"-style
- * ids: CmpSystem, the Ring, the SnoopCollector, the watchdog and the
- * invariant checker all ask the topology instead (grep-enforced by
+ * The topology is the single owner of agent-id arithmetic. Nothing
+ * outside this file computes "numL2s + 1"-style ids: CmpSystem, the
+ * Ring, the SnoopCollector, the watchdog and the invariant checker
+ * all ask the topology instead (grep-enforced by
  * tests/sim/test_topology_grep.cc).
  *
  * The interconnect is the paper's: one bi-directional ring on which
  * every agent (the L2s, then the L3, then the memory controller)
- * occupies one stop in id order.
+ * occupies one stop in id order, so an agent's id is also its ring
+ * stop.
  */
 
 #ifndef CMPCACHE_SIM_TOPOLOGY_HH
@@ -85,10 +86,9 @@ class CmpTopology
     unsigned numL2s() const { return p_.l2s; }
     unsigned threadsPerL2() const { return p_.threadsPerL2(); }
     unsigned numL3Slices() const { return p_.l3Slices; }
-    /** Bus agents: the L2s plus the L3 plus the memory controller. */
+    /** Bus agents, and ring stops: the L2s plus the L3 plus the
+     * memory controller. */
     unsigned numAgents() const { return p_.l2s + 2; }
-    /** Ring stops equal agents: every agent owns exactly one stop. */
-    unsigned numStops() const { return numAgents(); }
 
     AgentId l2Agent(unsigned i) const;
     AgentId l3Agent() const { return static_cast<AgentId>(p_.l2s); }
@@ -96,9 +96,6 @@ class CmpTopology
     bool isL2Agent(AgentId a) const { return a < p_.l2s; }
     /** The L2 cluster thread @p t belongs to. */
     unsigned l2OfThread(unsigned t) const;
-
-    /** The ring stop agent @p a occupies. */
-    RingStop stopOfAgent(AgentId a) const;
 
   private:
     explicit CmpTopology(const TopologyParams &p) : p_(p) {}

@@ -52,18 +52,17 @@ TEST(State, Names)
 TEST(Snoop, InvalidRespondsNothing)
 {
     for (const auto cmd : DemandCmds) {
-        const auto r = l2Snoop(LineState::Invalid, cmd, 3);
+        const auto r = l2Snoop(LineState::Invalid, cmd);
         EXPECT_FALSE(r.hasLine);
         EXPECT_FALSE(r.canSupply);
         EXPECT_FALSE(r.retry);
-        EXPECT_EQ(r.responder, 3);
     }
 }
 
 TEST(Snoop, DirtyOwnerSuppliesReads)
 {
     for (const auto st : {LineState::Modified, LineState::Tagged}) {
-        const auto r = l2Snoop(st, BusCmd::Read, 0);
+        const auto r = l2Snoop(st, BusCmd::Read);
         EXPECT_TRUE(r.hasLine);
         EXPECT_TRUE(r.hasDirty);
         EXPECT_TRUE(r.canSupply);
@@ -74,7 +73,7 @@ TEST(Snoop, SharedLastAndExclusiveSupplyCleanInterventions)
 {
     for (const auto st :
          {LineState::SharedLast, LineState::Exclusive}) {
-        const auto r = l2Snoop(st, BusCmd::Read, 0);
+        const auto r = l2Snoop(st, BusCmd::Read);
         EXPECT_TRUE(r.canSupply);
         EXPECT_FALSE(r.hasDirty);
     }
@@ -82,7 +81,7 @@ TEST(Snoop, SharedLastAndExclusiveSupplyCleanInterventions)
 
 TEST(Snoop, PlainSharedCannotSupply)
 {
-    const auto r = l2Snoop(LineState::Shared, BusCmd::Read, 0);
+    const auto r = l2Snoop(LineState::Shared, BusCmd::Read);
     EXPECT_TRUE(r.hasLine);
     EXPECT_FALSE(r.canSupply);
 }
@@ -90,7 +89,7 @@ TEST(Snoop, PlainSharedCannotSupply)
 TEST(Snoop, UpgradeGetsNoData)
 {
     for (const auto st : AllStates) {
-        const auto r = l2Snoop(st, BusCmd::Upgrade, 0);
+        const auto r = l2Snoop(st, BusCmd::Upgrade);
         EXPECT_FALSE(r.canSupply) << toString(st);
     }
 }
@@ -207,7 +206,7 @@ TEST_P(ProtocolSweep, ResponseConsistentWithTransition)
 {
     const auto st = AllStates[std::get<0>(GetParam())];
     const auto cmd = DemandCmds[std::get<1>(GetParam())];
-    const auto resp = l2Snoop(st, cmd, 1);
+    const auto resp = l2Snoop(st, cmd);
     const auto next = l2AfterSnoop(st, cmd);
 
     // Responding hasLine requires having the line.

@@ -11,13 +11,11 @@ namespace
 {
 
 RetryMonitor::Params
-params(Tick window = 1000, std::uint64_t threshold = 10,
-       bool initial = false)
+params(Tick window = 1000, std::uint64_t threshold = 10)
 {
     RetryMonitor::Params p;
     p.windowCycles = window;
     p.threshold = threshold;
-    p.initiallyActive = initial;
     return p;
 }
 
@@ -26,10 +24,8 @@ params(Tick window = 1000, std::uint64_t threshold = 10,
 TEST(RetryMonitor, InitialStateRespected)
 {
     stats::Group root("sys");
-    RetryMonitor off(&root, params(1000, 10, false));
+    RetryMonitor off(&root, params(1000, 10));
     EXPECT_FALSE(off.active(0));
-    RetryMonitor on(&root, params(1000, 10, true));
-    EXPECT_TRUE(on.active(0));
 }
 
 TEST(RetryMonitor, ActivatesWhenThresholdMet)
@@ -98,10 +94,7 @@ namespace
 class LoopModel
 {
   public:
-    explicit LoopModel(const RetryMonitor::Params &p)
-        : params_(p), active_(p.initiallyActive)
-    {
-    }
+    explicit LoopModel(const RetryMonitor::Params &p) : params_(p) {}
 
     void
     recordRetry(Tick now)
@@ -131,7 +124,7 @@ class LoopModel
     RetryMonitor::Params params_;
     Tick windowStart_ = 0;
     std::uint64_t count_ = 0;
-    bool active_;
+    bool active_ = false;
 };
 
 } // namespace

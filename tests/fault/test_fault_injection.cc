@@ -126,7 +126,6 @@ TEST(FaultInjection, ForcedRetryStormTogglesWbhtGate)
     cfg.policy.useRetrySwitch = true;
     cfg.policy.retry.windowCycles = 1000;
     cfg.policy.retry.threshold = 8;
-    cfg.policy.retry.initiallyActive = false;
 
     SystemConfig faulty = cfg;
     faulty.fault.plan = "l3_retry:0:end:800";
@@ -163,7 +162,6 @@ TEST(FaultInjection, GateToggleShowsUpInSampledSeries)
     cfg.policy.useRetrySwitch = true;
     cfg.policy.retry.windowCycles = 1000;
     cfg.policy.retry.threshold = 8;
-    cfg.policy.retry.initiallyActive = false;
     cfg.fault.plan = "l3_retry:0:end:800";
     cfg.obs.sampleEvery = 500;
 

@@ -20,19 +20,16 @@ namespace
 class StubAgent : public BusAgent
 {
   public:
-    StubAgent(AgentId id, unsigned stop) : id_(id), stop_(stop) {}
+    explicit StubAgent(AgentId id) : id_(id) {}
 
     AgentId agentId() const override { return id_; }
-    RingStop ringStop() const override { return RingStop(stop_); }
 
     SnoopResponse
     snoop(const BusRequest &req) override
     {
         lastSnooped = req;
         ++snoops;
-        SnoopResponse r = scripted;
-        r.responder = id_;
-        return r;
+        return scripted;
     }
 
     void
@@ -47,7 +44,6 @@ class StubAgent : public BusAgent
     }
 
     AgentId id_;
-    unsigned stop_;
     SnoopResponse scripted;
     BusRequest lastSnooped;
     int snoops = 0;
@@ -58,11 +54,10 @@ class L2Test : public ::testing::Test
 {
   protected:
     explicit L2Test(PolicyConfig policy = {})
-        : root_("sys")
+        : root_("sys"), topo_(CmpTopology::flat(2, 2))
     {
         RingParams rp;
-        ring_ = std::make_unique<Ring>(&root_, eq_, rp,
-                                       CmpTopology::flat(2, 2));
+        ring_ = std::make_unique<Ring>(&root_, eq_, rp, topo_);
         retry_ = std::make_unique<RetryMonitor>(
             &root_, RetryMonitor::Params{});
         ring_->setRetryMonitor(retry_.get());
@@ -70,17 +65,18 @@ class L2Test : public ::testing::Test
         L2Params lp;
         lp.sizeBytes = 1024; // 4 sets x 2 ways, 128 B lines
         lp.assoc = 2;
-        l2_ = std::make_unique<L2Cache>(&root_, eq_, "l2_0", 0, RingStop(0), lp,
-                                        policy, *ring_, retry_.get());
-        peer_ = std::make_unique<L2Cache>(&root_, eq_, "l2_1", 1, RingStop(1),
-                                          lp, policy, *ring_,
-                                          retry_.get());
-        l3_ = std::make_unique<StubAgent>(2, 2);
-        mem_ = std::make_unique<StubAgent>(3, 3);
-        ring_->attach(l2_.get(), Ring::Role::L2);
-        ring_->attach(peer_.get(), Ring::Role::L2);
-        ring_->attach(l3_.get(), Ring::Role::L3);
-        ring_->attach(mem_.get(), Ring::Role::Memory);
+        l2_ = std::make_unique<L2Cache>(&root_, eq_, "l2_0",
+                                        topo_.l2Agent(0), lp, policy,
+                                        *ring_, retry_.get());
+        peer_ = std::make_unique<L2Cache>(&root_, eq_, "l2_1",
+                                          topo_.l2Agent(1), lp, policy,
+                                          *ring_, retry_.get());
+        l3_ = std::make_unique<StubAgent>(topo_.l3Agent());
+        mem_ = std::make_unique<StubAgent>(topo_.memAgent());
+        ring_->attach(l2_.get());
+        ring_->attach(peer_.get());
+        ring_->attach(l3_.get());
+        ring_->attach(mem_.get());
         l3_->scripted.wbAccept = true; // absorb by default
 
         l2_->setCompletionCallback(
@@ -101,6 +97,7 @@ class L2Test : public ::testing::Test
 
     stats::Group root_;
     EventQueue eq_;
+    CmpTopology topo_;
     std::unique_ptr<Ring> ring_;
     std::unique_ptr<RetryMonitor> retry_;
     std::unique_ptr<L2Cache> l2_;
@@ -211,10 +208,10 @@ TEST_F(L2Test, BlockedWhenMshrsFull)
     lp.assoc = 2;
     lp.mshrs = 1;
     PolicyConfig pc;
-    L2Cache small(&root_, eq_, "l2_small", 4, RingStop(0), lp, pc, *ring_,
-                  retry_.get());
+    L2Cache small(&root_, eq_, "l2_small", topo_.l2Agent(0), lp, pc,
+                  *ring_, retry_.get());
     // Detached from the ring's agent list on purpose: only the
-    // resource check matters here.
+    // resource check matters here, and the queue never runs.
     EXPECT_EQ(small.access(0, 0x0, MemOp::Load),
               L2Cache::AccessResult::Miss);
     EXPECT_EQ(small.access(0, 0x200, MemOp::Load),
@@ -314,77 +311,8 @@ TEST_F(L2WbhtTest, RetrySwitchOffMeansNoConsultation)
     L2Params lp;
     lp.sizeBytes = 1024;
     lp.assoc = 2;
-    L2Cache gated(&root_, eq_, "l2_gated", 5, RingStop(0), lp, p, *ring_,
-                  retry_.get());
+    L2Cache gated(&root_, eq_, "l2_gated", topo_.l2Agent(0), lp, p,
+                  *ring_, retry_.get());
     ASSERT_NE(gated.wbht(), nullptr);
     EXPECT_EQ(gated.wbAbortedByWbht(), 0u);
-}
-
-namespace
-{
-
-class L2NoCleanIntervention : public L2Test
-{
-  protected:
-    L2NoCleanIntervention() : L2Test()
-    {
-        // Rebuild both L2s without clean interventions.
-        L2Params lp;
-        lp.sizeBytes = 1024;
-        lp.assoc = 2;
-        lp.cleanInterventions = false;
-        PolicyConfig pc;
-        RingParams rp;
-        ring2_ = std::make_unique<Ring>(&root_, eq_, rp,
-                                        CmpTopology::flat(2, 2));
-        ring2_->setRetryMonitor(retry_.get());
-        a_ = std::make_unique<L2Cache>(&root_, eq_, "nci_a", 10, RingStop(0),
-                                       lp, pc, *ring2_, retry_.get());
-        b_ = std::make_unique<L2Cache>(&root_, eq_, "nci_b", 11, RingStop(1),
-                                       lp, pc, *ring2_, retry_.get());
-        l3b_ = std::make_unique<StubAgent>(12, 2);
-        memb_ = std::make_unique<StubAgent>(13, 3);
-        ring2_->attach(a_.get(), Ring::Role::L2);
-        ring2_->attach(b_.get(), Ring::Role::L2);
-        ring2_->attach(l3b_.get(), Ring::Role::L3);
-        ring2_->attach(memb_.get(), Ring::Role::Memory);
-        l3b_->scripted.wbAccept = true;
-        a_->setCompletionCallback([](ThreadId) {});
-        b_->setCompletionCallback([](ThreadId) {});
-    }
-
-    std::unique_ptr<Ring> ring2_;
-    std::unique_ptr<L2Cache> a_;
-    std::unique_ptr<L2Cache> b_;
-    std::unique_ptr<StubAgent> l3b_;
-    std::unique_ptr<StubAgent> memb_;
-};
-
-} // namespace
-
-TEST_F(L2NoCleanIntervention, CleanCopyDoesNotSupply)
-{
-    // a_ fetches a line Exclusive; with clean interventions disabled
-    // b_'s miss must fall through to memory, though a_ still
-    // announces sharing and demotes.
-    ASSERT_EQ(a_->access(0, 0x0, MemOp::Load),
-              L2Cache::AccessResult::Miss);
-    eq_.run();
-    const int mem_snoops_before = memb_->snoops;
-    (void)mem_snoops_before;
-    ASSERT_EQ(b_->access(0, 0x0, MemOp::Load),
-              L2Cache::AccessResult::Miss);
-    eq_.run();
-    // Memory supplied the second miss (no L2 intervention counter).
-    EXPECT_EQ(a_->snarfedReceived(), 0u);
-    const auto *iv = a_->find("interventions_supplied");
-    EXPECT_EQ(dynamic_cast<const stats::Scalar *>(iv)->value(), 0u);
-    // Dirty interventions still work.
-    ASSERT_EQ(a_->access(1, 0x200, MemOp::Store),
-              L2Cache::AccessResult::Miss);
-    eq_.run();
-    ASSERT_EQ(b_->access(1, 0x200, MemOp::Load),
-              L2Cache::AccessResult::Miss);
-    eq_.run();
-    EXPECT_EQ(dynamic_cast<const stats::Scalar *>(iv)->value(), 1u);
 }

@@ -4,6 +4,7 @@
 
 #include "l3/l3_cache.hh"
 #include "sim/event_queue.hh"
+#include "sim/topology.hh"
 
 using namespace cmpcache;
 
@@ -13,12 +14,13 @@ namespace
 class L3Test : public ::testing::Test
 {
   protected:
-    L3Test() : root_("sys")
+    L3Test() : root_("sys"), topo_(CmpTopology::flat(4, 4))
     {
         params_.sizeBytes = 64 * 1024; // small: 16 sets x 16 ways? ->
         params_.assoc = 16;            // 64K/(16*128) = 32 sets
         params_.wbQueueDepth = 2;
-        l3_ = std::make_unique<L3Cache>(&root_, eq_, 4, RingStop(4), params_);
+        l3_ = std::make_unique<L3Cache>(&root_, eq_, topo_.l3Agent(),
+                                        params_);
         mem_writes_ = 0;
         l3_->setMemWriteFn([this] { ++mem_writes_; });
     }
@@ -51,6 +53,7 @@ class L3Test : public ::testing::Test
 
     stats::Group root_;
     EventQueue eq_;
+    CmpTopology topo_;
     L3Params params_;
     std::unique_ptr<L3Cache> l3_;
     int mem_writes_ = 0;
@@ -210,7 +213,7 @@ TEST_F(L3Test, LoadHitRateUsesServedSemantics)
 TEST_F(L3Test, SquashConsumesQueueBriefly)
 {
     params_.wbQueueDepth = 1;
-    L3Cache l3(&root_, eq_, 5, RingStop(5), params_);
+    L3Cache l3(&root_, eq_, topo_.l3Agent(), params_);
     // Make a line resident.
     auto wb = req(BusCmd::WbClean, 0x0, 100);
     ASSERT_TRUE(l3.snoop(wb).wbAccept);

@@ -4,6 +4,7 @@
 
 #include "memctrl/mem_ctrl.hh"
 #include "sim/event_queue.hh"
+#include "sim/topology.hh"
 
 using namespace cmpcache;
 
@@ -15,7 +16,8 @@ class MemCtrlTest : public ::testing::Test
   protected:
     MemCtrlTest() : root_("sys")
     {
-        mem_ = std::make_unique<MemCtrl>(&root_, eq_, 5, RingStop(5), params_);
+        mem_ = std::make_unique<MemCtrl>(
+            &root_, eq_, CmpTopology::flat(4, 4).memAgent(), params_);
     }
 
     BusRequest

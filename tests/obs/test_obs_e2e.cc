@@ -34,7 +34,6 @@ TEST(ObsE2eTest, ThrashGateTransitionsTrackRetryWindowCrossings)
     cfg.policy.useRetrySwitch = true;
     cfg.policy.retry.windowCycles = 20000;
     cfg.policy.retry.threshold = 10;
-    cfg.policy.retry.initiallyActive = false;
     cfg.obs.sampleEvery = 5000;
     cfg.obs.traceEnabled = true;
 

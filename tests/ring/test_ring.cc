@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "ring/ring.hh"
@@ -17,18 +18,15 @@ namespace
 class MockAgent : public BusAgent
 {
   public:
-    MockAgent(AgentId id, unsigned stop) : id_(id), stop_(stop) {}
+    explicit MockAgent(AgentId id) : id_(id) {}
 
     AgentId agentId() const override { return id_; }
-    RingStop ringStop() const override { return RingStop(stop_); }
 
     SnoopResponse
     snoop(const BusRequest &req) override
     {
         snooped.push_back(req);
-        SnoopResponse r = scripted;
-        r.responder = id_;
-        return r;
+        return scripted;
     }
 
     void
@@ -58,7 +56,6 @@ class MockAgent : public BusAgent
     }
 
     AgentId id_;
-    unsigned stop_;
     SnoopResponse scripted;
     Tick supplyLatency = 0;
     int supplied = 0;
@@ -74,14 +71,14 @@ class RingTest : public ::testing::Test
     RingTest() : root_("sys"), topo_(CmpTopology::flat(4, 4))
     {
         ring_ = std::make_unique<Ring>(&root_, eq_, params_, topo_);
-        for (unsigned i = 0; i < 4; ++i) {
-            l2s_.push_back(std::make_unique<MockAgent>(i, i));
-            ring_->attach(l2s_.back().get(), Ring::Role::L2);
+        for (unsigned i = 0; i < topo_.numL2s(); ++i) {
+            l2s_.push_back(std::make_unique<MockAgent>(topo_.l2Agent(i)));
+            ring_->attach(l2s_.back().get());
         }
-        l3_ = std::make_unique<MockAgent>(4, 4);
-        mem_ = std::make_unique<MockAgent>(5, 5);
-        ring_->attach(l3_.get(), Ring::Role::L3);
-        ring_->attach(mem_.get(), Ring::Role::Memory);
+        l3_ = std::make_unique<MockAgent>(topo_.l3Agent());
+        mem_ = std::make_unique<MockAgent>(topo_.memAgent());
+        ring_->attach(l3_.get());
+        ring_->attach(mem_.get());
     }
 
     BusRequest
@@ -240,17 +237,18 @@ TEST_F(RingTest, TransactionIdsIncrease)
 TEST_F(RingTest, DataTransferLatencyGrowsWithDistance)
 {
     // Contention-free: one hop vs three hops.
-    const Tick one = ring_->reserveDataTransfer(RingStop(0), RingStop(1), 1000);
-    const Tick three = ring_->reserveDataTransfer(RingStop(0), RingStop(3), 2000);
+    const Tick one = ring_->reserveDataTransfer(0, 1, 1000);
+    const Tick three = ring_->reserveDataTransfer(0, 3, 2000);
     EXPECT_GT(three - 2000, one - 1000);
 }
 
 TEST_F(RingTest, DataTransferShortestDirectionUsed)
 {
-    // 5 -> 0 is one hop backwards; must not cost the 5-hop forward
-    // path.
-    const Tick one_fwd = ring_->reserveDataTransfer(RingStop(0), RingStop(1), 0);
-    const Tick one_bwd = ring_->reserveDataTransfer(RingStop(5), RingStop(0), 10000);
+    // Memory (5) -> L2 0 is one hop backwards; must not cost the
+    // 5-hop forward path.
+    const Tick one_fwd = ring_->reserveDataTransfer(0, 1, 0);
+    const Tick one_bwd =
+        ring_->reserveDataTransfer(topo_.memAgent(), 0, 10000);
     EXPECT_EQ(one_fwd - 0, one_bwd - 10000);
 }
 
@@ -259,9 +257,9 @@ TEST_F(RingTest, CongestedSegmentDelaysTransfers)
     // Saturate segment 0->1 with many transfers at the same tick.
     Tick last = 0;
     for (int i = 0; i < 10; ++i)
-        last = ring_->reserveDataTransfer(RingStop(0), RingStop(1), 0);
+        last = ring_->reserveDataTransfer(0, 1, 0);
     const Tick uncongested =
-        ring_->reserveDataTransfer(RingStop(2), RingStop(3), 0); // different segment
+        ring_->reserveDataTransfer(2, 3, 0); // different segment
     EXPECT_GT(last, uncongested);
 }
 
@@ -270,10 +268,11 @@ TEST_F(RingTest, BidirectionalPathsRelieveLoad)
     // With the forward direction saturated, the reverse path gets
     // picked and arrival stays bounded.
     for (int i = 0; i < 50; ++i)
-        ring_->reserveDataTransfer(RingStop(0), RingStop(3), 0); // both dirs fill up
-    const Tick a = ring_->reserveDataTransfer(RingStop(0), RingStop(3), 0);
+        ring_->reserveDataTransfer(0, 3, 0); // both dirs fill up
+    const Tick a = ring_->reserveDataTransfer(0, 3, 0);
     // Another distinct pair remains fast.
-    const Tick b = ring_->reserveDataTransfer(RingStop(4), RingStop(5), 0);
+    const Tick b =
+        ring_->reserveDataTransfer(topo_.l3Agent(), topo_.memAgent(), 0);
     EXPECT_GT(a, b);
 }
 
@@ -286,4 +285,30 @@ TEST_F(RingTest, ObserverSeesEveryCombine)
     ring_->issue(read(0x2000, 1));
     eq_.run();
     EXPECT_EQ(n, 2);
+}
+
+TEST(RingAttachDeath, AgentsMustArriveInIdOrder)
+{
+    const CmpTopology topo = CmpTopology::flat(2, 2);
+    stats::Group root("sys");
+    EventQueue eq;
+    Ring ring(&root, eq, RingParams{}, topo);
+    MockAgent l2_1(topo.l2Agent(1));
+    EXPECT_DEATH(ring.attach(&l2_1), "attached out of id order");
+}
+
+TEST(RingAttachDeath, NoAgentPastNumAgents)
+{
+    const CmpTopology topo = CmpTopology::flat(2, 2);
+    stats::Group root("sys");
+    EventQueue eq;
+    Ring ring(&root, eq, RingParams{}, topo);
+    std::vector<std::unique_ptr<MockAgent>> agents;
+    for (unsigned a = 0; a < topo.numAgents(); ++a) {
+        agents.push_back(
+            std::make_unique<MockAgent>(static_cast<AgentId>(a)));
+        ring.attach(agents.back().get());
+    }
+    MockAgent extra(static_cast<AgentId>(topo.numAgents()));
+    EXPECT_DEATH(ring.attach(&extra), "to a ring of 4");
 }

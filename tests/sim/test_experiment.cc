@@ -47,6 +47,19 @@ TEST(Experiment, DeterministicResults)
     EXPECT_EQ(a.l3Retries, b.l3Retries);
 }
 
+TEST(Experiment, InterventionsReportTheCollectorCount)
+{
+    // NotesBench shares heavily, so peer L2s serve many of its reads.
+    SystemConfig cfg;
+    Simulation sim(cfg, smallWorkload("NotesBench"));
+    const auto r = sim.run();
+    const auto *stat = dynamic_cast<const stats::Scalar *>(
+        sim.system().ring().collector().find("interventions"));
+    ASSERT_NE(stat, nullptr);
+    EXPECT_GT(r.interventions, 0u);
+    EXPECT_EQ(r.interventions, stat->value());
+}
+
 TEST(Experiment, ImprovementPctSigns)
 {
     ExperimentResult base;

@@ -182,7 +182,6 @@ TEST(TopologyPlacement, PaperMachineShape)
     EXPECT_EQ(t->threadsPerL2(), 4u);
     EXPECT_EQ(t->numL3Slices(), 4u);
     EXPECT_EQ(t->numAgents(), 6u);
-    EXPECT_EQ(t->numStops(), 6u);
 }
 
 TEST(TopologyPlacement, AgentIdsInOrder)
@@ -196,16 +195,6 @@ TEST(TopologyPlacement, AgentIdsInOrder)
     EXPECT_EQ(t.memAgent(), 5);
     EXPECT_FALSE(t.isL2Agent(t.l3Agent()));
     EXPECT_FALSE(t.isL2Agent(t.memAgent()));
-}
-
-TEST(TopologyPlacement, EveryAgentOwnsItsStop)
-{
-    const auto t = CmpTopology::build(TopologyParams{});
-    ASSERT_TRUE(t.ok());
-    // Stop index == agent id: L2s, then the L3, then memory.
-    for (unsigned a = 0; a < t->numAgents(); ++a) {
-        EXPECT_EQ(t->stopOfAgent(static_cast<AgentId>(a)).value(), a);
-    }
 }
 
 TEST(TopologyPlacement, ThreadsClusterContiguously)
@@ -225,7 +214,7 @@ TEST(TopologyPlacement, SixtyFourCoreMachineBuilds)
     const auto t = CmpTopology::build(p);
     ASSERT_TRUE(t.ok());
     EXPECT_EQ(t->numThreads(), 64u);
-    EXPECT_EQ(t->numStops(), 18u);
+    EXPECT_EQ(t->numAgents(), 18u);
     EXPECT_EQ(t->l3Agent(), 16);
     EXPECT_EQ(t->memAgent(), 17);
     EXPECT_EQ(t->l2OfThread(63), 15u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Source-scan enforcement of the topology API contract: CmpTopology
- * is the single owner of agent-id and ring-stop arithmetic, so no
+ * is the single owner of agent-id arithmetic, so no
  * other file under src/ may compute "numL2s + 1"-style ids by hand.
  * New code that reintroduces the old idiom fails here with the
  * offending file and line.
@@ -33,7 +33,7 @@ const std::regex &
 bannedPattern()
 {
     static const std::regex re(
-        "(numL2s(\\(\\))?|num_l2s|numStops(\\(\\))?|num_stops)"
+        "(numL2s(\\(\\))?|num_l2s|numAgents(\\(\\))?|num_agents)"
         "\\s*[-+]\\s*[0-9]");
     return re;
 }
@@ -89,7 +89,7 @@ TEST(TopologyGrep, NoHandRolledAgentArithmeticInSrc)
     for (const auto &o : offences)
         msg << "\n  " << o.file << ":" << o.line << ": " << o.text;
     EXPECT_TRUE(offences.empty())
-        << "hand-rolled agent/stop arithmetic found (use CmpTopology "
+        << "hand-rolled agent-id arithmetic found (use CmpTopology "
            "instead):"
         << msg.str();
 }
