@@ -95,7 +95,7 @@ runTagVictim(std::uint64_t ops)
         for (std::uint64_t i = 0; i < ops; ++i) {
             const Addr addr = rng.below(Lines) * LineSize;
             if (TagEntry *e = tags.lookup(addr)) {
-                current_sum += e->lineAddr;
+                current_sum += tags.lineOf(e);
                 continue;
             }
             TagEntry *v = tags.findVictimAmong(
@@ -103,7 +103,7 @@ runTagVictim(std::uint64_t ops)
                     return !e.valid()
                            || e.state != LineState::Modified;
                 });
-            current_sum += v->lineAddr;
+            current_sum += tags.lineOf(v);
             tags.insert(v, addr, LineState::Shared);
         }
         s.currentSeconds = t.seconds();

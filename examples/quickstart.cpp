@@ -5,6 +5,8 @@
  * under both adaptive mechanisms combined, and compare runtimes.
  *
  * Run:  ./examples/quickstart [--refs=N] [--outstanding=K]
+ *
+ * Any other option, and any positional argument, fails by name.
  */
 
 #include <iostream>
@@ -20,6 +22,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     args.requireKnown({"refs", "outstanding"});
+    args.requireNoPositional();
     const std::uint64_t refs =
         args.getUnsigned("refs", std::uint64_t{20000});
     const unsigned outstanding = args.getUnsigned("outstanding", 6u);

@@ -9,8 +9,8 @@
  * Run:  ./examples/trace_tools --workload=Trade2 --refs=2000 \
  *           --out=/tmp/trade2.trace --format=binary
  *
- * --format is text or binary (the default); any other option fails
- * by name before anything is written.
+ * --format is text or binary (the default); any other option, and
+ * any positional argument, fails by name before anything is written.
  */
 
 #include <iostream>
@@ -29,6 +29,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     args.requireKnown({"workload", "refs", "seed", "out", "format"});
+    args.requireNoPositional();
     const std::string name = args.getString("workload", "TP");
     const auto refs = args.getUnsigned("refs", std::uint64_t{2000});
     const std::string path =

@@ -104,4 +104,11 @@ CliArgs::requireKnown(std::initializer_list<std::string_view> known) const
     }
 }
 
+void
+CliArgs::requireNoPositional() const
+{
+    if (!positional_.empty())
+        cmp_fatal("unexpected argument '", positional_.front(), "'");
+}
+
 } // namespace cmpcache

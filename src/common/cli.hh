@@ -78,6 +78,10 @@ class CliArgs
      */
     void requireKnown(std::initializer_list<std::string_view> known) const;
 
+    /** Fatal error (exit 1) naming the first positional argument, for
+     * drivers that take only --options. */
+    void requireNoPositional() const;
+
   private:
     std::uint64_t getUnsignedMax(const std::string &key,
                                  std::uint64_t def,

@@ -2,6 +2,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "mem/replacement.hh"
 
 namespace cmpcache
 {
@@ -29,6 +30,30 @@ HistoryTable::setOf(Addr line) const
     return static_cast<unsigned>((line >> lineShift_) & (numSets_ - 1));
 }
 
+std::uint32_t
+HistoryTable::nextClock()
+{
+    if (clock_ == MaxClock) [[unlikely]]
+        clock_ = renumberStamps(stamp_, assoc_, 1);
+    return ++clock_;
+}
+
+void
+HistoryTable::refresh(std::size_t i)
+{
+    const std::uint32_t now = nextClock();
+    stamp_[i] = (now << 1) | (stamp_[i] & 1);
+}
+
+void
+HistoryTable::setClockForTest(std::uint32_t clock)
+{
+    cmp_assert(clock >= clock_ && clock <= MaxClock,
+               "the history-table clock only moves forward, up to ",
+               MaxClock);
+    clock_ = clock;
+}
+
 std::size_t
 HistoryTable::find(Addr addr) const
 {
@@ -51,7 +76,7 @@ HistoryTable::contains(Addr addr, bool touch)
     if (i == npos)
         return false;
     if (touch)
-        stamp_[i] = (++clock_ << 1) | (stamp_[i] & 1);
+        refresh(i);
     return true;
 }
 
@@ -62,7 +87,7 @@ HistoryTable::useBitSet(Addr addr, bool touch)
     if (i == npos)
         return false;
     if (touch)
-        stamp_[i] = (++clock_ << 1) | (stamp_[i] & 1);
+        refresh(i);
     return (stamp_[i] & 1) != 0;
 }
 
@@ -71,7 +96,7 @@ HistoryTable::allocate(Addr addr)
 {
     const Addr line = (addr >> lineShift_) << lineShift_;
     if (const std::size_t i = find(line); i != npos) {
-        stamp_[i] = (++clock_ << 1) | (stamp_[i] & 1);
+        refresh(i);
         return false;
     }
     const std::size_t base =
@@ -97,7 +122,7 @@ HistoryTable::allocate(Addr addr)
         victim = unused_victim;
     const bool evicted = tag_[victim] != InvalidAddr;
     tag_[victim] = line;
-    stamp_[victim] = ++clock_ << 1; // use bit clear
+    stamp_[victim] = nextClock() << 1; // use bit clear
     return evicted;
 }
 
@@ -107,7 +132,7 @@ HistoryTable::markUsed(Addr addr)
     const std::size_t i = find(addr);
     if (i == npos)
         return false;
-    stamp_[i] = (++clock_ << 1) | 1;
+    stamp_[i] = (nextClock() << 1) | 1;
     return true;
 }
 
@@ -118,7 +143,7 @@ HistoryTable::erase(Addr addr)
     if (i == npos)
         return false;
     tag_[i] = InvalidAddr;
-    stamp_[i] &= ~std::uint64_t{1}; // clear the use bit
+    stamp_[i] &= ~std::uint32_t{1}; // clear the use bit
     return true;
 }
 

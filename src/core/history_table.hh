@@ -10,6 +10,11 @@
  * each set, and carries one optional payload bit per entry (the snarf
  * table's "use bit"). The default geometry matches the paper: 32 K
  * entries, 16-way.
+ *
+ * An entry costs 12 bytes: its line tag and one 32-bit word packing a
+ * 31-bit LRU clock with the use bit. Before the clock would pass
+ * 2^31 - 1, each set's non-zero clocks are renumbered 1..k in order
+ * (renumberStamps), so victims never see the wrap.
  */
 
 #ifndef CMPCACHE_CORE_HISTORY_TABLE_HH
@@ -77,8 +82,24 @@ class HistoryTable
     /** Same geometry, entries, use bits and LRU stamps. */
     bool operator==(const HistoryTable &) const = default;
 
+    /** The largest clock; the table renumbers instead of passing it. */
+    static constexpr std::uint32_t MaxClock = (std::uint32_t{1} << 31) - 1;
+
+    /** The last clock value handed out. */
+    std::uint32_t clock() const { return clock_; }
+
+    /** Jump the clock forward to @p clock (at most MaxClock), so a
+     * test reaches the renumbering without 2^31 accesses. */
+    void setClockForTest(std::uint32_t clock);
+
   private:
     static constexpr std::size_t npos = ~std::size_t{0};
+
+    /** The next clock value, renumbering first if the clock is at
+     * MaxClock. */
+    std::uint32_t nextClock();
+    /** Move entry @p i to MRU, keeping its use bit. */
+    void refresh(std::size_t i);
 
     /** Entry index of @p addr's line, or npos. */
     std::size_t find(Addr addr) const;
@@ -88,18 +109,18 @@ class HistoryTable
     unsigned lineShift_;
     unsigned numSets_;
     bool protectUsed_;
-    std::uint64_t clock_ = 0;
+    std::uint32_t clock_ = 0;
     // Structure-of-arrays: find() is called a couple of times per
     // simulated reference and only needs the tags, so keeping them
     // densely packed (a 16-way set spans two cache lines instead of
     // six) matters more than entry locality. InvalidAddr tags mark
     // free slots; a line-aligned probe can never equal it.
     //
-    // stamp_ packs (clock << 1) | useBit: clocks are unique, so
-    // ordering packed stamps orders clocks, and the victim scan
-    // touches one array instead of two.
+    // stamp_ packs (clock << 1) | useBit: a set's non-zero clocks are
+    // distinct, so ordering packed stamps orders clocks, and the
+    // victim scan touches one array instead of two.
     std::vector<Addr> tag_;
-    std::vector<std::uint64_t> stamp_;
+    std::vector<std::uint32_t> stamp_;
 };
 
 } // namespace cmpcache

@@ -223,14 +223,14 @@ L2Cache::tryIssue(Mshr *mshr)
 // -------------------------------------------------- write-back path
 
 void
-L2Cache::queueWriteBack(const TagEntry &victim)
+L2Cache::queueWriteBack(Addr line, LineState state)
 {
     cmp_assert(!wbq_.full(), "WB queue overflow");
-    const bool dirty = isDirty(victim.state);
+    const bool dirty = isDirty(state);
     Tick ready = curTick();
     if (!dirty && policy_.usesWbht())
         ready += params_.wbhtLookupDelay;
-    wbq_.push(victim.lineAddr, dirty, ready);
+    wbq_.push(line, dirty, ready);
     ++wbEnqueued_;
     scheduleWbDrain();
 }
@@ -467,7 +467,7 @@ L2Cache::observeCombined(const BusRequest &req, const CombinedResult &res)
                 }
                 if (victim && victim->valid()) {
                     if (oracle_)
-                        oracle_->onDropCopy(id_, victim->lineAddr,
+                        oracle_->onDropCopy(id_, tags_.lineOf(victim),
                                             curTick());
                     tags_.invalidate(victim);
                 }
@@ -646,11 +646,9 @@ L2Cache::handleFill(const BusRequest &req, const CombinedResult &res)
             // Future-work extension: prefer evicting cold lines the
             // WBHT says are already in the L3 (their write back will
             // be aborted; a refetch costs only the L3 latency).
-            victim = tags_.findVictimInformed(
-                line, [this](const TagEntry &e) {
-                    return wbht_->table().contains(e.lineAddr,
-                                                   /*touch=*/false);
-                });
+            victim = tags_.findVictimInformed(line, [this](Addr l) {
+                return wbht_->table().contains(l, /*touch=*/false);
+            });
         } else {
             victim = tags_.findVictim(line);
         }
@@ -663,7 +661,7 @@ L2Cache::handleFill(const BusRequest &req, const CombinedResult &res)
                     "l2-fill-stall");
                 return;
             }
-            queueWriteBack(*victim);
+            queueWriteBack(tags_.lineOf(victim), victim->state);
         }
         const LineState st = protocol::fillState(
             req.cmd, res.resp, res.otherSharers, res.dirtySource);
@@ -754,7 +752,7 @@ L2Cache::receiveWriteBack(const BusRequest &req)
                 ++snarfedDropped_;
                 return;
             }
-            queueWriteBack(*victim);
+            queueWriteBack(tags_.lineOf(victim), victim->state);
             victim_copy_queued = true;
         }
     } else if (victim->valid()
@@ -766,7 +764,7 @@ L2Cache::receiveWriteBack(const BusRequest &req)
     // A displaced Shared victim is silently dropped (peers very
     // likely hold duplicates); report it so the shadow model follows.
     if (oracle_ && victim->valid() && !victim_copy_queued)
-        oracle_->onDropCopy(id_, victim->lineAddr, curTick());
+        oracle_->onDropCopy(id_, tags_.lineOf(victim), curTick());
     tags_.insert(victim, line,
                  protocol::snarfFillState(dirty, sharers),
                  policy_.snarfInsert);

@@ -183,7 +183,7 @@ class L2Cache : public SimObject, public BusAgent
     void handleFill(const BusRequest &req, const CombinedResult &res);
     void completeWaiter(const MshrWaiter &w, Tick delay);
     /** Push a victim into the WB queue (caller checked capacity). */
-    void queueWriteBack(const TagEntry &victim);
+    void queueWriteBack(Addr line, LineState state);
     /** Can the snarf algorithm find space for @p addr here? */
     bool snarfVictimAvailable(Addr addr);
     bool wbhtDecisionsActive() const;

@@ -227,14 +227,14 @@ L3Cache::receiveWriteBack(const BusRequest &req)
             if (isDirty(victim->state)) {
                 ++victimsToMemory_;
                 if (oracle_)
-                    oracle_->onMemoryWrite(id_, victim->lineAddr,
+                    oracle_->onMemoryWrite(id_, tags_.lineOf(victim),
                                            curTick());
                 if (memWrite_)
                     memWrite_();
             } else {
                 ++victimsDropped_;
                 if (oracle_)
-                    oracle_->onDropCopy(id_, victim->lineAddr,
+                    oracle_->onDropCopy(id_, tags_.lineOf(victim),
                                         curTick());
             }
         }

@@ -1,7 +1,39 @@
 #include "mem/replacement.hh"
 
+#include <algorithm>
+
+#include "common/logging.hh"
+
 namespace cmpcache
 {
+
+std::uint32_t
+renumberStamps(std::vector<std::uint32_t> &stamps, unsigned ways,
+               unsigned shift)
+{
+    const std::uint32_t low = (std::uint32_t{1} << shift) - 1;
+    std::uint32_t top = 0;
+    std::vector<std::uint32_t *> live;
+    live.reserve(ways);
+    for (std::size_t base = 0; base < stamps.size(); base += ways) {
+        live.clear();
+        for (unsigned w = 0; w < ways; ++w) {
+            if (stamps[base + w] >> shift)
+                live.push_back(&stamps[base + w]);
+        }
+        // Distinct clocks order the whole stamps as they order the
+        // clocks, low bits and all.
+        std::sort(live.begin(), live.end(),
+                  [](const std::uint32_t *a, const std::uint32_t *b) {
+                      return *a < *b;
+                  });
+        std::uint32_t k = 0;
+        for (std::uint32_t *s : live)
+            *s = (++k << shift) | (*s & low);
+        top = std::max(top, k);
+    }
+    return top;
+}
 
 void
 LruPolicy::init(unsigned sets, unsigned ways)
@@ -23,6 +55,13 @@ LruPolicy::rank(unsigned set, unsigned way) const
         }
     }
     return r;
+}
+
+void
+LruPolicy::setClockForTest(Stamp clock)
+{
+    cmp_assert(clock >= clock_, "the LRU clock only moves forward");
+    clock_ = clock;
 }
 
 } // namespace cmpcache

@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/types.hh"
-
 namespace cmpcache
 {
 
@@ -43,12 +41,34 @@ allWaysMask(unsigned ways)
 }
 
 /**
- * True least-recently-used via per-way timestamps. The per-reference
- * methods are defined inline so TagArray's scans inline them.
+ * Renumber 32-bit LRU stamps before their clock wraps. In each set of
+ * @p ways consecutive stamps, the stamps whose clock part
+ * (stamp >> @p shift) is non-zero get the clocks 1..k in their old
+ * order and keep their low @p shift bits; zero clocks stay zero. The
+ * non-zero clocks of a set must be distinct, as a clock that hands
+ * out each value once leaves them. Every comparison within a set
+ * therefore comes out as before.
+ * @return the largest k over all sets: the clock to continue from
+ */
+std::uint32_t renumberStamps(std::vector<std::uint32_t> &stamps,
+                             unsigned ways, unsigned shift);
+
+/**
+ * True least-recently-used via per-way 32-bit timestamps: a touch or
+ * an Mru fill takes the next clock value, an Lru fill stamps 0. Before
+ * the clock would wrap, renumberStamps() maps each set's non-zero
+ * stamps onto 1..k, so victims, lowest-way ties among zero stamps and
+ * rank() never see the wrap. The per-reference methods are defined
+ * inline so TagArray's scans inline them.
  */
 class LruPolicy
 {
   public:
+    using Stamp = std::uint32_t;
+
+    /** The largest stamp; the clock renumbers instead of passing it. */
+    static constexpr Stamp MaxStamp = ~Stamp{0};
+
     /** Allocate metadata for @p sets x @p ways. */
     void init(unsigned sets, unsigned ways);
 
@@ -56,16 +76,17 @@ class LruPolicy
     void
     touch(unsigned set, unsigned way)
     {
-        stamp_[static_cast<std::size_t>(set) * ways_ + way] = ++clock_;
+        const Stamp now = nextStamp();
+        stamp_[static_cast<std::size_t>(set) * ways_ + way] = now;
     }
 
     /** A fill into (set, way). */
     void
     insert(unsigned set, unsigned way, InsertPos pos)
     {
-        auto &s = stamp_[static_cast<std::size_t>(set) * ways_ + way];
         // Lru insertion lands colder than everything resident.
-        s = pos == InsertPos::Mru ? ++clock_ : 0;
+        const Stamp now = pos == InsertPos::Mru ? nextStamp() : 0;
+        stamp_[static_cast<std::size_t>(set) * ways_ + way] = now;
     }
 
     /**
@@ -75,13 +96,13 @@ class LruPolicy
     unsigned
     victim(unsigned set, WayMask candidates) const
     {
-        const auto *s = &stamp_[static_cast<std::size_t>(set) * ways_];
+        const Stamp *s = &stamp_[static_cast<std::size_t>(set) * ways_];
         if (candidates == allWaysMask(ways_)) {
             // Full-set scan (the common findVictim case): a plain
             // loop the compiler can unroll, visiting the same ways in
             // the same order as the mask walk below.
             unsigned best = 0;
-            std::uint64_t best_stamp = s[0];
+            Stamp best_stamp = s[0];
             for (unsigned w = 1; w < ways_; ++w) {
                 if (s[w] < best_stamp) {
                     best_stamp = s[w];
@@ -92,8 +113,8 @@ class LruPolicy
         }
         unsigned best = static_cast<unsigned>(
             std::countr_zero(candidates));
-        std::uint64_t best_stamp = MaxTick;
-        for (WayMask m = candidates; m; m &= m - 1) {
+        Stamp best_stamp = s[best];
+        for (WayMask m = candidates & (candidates - 1); m; m &= m - 1) {
             const auto w =
                 static_cast<unsigned>(std::countr_zero(m));
             if (s[w] < best_stamp) {
@@ -107,12 +128,31 @@ class LruPolicy
     /** Recency rank of a way: 0 = LRU ... ways-1 = MRU. */
     unsigned rank(unsigned set, unsigned way) const;
 
+    /** The last stamp handed out. */
+    Stamp clock() const { return clock_; }
+
+    /** Jump the clock forward to @p clock, so a test reaches the
+     * renumbering without 2^32 touches. */
+    void setClockForTest(Stamp clock);
+
     bool operator==(const LruPolicy &) const = default;
 
   private:
+    Stamp
+    nextStamp()
+    {
+        // The clock wraps to 0 just past MaxStamp: renumber, then hand
+        // out the value above every renumbered stamp. (Testing the
+        // increment's result, not the old clock, keeps the fast path
+        // to one add and branch.)
+        if (++clock_ == 0) [[unlikely]]
+            clock_ = renumberStamps(stamp_, ways_, 0) + 1;
+        return clock_;
+    }
+
     unsigned ways_ = 0;
-    std::uint64_t clock_ = 0;
-    std::vector<std::uint64_t> stamp_; // sets x ways
+    Stamp clock_ = 0;
+    std::vector<Stamp> stamp_; // sets x ways
 };
 
 } // namespace cmpcache

@@ -29,12 +29,6 @@ TagArray::TagArray(std::uint64_t size_bytes, unsigned assoc,
     lru_.init(numSets_, assoc_);
 }
 
-unsigned
-TagArray::wayOf(const TagEntry *e, unsigned set) const
-{
-    return static_cast<unsigned>(e - setBase(set));
-}
-
 void
 TagArray::insert(TagEntry *victim, Addr addr, LineState state,
                  InsertPos pos)
@@ -42,33 +36,24 @@ TagArray::insert(TagEntry *victim, Addr addr, LineState state,
     cmp_assert(victim != nullptr, "insert into null victim");
     const Addr line = lineAlign(addr);
     const unsigned set = setIndex(addr);
-    cmp_assert(setIndex(victim->lineAddr == InvalidAddr
-                            ? line
-                            : victim->lineAddr) == set
-                   || !victim->valid(),
+    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    const std::size_t slot =
+        static_cast<std::size_t>(victim - entries_.data());
+    cmp_assert(slot - base < assoc_,
                "victim belongs to a different set");
-    victim->lineAddr = line;
-    victim->state = state;
-    victim->snarfed = false;
-    victim->snarfUsedLocal = false;
-    victim->snarfUsedIntervention = false;
-    tags_[static_cast<std::size_t>(victim - entries_.data())] = line;
-    lru_.insert(set, wayOf(victim, set), pos);
+    *victim = TagEntry{state};
+    tags_[slot] = line;
+    lru_.insert(set, static_cast<unsigned>(slot - base), pos);
 }
 
 void
 TagArray::invalidate(TagEntry *entry)
 {
     cmp_assert(entry != nullptr, "invalidating null entry");
-    // Clearing the address keeps the lookup/peek invariant that a
-    // matching lineAddr implies a valid entry (no line-aligned
-    // address can equal InvalidAddr), so the scans skip the state
-    // check.
-    entry->lineAddr = InvalidAddr;
-    entry->state = LineState::Invalid;
-    entry->snarfed = false;
-    entry->snarfUsedLocal = false;
-    entry->snarfUsedIntervention = false;
+    // Clearing the line keeps the lookup/peek invariant that a
+    // matching line implies a valid entry (no line-aligned address
+    // can equal InvalidAddr), so the scans skip the state check.
+    *entry = TagEntry{};
     tags_[static_cast<std::size_t>(entry - entries_.data())] =
         InvalidAddr;
 }
@@ -84,10 +69,11 @@ TagArray::countValid() const
 }
 
 void
-TagArray::forEach(const std::function<void(const TagEntry &)> &fn) const
+TagArray::forEach(
+    const std::function<void(Addr line, const TagEntry &)> &fn) const
 {
-    for (const auto &e : entries_)
-        fn(e);
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        fn(tags_[i], entries_[i]);
 }
 
 } // namespace cmpcache

@@ -5,6 +5,10 @@
  *
  * Timing lives in the controllers; the array is purely structural.
  *
+ * A way costs 16 bytes: its line address in the dense tag array
+ * (tags_, the only copy, read through lineOf()), a 4-byte TagEntry of
+ * state and snarf bits, and a 32-bit LRU stamp (LruPolicy).
+ *
  * The set-scan methods (lookup, peek, findVictim*, anyInSet) are the
  * per-reference hot path: they live in the header, take predicates as
  * template parameters so controller lambdas inline, and hand the
@@ -26,11 +30,9 @@
 namespace cmpcache
 {
 
-/** One tag entry. */
+/** One way's state; its line is TagArray::lineOf(entry). */
 struct TagEntry
 {
-    /** Line-aligned address (full address, not a truncated tag). */
-    Addr lineAddr = InvalidAddr;
     LineState state = LineState::Invalid;
     /** Line was installed by snarfing a peer write back. */
     bool snarfed = false;
@@ -43,6 +45,7 @@ struct TagEntry
 
     bool operator==(const TagEntry &) const = default;
 };
+static_assert(sizeof(TagEntry) == 4, "a TagEntry packs into 4 bytes");
 
 class TagArray
 {
@@ -84,10 +87,10 @@ class TagArray
         const Addr line = lineAlign(addr);
         const unsigned set = setIndex(addr);
         const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        // Scan the dense tag mirror: a 16-way set spans two cache
-        // lines instead of four. Invalid slots hold InvalidAddr
-        // (enforced by invalidate()), which no aligned address
-        // equals, so the tag compare alone decides the hit.
+        // Scan the dense tag array: a 16-way set spans two cache
+        // lines. Invalid slots hold InvalidAddr (enforced by
+        // invalidate()), which no aligned address equals, so the tag
+        // compare alone decides the hit.
         const Addr *tags = &tags_[base];
         for (unsigned w = 0; w < assoc_; ++w) {
             if (tags[w] == line) {
@@ -111,6 +114,13 @@ class TagArray
                 return &entries_[base + w];
         }
         return nullptr;
+    }
+
+    /** The line @p e holds; InvalidAddr for an invalid way. */
+    Addr
+    lineOf(const TagEntry *e) const
+    {
+        return tags_[static_cast<std::size_t>(e - entries_.data())];
     }
 
     /**
@@ -157,10 +167,10 @@ class TagArray
 
     /**
      * Informed victim selection (the paper's future-work replacement
-     * extension): among the *colder half* of the set, prefer entries
-     * satisfying @p cheap (e.g. "the WBHT says this line is already
-     * in the L3, so evicting it is nearly free"). Falls back to
-     * findVictim() when nothing cold matches.
+     * extension): among the *colder half* of the set, prefer lines
+     * satisfying @p cheap, called with a line address (e.g. "the WBHT
+     * says this line is already in the L3, so evicting it is nearly
+     * free"). Falls back to findVictim() when nothing cold matches.
      */
     template <typename Pred>
     TagEntry *
@@ -174,15 +184,14 @@ class TagArray
                 return &base[w];
         }
 
-        // Cheapest victim: a "cheap" entry in the colder half of the
+        // Cheapest victim: a "cheap" line in the colder half of the
         // set, coldest first.
+        const Addr *lines = &tags_[static_cast<std::size_t>(set) * assoc_];
         TagEntry *best = nullptr;
         unsigned best_rank = assoc_;
         for (unsigned w = 0; w < assoc_; ++w) {
             const unsigned r = lru_.rank(set, w);
-            if (r < assoc_ / 2
-                && cheap(static_cast<const TagEntry &>(base[w]))
-                && r < best_rank) {
+            if (r < assoc_ / 2 && cheap(lines[w]) && r < best_rank) {
                 best_rank = r;
                 best = &base[w];
             }
@@ -220,10 +229,21 @@ class TagArray
     /** Count valid lines (test/analysis helper; O(capacity)). */
     std::uint64_t countValid() const;
 
-    /** Iterate over all entries (analysis hooks; cold path). */
-    void forEach(const std::function<void(const TagEntry &)> &fn) const;
+    /** Visit every way with its line (InvalidAddr when invalid);
+     * analysis hooks, cold path. */
+    void forEach(
+        const std::function<void(Addr line, const TagEntry &)> &fn) const;
 
-    /** Same geometry, entries and LRU state. */
+    /** The LRU state (tests and analysis). */
+    const LruPolicy &lru() const { return lru_; }
+
+    /** Jump the LRU clock forward (see LruPolicy::setClockForTest). */
+    void setLruClockForTest(LruPolicy::Stamp clock)
+    {
+        lru_.setClockForTest(clock);
+    }
+
+    /** Same geometry, lines, entries and LRU state. */
     bool operator==(const TagArray &) const = default;
 
   private:
@@ -239,8 +259,6 @@ class TagArray
         return &entries_[static_cast<std::size_t>(set) * assoc_];
     }
 
-    unsigned wayOf(const TagEntry *e, unsigned set) const;
-
     unsigned assoc_;
     unsigned lineSize_;
     unsigned lineShift_;
@@ -249,9 +267,8 @@ class TagArray
     LruPolicy lru_;
     std::vector<TagEntry> entries_; // numSets x assoc
     /**
-     * Dense mirror of entries_[i].lineAddr, kept in sync by insert()
-     * and invalidate() (the only writers of lineAddr). lookup()/peek()
-     * scan it instead of the 16-byte entries.
+     * The line of entries_[i], written only by insert() and
+     * invalidate(); an invalidated entry's slot holds InvalidAddr.
      */
     std::vector<Addr> tags_;
 };

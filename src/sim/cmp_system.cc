@@ -160,14 +160,16 @@ buildWarmImage(const SystemConfig &cfg, TraceBundle traces)
     WarmImage img{{},
                   TagArray(cfg.l3.sizeBytes, cfg.l3.assoc,
                            cfg.l3.lineSize),
-                  {},
-                  {}};
+                  {}, {}, {}, {}, {}};
     img.l2Tags.reserve(topo->numL2s());
     for (unsigned i = 0; i < topo->numL2s(); ++i)
         img.l2Tags.emplace_back(cfg.l2.sizeBytes, cfg.l2.assoc,
                                 cfg.l2.lineSize);
 
-    using Kind = WarmImage::TableEvent::Kind;
+    const auto snarf_event = [&img](Addr line, bool write_back) {
+        img.snarfLines.push_back(line);
+        img.snarfWriteBack.push_back(write_back);
+    };
     TagArray &l3tags = img.l3Tags;
     bool any = true;
     TraceRecord r;
@@ -190,13 +192,13 @@ buildWarmImage(const SystemConfig &cfg, TraceBundle traces)
             // Adaptive tables reach steady state alongside the
             // caches: every L2 observes misses (snarf use bits) the
             // way it would on the snooped address ring.
-            img.tableEvents.push_back({line, l2, Kind::Miss});
+            snarf_event(line, false);
 
             TagEntry *victim = tags.findVictim(line);
             if (victim->valid()) {
                 // Victim migrates to the L3 (clean and dirty alike,
                 // as in the baseline policy).
-                const Addr va = victim->lineAddr;
+                const Addr va = tags.lineOf(victim);
                 const bool vdirty = isDirty(victim->state);
                 bool l3_had_line = false;
                 if (TagEntry *l3e = l3tags.lookup(va)) {
@@ -209,11 +211,13 @@ buildWarmImage(const SystemConfig &cfg, TraceBundle traces)
                                   vdirty ? LineState::Modified
                                          : LineState::Shared);
                 }
-                img.tableEvents.push_back({va, l2, Kind::WriteBack});
+                snarf_event(va, true);
                 // The combined response would have reported "valid in
                 // L3".
-                if (!vdirty && l3_had_line)
-                    img.tableEvents.push_back({va, l2, Kind::L3Valid});
+                if (!vdirty && l3_had_line) {
+                    img.wbhtLines.push_back(va);
+                    img.wbhtL2s.push_back(l2);
+                }
             }
             tags.insert(victim, line,
                         store ? LineState::Modified
@@ -234,9 +238,9 @@ buildWarmImage(const SystemConfig &cfg, TraceBundle traces)
     // them the same way on load).
     std::vector<Addr> seeded;
     for (const TagArray &tags : img.l2Tags) {
-        tags.forEach([&](const TagEntry &e) {
+        tags.forEach([&](Addr line, const TagEntry &e) {
             if (e.valid())
-                seeded.push_back(e.lineAddr);
+                seeded.push_back(line);
         });
     }
     std::sort(seeded.begin(), seeded.end());
@@ -303,28 +307,23 @@ CmpSystem::loadWarmTables(const WarmImage &image)
     // kind and copy it to the rest.
     const bool global = cfg_.policy.globalWbhtAllocation();
     SnarfTable *snarf = l2s_[0]->snarfTable();
-    if (snarf || cfg_.policy.usesWbht()) {
-        using Kind = WarmImage::TableEvent::Kind;
-        for (const auto &ev : image.tableEvents) {
-            switch (ev.kind) {
-              case Kind::Miss:
-                if (snarf)
-                    snarf->recordMiss(ev.line);
-                break;
-              case Kind::WriteBack:
-                if (snarf)
-                    snarf->recordWriteBack(ev.line);
-                break;
-              case Kind::L3Valid:
-                if (auto *w = l2s_[global ? 0 : ev.l2]->wbht())
-                    w->recordL3Valid(ev.line);
-                break;
-            }
+    if (snarf) {
+        for (std::size_t i = 0; i < image.snarfLines.size(); ++i) {
+            if (image.snarfWriteBack[i])
+                snarf->recordWriteBack(image.snarfLines[i]);
+            else
+                snarf->recordMiss(image.snarfLines[i]);
         }
-        for (unsigned i = 1; i < topo_.numL2s(); ++i) {
-            if (snarf)
-                l2s_[i]->snarfTable()->copyStateFrom(*snarf);
-            if (global)
+        for (unsigned i = 1; i < topo_.numL2s(); ++i)
+            l2s_[i]->snarfTable()->copyStateFrom(*snarf);
+    }
+    if (cfg_.policy.usesWbht()) {
+        for (std::size_t i = 0; i < image.wbhtLines.size(); ++i) {
+            const unsigned l2 = global ? 0 : image.wbhtL2s[i];
+            l2s_[l2]->wbht()->recordL3Valid(image.wbhtLines[i]);
+        }
+        if (global) {
+            for (unsigned i = 1; i < topo_.numL2s(); ++i)
                 l2s_[i]->wbht()->copyStateFrom(*l2s_[0]->wbht());
         }
     }
@@ -338,17 +337,15 @@ CmpSystem::loadWarmTables(const WarmImage &image)
     if (oracle_) {
         for (unsigned i = 0; i < topo_.numL2s(); ++i) {
             const AgentId id = topo_.l2Agent(i);
-            l2s_[i]->tags().forEach([&](const TagEntry &e) {
+            l2s_[i]->tags().forEach([&](Addr line, const TagEntry &e) {
                 if (e.valid())
-                    oracle_->onSeedCopy(id, e.lineAddr,
-                                        isDirty(e.state));
+                    oracle_->onSeedCopy(id, line, isDirty(e.state));
             });
         }
         const AgentId l3_id = topo_.l3Agent();
-        l3_->tags().forEach([&](const TagEntry &e) {
+        l3_->tags().forEach([&](Addr line, const TagEntry &e) {
             if (e.valid())
-                oracle_->onSeedCopy(l3_id, e.lineAddr,
-                                    isDirty(e.state));
+                oracle_->onSeedCopy(l3_id, line, isDirty(e.state));
         });
         oracle_->sealSeeding();
     }

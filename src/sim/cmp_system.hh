@@ -63,31 +63,24 @@ class WbReuseTracker
  * Built once per trace and machine shape (buildWarmImage), it loads
  * into any machine of that shape and any policy
  * (CmpSystem::loadWarmImage).
+ *
+ * The snarf tables and the WBHTs never read each other's events, so
+ * each kind has its own log, held as parallel arrays (no padding).
  */
 struct WarmImage
 {
-    /** One adaptive-table event of the pass. */
-    struct TableEvent
-    {
-        enum class Kind : std::uint8_t
-        {
-            /** A demand miss: every snarf table marks the line used. */
-            Miss,
-            /** A victim left an L2: every snarf table enters it. */
-            WriteBack,
-            /** A clean victim the L3 already held: the WBHT of L2
-             * `l2` allocates it (every WBHT under global allocation). */
-            L3Valid,
-        };
-
-        Addr line = 0;
-        std::uint32_t l2 = 0;
-        Kind kind = Kind::Miss;
-    };
-
     std::vector<TagArray> l2Tags;
     TagArray l3Tags;
-    std::vector<TableEvent> tableEvents;
+    /** The snarf-table events: a demand miss (every snarf table
+     * marks the line used) or, where snarfWriteBack is set, a victim
+     * leaving an L2 (every snarf table enters the line). */
+    std::vector<Addr> snarfLines;
+    std::vector<bool> snarfWriteBack;
+    /** The WBHT events: a clean victim the L3 already held, which
+     * the WBHT of the L2 it left (every WBHT under global allocation)
+     * allocates. */
+    std::vector<Addr> wbhtLines;
+    std::vector<std::uint32_t> wbhtL2s;
     /** Lines the pass left valid in two or more L2s, ascending (see
      * CmpSystem::isWarmupApproximate). */
     std::vector<Addr> approximateLines;

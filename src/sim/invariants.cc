@@ -47,9 +47,9 @@ checkCoherence(CmpSystem &sys, const CoherenceCheckOptions &opts)
     // Gather every valid L2 copy per line address.
     std::map<Addr, std::vector<LineState>> copies;
     for (unsigned i = 0; i < sys.numL2s(); ++i) {
-        sys.l2(i).tags().forEach([&](const TagEntry &e) {
+        sys.l2(i).tags().forEach([&](Addr line, const TagEntry &e) {
             if (e.valid())
-                copies[e.lineAddr].push_back(e.state);
+                copies[line].push_back(e.state);
         });
     }
 

@@ -12,6 +12,8 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "common/logging.hh"
 #include "sim/config_io.hh"
 #include "sim/invariants.hh"
@@ -588,10 +590,17 @@ writeSweepBenchJson(std::ostream &os, const SweepSpec &spec,
         total_events += r.eventsExecuted;
     }
 
+    // The process's peak resident set so far, in MiB (Linux reports
+    // ru_maxrss in KiB).
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+
     os << "{\n  \"schema\": \"cmpcache-sweep-bench-v1\",\n";
     writeSpecAxes(os, spec);
     os << ",\n  \"threads\": " << num_threads
        << ",\n  \"hostCores\": " << std::thread::hardware_concurrency()
+       << ",\n  \"peakRssMb\": " << jsonDouble(peak_rss_mb)
        << ",\n  \"jobs\": " << results.size()
        << ",\n  \"totalWallSeconds\": "
        << jsonDouble(total_wall_seconds)

@@ -288,8 +288,8 @@ void writeSweepResultsJson(std::ostream &os, const SweepSpec &spec,
 /**
  * Timing companion file, schema "cmpcache-sweep-bench-v1": per-job
  * wall seconds and simulated-cycles-per-second throughput, plus
- * aggregate totals and the host's core count. This is what
- * bench/BENCH_*.json files hold.
+ * aggregate totals, the host's core count and the process's peak
+ * resident set so far. This is what bench/BENCH_*.json files hold.
  */
 void writeSweepBenchJson(std::ostream &os, const SweepSpec &spec,
                          const std::vector<SweepJobResult> &results,

@@ -108,3 +108,11 @@ TEST(CliDeath, UnknownOptionIsFatalAndNamed)
     EXPECT_EXIT(a.requireKnown({"refs", "quiet", "threads"}),
                 ::testing::ExitedWithCode(1), "unknown option --thread");
 }
+
+TEST(CliDeath, PositionalIsFatalAndNamedWhereNoneIsTaken)
+{
+    parse({"--refs=100"}).requireNoPositional();
+    const auto a = parse({"--refs=100", "refs=7", "extra"});
+    EXPECT_EXIT(a.requireNoPositional(), ::testing::ExitedWithCode(1),
+                "unexpected argument 'refs=7'");
+}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "core/history_table.hh"
 
 using namespace cmpcache;
@@ -150,3 +151,78 @@ TEST_P(TableSizeSweep, RetentionMatchesCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TableSizeSweep,
                          ::testing::Values(512u, 1024u, 4096u, 32768u));
+
+TEST(HistoryTable, WrapKeepsLruOrder)
+{
+    // One 4-way set. A..D take clocks 1..4; with the clock at its top,
+    // touching B renumbers them to 1..4 and gives B clock 5.
+    HistoryTable t(4, 4, 128);
+    const Addr a = 0x000, b = 0x080, c = 0x100, d = 0x180;
+    for (const Addr x : {a, b, c, d})
+        t.allocate(x);
+    t.setClockForTest(HistoryTable::MaxClock);
+    EXPECT_TRUE(t.contains(b));
+    EXPECT_EQ(t.clock(), 5u);
+    // Victims go oldest first: A, C, D, then B.
+    t.allocate(0x200);
+    EXPECT_FALSE(t.contains(a, false));
+    t.allocate(0x280);
+    EXPECT_FALSE(t.contains(c, false));
+    t.allocate(0x300);
+    EXPECT_FALSE(t.contains(d, false));
+    EXPECT_TRUE(t.contains(b, false));
+    t.allocate(0x380);
+    EXPECT_FALSE(t.contains(b, false));
+}
+
+// Renumbering at the clock's top must change no answer: one random
+// allocate/markUsed/useBitSet/contains/erase sequence goes to a table
+// and to a twin whose clock starts just below HistoryTable::MaxClock,
+// so it renumbers part-way through. After every step both tables
+// also hold the same lines with the same use bits.
+class HistoryTableWrap : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(HistoryTableWrap, RenumberingChangesNoAnswer)
+{
+    const bool protect_used = GetParam();
+    HistoryTable plain(64, 8, 128, protect_used);
+    HistoryTable wrapped(64, 8, 128, protect_used);
+    wrapped.setClockForTest(HistoryTable::MaxClock - 2000);
+    Rng rng(7);
+    for (int step = 0; step < 20000; ++step) {
+        // Four times the capacity keeps hits and evictions common.
+        const Addr a = rng.below(256) * 128;
+        const auto roll = rng.below(100);
+        const bool touch = rng.chance(0.5);
+        if (roll < 40) {
+            ASSERT_EQ(plain.allocate(a), wrapped.allocate(a))
+                << "step " << step;
+        } else if (roll < 60) {
+            ASSERT_EQ(plain.markUsed(a), wrapped.markUsed(a))
+                << "step " << step;
+        } else if (roll < 75) {
+            ASSERT_EQ(plain.useBitSet(a, touch), wrapped.useBitSet(a, touch))
+                << "step " << step;
+        } else if (roll < 90) {
+            ASSERT_EQ(plain.contains(a, touch), wrapped.contains(a, touch))
+                << "step " << step;
+        } else {
+            ASSERT_EQ(plain.erase(a), wrapped.erase(a)) << "step " << step;
+        }
+        for (Addr b = 0; b < 256 * 128; b += 128) {
+            ASSERT_EQ(plain.useBitSet(b, false), wrapped.useBitSet(b, false))
+                << "step " << step << " line " << b;
+            ASSERT_EQ(plain.contains(b, false), wrapped.contains(b, false))
+                << "step " << step << " line " << b;
+        }
+    }
+    EXPECT_EQ(plain.countValid(), wrapped.countValid());
+    EXPECT_LT(wrapped.clock(), plain.clock()) << "the clock never wrapped";
+}
+
+INSTANTIATE_TEST_SUITE_P(UseBits, HistoryTableWrap, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "ProtectUsed" : "LruOnly";
+                         });

@@ -142,8 +142,12 @@ def main():
             or (bad["workload"], bad["policy"], bad["maxOutstanding"]) \
             != ("thrash", "combined", 4):
         raise Bad(f"sweep.json: error cell {bad} (missing {missing})")
-    if load(path("b.json"))["schema"] != "cmpcache-sweep-bench-v1":
+    bench = load(path("b.json"))
+    if bench["schema"] != "cmpcache-sweep-bench-v1":
         raise Bad("b.json: not a cmpcache-sweep-bench-v1 file")
+    if not bench.get("peakRssMb", 0) > 0:
+        raise Bad(f"b.json: peakRssMb {bench.get('peakRssMb')} is not "
+                  "a positive number")
     check_trace(path("st.0.json"))
     check_stats(path("ss.0.json"))
     # The failed cell's trace is empty and it writes no stats dump.

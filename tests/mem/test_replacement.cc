@@ -87,3 +87,58 @@ TEST(Lru, VictimAlwaysACandidate)
                        rng.chance(0.5) ? InsertPos::Mru : InsertPos::Lru);
     }
 }
+
+TEST(Lru, RenumberStampsKeepsOrderAndZeros)
+{
+    // Two 4-way sets; zeros are cold ways and stay zero.
+    std::vector<std::uint32_t> stamps = {900, 0, 40, 7000, 0, 0, 5, 3};
+    EXPECT_EQ(renumberStamps(stamps, 4, 0), 3u);
+    EXPECT_EQ(stamps,
+              (std::vector<std::uint32_t>{2, 0, 1, 3, 0, 0, 2, 1}));
+
+    // With shift 1 the clock sits above a payload bit, which stays.
+    std::vector<std::uint32_t> packed = {(9 << 1) | 1, 0, 4 << 1,
+                                         (6 << 1) | 1};
+    EXPECT_EQ(renumberStamps(packed, 4, 1), 3u);
+    EXPECT_EQ(packed, (std::vector<std::uint32_t>{(3 << 1) | 1, 0, 1 << 1,
+                                                  (2 << 1) | 1}));
+}
+
+// Two policies take one random sequence of touches and fills; one
+// starts just below the clock's top and renumbers part-way through.
+// Every victim and rank must agree.
+TEST(Lru, ClockWrapChangesNoVictimOrRank)
+{
+    LruPolicy plain;
+    LruPolicy wrapped;
+    plain.init(4, 8);
+    wrapped.init(4, 8);
+    wrapped.setClockForTest(LruPolicy::MaxStamp - 500);
+    Rng rng(5);
+    for (int i = 0; i < 5000; ++i) {
+        const unsigned set = static_cast<unsigned>(rng.below(4));
+        const unsigned way = static_cast<unsigned>(rng.below(8));
+        const auto roll = rng.below(10);
+        for (LruPolicy *lru : {&plain, &wrapped}) {
+            if (roll < 5)
+                lru->touch(set, way);
+            else
+                lru->insert(set, way,
+                            roll < 8 ? InsertPos::Mru : InsertPos::Lru);
+        }
+        WayMask cands = rng.below(256);
+        if (!cands)
+            cands = allWaysMask(8);
+        ASSERT_EQ(plain.victim(set, allWaysMask(8)),
+                  wrapped.victim(set, allWaysMask(8)))
+            << "step " << i;
+        ASSERT_EQ(plain.victim(set, cands), wrapped.victim(set, cands))
+            << "step " << i;
+        for (unsigned st = 0; st < 4; ++st) {
+            for (unsigned w = 0; w < 8; ++w)
+                ASSERT_EQ(plain.rank(st, w), wrapped.rank(st, w))
+                    << "step " << i << " set " << st << " way " << w;
+        }
+    }
+    EXPECT_LT(wrapped.clock(), plain.clock()) << "the clock never wrapped";
+}

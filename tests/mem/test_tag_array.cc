@@ -44,7 +44,7 @@ TEST(TagArray, MissThenInsertThenHit)
     t.insert(victim, 0x1000, LineState::Exclusive);
     TagEntry *hit = t.lookup(0x1040); // same line, different offset
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->lineAddr, 0x1000u);
+    EXPECT_EQ(t.lineOf(hit), 0x1000u);
     EXPECT_EQ(hit->state, LineState::Exclusive);
 }
 
@@ -59,7 +59,7 @@ TEST(TagArray, PeekDoesNotTouchLru)
     // Peek the older line; it must remain the victim.
     EXPECT_NE(t.peek(0x0), nullptr);
     TagEntry *victim = t.findVictim(0x400);
-    EXPECT_EQ(victim->lineAddr, 0x0u);
+    EXPECT_EQ(t.lineOf(victim), 0x0u);
 }
 
 TEST(TagArray, LookupTouchChangesVictim)
@@ -68,7 +68,7 @@ TEST(TagArray, LookupTouchChangesVictim)
     t.insert(t.findVictim(0x0), 0x0, LineState::Shared);
     t.insert(t.findVictim(0x200), 0x200, LineState::Shared);
     t.lookup(0x0, true); // refresh
-    EXPECT_EQ(t.findVictim(0x400)->lineAddr, 0x200u);
+    EXPECT_EQ(t.lineOf(t.findVictim(0x400)), 0x200u);
 }
 
 TEST(TagArray, InvalidWaysPreferredAsVictims)
@@ -86,7 +86,7 @@ TEST(TagArray, EvictionRecyclesEntry)
     t.insert(t.findVictim(0x200), 0x200, LineState::Shared);
     // Third line in the same set evicts the LRU (0x000).
     TagEntry *victim = t.findVictim(0x400);
-    EXPECT_EQ(victim->lineAddr, 0x000u);
+    EXPECT_EQ(t.lineOf(victim), 0x000u);
     t.insert(victim, 0x400, LineState::Modified);
     EXPECT_EQ(t.lookup(0x000), nullptr);
     EXPECT_NE(t.lookup(0x400), nullptr);
@@ -101,6 +101,7 @@ TEST(TagArray, InvalidateClearsEverything)
     v->snarfUsedLocal = true;
     t.invalidate(v);
     EXPECT_FALSE(v->valid());
+    EXPECT_EQ(t.lineOf(v), InvalidAddr);
     EXPECT_FALSE(v->snarfed);
     EXPECT_FALSE(v->snarfUsedLocal);
     EXPECT_EQ(t.lookup(0x1000), nullptr);
@@ -130,7 +131,7 @@ TEST(TagArray, FindVictimAmongHonorsPredicate)
         return e.state == LineState::Shared;
     });
     ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->lineAddr, 0x200u);
+    EXPECT_EQ(t.lineOf(v), 0x200u);
     // Nothing qualifies.
     EXPECT_EQ(t.findVictimAmong(0x400,
                                 [](const TagEntry &e) {
@@ -183,9 +184,11 @@ TEST(TagArray, ForEachVisitsEverything)
     t.insert(t.findVictim(0x0), 0x0, LineState::Shared);
     unsigned total = 0;
     unsigned valid = 0;
-    t.forEach([&](const TagEntry &e) {
+    t.forEach([&](Addr line, const TagEntry &e) {
         ++total;
         valid += e.valid();
+        // The line comes along: InvalidAddr exactly for invalid ways.
+        EXPECT_EQ(line, e.valid() ? Addr{0x0} : InvalidAddr);
     });
     EXPECT_EQ(total, 4u); // 2 sets x 2 ways
     EXPECT_EQ(valid, 1u);
@@ -228,11 +231,11 @@ TEST(TagArrayInformed, PrefersCheapColdLines)
                  static_cast<Addr>(i) * 0x200, LineState::Shared);
     // "Cheap" = the second-oldest line (rank 1, still in the cold
     // half): informed selection must pick it over the plain LRU.
-    TagEntry *v = t.findVictimInformed(0x800, [](const TagEntry &e) {
-        return e.lineAddr == 0x200;
+    TagEntry *v = t.findVictimInformed(0x800, [](Addr line) {
+        return line == 0x200;
     });
     ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->lineAddr, 0x200u);
+    EXPECT_EQ(t.lineOf(v), 0x200u);
 }
 
 TEST(TagArrayInformed, FallsBackToLruWhenNothingCheapIsCold)
@@ -242,11 +245,11 @@ TEST(TagArrayInformed, FallsBackToLruWhenNothingCheapIsCold)
         t.insert(t.findVictim(0x000),
                  static_cast<Addr>(i) * 0x200, LineState::Shared);
     // Cheap only matches the MRU line (rank 3, hot half): ignore it.
-    TagEntry *v = t.findVictimInformed(0x800, [](const TagEntry &e) {
-        return e.lineAddr == 0x600;
+    TagEntry *v = t.findVictimInformed(0x800, [](Addr line) {
+        return line == 0x600;
     });
     ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->lineAddr, 0x000u); // plain LRU
+    EXPECT_EQ(t.lineOf(v), 0x000u); // plain LRU
 }
 
 TEST(TagArrayInformed, InvalidWaysStillWin)
@@ -254,7 +257,7 @@ TEST(TagArrayInformed, InvalidWaysStillWin)
     auto t = makeArray(1024, 4, 128);
     t.insert(t.findVictim(0x000), 0x000, LineState::Shared);
     TagEntry *v = t.findVictimInformed(
-        0x800, [](const TagEntry &) { return true; });
+        0x800, [](Addr) { return true; });
     ASSERT_NE(v, nullptr);
     EXPECT_FALSE(v->valid());
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Property test: the TagArray with LRU replacement is checked against
- * a simple reference model (per-set std::vector ordered by recency)
- * over long randomized operation sequences.
+ * a simple reference model (per-set recency lists of ways) over long
+ * randomized operation sequences, with cold (InsertPos::Lru) fills
+ * mixed in and across a wrap of the 32-bit LRU clock.
  */
 
 #include <gtest/gtest.h>
@@ -19,58 +20,148 @@ using namespace cmpcache;
 namespace
 {
 
-/** Straightforward recency-list model of an LRU set-assoc cache. */
+/**
+ * Straightforward model of an LRU set-associative cache: per set, the
+ * line in each way and the ways with a recency, least recent first.
+ * The other ways are cold (never filled, or filled at InsertPos::Lru
+ * and not touched since) and tie below every recent way. A victim is
+ * the lowest invalid way, else the lowest cold way, else the least
+ * recent way.
+ */
 class RefModel
 {
   public:
     RefModel(unsigned sets, unsigned ways, unsigned line)
-        : sets_(sets), ways_(ways), line_(line), order_(sets)
+        : ways_(ways), line_(line),
+          lines_(sets, std::vector<Addr>(ways, InvalidAddr)),
+          recent_(sets)
     {
     }
 
     unsigned
     setOf(Addr a) const
     {
-        return static_cast<unsigned>((a / line_) % sets_);
+        return static_cast<unsigned>((a / line_) % lines_.size());
     }
 
-    bool
-    contains(Addr line_addr) const
+    /** The way holding @p line_addr, or ways if none does. */
+    unsigned
+    wayOf(Addr line_addr) const
     {
-        const auto &v = order_[setOf(line_addr)];
-        return std::find(v.begin(), v.end(), line_addr) != v.end();
+        const auto &v = lines_[setOf(line_addr)];
+        return static_cast<unsigned>(
+            std::find(v.begin(), v.end(), line_addr) - v.begin());
+    }
+
+    Addr
+    lineAt(unsigned set, unsigned way) const
+    {
+        return lines_[set][way];
     }
 
     void
-    touch(Addr line_addr)
+    touch(unsigned set, unsigned way)
     {
-        auto &v = order_[setOf(line_addr)];
-        const auto it = std::find(v.begin(), v.end(), line_addr);
-        ASSERT_NE(it, v.end());
-        v.erase(it);
-        v.push_back(line_addr); // back = MRU
+        std::erase(recent_[set], way);
+        recent_[set].push_back(way); // back = MRU
     }
 
-    /** Returns the evicted line (InvalidAddr if none). */
-    Addr
-    insert(Addr line_addr)
+    unsigned
+    victim(unsigned set) const
     {
-        auto &v = order_[setOf(line_addr)];
-        Addr evicted = InvalidAddr;
-        if (v.size() >= ways_) {
-            evicted = v.front();
-            v.erase(v.begin());
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (lines_[set][w] == InvalidAddr)
+                return w;
         }
-        v.push_back(line_addr);
-        return evicted;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (!isRecent(set, w))
+                return w;
+        }
+        return recent_[set].front();
+    }
+
+    void
+    fill(unsigned set, unsigned way, Addr line_addr, InsertPos pos)
+    {
+        lines_[set][way] = line_addr;
+        std::erase(recent_[set], way);
+        if (pos == InsertPos::Mru)
+            recent_[set].push_back(way);
+    }
+
+    /** LruPolicy::rank: the ways of the set with an older stamp. */
+    unsigned
+    rank(unsigned set, unsigned way) const
+    {
+        const auto &r = recent_[set];
+        const auto it = std::find(r.begin(), r.end(), way);
+        if (it == r.end())
+            return 0;
+        return ways_ - static_cast<unsigned>(r.size())
+               + static_cast<unsigned>(it - r.begin());
     }
 
   private:
-    unsigned sets_;
+    bool
+    isRecent(unsigned set, unsigned way) const
+    {
+        const auto &r = recent_[set];
+        return std::find(r.begin(), r.end(), way) != r.end();
+    }
+
     unsigned ways_;
     unsigned line_;
-    std::vector<std::vector<Addr>> order_;
+    std::vector<std::vector<Addr>> lines_;
+    std::vector<std::vector<unsigned>> recent_;
 };
+
+constexpr unsigned Line = 128;
+constexpr unsigned Ways = 4;
+constexpr unsigned Sets = 8;
+
+/**
+ * @p steps random references through @p tags and @p model, each miss
+ * filling at InsertPos::Lru with probability @p lru_frac. Every hit,
+ * every victim and, after each step, the rank of every way must
+ * agree.
+ */
+void
+runSequence(TagArray &tags, RefModel &model, Rng &rng, double lru_frac,
+            int steps)
+{
+    for (int step = 0; step < steps; ++step) {
+        // A footprint of 3x capacity keeps both hits and misses
+        // common.
+        const Addr line = rng.below(3 * Sets * Ways) * Line;
+        const unsigned set = model.setOf(line);
+        const unsigned way = model.wayOf(line);
+
+        TagEntry *e = tags.lookup(line); // touches on hit
+        ASSERT_EQ(e != nullptr, way < Ways) << "step " << step;
+        if (e) {
+            model.touch(set, way);
+        } else {
+            // Miss path: victim choice must agree with the model.
+            TagEntry *victim = tags.findVictim(line);
+            const unsigned model_way = model.victim(set);
+            ASSERT_EQ(tags.lineOf(victim), model.lineAt(set, model_way))
+                << "step " << step;
+            ASSERT_EQ(victim->valid(),
+                      model.lineAt(set, model_way) != InvalidAddr)
+                << "step " << step;
+            const InsertPos pos = rng.chance(lru_frac) ? InsertPos::Lru
+                                                       : InsertPos::Mru;
+            tags.insert(victim, line, LineState::Shared, pos);
+            model.fill(set, model_way, line, pos);
+        }
+        for (unsigned st = 0; st < Sets; ++st) {
+            for (unsigned w = 0; w < Ways; ++w) {
+                ASSERT_EQ(tags.lru().rank(st, w), model.rank(st, w))
+                    << "step " << step << " set " << st << " way " << w;
+            }
+        }
+    }
+}
 
 class TagArrayModelSweep
     : public ::testing::TestWithParam<std::uint64_t>
@@ -81,38 +172,23 @@ class TagArrayModelSweep
 
 TEST_P(TagArrayModelSweep, MatchesReferenceLru)
 {
-    constexpr unsigned Line = 128;
-    constexpr unsigned Ways = 4;
-    constexpr unsigned Sets = 8;
     TagArray tags(Sets * Ways * Line, Ways, Line);
     RefModel model(Sets, Ways, Line);
     Rng rng(GetParam());
+    runSequence(tags, model, rng, 0.0, 20000);
+}
 
-    for (int step = 0; step < 20000; ++step) {
-        // A footprint of 3x capacity keeps both hits and misses
-        // common.
-        const Addr line = rng.below(3 * Sets * Ways) * Line;
-
-        const bool model_hit = model.contains(line);
-        TagEntry *e = tags.lookup(line); // touches on hit
-        ASSERT_EQ(e != nullptr, model_hit) << "step " << step;
-
-        if (model_hit) {
-            model.touch(line);
-            continue;
-        }
-        // Miss path: victim choice must agree with the model.
-        TagEntry *victim = tags.findVictim(line);
-        const Addr model_evicted = model.insert(line);
-        if (model_evicted == InvalidAddr) {
-            ASSERT_FALSE(victim->valid()) << "step " << step;
-        } else {
-            ASSERT_TRUE(victim->valid()) << "step " << step;
-            ASSERT_EQ(victim->lineAddr, model_evicted)
-                << "step " << step;
-        }
-        tags.insert(victim, line, LineState::Shared);
-    }
+TEST_P(TagArrayModelSweep, MatchesReferenceLruAcrossClockWrap)
+{
+    TagArray tags(Sets * Ways * Line, Ways, Line);
+    RefModel model(Sets, Ways, Line);
+    Rng rng(GetParam());
+    runSequence(tags, model, rng, 0.25, 5000);
+    // Old stamps stay small while new ones near the top of the clock,
+    // and the clock wraps within the next few hundred references.
+    tags.setLruClockForTest(LruPolicy::MaxStamp - 300);
+    runSequence(tags, model, rng, 0.25, 15000);
+    EXPECT_LT(tags.lru().clock(), 15000u) << "the clock never wrapped";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TagArrayModelSweep,

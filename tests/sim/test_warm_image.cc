@@ -91,7 +91,7 @@ referenceWarmup(CmpSystem &sys, TraceBundle traces)
             }
             TagEntry *victim = tags.findVictim(line);
             if (victim->valid()) {
-                const Addr va = victim->lineAddr;
+                const Addr va = tags.lineOf(victim);
                 const bool vdirty = isDirty(victim->state);
                 bool l3_had_line = false;
                 if (TagEntry *l3e = l3tags.lookup(va)) {
@@ -127,9 +127,9 @@ referenceWarmup(CmpSystem &sys, TraceBundle traces)
     }
     std::map<Addr, unsigned> copies;
     for (unsigned i = 0; i < sys.numL2s(); ++i) {
-        sys.l2(i).tags().forEach([&](const TagEntry &e) {
+        sys.l2(i).tags().forEach([&](Addr line, const TagEntry &e) {
             if (e.valid())
-                ++copies[e.lineAddr];
+                ++copies[line];
         });
     }
     std::vector<Addr> approx;
@@ -187,12 +187,12 @@ TEST_P(WarmImagePolicy, LoadEqualsAPassStraightIntoTheMachine)
     // The same lines are exempt from the invariant checker.
     ASSERT_FALSE(approx.empty()) << "the trace shares no lines";
     for (unsigned i = 0; i < loaded.numL2s(); ++i) {
-        loaded.l2(i).tags().forEach([&](const TagEntry &e) {
+        loaded.l2(i).tags().forEach([&](Addr line, const TagEntry &e) {
             if (e.valid()) {
-                EXPECT_EQ(loaded.isWarmupApproximate(e.lineAddr),
+                EXPECT_EQ(loaded.isWarmupApproximate(line),
                           std::binary_search(approx.begin(),
-                                             approx.end(), e.lineAddr))
-                    << e.lineAddr;
+                                             approx.end(), line))
+                    << line;
             }
         });
     }
@@ -224,10 +224,12 @@ TEST_P(WarmImagePolicy, PeerTablesEndIdentical)
                 << "l2_" << i;
         }
     }
-    if (sys.l2(0).snarfTable())
+    if (sys.l2(0).snarfTable()) {
         EXPECT_GT(sys.l2(0).snarfTable()->table().countValid(), 0u);
-    if (sys.l2(0).wbht())
+    }
+    if (sys.l2(0).wbht()) {
         EXPECT_GT(sys.l2(0).wbht()->table().countValid(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -246,7 +248,10 @@ TEST(WarmImage, OneImageServesMachinesOfAnyPolicy)
     const SyntheticWorkload wl(workload());
     const WarmImage image =
         buildWarmImage(config(WbPolicy::Baseline), wl.makeBundle());
-    EXPECT_FALSE(image.tableEvents.empty());
+    EXPECT_FALSE(image.snarfLines.empty());
+    EXPECT_EQ(image.snarfWriteBack.size(), image.snarfLines.size());
+    EXPECT_FALSE(image.wbhtLines.empty());
+    EXPECT_EQ(image.wbhtL2s.size(), image.wbhtLines.size());
 
     SystemConfig combined = config(WbPolicy::Combined);
     combined.policy.wbht.entries /= 2;
@@ -269,6 +274,9 @@ TEST(WarmImage, OneImageServesMachinesOfAnyPolicy)
     for (std::size_t i = 0; i < image.l2Tags.size(); ++i)
         EXPECT_TRUE(image.l2Tags[i] == fresh.l2Tags[i]);
     EXPECT_TRUE(image.l3Tags == fresh.l3Tags);
-    EXPECT_EQ(image.tableEvents.size(), fresh.tableEvents.size());
+    EXPECT_EQ(image.snarfLines, fresh.snarfLines);
+    EXPECT_EQ(image.snarfWriteBack, fresh.snarfWriteBack);
+    EXPECT_EQ(image.wbhtLines, fresh.wbhtLines);
+    EXPECT_EQ(image.wbhtL2s, fresh.wbhtL2s);
     EXPECT_EQ(image.approximateLines, fresh.approximateLines);
 }
