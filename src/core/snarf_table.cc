@@ -5,7 +5,7 @@ namespace cmpcache
 
 SnarfTable::SnarfTable(stats::Group *parent, const Params &p)
     : stats::Group(parent, "snarf_table"),
-      table_(p.entries, p.assoc, p.lineSize, /*protect_used=*/true),
+      table_(p.entries * p.lineSize, p.assoc, p.lineSize),
       wbRecorded_(this, "wb_recorded",
                   "write backs whose tag was entered"),
       missMarked_(this, "miss_marked",
@@ -20,22 +20,35 @@ SnarfTable::SnarfTable(stats::Group *parent, const Params &p)
 void
 SnarfTable::recordWriteBack(Addr addr)
 {
-    table_.allocate(addr);
     ++wbRecorded_;
+    // A line written back again is refreshed and keeps its use bit.
+    if (table_.lookup(addr))
+        return;
+    // Entries with demonstrated reuse survive the allocation churn of
+    // unproven lines: the victim is the LRU way without a use bit,
+    // and the LRU way only when every way has one.
+    HistoryEntry *victim = table_.findVictimAmong(
+        addr, [](const HistoryEntry &e) { return !e.used; });
+    if (!victim)
+        victim = table_.findVictim(addr);
+    table_.insert(victim, addr, {.present = true});
 }
 
 void
 SnarfTable::recordMiss(Addr addr)
 {
-    if (table_.markUsed(addr))
+    if (HistoryEntry *e = table_.lookup(addr)) {
+        e->used = true;
         ++missMarked_;
+    }
 }
 
 bool
 SnarfTable::shouldFlagSnarf(Addr addr)
 {
     ++consulted_;
-    const bool flag = table_.useBitSet(addr);
+    const HistoryEntry *e = table_.lookup(addr);
+    const bool flag = e && e->used;
     if (flag)
         ++flagged_;
     return flag;

@@ -17,7 +17,7 @@
 #ifndef CMPCACHE_CORE_SNARF_TABLE_HH
 #define CMPCACHE_CORE_SNARF_TABLE_HH
 
-#include "core/history_table.hh"
+#include "mem/tag_array.hh"
 #include "stats/stats.hh"
 
 namespace cmpcache
@@ -51,10 +51,10 @@ class SnarfTable : public stats::Group
      * warmup gives every peer table the same history). */
     void copyStateFrom(const SnarfTable &other);
 
-    HistoryTable &table() { return table_; }
+    HistoryArray &table() { return table_; }
 
   private:
-    HistoryTable table_;
+    HistoryArray table_;
 
     stats::Scalar wbRecorded_;
     stats::Scalar missMarked_;

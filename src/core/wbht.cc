@@ -8,7 +8,8 @@ WriteBackHistoryTable::WriteBackHistoryTable(stats::Group *parent,
     : stats::Group(parent, "wbht"),
       // Coarse-grained entries simply widen the alignment granule:
       // one tag then covers linesPerEntry consecutive lines.
-      table_(p.entries, p.assoc, p.lineSize * p.linesPerEntry),
+      table_(p.entries * p.lineSize * p.linesPerEntry, p.assoc,
+             p.lineSize * p.linesPerEntry),
       allocated_(this, "allocated", "entries allocated on L3-valid "
                  "combined responses"),
       consulted_(this, "consulted", "clean write backs that consulted "
@@ -27,7 +28,9 @@ WriteBackHistoryTable::WriteBackHistoryTable(stats::Group *parent,
 void
 WriteBackHistoryTable::recordL3Valid(Addr addr)
 {
-    table_.allocate(addr);
+    // A present line is refreshed; a new one takes the LRU way.
+    if (!table_.lookup(addr))
+        table_.insert(table_.findVictim(addr), addr, {.present = true});
     ++allocated_;
 }
 
@@ -35,7 +38,7 @@ bool
 WriteBackHistoryTable::shouldAbort(Addr addr, bool actually_in_l3)
 {
     ++consulted_;
-    const bool hit = table_.contains(addr);
+    const bool hit = table_.lookup(addr) != nullptr;
     if (hit)
         ++hits_;
 
@@ -49,12 +52,6 @@ WriteBackHistoryTable::shouldAbort(Addr addr, bool actually_in_l3)
     if (abort)
         ++aborted_;
     return abort;
-}
-
-void
-WriteBackHistoryTable::invalidate(Addr addr)
-{
-    table_.erase(addr);
 }
 
 void

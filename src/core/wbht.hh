@@ -13,7 +13,7 @@
 #ifndef CMPCACHE_CORE_WBHT_HH
 #define CMPCACHE_CORE_WBHT_HH
 
-#include "core/history_table.hh"
+#include "mem/tag_array.hh"
 #include "stats/stats.hh"
 
 namespace cmpcache
@@ -57,16 +57,12 @@ class WriteBackHistoryTable : public stats::Group
      */
     bool shouldAbort(Addr addr, bool actually_in_l3);
 
-    /** The L3 dropped / replaced this line (optional invalidation
-     * hook; the paper's design tolerates divergence instead). */
-    void invalidate(Addr addr);
-
     /** Become a copy of @p other, entries and counters (functional
      * warmup gives every WBHT the same history under global
      * allocation). */
     void copyStateFrom(const WriteBackHistoryTable &other);
 
-    HistoryTable &table() { return table_; }
+    HistoryArray &table() { return table_; }
 
     std::uint64_t aborts() const { return aborted_.value(); }
     std::uint64_t correct() const { return correct_.value(); }
@@ -76,7 +72,7 @@ class WriteBackHistoryTable : public stats::Group
     double correctFraction() const;
 
   private:
-    HistoryTable table_;
+    HistoryArray table_;
 
     stats::Scalar allocated_;
     stats::Scalar consulted_;

@@ -647,7 +647,7 @@ L2Cache::handleFill(const BusRequest &req, const CombinedResult &res)
             // WBHT says are already in the L3 (their write back will
             // be aborted; a refetch costs only the L3 latency).
             victim = tags_.findVictimInformed(line, [this](Addr l) {
-                return wbht_->table().contains(l, /*touch=*/false);
+                return wbht_->table().peek(l) != nullptr;
             });
         } else {
             victim = tags_.findVictim(line);

@@ -8,28 +8,24 @@ namespace cmpcache
 {
 
 std::uint32_t
-renumberStamps(std::vector<std::uint32_t> &stamps, unsigned ways,
-               unsigned shift)
+renumberStamps(std::vector<std::uint32_t> &stamps, unsigned ways)
 {
-    const std::uint32_t low = (std::uint32_t{1} << shift) - 1;
     std::uint32_t top = 0;
     std::vector<std::uint32_t *> live;
     live.reserve(ways);
     for (std::size_t base = 0; base < stamps.size(); base += ways) {
         live.clear();
         for (unsigned w = 0; w < ways; ++w) {
-            if (stamps[base + w] >> shift)
+            if (stamps[base + w])
                 live.push_back(&stamps[base + w]);
         }
-        // Distinct clocks order the whole stamps as they order the
-        // clocks, low bits and all.
         std::sort(live.begin(), live.end(),
                   [](const std::uint32_t *a, const std::uint32_t *b) {
                       return *a < *b;
                   });
         std::uint32_t k = 0;
         for (std::uint32_t *s : live)
-            *s = (++k << shift) | (*s & low);
+            *s = ++k;
         top = std::max(top, k);
     }
     return top;

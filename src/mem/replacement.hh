@@ -42,16 +42,14 @@ allWaysMask(unsigned ways)
 
 /**
  * Renumber 32-bit LRU stamps before their clock wraps. In each set of
- * @p ways consecutive stamps, the stamps whose clock part
- * (stamp >> @p shift) is non-zero get the clocks 1..k in their old
- * order and keep their low @p shift bits; zero clocks stay zero. The
- * non-zero clocks of a set must be distinct, as a clock that hands
- * out each value once leaves them. Every comparison within a set
- * therefore comes out as before.
+ * @p ways consecutive stamps, the non-zero stamps become 1..k in
+ * their old order; zeros stay zero. The non-zero stamps of a set must
+ * be distinct, as a clock that hands out each value once leaves them.
+ * Every comparison within a set therefore comes out as before.
  * @return the largest k over all sets: the clock to continue from
  */
 std::uint32_t renumberStamps(std::vector<std::uint32_t> &stamps,
-                             unsigned ways, unsigned shift);
+                             unsigned ways);
 
 /**
  * True least-recently-used via per-way 32-bit timestamps: a touch or
@@ -146,7 +144,7 @@ class LruPolicy
         // increment's result, not the old clock, keeps the fast path
         // to one add and branch.)
         if (++clock_ == 0) [[unlikely]]
-            clock_ = renumberStamps(stamp_, ways_, 0) + 1;
+            clock_ = renumberStamps(stamp_, ways_) + 1;
         return clock_;
     }
 

@@ -6,8 +6,9 @@
 namespace cmpcache
 {
 
-TagArray::TagArray(std::uint64_t size_bytes, unsigned assoc,
-                   unsigned line_size)
+template <typename Entry>
+SetAssocArray<Entry>::SetAssocArray(std::uint64_t size_bytes,
+                                    unsigned assoc, unsigned line_size)
     : assoc_(assoc),
       lineSize_(line_size),
       lineShift_(floorLog2(line_size)),
@@ -21,17 +22,22 @@ TagArray::TagArray(std::uint64_t size_bytes, unsigned assoc,
                "capacity must divide evenly into sets");
     const std::uint64_t sets =
         size_bytes / (static_cast<std::uint64_t>(assoc) * line_size);
-    cmp_assert(isPowerOf2(sets), "number of sets must be a power of 2 "
-               "(got ", sets, ")");
+    // numSets_ and setIndex() are 32 bits wide.
+    cmp_assert(isPowerOf2(sets) && sets <= (std::uint64_t{1} << 31),
+               "number of sets must be a power of 2 up to 2^31 (got ",
+               sets, ")");
     numSets_ = static_cast<unsigned>(sets);
     entries_.resize(static_cast<std::size_t>(numSets_) * assoc_);
     tags_.assign(entries_.size(), InvalidAddr);
     lru_.init(numSets_, assoc_);
 }
 
+// insert() and invalidate() stay out of line: inlined into every
+// caller they made bench/hotpath's tag-victim loop slower.
+template <typename Entry>
 void
-TagArray::insert(TagEntry *victim, Addr addr, LineState state,
-                 InsertPos pos)
+SetAssocArray<Entry>::insert(Entry *victim, Addr addr, Entry fill,
+                             InsertPos pos)
 {
     cmp_assert(victim != nullptr, "insert into null victim");
     const Addr line = lineAlign(addr);
@@ -41,25 +47,27 @@ TagArray::insert(TagEntry *victim, Addr addr, LineState state,
         static_cast<std::size_t>(victim - entries_.data());
     cmp_assert(slot - base < assoc_,
                "victim belongs to a different set");
-    *victim = TagEntry{state};
+    *victim = fill;
     tags_[slot] = line;
     lru_.insert(set, static_cast<unsigned>(slot - base), pos);
 }
 
+template <typename Entry>
 void
-TagArray::invalidate(TagEntry *entry)
+SetAssocArray<Entry>::invalidate(Entry *entry)
 {
     cmp_assert(entry != nullptr, "invalidating null entry");
     // Clearing the line keeps the lookup/peek invariant that a
     // matching line implies a valid entry (no line-aligned address
     // can equal InvalidAddr), so the scans skip the state check.
-    *entry = TagEntry{};
+    *entry = Entry{};
     tags_[static_cast<std::size_t>(entry - entries_.data())] =
         InvalidAddr;
 }
 
+template <typename Entry>
 std::uint64_t
-TagArray::countValid() const
+SetAssocArray<Entry>::countValid() const
 {
     std::uint64_t n = 0;
     for (const auto &e : entries_)
@@ -68,12 +76,16 @@ TagArray::countValid() const
     return n;
 }
 
+template <typename Entry>
 void
-TagArray::forEach(
-    const std::function<void(Addr line, const TagEntry &)> &fn) const
+SetAssocArray<Entry>::forEach(
+    const std::function<void(Addr line, const Entry &)> &fn) const
 {
     for (std::size_t i = 0; i < entries_.size(); ++i)
         fn(tags_[i], entries_[i]);
 }
+
+template class SetAssocArray<TagEntry>;
+template class SetAssocArray<HistoryEntry>;
 
 } // namespace cmpcache

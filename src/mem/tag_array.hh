@@ -1,20 +1,27 @@
 /**
  * @file
- * Set-associative tag array with coherence state and the metadata bits
- * the paper's mechanisms need (snarfed / snarf-used tracking).
+ * The set-associative array behind every cache-like structure: the L2
+ * and L3 tag arrays (TagArray) and the WBHT and snarf history tables
+ * (HistoryArray). The paper's WBHT is "organized and accessed just
+ * like a cache tag array"; here it is one.
  *
  * Timing lives in the controllers; the array is purely structural.
  *
- * A way costs 16 bytes: its line address in the dense tag array
- * (tags_, the only copy, read through lineOf()), a 4-byte TagEntry of
- * state and snarf bits, and a 32-bit LRU stamp (LruPolicy).
+ * A way costs its line address in the dense tag array (tags_, the only
+ * copy, read through lineOf()), its Entry and a 32-bit LRU stamp
+ * (LruPolicy): 16 bytes for an L2/L3 way (4-byte TagEntry), 14 for a
+ * history way (2-byte HistoryEntry). Every array runs one victim rule
+ * (the first invalid way, else the oldest stamp, lowest way on ties)
+ * and one clock wrap (renumberStamps).
  *
  * The set-scan methods (lookup, peek, findVictim*, anyInSet) are the
  * per-reference hot path: they live in the header, take predicates as
  * template parameters so controller lambdas inline, and hand the
  * LRU state a 64-bit candidate way mask instead of a heap-allocated
- * index vector. Only cold walks (forEach) keep the type-erased
- * std::function interface.
+ * index vector. The constructor, insert() and invalidate() stay out
+ * of line in tag_array.cc, instantiated there for both entry types.
+ * Only cold walks (forEach) keep the type-erased std::function
+ * interface.
  */
 
 #ifndef CMPCACHE_MEM_TAG_ARRAY_HH
@@ -30,7 +37,7 @@
 namespace cmpcache
 {
 
-/** One way's state; its line is TagArray::lineOf(entry). */
+/** One L2/L3 way's state; its line is TagArray::lineOf(entry). */
 struct TagEntry
 {
     LineState state = LineState::Invalid;
@@ -41,21 +48,52 @@ struct TagEntry
     /** Snarfed line was already counted as an intervention source. */
     bool snarfUsedIntervention = false;
 
+    /** A fill in state @p s with every snarf bit clear (what
+     * TagArray::insert takes). */
+    constexpr TagEntry(LineState s = LineState::Invalid) : state(s) {}
+
     bool valid() const { return isValid(state); }
 
     bool operator==(const TagEntry &) const = default;
 };
 static_assert(sizeof(TagEntry) == 4, "a TagEntry packs into 4 bytes");
 
-class TagArray
+/**
+ * One way of a history table (WBHT, snarf table). The tables store
+ * only tags, so an entry is its presence and the snarf table's use
+ * bit.
+ */
+struct HistoryEntry
+{
+    bool present = false;
+    /** The line was missed on again while its entry was present. */
+    bool used = false;
+
+    bool valid() const { return present; }
+
+    bool operator==(const HistoryEntry &) const = default;
+};
+static_assert(sizeof(HistoryEntry) <= 2,
+              "a HistoryEntry packs into 2 bytes");
+
+/**
+ * A set-associative array of @p Entry ways under LRU replacement.
+ * @p Entry is default-constructible as an invalid way, copyable and
+ * has valid().
+ */
+template <typename Entry>
+class SetAssocArray
 {
   public:
     /**
-     * @param size_bytes total capacity
+     * @param size_bytes total capacity (a history table: entries x
+     *                   line_size)
      * @param assoc      associativity (<= 64, for way masks)
-     * @param line_size  line size in bytes (power of two)
+     * @param line_size  line size in bytes (power of two); a history
+     *                   table's granule
      */
-    TagArray(std::uint64_t size_bytes, unsigned assoc, unsigned line_size);
+    SetAssocArray(std::uint64_t size_bytes, unsigned assoc,
+                  unsigned line_size);
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -81,7 +119,7 @@ class TagArray
      * @param touch update replacement state on hit
      * @return the entry, or nullptr on miss
      */
-    TagEntry *
+    Entry *
     lookup(Addr addr, bool touch = true)
     {
         const Addr line = lineAlign(addr);
@@ -102,7 +140,7 @@ class TagArray
         return nullptr;
     }
 
-    const TagEntry *
+    const Entry *
     peek(Addr addr) const
     {
         const Addr line = lineAlign(addr);
@@ -118,7 +156,7 @@ class TagArray
 
     /** The line @p e holds; InvalidAddr for an invalid way. */
     Addr
-    lineOf(const TagEntry *e) const
+    lineOf(const Entry *e) const
     {
         return tags_[static_cast<std::size_t>(e - entries_.data())];
     }
@@ -128,7 +166,7 @@ class TagArray
      * (invalid ways win automatically).
      * The returned entry still holds the victim's old contents.
      */
-    TagEntry *
+    Entry *
     findVictim(Addr addr)
     {
         const unsigned set = setIndex(addr);
@@ -147,14 +185,14 @@ class TagArray
      * qualifies. @p pred must be stateless with respect to scan order.
      */
     template <typename Pred>
-    TagEntry *
+    Entry *
     findVictimAmong(Addr addr, Pred &&pred)
     {
         const unsigned set = setIndex(addr);
         auto *base = setBase(set);
         WayMask cands = 0;
         for (unsigned w = 0; w < assoc_; ++w) {
-            if (pred(static_cast<const TagEntry &>(base[w]))) {
+            if (pred(static_cast<const Entry &>(base[w]))) {
                 if (!base[w].valid())
                     return &base[w]; // invalid candidates win outright
                 cands |= WayMask{1} << w;
@@ -173,7 +211,7 @@ class TagArray
      * free"). Falls back to findVictim() when nothing cold matches.
      */
     template <typename Pred>
-    TagEntry *
+    Entry *
     findVictimInformed(Addr addr, Pred &&cheap)
     {
         const unsigned set = setIndex(addr);
@@ -187,7 +225,7 @@ class TagArray
         // Cheapest victim: a "cheap" line in the colder half of the
         // set, coldest first.
         const Addr *lines = &tags_[static_cast<std::size_t>(set) * assoc_];
-        TagEntry *best = nullptr;
+        Entry *best = nullptr;
         unsigned best_rank = assoc_;
         for (unsigned w = 0; w < assoc_; ++w) {
             const unsigned r = lru_.rank(set, w);
@@ -200,14 +238,14 @@ class TagArray
     }
 
     /**
-     * Install @p addr into @p victim (obtained from findVictim*).
-     * Resets the per-line metadata bits.
+     * Install @p addr into @p victim (obtained from findVictim*): the
+     * way becomes @p fill, so per-line metadata bits start clear.
      */
-    void insert(TagEntry *victim, Addr addr, LineState state,
+    void insert(Entry *victim, Addr addr, Entry fill,
                 InsertPos pos = InsertPos::Mru);
 
     /** Invalidate an entry (keeps replacement metadata untouched). */
-    void invalidate(TagEntry *entry);
+    void invalidate(Entry *entry);
 
     /** Does the set of @p addr contain an entry satisfying @p pred?
      * (Non-mutating; used by snarf-accept snooping. Entries are
@@ -232,7 +270,7 @@ class TagArray
     /** Visit every way with its line (InvalidAddr when invalid);
      * analysis hooks, cold path. */
     void forEach(
-        const std::function<void(Addr line, const TagEntry &)> &fn) const;
+        const std::function<void(Addr line, const Entry &)> &fn) const;
 
     /** The LRU state (tests and analysis). */
     const LruPolicy &lru() const { return lru_; }
@@ -244,16 +282,16 @@ class TagArray
     }
 
     /** Same geometry, lines, entries and LRU state. */
-    bool operator==(const TagArray &) const = default;
+    bool operator==(const SetAssocArray &) const = default;
 
   private:
-    TagEntry *
+    Entry *
     setBase(unsigned set)
     {
         return &entries_[static_cast<std::size_t>(set) * assoc_];
     }
 
-    const TagEntry *
+    const Entry *
     setBase(unsigned set) const
     {
         return &entries_[static_cast<std::size_t>(set) * assoc_];
@@ -265,13 +303,18 @@ class TagArray
     Addr lineMask_;
     unsigned numSets_;
     LruPolicy lru_;
-    std::vector<TagEntry> entries_; // numSets x assoc
+    std::vector<Entry> entries_; // numSets x assoc
     /**
      * The line of entries_[i], written only by insert() and
      * invalidate(); an invalidated entry's slot holds InvalidAddr.
      */
     std::vector<Addr> tags_;
 };
+
+/** An L2 or L3 cache's tags. */
+using TagArray = SetAssocArray<TagEntry>;
+/** A WBHT's or snarf table's tags. */
+using HistoryArray = SetAssocArray<HistoryEntry>;
 
 } // namespace cmpcache
 

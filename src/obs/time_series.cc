@@ -7,19 +7,6 @@
 namespace cmpcache
 {
 
-bool
-operator==(const SampleSeries &a, const SampleSeries &b)
-{
-    return a.interval == b.interval && a.ticks == b.ticks
-           && a.names == b.names && a.values == b.values;
-}
-
-bool
-operator!=(const SampleSeries &a, const SampleSeries &b)
-{
-    return !(a == b);
-}
-
 void
 writeSampleSeriesJson(std::ostream &os, const SampleSeries &s,
                       unsigned indent)

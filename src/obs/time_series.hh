@@ -39,10 +39,9 @@ struct SampleSeries
     bool empty() const { return ticks.empty(); }
     std::size_t numSamples() const { return ticks.size(); }
     std::size_t numChannels() const { return names.size(); }
-};
 
-bool operator==(const SampleSeries &a, const SampleSeries &b);
-bool operator!=(const SampleSeries &a, const SampleSeries &b);
+    bool operator==(const SampleSeries &) const = default;
+};
 
 /**
  * Write @p s as a JSON object:

@@ -5,35 +5,6 @@
 namespace cmpcache
 {
 
-bool
-operator==(const ExperimentResult &a, const ExperimentResult &b)
-{
-    return a.workload == b.workload && a.policy == b.policy
-           && a.maxOutstanding == b.maxOutstanding
-           && a.execTime == b.execTime
-           && a.wbhtCorrectPct == b.wbhtCorrectPct
-           && a.l3LoadHitRatePct == b.l3LoadHitRatePct
-           && a.l2WbRequests == b.l2WbRequests
-           && a.l3Retries == b.l3Retries
-           && a.offChipAccesses == b.offChipAccesses
-           && a.wbSnarfedPct == b.wbSnarfedPct
-           && a.snarfedUsedLocallyPct == b.snarfedUsedLocallyPct
-           && a.snarfedForInterventionPct == b.snarfedForInterventionPct
-           && a.l2HitRatePct == b.l2HitRatePct
-           && a.cleanWbRedundantPct == b.cleanWbRedundantPct
-           && a.wbReusedTotalPct == b.wbReusedTotalPct
-           && a.wbReusedAcceptedPct == b.wbReusedAcceptedPct
-           && a.wbAborted == b.wbAborted && a.memReads == b.memReads
-           && a.interventions == b.interventions
-           && a.busRetries == b.busRetries;
-}
-
-bool
-operator!=(const ExperimentResult &a, const ExperimentResult &b)
-{
-    return !(a == b);
-}
-
 double
 improvementPct(const ExperimentResult &base, const ExperimentResult &other)
 {

@@ -51,11 +51,10 @@ struct ExperimentResult
     /** Reads served by L2-to-L2 transfer. */
     std::uint64_t interventions = 0;
     std::uint64_t busRetries = 0;
-};
 
-/** Field-for-field exact equality (determinism checks). */
-bool operator==(const ExperimentResult &a, const ExperimentResult &b);
-bool operator!=(const ExperimentResult &a, const ExperimentResult &b);
+    /** Field-for-field exact equality (determinism checks). */
+    bool operator==(const ExperimentResult &) const = default;
+};
 
 /** Percentage execution-time improvement of @p other over @p base. */
 double improvementPct(const ExperimentResult &base,

@@ -12,38 +12,54 @@ namespace
 {
 
 /**
- * Check a cache geometry: capacity must divide into a power-of-two
- * number of sets (the tag array indexes with a mask). @p prefix is
- * the config-key prefix ("l2" / "l3") used in messages.
+ * Largest WBHT granule, l2.line_size x wbht.lines_per_entry bytes: the
+ * table aligns addresses to it as to a line, whose size it holds in
+ * 32 bits.
+ */
+constexpr std::uint64_t kMaxWbhtGranule = std::uint64_t{1} << 31;
+
+/**
+ * Check one set-associative array (an L2, L3, WBHT or snarf table):
+ * at most 64 ways (the victim scans' way masks) and a non-zero,
+ * power-of-two number of sets (the array indexes sets with a mask).
+ * @p size (key @p size_key) divides into sets of assoc ways of
+ * @p way_size each; @p way_key names the way-size key, "" for a table
+ * counted in entries. @p prefix is the array's key prefix.
  */
 void
 checkGeometry(std::vector<std::string> &errs, const char *prefix,
-              std::uint64_t size_bytes, unsigned assoc,
-              unsigned line_size)
+              const char *size_key, std::uint64_t size, unsigned assoc,
+              const char *way_key, std::uint64_t way_size)
 {
     if (assoc == 0) {
         errs.push_back(cstr(prefix, ".assoc must be positive"));
         return;
     }
-    if (line_size == 0 || !isPowerOf2(line_size)) {
-        // Reported once for l2.line_size by the shared check; keep
-        // the geometry math safe regardless.
+    if (assoc > 64) {
+        errs.push_back(cstr(prefix, ".assoc (", assoc,
+                            ") exceeds the 64-way limit"));
         return;
     }
-    const std::uint64_t way_bytes =
-        static_cast<std::uint64_t>(assoc) * line_size;
-    if (size_bytes % way_bytes != 0) {
-        errs.push_back(cstr(prefix, ".size_bytes (", size_bytes,
-                            ") must be a multiple of ", prefix,
-                            ".assoc * l2.line_size (", way_bytes,
-                            ")"));
+    if (way_size == 0 || !isPowerOf2(way_size)) {
+        // Reported once by the line-size checks; keep the geometry
+        // math safe regardless.
         return;
     }
-    const std::uint64_t sets = size_bytes / way_bytes;
+    const std::string set_keys =
+        *way_key ? cstr(prefix, ".assoc * ", way_key)
+                 : cstr(prefix, ".assoc");
+    const std::uint64_t set_size = assoc * way_size;
+    if (size % set_size != 0) {
+        errs.push_back(cstr(size_key, " (", size, ") must be a multiple of ",
+                            set_keys, " (", set_size, ")"));
+        return;
+    }
+    const std::uint64_t sets = size / set_size;
     if (!isPowerOf2(sets)) {
-        errs.push_back(cstr(prefix, ".size_bytes / (", prefix,
-                            ".assoc * l2.line_size) must give a "
-                            "power-of-two set count, got ", sets));
+        errs.push_back(cstr(size_key, " / ",
+                            *way_key ? cstr("(", set_keys, ")") : set_keys,
+                            " must give a non-zero power-of-two set "
+                            "count, got ", sets));
     }
 }
 
@@ -67,8 +83,10 @@ SystemConfig::validationErrors() const
     if (l2.lineSize == 0 || !isPowerOf2(l2.lineSize))
         errs.push_back("l2.line_size must be a power of two");
 
-    checkGeometry(errs, "l2", l2.sizeBytes, l2.assoc, l2.lineSize);
-    checkGeometry(errs, "l3", l3.sizeBytes, l3.assoc, l3.lineSize);
+    checkGeometry(errs, "l2", "l2.size_bytes", l2.sizeBytes, l2.assoc,
+                  "l2.line_size", l2.lineSize);
+    checkGeometry(errs, "l3", "l3.size_bytes", l3.sizeBytes, l3.assoc,
+                  "l2.line_size", l3.lineSize);
 
     if (l2.slices == 0)
         errs.push_back("l2.slices must be positive");
@@ -91,24 +109,24 @@ SystemConfig::validationErrors() const
     if (cpu.maxOutstanding == 0)
         errs.push_back("cpu.outstanding must be positive");
 
+    // The tables are built only under the policies that use them.
     if (policy.usesWbht()) {
-        if (policy.wbht.assoc == 0)
-            errs.push_back("wbht.assoc must be positive");
-        else if (policy.wbht.entries % policy.wbht.assoc) {
-            errs.push_back(cstr("wbht.entries (", policy.wbht.entries,
-                                ") must divide into full wbht.assoc (",
-                                policy.wbht.assoc, ") sets"));
+        // One WBHT entry covers a granule of lines_per_entry lines,
+        // which the table aligns like a line of that size.
+        const std::uint64_t granule =
+            std::uint64_t{l2.lineSize} * policy.wbht.linesPerEntry;
+        if (!isPowerOf2(policy.wbht.linesPerEntry)) {
+            errs.push_back("wbht.lines_per_entry must be a power of two");
+        } else if (granule > kMaxWbhtGranule) {
+            errs.push_back(cstr("l2.line_size * wbht.lines_per_entry (",
+                                granule, ") exceeds ", kMaxWbhtGranule));
         }
+        checkGeometry(errs, "wbht", "wbht.entries", policy.wbht.entries,
+                      policy.wbht.assoc, "", 1);
     }
     if (policy.usesSnarf()) {
-        if (policy.snarf.assoc == 0)
-            errs.push_back("snarf.assoc must be positive");
-        else if (policy.snarf.entries % policy.snarf.assoc) {
-            errs.push_back(cstr("snarf.entries (",
-                                policy.snarf.entries,
-                                ") must divide into full snarf.assoc (",
-                                policy.snarf.assoc, ") sets"));
-        }
+        checkGeometry(errs, "snarf", "snarf.entries",
+                      policy.snarf.entries, policy.snarf.assoc, "", 1);
     }
     if ((policy.usesWbht() || policy.useRetrySwitch)
         && policy.retry.windowCycles == 0) {

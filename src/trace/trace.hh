@@ -47,12 +47,7 @@ struct TraceRecord
     ThreadId tid = 0;
     MemOp op = MemOp::Load;
 
-    bool
-    operator==(const TraceRecord &o) const
-    {
-        return addr == o.addr && gap == o.gap && tid == o.tid
-               && op == o.op;
-    }
+    bool operator==(const TraceRecord &) const = default;
 };
 
 /** Per-thread stream of trace records. */

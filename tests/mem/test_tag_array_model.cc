@@ -1,9 +1,11 @@
 /**
  * @file
- * Property test: the TagArray with LRU replacement is checked against
- * a simple reference model (per-set recency lists of ways) over long
- * randomized operation sequences, with cold (InsertPos::Lru) fills
- * mixed in and across a wrap of the 32-bit LRU clock.
+ * Property test: the set-associative array with LRU replacement is
+ * checked against a simple reference model (per-set recency lists of
+ * ways) over long randomized operation sequences, with cold
+ * (InsertPos::Lru) fills mixed in and across a wrap of the 32-bit LRU
+ * clock: as an L2/L3 TagArray under plain LRU, and as a snarf table's
+ * HistoryArray under its use-bit victim rule.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +28,8 @@ namespace
  * The other ways are cold (never filled, or filled at InsertPos::Lru
  * and not touched since) and tie below every recent way. A victim is
  * the lowest invalid way, else the lowest cold way, else the least
- * recent way.
+ * recent way. Each way also has a use bit (the snarf table's), which
+ * a fill clears.
  */
 class RefModel
 {
@@ -34,7 +37,7 @@ class RefModel
     RefModel(unsigned sets, unsigned ways, unsigned line)
         : ways_(ways), line_(line),
           lines_(sets, std::vector<Addr>(ways, InvalidAddr)),
-          recent_(sets)
+          used_(sets, std::vector<bool>(ways, false)), recent_(sets)
     {
     }
 
@@ -80,10 +83,33 @@ class RefModel
         return recent_[set].front();
     }
 
+    /**
+     * The snarf table's victim: the lowest invalid way, else the
+     * least recent way without a use bit, else the least recent way.
+     * (Its fills are all InsertPos::Mru, so no valid way is cold.)
+     */
+    unsigned
+    snarfVictim(unsigned set) const
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (lines_[set][w] == InvalidAddr)
+                return w;
+        }
+        for (const unsigned w : recent_[set]) {
+            if (!used_[set][w])
+                return w;
+        }
+        return recent_[set].front();
+    }
+
+    bool used(unsigned set, unsigned way) const { return used_[set][way]; }
+    void markUsed(unsigned set, unsigned way) { used_[set][way] = true; }
+
     void
     fill(unsigned set, unsigned way, Addr line_addr, InsertPos pos)
     {
         lines_[set][way] = line_addr;
+        used_[set][way] = false;
         std::erase(recent_[set], way);
         if (pos == InsertPos::Mru)
             recent_[set].push_back(way);
@@ -112,12 +138,27 @@ class RefModel
     unsigned ways_;
     unsigned line_;
     std::vector<std::vector<Addr>> lines_;
+    std::vector<std::vector<bool>> used_;
     std::vector<std::vector<unsigned>> recent_;
 };
 
 constexpr unsigned Line = 128;
 constexpr unsigned Ways = 4;
 constexpr unsigned Sets = 8;
+
+/** Every way's rank in @p tags must equal the model's. */
+template <typename Entry>
+void
+expectRanksMatch(const SetAssocArray<Entry> &tags, const RefModel &model,
+                 int step)
+{
+    for (unsigned st = 0; st < Sets; ++st) {
+        for (unsigned w = 0; w < Ways; ++w) {
+            ASSERT_EQ(tags.lru().rank(st, w), model.rank(st, w))
+                << "step " << step << " set " << st << " way " << w;
+        }
+    }
+}
 
 /**
  * @p steps random references through @p tags and @p model, each miss
@@ -154,12 +195,52 @@ runSequence(TagArray &tags, RefModel &model, Rng &rng, double lru_frac,
             tags.insert(victim, line, LineState::Shared, pos);
             model.fill(set, model_way, line, pos);
         }
-        for (unsigned st = 0; st < Sets; ++st) {
-            for (unsigned w = 0; w < Ways; ++w) {
-                ASSERT_EQ(tags.lru().rank(st, w), model.rank(st, w))
-                    << "step " << step << " set " << st << " way " << w;
+        ASSERT_NO_FATAL_FAILURE(expectRanksMatch(tags, model, step));
+    }
+}
+
+/**
+ * @p steps random snarf-table operations through @p table and
+ * @p model, written as SnarfTable writes them: a write back (a
+ * touching lookup, else a fill into the LRU way without a use bit,
+ * else the LRU way), a miss (a touching lookup that sets the use
+ * bit), a flag check (a touching lookup that reads it) and a
+ * non-touching lookup. Every hit, use bit, victim and rank must
+ * agree.
+ */
+void
+runSnarfSequence(HistoryArray &table, RefModel &model, Rng &rng,
+                 int steps)
+{
+    for (int step = 0; step < steps; ++step) {
+        const Addr line = rng.below(3 * Sets * Ways) * Line;
+        const unsigned set = model.setOf(line);
+        const unsigned way = model.wayOf(line);
+        const auto roll = rng.below(100);
+
+        const bool touch = roll < 85;
+        HistoryEntry *e = table.lookup(line, touch);
+        ASSERT_EQ(e != nullptr, way < Ways) << "step " << step;
+        if (e) {
+            ASSERT_EQ(e->used, model.used(set, way)) << "step " << step;
+            if (touch)
+                model.touch(set, way);
+            if (roll >= 40 && roll < 70) {
+                e->used = true;
+                model.markUsed(set, way);
             }
+        } else if (roll < 40) {
+            HistoryEntry *victim = table.findVictimAmong(
+                line, [](const HistoryEntry &h) { return !h.used; });
+            if (!victim)
+                victim = table.findVictim(line);
+            const unsigned model_way = model.snarfVictim(set);
+            ASSERT_EQ(table.lineOf(victim), model.lineAt(set, model_way))
+                << "step " << step;
+            table.insert(victim, line, {.present = true});
+            model.fill(set, model_way, line, InsertPos::Mru);
         }
+        ASSERT_NO_FATAL_FAILURE(expectRanksMatch(table, model, step));
     }
 }
 
@@ -189,6 +270,17 @@ TEST_P(TagArrayModelSweep, MatchesReferenceLruAcrossClockWrap)
     tags.setLruClockForTest(LruPolicy::MaxStamp - 300);
     runSequence(tags, model, rng, 0.25, 15000);
     EXPECT_LT(tags.lru().clock(), 15000u) << "the clock never wrapped";
+}
+
+TEST_P(TagArrayModelSweep, SnarfRuleMatchesReferenceAcrossClockWrap)
+{
+    HistoryArray table(Sets * Ways * Line, Ways, Line);
+    RefModel model(Sets, Ways, Line);
+    Rng rng(GetParam());
+    runSnarfSequence(table, model, rng, 5000);
+    table.setLruClockForTest(LruPolicy::MaxStamp - 300);
+    runSnarfSequence(table, model, rng, 15000);
+    EXPECT_LT(table.lru().clock(), 15000u) << "the clock never wrapped";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TagArrayModelSweep,

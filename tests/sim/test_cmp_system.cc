@@ -393,7 +393,7 @@ TEST(CmpSystem, GlobalWbhtAllocationFillsAllTables)
     sys.run();
     // The squash of WB #2 allocates in *both* L2s' tables.
     ASSERT_NE(sys.l2(1).wbht(), nullptr);
-    EXPECT_TRUE(sys.l2(1).wbht()->table().contains(0x0, false));
+    EXPECT_NE(sys.l2(1).wbht()->table().peek(0x0), nullptr);
 }
 
 TEST(CmpSystem, BaselineHasNoTables)
