@@ -6,7 +6,8 @@
  *
  * Run:  ./examples/quickstart [--refs=N] [--outstanding=K]
  *
- * Any other option, and any positional argument, fails by name.
+ * Any other option, and any positional argument, fails by name with
+ * exit status 1.
  */
 
 #include <iostream>
@@ -19,13 +20,12 @@ using namespace cmpcache;
 
 int
 main(int argc, char **argv)
-{
+try {
     const CliArgs args(argc, argv);
     args.requireKnown({"refs", "outstanding"});
     args.requireNoPositional();
-    const std::uint64_t refs =
-        args.getUnsigned("refs", std::uint64_t{20000});
-    const unsigned outstanding = args.getUnsigned("outstanding", 6u);
+    const std::uint64_t refs = args.get("refs", std::uint64_t{20000});
+    const unsigned outstanding = args.get("outstanding", 6u);
 
     // The workload: a scaled-down stand-in for the paper's TP trace.
     const WorkloadParams wl = workloads::tp(refs, /*seed=*/42);
@@ -63,4 +63,8 @@ main(int argc, char **argv)
     std::cout << "WBHT + snarfing improve runtime by "
               << improvementPct(base, comb) << "%\n";
     return 0;
+} catch (const SimException &e) {
+    std::cerr << "error (" << toString(e.kind()) << "): " << e.what()
+              << "\n";
+    return 1;
 }

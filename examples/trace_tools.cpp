@@ -10,7 +10,8 @@
  *           --out=/tmp/trade2.trace --format=binary
  *
  * --format is text or binary (the default); any other option, and
- * any positional argument, fails by name before anything is written.
+ * any positional argument, fails by name with exit status 1 before
+ * anything is written.
  */
 
 #include <iostream>
@@ -26,22 +27,25 @@ using namespace cmpcache;
 
 int
 main(int argc, char **argv)
-{
+try {
     const CliArgs args(argc, argv);
     args.requireKnown({"workload", "refs", "seed", "out", "format"});
     args.requireNoPositional();
     const std::string name = args.getString("workload", "TP");
-    const auto refs = args.getUnsigned("refs", std::uint64_t{2000});
+    const auto refs = args.get("refs", std::uint64_t{2000});
     const std::string path =
         args.getString("out", "/tmp/cmpcache_example.trace");
     const std::string format = args.getString("format", "binary");
-    if (format != "text" && format != "binary")
-        cmp_fatal("--format must be text or binary, got '", format, "'");
+    if (format != "text" && format != "binary") {
+        throw SimException(SimErrorKind::Config,
+                           cstr("--format must be text or binary, got '",
+                                format, "'"));
+    }
     const bool binary = format == "binary";
 
     // 1. Synthesize.
     const auto params = workloads::byName(
-        name, refs, args.getUnsigned("seed", std::uint64_t{1}));
+        name, refs, args.get("seed", std::uint64_t{1}));
     SyntheticWorkload wl(params);
     const auto records = wl.materialize();
     std::cout << "synthesized " << records.size() << " references for "
@@ -95,4 +99,8 @@ main(int argc, char **argv)
               << " cycles (L2 hit rate "
               << 100.0 * sys.l2HitRate() << "%)\n";
     return 0;
+} catch (const SimException &e) {
+    std::cerr << "error (" << toString(e.kind()) << "): " << e.what()
+              << "\n";
+    return 1;
 }

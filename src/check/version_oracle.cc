@@ -136,7 +136,6 @@ VersionOracle::validateSupplier(LineShadow &s, Tick now, Addr line,
 void
 VersionOracle::onStore(AgentId agent, Addr line, Tick now)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     LineShadow &s = shadow(line);
     Holder *h = find(s, agent);
     if (!h) {
@@ -162,14 +161,12 @@ VersionOracle::onStore(AgentId agent, Addr line, Tick now)
 void
 VersionOracle::onSeedCopy(AgentId agent, Addr line, bool dirty)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     setHolder(shadow(line), agent, 0, dirty);
 }
 
 void
 VersionOracle::sealSeeding()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     for (auto &kv : lines_) {
         unsigned l2_holders = 0;
         for (const auto &h : kv.second.holders)
@@ -186,7 +183,6 @@ void
 VersionOracle::onDropCopy(AgentId agent, Addr line, Tick now)
 {
     (void)now;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = lines_.find(line);
     if (it == lines_.end())
         return;
@@ -198,7 +194,6 @@ VersionOracle::onDropCopy(AgentId agent, Addr line, Tick now)
 void
 VersionOracle::onLocalSquash(AgentId agent, Addr line, Tick now)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = lines_.find(line);
     if (it == lines_.end())
         return;
@@ -224,7 +219,6 @@ void
 VersionOracle::onWbArrivedL3(Addr line, bool dirty, Tick now)
 {
     (void)now;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = lines_.find(line);
     if (it == lines_.end())
         return;
@@ -245,7 +239,6 @@ void
 VersionOracle::onMemoryWrite(AgentId l3_agent, Addr line, Tick now)
 {
     (void)now;
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = lines_.find(line);
     if (it == lines_.end())
         return;
@@ -290,148 +283,145 @@ void
 VersionOracle::onCombined(const BusRequest &req,
                           const CombinedResult &res, Tick now)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const Addr line = req.lineAddr;
-        LineShadow &s = shadow(line);
+    const Addr line = req.lineAddr;
+    LineShadow &s = shadow(line);
 
-        // An L2 can legitimately demand-miss a line still parked in
-        // its own write-back queue and be served older data by the
-        // L3 or memory -- the newest version never left the
-        // requester, so that stale supply is the machine's accepted
-        // self-race, not a conformance bug.
-        const Holder *rh = find(s, req.requester);
-        const bool self_race = rh && rh->version == s.committed;
+    // An L2 can legitimately demand-miss a line still parked in
+    // its own write-back queue and be served older data by the
+    // L3 or memory -- the newest version never left the
+    // requester, so that stale supply is the machine's accepted
+    // self-race, not a conformance bug.
+    const Holder *rh = find(s, req.requester);
+    const bool self_race = rh && rh->version == s.committed;
 
-        switch (res.resp) {
-          case CombinedResp::Retry:
-            break;
+    switch (res.resp) {
+      case CombinedResp::Retry:
+        break;
 
-          case CombinedResp::L2Data:
-            if (!self_race)
-                validateSupplier(s, now, line, res.source, "peer L2");
-            else
-                ++checked_;
-            applyFill(s, req);
-            if (req.cmd == BusCmd::ReadExcl)
-                dropOthers(s, req.requester);
-            break;
-
-          case CombinedResp::L3Data:
-            if (!self_race)
-                validateSupplier(s, now, line, l3Agent_, "L3");
-            else
-                ++checked_;
-            applyFill(s, req);
-            if (req.cmd == BusCmd::ReadExcl)
-                dropOthers(s, req.requester);
-            break;
-
-          case CombinedResp::MemData:
+      case CombinedResp::L2Data:
+        if (!self_race)
+            validateSupplier(s, now, line, res.source, "peer L2");
+        else
             ++checked_;
-            // Tolerated while an accepted write back's data is still
-            // crossing the data ring to the L3 (s.l3Inflight): the
-            // machine's L3 cannot snoop-hit or supply it yet, so
-            // memory is its only source -- an architected window.
-            if (!self_race && s.l3Inflight == 0
-                && s.mem != s.committed && !s.lossAccounted)
-                raise(s, now, line, req.requester, s.committed, s.mem,
-                      "memory supplies stale data");
-            applyFill(s, req);
-            if (req.cmd == BusCmd::ReadExcl)
-                dropOthers(s, req.requester);
-            break;
-
-          case CombinedResp::Upgraded: {
-            ++checked_;
-            // Tolerant when the requester's entry is gone: the L2
-            // notices the lost copy at observe time and refetches
-            // with ReadExcl instead of writing.
-            if (Holder *h = find(s, req.requester)) {
-                if (h->version != s.committed && !s.lossAccounted)
-                    raise(s, now, line, req.requester, s.committed,
-                          h->version,
-                          "upgrade granted on a stale copy");
-                h->dirty = true;
-            }
+        applyFill(s, req);
+        if (req.cmd == BusCmd::ReadExcl)
             dropOthers(s, req.requester);
-            break;
-          }
+        break;
 
-          case CombinedResp::WbAcceptL3: {
+      case CombinedResp::L3Data:
+        if (!self_race)
+            validateSupplier(s, now, line, l3Agent_, "L3");
+        else
             ++checked_;
-            Holder *h = find(s, req.requester);
-            if (!h) {
-                raise(s, now, line, req.requester, s.committed, 0,
-                      "write back from an agent with no shadow copy");
-                break;
-            }
-            // Only a *dirty* write back asserts "this is the newest
-            // data": a clean one can legally carry an older version
-            // (a stale copy created by the architected snarf-after-
-            // refetch window being cycled back out). And even a dirty
-            // one is tolerated while another dirty holder still
-            // covers the newest version -- snarfing an own write back
-            // that raced the issuer's refetch duplicates the dirty
-            // copy, and the duplicate goes stale at the next silent
-            // store. Stale copies are tracked at their true version
-            // and flagged the moment they actually supply a demand
-            // request.
-            if (req.cmd == BusCmd::WbDirty
-                && h->version != s.committed && !s.lossAccounted
-                && !anyDirtyAt(s, s.committed))
+        applyFill(s, req);
+        if (req.cmd == BusCmd::ReadExcl)
+            dropOthers(s, req.requester);
+        break;
+
+      case CombinedResp::MemData:
+        ++checked_;
+        // Tolerated while an accepted write back's data is still
+        // crossing the data ring to the L3 (s.l3Inflight): the
+        // machine's L3 cannot snoop-hit or supply it yet, so
+        // memory is its only source -- an architected window.
+        if (!self_race && s.l3Inflight == 0
+            && s.mem != s.committed && !s.lossAccounted)
+            raise(s, now, line, req.requester, s.committed, s.mem,
+                  "memory supplies stale data");
+        applyFill(s, req);
+        if (req.cmd == BusCmd::ReadExcl)
+            dropOthers(s, req.requester);
+        break;
+
+      case CombinedResp::Upgraded: {
+        ++checked_;
+        // Tolerant when the requester's entry is gone: the L2
+        // notices the lost copy at observe time and refetches
+        // with ReadExcl instead of writing.
+        if (Holder *h = find(s, req.requester)) {
+            if (h->version != s.committed && !s.lossAccounted)
                 raise(s, now, line, req.requester, s.committed,
-                      h->version, "write back carries stale data");
-            // The version transfers to the L3; whether the issuer
-            // keeps a copy is its own call (it may have refetched the
-            // line while the write back waited), reported via
-            // onDropCopy / onLocalSquash from the issuer itself.
-            const std::uint64_t v = h->version;
-            Holder *l3 = find(s, l3Agent_);
-            const bool dirty =
-                req.cmd == BusCmd::WbDirty || (l3 && l3->dirty);
-            setHolder(s, l3Agent_, l3 ? std::max(l3->version, v) : v,
-                      dirty);
-            // The data still has to cross the data ring; until
-            // onWbArrivedL3 the machine's L3 cannot serve it.
-            ++s.l3Inflight;
-            break;
-          }
+                      h->version,
+                      "upgrade granted on a stale copy");
+            h->dirty = true;
+        }
+        dropOthers(s, req.requester);
+        break;
+      }
 
-          case CombinedResp::WbSnarfed: {
-            ++checked_;
-            Holder *h = find(s, req.requester);
-            if (!h) {
-                raise(s, now, line, req.requester, s.committed, 0,
-                      "snarfed write back from an agent with no "
-                      "shadow copy");
-                break;
-            }
-            // Same rules as WbAcceptL3: a snarfed clean write back may
-            // legally move an architected-stale copy between caches,
-            // and a stale dirty one is covered while another dirty
-            // holder keeps the newest version; the snarfer is tracked
-            // at the true (possibly old) version so a later stale
-            // supply flags.
-            if (req.cmd == BusCmd::WbDirty
-                && h->version != s.committed && !s.lossAccounted
-                && !anyDirtyAt(s, s.committed))
-                raise(s, now, line, req.requester, s.committed,
-                      h->version, "snarfed write back carries stale "
-                      "data");
-            setHolder(s, res.source, h->version,
-                      req.cmd == BusCmd::WbDirty);
-            break;
-          }
-
-          case CombinedResp::WbSquashed:
-            // The squash drops the issuer's queued copy; the issuer
-            // reports it via onLocalSquash (which flags if nothing
-            // newer survives) once it knows whether its tags still
-            // hold the line.
-            ++checked_;
+      case CombinedResp::WbAcceptL3: {
+        ++checked_;
+        Holder *h = find(s, req.requester);
+        if (!h) {
+            raise(s, now, line, req.requester, s.committed, 0,
+                  "write back from an agent with no shadow copy");
             break;
         }
+        // Only a *dirty* write back asserts "this is the newest
+        // data": a clean one can legally carry an older version
+        // (a stale copy created by the architected snarf-after-
+        // refetch window being cycled back out). And even a dirty
+        // one is tolerated while another dirty holder still
+        // covers the newest version -- snarfing an own write back
+        // that raced the issuer's refetch duplicates the dirty
+        // copy, and the duplicate goes stale at the next silent
+        // store. Stale copies are tracked at their true version
+        // and flagged the moment they actually supply a demand
+        // request.
+        if (req.cmd == BusCmd::WbDirty
+            && h->version != s.committed && !s.lossAccounted
+            && !anyDirtyAt(s, s.committed))
+            raise(s, now, line, req.requester, s.committed,
+                  h->version, "write back carries stale data");
+        // The version transfers to the L3; whether the issuer
+        // keeps a copy is its own call (it may have refetched the
+        // line while the write back waited), reported via
+        // onDropCopy / onLocalSquash from the issuer itself.
+        const std::uint64_t v = h->version;
+        Holder *l3 = find(s, l3Agent_);
+        const bool dirty =
+            req.cmd == BusCmd::WbDirty || (l3 && l3->dirty);
+        setHolder(s, l3Agent_, l3 ? std::max(l3->version, v) : v,
+                  dirty);
+        // The data still has to cross the data ring; until
+        // onWbArrivedL3 the machine's L3 cannot serve it.
+        ++s.l3Inflight;
+        break;
+      }
+
+      case CombinedResp::WbSnarfed: {
+        ++checked_;
+        Holder *h = find(s, req.requester);
+        if (!h) {
+            raise(s, now, line, req.requester, s.committed, 0,
+                  "snarfed write back from an agent with no "
+                  "shadow copy");
+            break;
+        }
+        // Same rules as WbAcceptL3: a snarfed clean write back may
+        // legally move an architected-stale copy between caches,
+        // and a stale dirty one is covered while another dirty
+        // holder keeps the newest version; the snarfer is tracked
+        // at the true (possibly old) version so a later stale
+        // supply flags.
+        if (req.cmd == BusCmd::WbDirty
+            && h->version != s.committed && !s.lossAccounted
+            && !anyDirtyAt(s, s.committed))
+            raise(s, now, line, req.requester, s.committed,
+                  h->version, "snarfed write back carries stale "
+                  "data");
+        setHolder(s, res.source, h->version,
+                  req.cmd == BusCmd::WbDirty);
+        break;
+      }
+
+      case CombinedResp::WbSquashed:
+        // The squash drops the issuer's queued copy; the issuer
+        // reports it via onLocalSquash (which flags if nothing
+        // newer survives) once it knows whether its tags still
+        // hold the line.
+        ++checked_;
+        break;
     }
     throwIfViolated();
 }
@@ -439,16 +429,12 @@ VersionOracle::onCombined(const BusRequest &req,
 void
 VersionOracle::throwIfViolated()
 {
-    std::string message;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!violation_.armed)
-            return;
-        message = violation_.message;
-        // Disarm so a handler inspecting the system afterwards does
-        // not re-trip on every later serial point.
-        violation_.armed = false;
-    }
+    if (!violation_.armed)
+        return;
+    std::string message = violation_.message;
+    // Disarm so a handler inspecting the system afterwards does not
+    // re-trip on every later serial point.
+    violation_.armed = false;
     if (snapshot_)
         message += "\n" + snapshot_();
     throw SimException(SimError(SimErrorKind::Conformance, message));
@@ -457,14 +443,12 @@ VersionOracle::throwIfViolated()
 bool
 VersionOracle::violated() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return violation_.armed;
 }
 
 std::string
 VersionOracle::violationMessage() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return violation_.message;
 }
 

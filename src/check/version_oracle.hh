@@ -49,9 +49,11 @@
  *    fires the moment a stale copy actually *supplies* a demand
  *    request.
  *
- * Thread safety: all state sits behind a mutex, and violations are
- * *recorded* first and thrown at the next serial point (every
- * combine, plus throwIfViolated() at end of run).
+ * Threads: none. Each oracle belongs to one CmpSystem, whose hooks
+ * all run on its one event queue. Violations are *recorded* first and
+ * thrown at the next combine (or by throwIfViolated() at end of run),
+ * so a violation surfaces at the ring's serialization point whichever
+ * hook found it.
  */
 
 #ifndef CMPCACHE_CHECK_VERSION_ORACLE_HH
@@ -59,7 +61,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -201,7 +202,6 @@ class VersionOracle
     AgentId l3Agent_;
     SnapshotFn snapshot_;
 
-    mutable std::mutex mu_;
     std::unordered_map<Addr, LineShadow> lines_;
 
     struct Violation

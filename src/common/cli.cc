@@ -1,27 +1,62 @@
 #include "common/cli.hh"
 
 #include <algorithm>
-#include <exception>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 
 #include "common/logging.hh"
 
 namespace cmpcache
 {
 
-std::optional<std::uint64_t>
-parseUnsigned(const std::string &s)
+namespace cli_detail
 {
-    bool digits = !s.empty();
-    for (const char c : s)
-        digits = digits && c >= '0' && c <= '9';
-    if (!digits)
-        return std::nullopt;
-    try {
-        return std::stoull(s);
-    } catch (const std::exception &) {
-        return std::nullopt; // out of range
-    }
+
+Expected<std::uint64_t>
+parseUnsigned(const std::string &what, const std::string &text,
+              std::uint64_t max)
+{
+    // For an unsigned type from_chars takes decimal digits only: no
+    // sign, space or base prefix, and it reports overflow.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc() && stop == end && v <= max)
+        return v;
+    return SimError(SimErrorKind::Config,
+                    cstr(what, " expects an integer from 0 to ", max,
+                         ", got '", text, "'"));
 }
+
+Expected<bool>
+parseBool(const std::string &what, const std::string &text)
+{
+    if (text == "true" || text == "1" || text == "yes" || text == "on")
+        return true;
+    if (text == "false" || text == "0" || text == "no" || text == "off")
+        return false;
+    return SimError(SimErrorKind::Config,
+                    cstr(what, " expects a boolean, got '", text, "'"));
+}
+
+Expected<double>
+parseFinite(const std::string &what, const std::string &text)
+{
+    if (!text.empty()
+        && text.find_first_not_of("0123456789.eE+-")
+               == std::string::npos) {
+        char *end = nullptr;
+        const double d = std::strtod(text.c_str(), &end);
+        if (end == text.c_str() + text.size() && std::isfinite(d))
+            return d;
+    }
+    return SimError(SimErrorKind::Config,
+                    cstr(what, " expects a finite number, got '", text,
+                         "'"));
+}
+
+} // namespace cli_detail
 
 CliArgs::CliArgs(int argc, const char *const *argv,
                  bool allow_subcommand)
@@ -63,52 +98,29 @@ CliArgs::getString(const std::string &key, const std::string &def) const
     return it == options_.end() ? def : it->second;
 }
 
-std::uint64_t
-CliArgs::getUnsignedMax(const std::string &key, std::uint64_t def,
-                        std::uint64_t max) const
-{
-    const auto it = options_.find(key);
-    if (it == options_.end())
-        return def;
-    const auto v = parseUnsigned(it->second);
-    if (!v || *v > max) {
-        cmp_fatal("option --", key, " expects an integer from 0 to ",
-                  max, ", got '", it->second, "'");
-    }
-    return *v;
-}
-
-bool
-CliArgs::getBool(const std::string &key, bool def) const
-{
-    const auto it = options_.find(key);
-    if (it == options_.end())
-        return def;
-    const std::string &v = it->second;
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    cmp_fatal("option --", key, " expects a boolean, got '", v, "'");
-}
-
 void
 CliArgs::requireKnown(std::initializer_list<std::string_view> known) const
 {
     for (const auto &[key, value] : options_) {
         if (std::find(known.begin(), known.end(), key) != known.end())
             continue;
-        if (subcommand_.empty())
-            cmp_fatal("unknown option --", key);
-        cmp_fatal("unknown option --", key, " for '", subcommand_, "'");
+        throw SimException(
+            SimErrorKind::Config,
+            subcommand_.empty()
+                ? cstr("unknown option --", key)
+                : cstr("unknown option --", key, " for '", subcommand_,
+                       "'"));
     }
 }
 
 void
 CliArgs::requireNoPositional() const
 {
-    if (!positional_.empty())
-        cmp_fatal("unexpected argument '", positional_.front(), "'");
+    if (!positional_.empty()) {
+        throw SimException(SimErrorKind::Config,
+                           cstr("unexpected argument '",
+                                positional_.front(), "'"));
+    }
 }
 
 } // namespace cmpcache

@@ -15,8 +15,12 @@
  *    APIs) or inside a SimException (failures that must unwind out of
  *    the event kernel mid-run).
  *
- * CLIs translate SimError kinds into exit codes at top level; library
- * code never calls exit().
+ * User input errors are SimErrors too: a bad --option, config key,
+ * wl.* key, workload or policy name, or an unreadable file. Library
+ * code never ends the process. Each program's main() catches SimException
+ * in one place, prints "error (<kind>): <message>" and exits 1
+ * (cmpcache: 2 for a conformance trip); cmpcache reports any other
+ * escaping std::exception as kind internal, also with exit 1.
  */
 
 #ifndef CMPCACHE_COMMON_ERROR_HH
@@ -24,6 +28,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -155,6 +160,20 @@ class SimException : public std::runtime_error
   private:
     SimError err_;
 };
+
+/**
+ * @p r's value, or its error thrown as a SimException: for callers
+ * that let a parse error unwind to main().
+ */
+template <typename T>
+T
+orThrow(Expected<T> r)
+{
+    if (!r)
+        throw SimException(std::move(r.error()));
+    if constexpr (!std::is_void_v<T>)
+        return std::move(r.value());
+}
 
 } // namespace cmpcache
 

@@ -47,14 +47,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::cerr << "fatal: " << msg << "\n  @ " << file << ":" << line
-              << std::endl;
-    std::exit(1);
-}
-
-void
 warnImpl(const std::string &msg)
 {
     std::lock_guard<std::mutex> lock(sinkMutex());

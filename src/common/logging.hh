@@ -4,11 +4,12 @@
  *
  * panic()  - an internal invariant was violated: a simulator bug.
  *            Aborts (may dump core).
- * fatal()  - the simulation cannot continue because of a user error
- *            (bad configuration, unreadable trace file, ...).
- *            Exits with status 1.
  * warn()   - something is questionable but the run can continue.
  * inform() - plain status output.
+ *
+ * There is no fatal(): a user error (bad configuration, unreadable
+ * trace file, ...) is a SimError (common/error.hh) that travels to
+ * the program's main(), which reports it and picks the exit status.
  */
 
 #ifndef CMPCACHE_COMMON_LOGGING_HH
@@ -35,8 +36,6 @@ namespace logging_detail
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -47,10 +46,6 @@ void setLogSink(std::ostream *sink);
 
 #define cmp_panic(...)                                                     \
     ::cmpcache::logging_detail::panicImpl(__FILE__, __LINE__,              \
-                                          ::cmpcache::cstr(__VA_ARGS__))
-
-#define cmp_fatal(...)                                                     \
-    ::cmpcache::logging_detail::fatalImpl(__FILE__, __LINE__,              \
                                           ::cmpcache::cstr(__VA_ARGS__))
 
 template <typename... Args>

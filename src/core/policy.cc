@@ -23,33 +23,16 @@ toString(WbPolicy p)
     return "?";
 }
 
-bool
-tryWbPolicyFromString(const std::string &name, WbPolicy &out)
-{
-    if (name == "baseline")
-        out = WbPolicy::Baseline;
-    else if (name == "wbht")
-        out = WbPolicy::Wbht;
-    else if (name == "wbht-global")
-        out = WbPolicy::WbhtGlobal;
-    else if (name == "snarf")
-        out = WbPolicy::Snarf;
-    else if (name == "combined")
-        out = WbPolicy::Combined;
-    else
-        return false;
-    return true;
-}
-
-WbPolicy
+Expected<WbPolicy>
 wbPolicyFromString(const std::string &name)
 {
-    WbPolicy p;
-    if (!tryWbPolicyFromString(name, p)) {
-        cmp_fatal("unknown write-back policy '", name, "' (expected "
-                  "baseline, wbht, wbht-global, snarf or combined)");
-    }
-    return p;
+    for (const auto p : kAllWbPolicies)
+        if (name == toString(p))
+            return p;
+    return SimError(SimErrorKind::Config,
+                    cstr("unknown write-back policy '", name,
+                         "' (expected baseline, wbht, wbht-global, "
+                         "snarf or combined)"));
 }
 
 PolicyConfig

@@ -24,6 +24,7 @@
 
 #include <string>
 
+#include "common/error.hh"
 #include "core/retry_monitor.hh"
 #include "core/snarf_table.hh"
 #include "core/wbht.hh"
@@ -41,12 +42,15 @@ enum class WbPolicy
     Combined,
 };
 
+/** Every policy, in the order `cmpcache list` prints them. */
+inline constexpr WbPolicy kAllWbPolicies[] = {
+    WbPolicy::Baseline, WbPolicy::Wbht, WbPolicy::WbhtGlobal,
+    WbPolicy::Snarf, WbPolicy::Combined};
+
 const char *toString(WbPolicy p);
-/** fatal() on unknown names (CLI convenience). */
-WbPolicy wbPolicyFromString(const std::string &name);
-/** Non-fatal parse; returns false and leaves @p out alone on
- * unknown names. */
-bool tryWbPolicyFromString(const std::string &name, WbPolicy &out);
+/** The policy toString() names @p name; SimError (Config) on unknown
+ * names. */
+Expected<WbPolicy> wbPolicyFromString(const std::string &name);
 
 struct PolicyConfig
 {

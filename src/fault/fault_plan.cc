@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/cli.hh"
+
 namespace cmpcache
 {
 
@@ -52,20 +54,6 @@ planError(std::size_t window, const std::string &what)
     return SimError(SimErrorKind::Config,
                     "fault plan window " + std::to_string(window + 1)
                         + ": " + what);
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty()
-        || s.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    try {
-        out = std::stoull(s);
-    } catch (...) {
-        return false;
-    }
-    return true;
 }
 
 std::vector<std::string>
@@ -121,11 +109,11 @@ parseFaultPlan(const std::string &spec)
                                       "wb_blind_spot)");
         FaultWindow w;
         w.kind = info->kind;
-        if (!parseU64(parts[1], w.from))
+        if (!parseInto(w.from, "", parts[1]))
             return planError(i, "bad start cycle '" + parts[1] + "'");
         if (parts[2] == "end") {
             w.until = MaxTick;
-        } else if (!parseU64(parts[2], w.until)) {
+        } else if (!parseInto(w.until, "", parts[2])) {
             return planError(i, "bad end cycle '" + parts[2]
                                     + "' (number or 'end')");
         }
@@ -140,7 +128,7 @@ parseFaultPlan(const std::string &spec)
         }
         w.arg = info->defaultArg;
         if (parts.size() == 4) {
-            if (!parseU64(parts[3], w.arg))
+            if (!parseInto(w.arg, "", parts[3]))
                 return planError(i, "bad argument '" + parts[3] + "'");
             if (info->permille && w.arg > 1000)
                 return planError(i, "permille argument "

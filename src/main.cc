@@ -46,7 +46,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -67,6 +66,14 @@ using namespace cmpcache;
 
 namespace
 {
+
+/** Throw a SimException of @p kind; main() reports it. */
+template <typename... Args>
+[[noreturn]] void
+fail(SimErrorKind kind, Args &&...args)
+{
+    throw SimException(kind, cstr(std::forward<Args>(args)...));
+}
 
 void
 usage()
@@ -162,10 +169,7 @@ applyConfigArgs(const CliArgs &args, SystemConfig &cfg,
                 std::size_t first = 0)
 {
     if (args.has("config")) {
-        const auto loaded =
-            loadConfigFile(cfg, args.getString("config", ""));
-        if (!loaded.ok())
-            cmp_fatal(loaded.error().message);
+        orThrow(loadConfigFile(cfg, args.getString("config", "")));
     }
     WorkloadOverrides wl_overrides;
     const auto &positional = args.positional();
@@ -173,21 +177,18 @@ applyConfigArgs(const CliArgs &args, SystemConfig &cfg,
         const std::string &pos = positional[i];
         const auto eq = pos.find('=');
         if (eq == std::string::npos)
-            cmp_fatal("positional argument '", pos,
-                      "' is not a key=value override");
+            fail(SimErrorKind::Config, "positional argument '", pos,
+                 "' is not a key=value override");
         const std::string key = pos.substr(0, eq);
         const std::string value = pos.substr(eq + 1);
-        if (isWorkloadKey(key)) {
+        if (isWorkloadKey(key))
             wl_overrides.emplace_back(key, value);
-        } else {
-            const auto applied = applyConfigOption(cfg, key, value);
-            if (!applied.ok())
-                cmp_fatal(applied.error().message);
-        }
+        else
+            orThrow(applyConfigOption(cfg, key, value));
     }
     // CLI observability knobs override config-file obs.* keys.
     if (args.has("sample-every"))
-        cfg.obs.sampleEvery = args.getUnsigned<Tick>("sample-every", 0);
+        cfg.obs.sampleEvery = args.get<Tick>("sample-every", 0);
     if (!args.getString("trace-out", "").empty())
         cfg.obs.traceEnabled = true;
     return wl_overrides;
@@ -198,7 +199,8 @@ statsFormatArg(const CliArgs &args)
 {
     if (!args.has("stats-format")) {
         if (args.has("stats-out"))
-            cmp_fatal("--stats-out needs --stats-format=text|json");
+            fail(SimErrorKind::Config,
+                 "--stats-out needs --stats-format=text|json");
         return StatsFormat::None;
     }
     const std::string s = args.getString("stats-format", "");
@@ -206,7 +208,8 @@ statsFormatArg(const CliArgs &args)
         return StatsFormat::Text;
     if (s == "json")
         return StatsFormat::Json;
-    cmp_fatal("--stats-format expects text|json, got '", s, "'");
+    fail(SimErrorKind::Config, "--stats-format expects text|json, got '",
+         s, "'");
 }
 
 /**
@@ -249,7 +252,8 @@ writeCellOutputs(const CliArgs &args, const char *cmd,
             const auto path = perCellPath(trace_out, i, cells.size());
             std::ofstream os(path);
             if (!os)
-                cmp_fatal("cannot write trace file '", path, "'");
+                fail(SimErrorKind::Io, "cannot write trace file '", path,
+                     "'");
             writeChromeTrace(os, r.trace,
                              r.samples.empty() ? nullptr : &r.samples);
             if (!quiet)
@@ -264,7 +268,7 @@ writeCellOutputs(const CliArgs &args, const char *cmd,
         const auto path = perCellPath(stats_out, i, cells.size());
         std::ofstream os(path);
         if (!os)
-            cmp_fatal("cannot write stats file '", path, "'");
+            fail(SimErrorKind::Io, "cannot write stats file '", path, "'");
         os << r.statsDump;
         if (!quiet)
             inform(cmd, ": stats written to ", path);
@@ -293,9 +297,7 @@ listMain()
     for (const auto &w : workloads::stressNames())
         std::cout << "  " << w << "\n";
     std::cout << "policies:\n";
-    for (const auto p :
-         {WbPolicy::Baseline, WbPolicy::Wbht, WbPolicy::WbhtGlobal,
-          WbPolicy::Snarf, WbPolicy::Combined})
+    for (const auto p : kAllWbPolicies)
         std::cout << "  " << toString(p) << "\n";
     return 0;
 }
@@ -308,30 +310,30 @@ sweepMain(const CliArgs &args)
         "workloads", "TP,CPW2,NotesBench,Trade2"));
     for (const auto &p : splitCsv(args.getString(
              "policies", "baseline,wbht,snarf,combined")))
-        spec.policies.push_back(wbPolicyFromString(p));
+        spec.policies.push_back(orThrow(wbPolicyFromString(p)));
     for (const auto &o : splitCsv(args.getString("outstanding", "6"))) {
-        const auto v = parseUnsigned(o);
-        if (!v || *v == 0 || *v > std::numeric_limits<unsigned>::max())
-            cmp_fatal("--outstanding values must be positive integers, "
-                      "got '", o, "'");
-        spec.outstanding.push_back(static_cast<unsigned>(*v));
+        unsigned v = 0;
+        if (!parseInto(v, "--outstanding", o) || v == 0)
+            fail(SimErrorKind::Config,
+                 "--outstanding values must be positive integers, got '",
+                 o, "'");
+        spec.outstanding.push_back(v);
     }
-    spec.recordsPerThread =
-        args.getUnsigned("refs", std::uint64_t{20000});
-    spec.seed = args.getUnsigned("seed", std::uint64_t{1});
-    spec.checkCoherence = args.getBool("check-coherence", false);
+    spec.recordsPerThread = args.get("refs", std::uint64_t{20000});
+    spec.seed = args.get("seed", std::uint64_t{1});
+    spec.checkCoherence = args.get("check-coherence", false);
     spec.workloadOverrides = applyConfigArgs(args, spec.base);
     spec.statsFormat = statsFormatArg(args);
 
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    const auto threads = args.getUnsigned("threads", hw);
+    const auto threads = args.get("threads", hw);
     if (threads == 0)
-        cmp_fatal("--threads must be positive");
+        fail(SimErrorKind::Config, "--threads must be positive");
 
     SweepProgressPrinter progress(std::cerr);
-    const bool quiet = args.getBool("quiet", false);
+    const bool quiet = args.get("quiet", false);
     if (!quiet)
         inform("sweep: ", spec.size(), " jobs on ", threads,
                " threads (", spec.workloads.size(), " workloads x ",
@@ -351,7 +353,8 @@ sweepMain(const CliArgs &args)
     } else {
         std::ofstream os(out);
         if (!os)
-            cmp_fatal("cannot write results file '", out, "'");
+            fail(SimErrorKind::Io, "cannot write results file '", out,
+                 "'");
         writeSweepResultsJson(os, spec, results);
         if (!quiet)
             inform("sweep: results written to ", out);
@@ -362,7 +365,7 @@ sweepMain(const CliArgs &args)
         const auto path = args.getString("bench-out", "");
         std::ofstream os(path);
         if (!os)
-            cmp_fatal("cannot write bench file '", path, "'");
+            fail(SimErrorKind::Io, "cannot write bench file '", path, "'");
         writeSweepBenchJson(os, spec, results, threads, wall);
         if (!quiet)
             inform("sweep: bench timing written to ", path);
@@ -395,18 +398,18 @@ int
 chaosMain(const CliArgs &args)
 {
     ChaosOptions opts;
-    opts.seed = args.getUnsigned("seed", std::uint64_t{1});
-    opts.samples = args.getUnsigned("samples", 16u);
+    opts.seed = args.get("seed", std::uint64_t{1});
+    opts.samples = args.get("samples", 16u);
     if (opts.samples == 0)
-        cmp_fatal("--samples must be positive");
-    opts.recordsPerThread = args.getUnsigned("refs", std::uint64_t{1200});
+        fail(SimErrorKind::Config, "--samples must be positive");
+    opts.recordsPerThread = args.get("refs", std::uint64_t{1200});
     opts.timeBoxSecs =
-        static_cast<double>(args.getUnsigned("time-box", std::uint64_t{0}));
+        static_cast<double>(args.get("time-box", std::uint64_t{0}));
     opts.extraFaultPlan = args.getString("fault-plan", "");
-    opts.withFaults = !args.getBool("no-faults", false);
-    opts.minimize = !args.getBool("no-minimize", false);
+    opts.withFaults = !args.get("no-faults", false);
+    opts.minimize = !args.get("no-minimize", false);
     opts.minimizeTargetRecords =
-        args.getUnsigned("minimize-target", std::size_t{200});
+        args.get("minimize-target", std::size_t{200});
     opts.reproDir = args.getString("repro-dir", "chaos-repro");
 
     const ChaosReport report = runChaos(opts, std::cerr);
@@ -432,25 +435,27 @@ serveMain(const CliArgs &args)
     const std::string trace = args.getString("trace", "");
     const std::string workload = args.getString("workload", "");
     if (trace.empty() == workload.empty()) {
-        cmp_fatal("serve needs exactly one input: --trace=PATH|- or "
-                  "--workload=NAME");
+        fail(SimErrorKind::Config,
+             "serve needs exactly one input: --trace=PATH|- or "
+             "--workload=NAME");
     }
     // A stream brings its own records: the generator options would be
     // silently ignored.
     if (!trace.empty()) {
         for (const char *opt : {"refs", "seed"})
             if (args.has(opt))
-                cmp_fatal("serve: --", opt, " needs --workload");
+                fail(SimErrorKind::Config, "serve: --", opt,
+                     " needs --workload");
         if (!wl_overrides.empty())
-            cmp_fatal("serve: ", wl_overrides.front().first,
-                      " needs --workload");
+            fail(SimErrorKind::Config, "serve: ",
+                 wl_overrides.front().first, " needs --workload");
     }
-    const auto refs = args.getUnsigned("refs", std::uint64_t{20000});
+    const auto refs = args.get("refs", std::uint64_t{20000});
     if (refs == 0)
-        cmp_fatal("serve: --refs must be positive");
+        fail(SimErrorKind::Config, "serve: --refs must be positive");
     cfg.validate();
 
-    const bool quiet = args.getBool("quiet", false);
+    const bool quiet = args.get("quiet", false);
     std::unique_ptr<Simulation> sim;
     if (!trace.empty()) {
         std::unique_ptr<std::istream> in;
@@ -462,7 +467,8 @@ serveMain(const CliArgs &args)
             auto f = std::make_unique<std::ifstream>(
                 trace, std::ios::binary);
             if (!*f)
-                cmp_fatal("cannot open trace stream '", trace, "'");
+                fail(SimErrorKind::Io, "cannot open trace stream '",
+                     trace, "'");
             in = std::move(f);
         }
         if (!quiet)
@@ -472,7 +478,7 @@ serveMain(const CliArgs &args)
                                            std::move(name));
     } else {
         const auto params = resolveWorkload(
-            workload, refs, args.getUnsigned("seed", std::uint64_t{1}),
+            workload, refs, args.get("seed", std::uint64_t{1}),
             wl_overrides, cfg);
         if (!quiet)
             inform("serve: synthetic ", workload, " generator, ",
@@ -492,7 +498,8 @@ serveMain(const CliArgs &args)
     if (out != "-" && !out.empty()) {
         file.open(out);
         if (!file)
-            cmp_fatal("cannot write results file '", out, "'");
+            fail(SimErrorKind::Io, "cannot write results file '", out,
+                 "'");
     }
     std::ostream &os = file.is_open() ? file : std::cout;
     os << "{\n  \"schema\": \"cmpcache-serve-result-v1\",\n"
@@ -533,7 +540,7 @@ helpConfigMain(const CliArgs &args)
     // Echo only overrides that sweep and serve would accept.
     WorkloadParams parsed;
     for (const auto &[key, value] : wl_overrides)
-        applyWorkloadOption(parsed, key, value);
+        orThrow(applyWorkloadOption(parsed, key, value));
     saveConfig(cfg, std::cout);
     std::cout << "#\n# workload keys: KEY=VALUE overrides for sweep "
                  "and serve, not config-file keys\n";
@@ -548,7 +555,7 @@ helpConfigMain(const CliArgs &args)
 
 int
 main(int argc, char **argv)
-{
+try {
     const CliArgs args(argc, argv, /*allow_subcommand=*/true);
     const std::string &cmd = args.subcommand();
     if (cmd == "help" && !args.positional().empty()
@@ -556,9 +563,9 @@ main(int argc, char **argv)
         args.requireKnown({"config", "sample-every"});
         return helpConfigMain(args);
     }
-    if (cmd.empty() || cmd == "help" || args.getBool("help", false)) {
+    if (cmd.empty() || cmd == "help" || args.get("help", false)) {
         usage();
-        return cmd.empty() && !args.getBool("help", false) ? 1 : 0;
+        return cmd.empty() && !args.get("help", false) ? 1 : 0;
     }
     if (cmd == "sweep") {
         args.requireKnown({"workloads", "policies", "outstanding", "refs",
@@ -566,46 +573,35 @@ main(int argc, char **argv)
                            "check-coherence", "sample-every",
                            "trace-out", "stats-format", "stats-out",
                            "config", "quiet"});
-        try {
-            return sweepMain(args);
-        } catch (const SimException &e) {
-            std::cerr << "error (" << toString(e.error().kind)
-                      << "): " << e.error().message << "\n";
-            return 1;
-        }
+        return sweepMain(args);
     }
     if (cmd == "serve") {
         args.requireKnown({"trace", "workload", "refs", "seed",
                            "sample-every", "trace-out",
                            "stats-format", "stats-out", "out", "config",
                            "quiet"});
-        try {
-            return serveMain(args);
-        } catch (const SimException &e) {
-            std::cerr << "error (" << toString(e.error().kind)
-                      << "): " << e.error().message << "\n";
-            // A conformance trip on a replayed reproducer is the
-            // expected outcome; give it the coherence exit code.
-            return e.error().kind == SimErrorKind::Conformance ? 2
-                                                               : 1;
-        }
+        return serveMain(args);
     }
     if (cmd == "chaos") {
         args.requireKnown({"seed", "samples", "refs", "time-box",
                            "fault-plan", "no-faults", "no-minimize",
                            "minimize-target", "repro-dir"});
-        try {
-            return chaosMain(args);
-        } catch (const SimException &e) {
-            std::cerr << "error (" << toString(e.error().kind)
-                      << "): " << e.error().message << "\n";
-            return 1;
-        }
+        return chaosMain(args);
     }
     if (cmd == "list") {
         args.requireKnown({});
         return listMain();
     }
-    cmp_fatal("unknown subcommand '", cmd,
-              "' (expected sweep, serve, chaos, list or help)");
+    fail(SimErrorKind::Config, "unknown subcommand '", cmd,
+         "' (expected sweep, serve, chaos, list or help)");
+} catch (const SimException &e) {
+    std::cerr << "error (" << toString(e.kind())
+              << "): " << e.error().message << "\n";
+    // A conformance trip on a replayed reproducer is the expected
+    // outcome; give it the coherence exit code.
+    return e.kind() == SimErrorKind::Conformance ? 2 : 1;
+} catch (const std::exception &e) {
+    std::cerr << "error (" << toString(SimErrorKind::Internal)
+              << "): " << e.what() << "\n";
+    return 1;
 }

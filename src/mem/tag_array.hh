@@ -14,14 +14,12 @@
  * (the first invalid way, else the oldest stamp, lowest way on ties)
  * and one clock wrap (renumberStamps).
  *
- * The set-scan methods (lookup, peek, findVictim*, anyInSet) are the
- * per-reference hot path: they live in the header, take predicates as
- * template parameters so controller lambdas inline, and hand the
- * LRU state a 64-bit candidate way mask instead of a heap-allocated
- * index vector. The constructor, insert() and invalidate() stay out
- * of line in tag_array.cc, instantiated there for both entry types.
- * Only cold walks (forEach) keep the type-erased std::function
- * interface.
+ * The whole array lives in this header. The set-scan methods
+ * (lookup, peek, findVictim*, anyInSet) are the per-reference hot
+ * path: they take predicates as template parameters so controller
+ * lambdas inline, and hand the LRU state a 64-bit candidate way mask
+ * instead of a heap-allocated index vector. Only cold walks (forEach)
+ * keep the type-erased std::function interface.
  */
 
 #ifndef CMPCACHE_MEM_TAG_ARRAY_HH
@@ -31,6 +29,8 @@
 #include <vector>
 
 #include "coherence/state.hh"
+#include "common/intmath.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/replacement.hh"
 
@@ -93,7 +93,29 @@ class SetAssocArray
      *                   table's granule
      */
     SetAssocArray(std::uint64_t size_bytes, unsigned assoc,
-                  unsigned line_size);
+                  unsigned line_size)
+        : assoc_(assoc),
+          lineSize_(line_size),
+          lineShift_(floorLog2(line_size)),
+          lineMask_(line_size - 1)
+    {
+        cmp_assert(isPowerOf2(line_size), "line size must be a power of 2");
+        cmp_assert(assoc > 0, "associativity must be positive");
+        cmp_assert(assoc <= 64, "way masks support at most 64 ways");
+        cmp_assert(size_bytes % (static_cast<std::uint64_t>(assoc)
+                                 * line_size) == 0,
+                   "capacity must divide evenly into sets");
+        const std::uint64_t sets =
+            size_bytes / (static_cast<std::uint64_t>(assoc) * line_size);
+        // numSets_ and setIndex() are 32 bits wide.
+        cmp_assert(isPowerOf2(sets) && sets <= (std::uint64_t{1} << 31),
+                   "number of sets must be a power of 2 up to 2^31 (got ",
+                   sets, ")");
+        numSets_ = static_cast<unsigned>(sets);
+        entries_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+        tags_.assign(entries_.size(), InvalidAddr);
+        lru_.init(numSets_, assoc_);
+    }
 
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
@@ -241,11 +263,34 @@ class SetAssocArray
      * Install @p addr into @p victim (obtained from findVictim*): the
      * way becomes @p fill, so per-line metadata bits start clear.
      */
-    void insert(Entry *victim, Addr addr, Entry fill,
-                InsertPos pos = InsertPos::Mru);
+    void
+    insert(Entry *victim, Addr addr, Entry fill,
+           InsertPos pos = InsertPos::Mru)
+    {
+        cmp_assert(victim != nullptr, "insert into null victim");
+        const unsigned set = setIndex(addr);
+        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+        const std::size_t slot =
+            static_cast<std::size_t>(victim - entries_.data());
+        cmp_assert(slot - base < assoc_,
+                   "victim belongs to a different set");
+        *victim = fill;
+        tags_[slot] = lineAlign(addr);
+        lru_.insert(set, static_cast<unsigned>(slot - base), pos);
+    }
 
     /** Invalidate an entry (keeps replacement metadata untouched). */
-    void invalidate(Entry *entry);
+    void
+    invalidate(Entry *entry)
+    {
+        cmp_assert(entry != nullptr, "invalidating null entry");
+        // Clearing the line keeps the lookup/peek invariant that a
+        // matching line implies a valid entry (no line-aligned address
+        // can equal InvalidAddr), so the scans skip the state check.
+        *entry = Entry{};
+        tags_[static_cast<std::size_t>(entry - entries_.data())] =
+            InvalidAddr;
+    }
 
     /** Does the set of @p addr contain an entry satisfying @p pred?
      * (Non-mutating; used by snarf-accept snooping. Entries are
@@ -265,12 +310,24 @@ class SetAssocArray
     }
 
     /** Count valid lines (test/analysis helper; O(capacity)). */
-    std::uint64_t countValid() const;
+    std::uint64_t
+    countValid() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &e : entries_)
+            if (e.valid())
+                ++n;
+        return n;
+    }
 
     /** Visit every way with its line (InvalidAddr when invalid);
      * analysis hooks, cold path. */
-    void forEach(
-        const std::function<void(Addr line, const Entry &)> &fn) const;
+    void
+    forEach(const std::function<void(Addr line, const Entry &)> &fn) const
+    {
+        for (std::size_t i = 0; i < entries_.size(); ++i)
+            fn(tags_[i], entries_[i]);
+    }
 
     /** The LRU state (tests and analysis). */
     const LruPolicy &lru() const { return lru_; }

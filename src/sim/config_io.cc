@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -32,110 +31,56 @@ configError(const std::string &what)
     return SimError(SimErrorKind::Config, what);
 }
 
-Expected<std::uint64_t>
-toU64(const std::string &key, const std::string &v)
+/** @p v as config-file text: bools as true/false. */
+template <typename T>
+std::string
+formatValue(const T &v)
 {
-    if (const auto u = parseUnsigned(v))
-        return *u;
-    return configError(cstr("config key '", key,
-                            "' expects an unsigned integer, got '", v,
-                            "'"));
+    std::ostringstream os;
+    os << std::boolalpha << v;
+    return os.str();
 }
 
-Expected<bool>
-toBool(const std::string &key, const std::string &v)
-{
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    return configError(cstr("config key '", key,
-                            "' expects a boolean, got '", v, "'"));
-}
-
+/**
+ * A key's parser and printer. set() gets the key as @p what
+ * ("config key 'l2.assoc'") for its error messages.
+ */
 struct KeyHandler
 {
-    std::function<Expected<void>(SystemConfig &, const std::string &,
+    std::function<Expected<void>(SystemConfig &, const std::string &what,
                                  const std::string &)>
         set;
     std::function<std::string(const SystemConfig &)> get;
 };
 
-/**
- * Set an unsigned field of any width: values the field's type cannot
- * hold are a named error instead of silently wrapping.
- */
-template <typename T>
-Expected<void>
-setUnsigned(T &field, const std::string &k, const std::string &v)
-{
-    using Limits = std::numeric_limits<T>;
-    const auto r = toU64(k, v);
-    if (!r)
-        return r.error();
-    if (*r > Limits::max()) {
-        return configError(cstr("config key '", k, "' value ", *r,
-                                " overflows ", Limits::digits,
-                                " bits"));
-    }
-    field = static_cast<T>(*r);
-    return {};
-}
-
-#define U64_KEY(field)                                                  \
+/** A key that sets one field under parseInto()'s rule for its type. */
+#define FIELD_KEY(field)                                                \
     KeyHandler                                                          \
     {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
+        [](SystemConfig &c, const std::string &what,                    \
            const std::string &v) {                                      \
-            return setUnsigned(c.field, k, v);                          \
+            return parseInto(c.field, what, v);                         \
         },                                                              \
-            [](const SystemConfig &c) { return cstr(c.field); }         \
-    }
-
-#define BOOL_KEY(field)                                                 \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &k,                       \
-           const std::string &v) -> Expected<void> {                    \
-            const auto r = toBool(k, v);                                \
-            if (!r)                                                     \
-                return r.error();                                       \
-            c.field = *r;                                               \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &c) {                                 \
-                return std::string(c.field ? "true" : "false");         \
-            }                                                           \
-    }
-
-#define STR_KEY(field)                                                  \
-    KeyHandler                                                          \
-    {                                                                   \
-        [](SystemConfig &c, const std::string &,                        \
-           const std::string &v) -> Expected<void> {                    \
-            c.field = v;                                                \
-            return {};                                                  \
-        },                                                              \
-            [](const SystemConfig &c) { return c.field; }               \
+            [](const SystemConfig &c) { return formatValue(c.field); }  \
     }
 
 const std::map<std::string, KeyHandler> &
 handlers()
 {
     static const std::map<std::string, KeyHandler> h = {
-        {"topology.cores", U64_KEY(topology.cores)},
-        {"topology.smt", U64_KEY(topology.smt)},
-        {"topology.l2s", U64_KEY(topology.l2s)},
-        {"topology.l3_slices", U64_KEY(topology.l3Slices)},
-        {"cpu.outstanding", U64_KEY(cpu.maxOutstanding)},
-        {"cpu.blocked_retry", U64_KEY(cpu.blockedRetry)},
-        {"l2.size_bytes", U64_KEY(l2.sizeBytes)},
-        {"l2.assoc", U64_KEY(l2.assoc)},
+        {"topology.cores", FIELD_KEY(topology.cores)},
+        {"topology.smt", FIELD_KEY(topology.smt)},
+        {"topology.l2s", FIELD_KEY(topology.l2s)},
+        {"topology.l3_slices", FIELD_KEY(topology.l3Slices)},
+        {"cpu.outstanding", FIELD_KEY(cpu.maxOutstanding)},
+        {"cpu.blocked_retry", FIELD_KEY(cpu.blockedRetry)},
+        {"l2.size_bytes", FIELD_KEY(l2.sizeBytes)},
+        {"l2.assoc", FIELD_KEY(l2.assoc)},
         // The machine has one line size: set both levels.
         {"l2.line_size",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
-                       const std::string &v) -> Expected<void> {
-                        const auto r = setUnsigned(c.l2.lineSize, k, v);
+         KeyHandler{[](SystemConfig &c, const std::string &what,
+                       const std::string &v) {
+                        auto r = parseInto(c.l2.lineSize, what, v);
                         if (r.ok())
                             c.l3.lineSize = c.l2.lineSize;
                         return r;
@@ -143,70 +88,70 @@ handlers()
                     [](const SystemConfig &c) {
                         return cstr(c.l2.lineSize);
                     }}},
-        {"l2.slices", U64_KEY(l2.slices)},
-        {"l2.hit_latency", U64_KEY(l2.hitLatency)},
-        {"l2.supply_latency", U64_KEY(l2.supplyLatency)},
-        {"l2.fill_latency", U64_KEY(l2.fillLatency)},
-        {"l2.mshrs", U64_KEY(l2.mshrs)},
-        {"l2.wbq_depth", U64_KEY(l2.wbqDepth)},
-        {"l2.retry_backoff", U64_KEY(l2.retryBackoff)},
-        {"l3.size_bytes", U64_KEY(l3.sizeBytes)},
-        {"l3.assoc", U64_KEY(l3.assoc)},
-        {"l3.access_latency", U64_KEY(l3.accessLatency)},
-        {"l3.bank_occupancy", U64_KEY(l3.bankOccupancy)},
-        {"l3.write_occupancy", U64_KEY(l3.writeOccupancy)},
-        {"l3.squash_occupancy", U64_KEY(l3.squashOccupancy)},
-        {"l3.wb_queue_depth", U64_KEY(l3.wbQueueDepth)},
-        {"mem.access_latency", U64_KEY(mem.accessLatency)},
-        {"mem.channel_occupancy", U64_KEY(mem.channelOccupancy)},
-        {"obs.sample_every", U64_KEY(obs.sampleEvery)},
-        {"obs.trace_capacity", U64_KEY(obs.traceCapacity)},
-        {"obs.ingest", BOOL_KEY(obs.ingestGauges)},
-        {"stream.demux_capacity", U64_KEY(stream.demuxCapacity)},
-        {"ring.addr_slot_cycles", U64_KEY(ring.addrSlotCycles)},
-        {"ring.snoop_latency", U64_KEY(ring.snoopLatency)},
-        {"ring.hop_cycles", U64_KEY(ring.hopCycles)},
-        {"ring.segment_occupancy", U64_KEY(ring.segmentOccupancy)},
-        {"wbht.entries", U64_KEY(policy.wbht.entries)},
-        {"wbht.assoc", U64_KEY(policy.wbht.assoc)},
-        {"wbht.lines_per_entry", U64_KEY(policy.wbht.linesPerEntry)},
-        {"snarf.entries", U64_KEY(policy.snarf.entries)},
-        {"snarf.assoc", U64_KEY(policy.snarf.assoc)},
-        {"snarf.buffers", U64_KEY(policy.snarfBuffers)},
-        {"retry.window", U64_KEY(policy.retry.windowCycles)},
-        {"retry.threshold", U64_KEY(policy.retry.threshold)},
-        {"use_retry_switch", BOOL_KEY(policy.useRetrySwitch)},
-        {"snarf_shared_victims", BOOL_KEY(policy.snarfSharedVictims)},
+        {"l2.slices", FIELD_KEY(l2.slices)},
+        {"l2.hit_latency", FIELD_KEY(l2.hitLatency)},
+        {"l2.supply_latency", FIELD_KEY(l2.supplyLatency)},
+        {"l2.fill_latency", FIELD_KEY(l2.fillLatency)},
+        {"l2.mshrs", FIELD_KEY(l2.mshrs)},
+        {"l2.wbq_depth", FIELD_KEY(l2.wbqDepth)},
+        {"l2.retry_backoff", FIELD_KEY(l2.retryBackoff)},
+        {"l3.size_bytes", FIELD_KEY(l3.sizeBytes)},
+        {"l3.assoc", FIELD_KEY(l3.assoc)},
+        {"l3.access_latency", FIELD_KEY(l3.accessLatency)},
+        {"l3.bank_occupancy", FIELD_KEY(l3.bankOccupancy)},
+        {"l3.write_occupancy", FIELD_KEY(l3.writeOccupancy)},
+        {"l3.squash_occupancy", FIELD_KEY(l3.squashOccupancy)},
+        {"l3.wb_queue_depth", FIELD_KEY(l3.wbQueueDepth)},
+        {"mem.access_latency", FIELD_KEY(mem.accessLatency)},
+        {"mem.channel_occupancy", FIELD_KEY(mem.channelOccupancy)},
+        {"obs.sample_every", FIELD_KEY(obs.sampleEvery)},
+        {"obs.trace_capacity", FIELD_KEY(obs.traceCapacity)},
+        {"obs.ingest", FIELD_KEY(obs.ingestGauges)},
+        {"stream.demux_capacity", FIELD_KEY(stream.demuxCapacity)},
+        {"ring.addr_slot_cycles", FIELD_KEY(ring.addrSlotCycles)},
+        {"ring.snoop_latency", FIELD_KEY(ring.snoopLatency)},
+        {"ring.hop_cycles", FIELD_KEY(ring.hopCycles)},
+        {"ring.segment_occupancy", FIELD_KEY(ring.segmentOccupancy)},
+        {"wbht.entries", FIELD_KEY(policy.wbht.entries)},
+        {"wbht.assoc", FIELD_KEY(policy.wbht.assoc)},
+        {"wbht.lines_per_entry", FIELD_KEY(policy.wbht.linesPerEntry)},
+        {"snarf.entries", FIELD_KEY(policy.snarf.entries)},
+        {"snarf.assoc", FIELD_KEY(policy.snarf.assoc)},
+        {"snarf.buffers", FIELD_KEY(policy.snarfBuffers)},
+        {"retry.window", FIELD_KEY(policy.retry.windowCycles)},
+        {"retry.threshold", FIELD_KEY(policy.retry.threshold)},
+        {"use_retry_switch", FIELD_KEY(policy.useRetrySwitch)},
+        {"snarf_shared_victims", FIELD_KEY(policy.snarfSharedVictims)},
         {"wbht_informed_replacement",
-         BOOL_KEY(policy.wbhtInformedReplacement)},
-        {"warmup", BOOL_KEY(warmupPass)},
-        {"reuse_tracker", BOOL_KEY(enableWbReuseTracker)},
-        {"fault.plan", STR_KEY(fault.plan)},
-        {"fault.seed", U64_KEY(fault.seed)},
-        {"check.oracle", BOOL_KEY(check.oracle)},
-        {"check.invariants_every", U64_KEY(check.invariantsEvery)},
-        {"watchdog.every", U64_KEY(watchdog.every)},
-        {"watchdog.stall_checks", U64_KEY(watchdog.stallChecks)},
-        {"watchdog.max_txn_age", U64_KEY(watchdog.maxTxnAge)},
-        {"watchdog.wall_secs", U64_KEY(watchdog.wallSecs)},
+         FIELD_KEY(policy.wbhtInformedReplacement)},
+        {"warmup", FIELD_KEY(warmupPass)},
+        {"reuse_tracker", FIELD_KEY(enableWbReuseTracker)},
+        {"fault.plan", FIELD_KEY(fault.plan)},
+        {"fault.seed", FIELD_KEY(fault.seed)},
+        {"check.oracle", FIELD_KEY(check.oracle)},
+        {"check.invariants_every", FIELD_KEY(check.invariantsEvery)},
+        {"watchdog.every", FIELD_KEY(watchdog.every)},
+        {"watchdog.stall_checks", FIELD_KEY(watchdog.stallChecks)},
+        {"watchdog.max_txn_age", FIELD_KEY(watchdog.maxTxnAge)},
+        {"watchdog.wall_secs", FIELD_KEY(watchdog.wallSecs)},
         {"policy",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
+         KeyHandler{[](SystemConfig &c, const std::string &what,
                        const std::string &v) -> Expected<void> {
-                        WbPolicy p;
-                        if (!tryWbPolicyFromString(v, p)) {
+                        const auto p = wbPolicyFromString(v);
+                        if (!p) {
                             return configError(cstr(
-                                "config key '", k,
-                                "' expects baseline|wbht|wbht-global|"
-                                "snarf|combined, got '", v, "'"));
+                                what, " expects baseline|wbht|"
+                                "wbht-global|snarf|combined, got '", v,
+                                "'"));
                         }
-                        c.policy.policy = p;
+                        c.policy.policy = *p;
                         return {};
                     },
                     [](const SystemConfig &c) {
                         return std::string(toString(c.policy.policy));
                     }}},
         {"snarf_insert",
-         KeyHandler{[](SystemConfig &c, const std::string &k,
+         KeyHandler{[](SystemConfig &c, const std::string &what,
                        const std::string &v) -> Expected<void> {
                         if (v == "mru")
                             c.policy.snarfInsert = InsertPos::Mru;
@@ -214,8 +159,8 @@ handlers()
                             c.policy.snarfInsert = InsertPos::Lru;
                         else
                             return configError(cstr(
-                                "config key '", k,
-                                "' expects mru|lru, got '", v, "'"));
+                                what, " expects mru|lru, got '", v,
+                                "'"));
                         return {};
                     },
                     [](const SystemConfig &c) {
@@ -251,9 +196,7 @@ removedKeys()
     return m;
 }
 
-#undef U64_KEY
-#undef BOOL_KEY
-#undef STR_KEY
+#undef FIELD_KEY
 
 } // namespace
 
@@ -263,7 +206,7 @@ applyConfigOption(SystemConfig &cfg, const std::string &key,
 {
     const auto it = handlers().find(key);
     if (it != handlers().end())
-        return it->second.set(cfg, key, value);
+        return it->second.set(cfg, cstr("config key '", key, "'"), value);
     const auto removed = removedKeys().find(key);
     if (removed != removedKeys().end()) {
         return configError(cstr("unknown config key '", key, "'; use ",

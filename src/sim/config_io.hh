@@ -17,9 +17,10 @@
  *     retry.threshold   = 100
  *     l2.size_bytes     = 2097152
  *
- * Malformed input (unknown keys, non-numeric values, integers the
- * target field cannot hold, lines without '=') surfaces as a
- * structured SimError (kind Config, or Io for an
+ * Values follow parseInto()'s rules (common/cli.hh), the same as
+ * --options and wl.* keys. Malformed input (unknown keys, non-numeric
+ * values, integers the target field cannot hold, lines without '=')
+ * surfaces as a structured SimError (kind Config, or Io for an
  * unreadable file) naming the offending key and line, never a process
  * exit -- one bad sweep cell must not take the grid down with it.
  */

@@ -178,10 +178,12 @@ sweepWorkloadByName(const std::string &name,
         return workloads::byName(name, records_per_thread, seed);
     if (contains(workloads::stressNames(), name))
         return workloads::stressByName(name, records_per_thread, seed);
-    cmp_fatal("unknown sweep workload '", name,
-              "' (commercial: TP, CPW2, NotesBench, Trade2; stress: "
-              "uniform, streaming, pingpong, thrash, "
-              "producer_consumer, migratory, false_sharing)");
+    throw SimException(
+        SimErrorKind::Config,
+        cstr("unknown sweep workload '", name,
+             "' (commercial: TP, CPW2, NotesBench, Trade2; stress: "
+             "uniform, streaming, pingpong, thrash, "
+             "producer_consumer, migratory, false_sharing)"));
 }
 
 WorkloadParams
@@ -193,7 +195,7 @@ resolveWorkload(const std::string &name,
     WorkloadParams params =
         sweepWorkloadByName(name, records_per_thread, seed);
     for (const auto &[key, value] : overrides)
-        applyWorkloadOption(params, key, value);
+        orThrow(applyWorkloadOption(params, key, value));
     params.numThreads = cfg.numThreads();
     params.lineSize = cfg.l2.lineSize;
     const auto errs = workloadParamErrors(params);
@@ -201,7 +203,7 @@ resolveWorkload(const std::string &name,
         std::string msg = cstr("invalid workload '", name, "':");
         for (const auto &e : errs)
             msg += "\n  - " + e;
-        cmp_fatal(msg);
+        throw SimException(SimErrorKind::Config, msg);
     }
     return params;
 }
@@ -221,21 +223,24 @@ SweepSpec::size() const
 void
 SweepSpec::validate() const
 {
+    const auto fail = [](const std::string &msg) {
+        throw SimException(SimErrorKind::Config, msg);
+    };
     if (workloads.empty())
-        cmp_fatal("sweep has no workloads");
+        fail("sweep has no workloads");
     if (policies.empty())
-        cmp_fatal("sweep has no policies");
+        fail("sweep has no policies");
     if (outstanding.empty())
-        cmp_fatal("sweep has no outstanding-miss limits");
+        fail("sweep has no outstanding-miss limits");
     if (recordsPerThread == 0)
-        cmp_fatal("sweep needs recordsPerThread > 0");
+        fail("sweep needs recordsPerThread > 0");
     for (const auto &w : workloads) {
         if (!isSweepWorkload(w))
-            cmp_fatal("unknown sweep workload '", w, "'");
+            fail(cstr("unknown sweep workload '", w, "'"));
     }
     for (const auto o : outstanding) {
         if (o == 0)
-            cmp_fatal("outstanding-miss limit must be positive");
+            fail("outstanding-miss limit must be positive");
     }
     base.validate();
 }

@@ -94,8 +94,8 @@ struct SweepSpec
      * wl.* overrides applied to every cell's workload by
      * resolveWorkload(). They only shape the generator (footprints,
      * sharing fractions, mixes); the axis name, recordsPerThread,
-     * seed, the topology and l2.line_size set the rest. fatal() on
-     * unknown keys or out-of-range parameters at expand() time.
+     * seed, the topology and l2.line_size set the rest. expand()
+     * throws SimException on unknown keys or out-of-range parameters.
      */
     WorkloadOverrides workloadOverrides;
 
@@ -114,11 +114,12 @@ struct SweepSpec
     std::size_t size() const;
 
     /** Flatten into jobs: workload-major, then policy, then
-     * outstanding. fatal() on empty axes or unknown names. */
+     * outstanding. SimException (Config) on empty axes or unknown
+     * names. */
     std::vector<SweepJob> expand() const;
 
-    /** fatal() on empty axes, unknown workloads, or a base config
-     * that fails validation. */
+    /** SimException (Config) on empty axes, unknown workloads, or a
+     * base config that fails validation. */
     void validate() const;
 };
 
@@ -246,7 +247,8 @@ std::vector<SweepJobResult> runSweep(const SweepSpec &spec,
 
 /**
  * Resolve a workload by name across both families: the commercial
- * stand-ins and the stress patterns. fatal() on unknown names.
+ * stand-ins and the stress patterns. SimException (Config) on
+ * unknown names.
  */
 WorkloadParams sweepWorkloadByName(const std::string &name,
                                    std::uint64_t records_per_thread,
@@ -258,9 +260,9 @@ bool isSweepWorkload(const std::string &name);
 /**
  * The workload a sweep cell or `serve --workload` runs on @p cfg:
  * @p name at @p records_per_thread and @p seed, then @p overrides in
- * order, then the machine's thread count and line size. fatal() on a
- * bad name, key or value and on workloadParamErrors() at that line
- * size, naming the key.
+ * order, then the machine's thread count and line size. SimException
+ * (Config) on a bad name, key or value and on workloadParamErrors()
+ * at that line size, naming the key.
  */
 WorkloadParams resolveWorkload(const std::string &name,
                                std::uint64_t records_per_thread,

@@ -20,8 +20,9 @@ constexpr std::uint64_t kMaxWbhtGranule = std::uint64_t{1} << 31;
 
 /**
  * Check one set-associative array (an L2, L3, WBHT or snarf table):
- * at most 64 ways (the victim scans' way masks) and a non-zero,
- * power-of-two number of sets (the array indexes sets with a mask).
+ * at most 64 ways (the victim scans' way masks), at most
+ * kMaxArrayWays ways in all and a non-zero, power-of-two number of
+ * sets (the array indexes sets with a mask).
  * @p size (key @p size_key) divides into sets of assoc ways of
  * @p way_size each; @p way_key names the way-size key, "" for a table
  * counted in entries. @p prefix is the array's key prefix.
@@ -43,6 +44,12 @@ checkGeometry(std::vector<std::string> &errs, const char *prefix,
     if (way_size == 0 || !isPowerOf2(way_size)) {
         // Reported once by the line-size checks; keep the geometry
         // math safe regardless.
+        return;
+    }
+    if (size / way_size > kMaxArrayWays) {
+        errs.push_back(cstr(size_key, *way_key ? cstr(" / ", way_key) : "",
+                            " (", size / way_size, ") exceeds the ",
+                            kMaxArrayWays, "-way array limit"));
         return;
     }
     const std::string set_keys =

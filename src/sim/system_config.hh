@@ -55,6 +55,14 @@ struct CheckConfig
  */
 constexpr unsigned kMaxL2Buffers = 4096;
 
+/**
+ * Largest way count (sets x assoc) of one L2, L3, WBHT or snarf-table
+ * array: 2^26 ways, 1 GiB of L2 or L3 way state at 16 bytes a way. A
+ * larger array fails validation naming its size key instead of
+ * aborting when it is built.
+ */
+constexpr std::uint64_t kMaxArrayWays = std::uint64_t{1} << 26;
+
 struct SystemConfig
 {
     /**

@@ -1,10 +1,7 @@
 #include "trace/workload_config.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <functional>
-#include <limits>
 #include <map>
 
 #include "common/cli.hh"
@@ -16,78 +13,38 @@ namespace cmpcache
 namespace
 {
 
-/** @p v as an unsigned @p T; fatal() on anything else, including
- * values @p T cannot hold. */
-template <typename T>
-T
-toUnsigned(const std::string &key, const std::string &v)
-{
-    const auto u = parseUnsigned(v);
-    if (!u) {
-        cmp_fatal("workload key '", key, "' expects an integer, "
-                  "got '", v, "'");
-    }
-    if (*u > std::numeric_limits<T>::max()) {
-        cmp_fatal("workload key '", key, "' value ", *u, " overflows ",
-                  std::numeric_limits<T>::digits, " bits");
-    }
-    return static_cast<T>(*u);
-}
+/** Parses one value; @p what names the key for error messages. */
+using Setter = std::function<Expected<void>(
+    WorkloadParams &, const std::string &what, const std::string &)>;
 
-/** @p v as a finite number: the whole token, decimal notation only
- * (no suffixes, spaces, hex, nan or inf). */
-double
-toDouble(const std::string &key, const std::string &v)
-{
-    if (!v.empty()
-        && v.find_first_not_of("0123456789.eE+-") == std::string::npos) {
-        char *end = nullptr;
-        const double d = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() + v.size() && std::isfinite(d))
-            return d;
-    }
-    cmp_fatal("workload key '", key, "' expects a finite number, got '",
-              v, "'");
-}
-
-using Setter = std::function<void(WorkloadParams &, const std::string &,
-                                  const std::string &)>;
-
-#define WL_U64(field)                                                   \
-    [](WorkloadParams &p, const std::string &k,                         \
-       const std::string &v) {                                          \
-        p.field = toUnsigned<decltype(p.field)>(k, v);                  \
-    }
-
-#define WL_DBL(field)                                                   \
-    [](WorkloadParams &p, const std::string &k,                         \
-       const std::string &v) { p.field = toDouble(k, v); }
+#define WL_KEY(field)                                                   \
+    [](WorkloadParams &p, const std::string &what,                      \
+       const std::string &v) { return parseInto(p.field, what, v); }
 
 const std::map<std::string, Setter> &
 setters()
 {
     static const std::map<std::string, Setter> s = {
-        {"wl.private_lines", WL_U64(privateLines)},
-        {"wl.private_zipf", WL_DBL(privateZipf)},
-        {"wl.private_group_size", WL_U64(privateGroupSize)},
-        {"wl.shared_lines", WL_U64(sharedLines)},
-        {"wl.shared_frac", WL_DBL(sharedFrac)},
-        {"wl.shared_zipf", WL_DBL(sharedZipf)},
-        {"wl.shared_store_frac", WL_DBL(sharedStoreFrac)},
-        {"wl.kernel_lines", WL_U64(kernelLines)},
-        {"wl.kernel_frac", WL_DBL(kernelFrac)},
-        {"wl.stream_lines", WL_U64(streamLines)},
-        {"wl.stream_frac", WL_DBL(streamFrac)},
-        {"wl.store_frac", WL_DBL(storeFrac)},
-        {"wl.gap_mean", WL_DBL(gapMean)},
-        {"wl.phase_length", WL_U64(phaseLength)},
-        {"wl.phase_shift", WL_DBL(phaseShift)},
+        {"wl.private_lines", WL_KEY(privateLines)},
+        {"wl.private_zipf", WL_KEY(privateZipf)},
+        {"wl.private_group_size", WL_KEY(privateGroupSize)},
+        {"wl.shared_lines", WL_KEY(sharedLines)},
+        {"wl.shared_frac", WL_KEY(sharedFrac)},
+        {"wl.shared_zipf", WL_KEY(sharedZipf)},
+        {"wl.shared_store_frac", WL_KEY(sharedStoreFrac)},
+        {"wl.kernel_lines", WL_KEY(kernelLines)},
+        {"wl.kernel_frac", WL_KEY(kernelFrac)},
+        {"wl.stream_lines", WL_KEY(streamLines)},
+        {"wl.stream_frac", WL_KEY(streamFrac)},
+        {"wl.store_frac", WL_KEY(storeFrac)},
+        {"wl.gap_mean", WL_KEY(gapMean)},
+        {"wl.phase_length", WL_KEY(phaseLength)},
+        {"wl.phase_shift", WL_KEY(phaseShift)},
     };
     return s;
 }
 
-#undef WL_U64
-#undef WL_DBL
+#undef WL_KEY
 
 /**
  * Workload keys of earlier releases, with what sets that parameter
@@ -114,21 +71,21 @@ isWorkloadKey(const std::string &key)
     return key.rfind("wl.", 0) == 0;
 }
 
-void
+Expected<void>
 applyWorkloadOption(WorkloadParams &params, const std::string &key,
                     const std::string &value)
 {
     const auto it = setters().find(key);
-    if (it != setters().end()) {
-        it->second(params, key, value);
-        return;
-    }
+    if (it != setters().end())
+        return it->second(params, cstr("workload key '", key, "'"), value);
     const auto removed = removedKeys().find(key);
     if (removed != removedKeys().end()) {
-        cmp_fatal("unknown workload key '", key, "'; use ",
-                  removed->second);
+        return SimError(SimErrorKind::Config,
+                        cstr("unknown workload key '", key, "'; use ",
+                             removed->second));
     }
-    cmp_fatal("unknown workload key '", key, "'");
+    return SimError(SimErrorKind::Config,
+                    cstr("unknown workload key '", key, "'"));
 }
 
 const std::vector<std::string> &

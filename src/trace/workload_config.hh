@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hh"
 #include "trace/workload.hh"
 
 namespace cmpcache
@@ -21,11 +22,13 @@ namespace cmpcache
 bool isWorkloadKey(const std::string &key);
 
 /**
- * Apply one "wl.xxx", "value" pair; fatal() on unknown keys (naming
- * the successor of a removed one) and on malformed values.
+ * Apply one "wl.xxx", "value" pair under parseInto()'s rules
+ * (common/cli.hh); SimError (Config) on unknown keys (naming the
+ * successor of a removed one) and on malformed values.
  */
-void applyWorkloadOption(WorkloadParams &params, const std::string &key,
-                         const std::string &value);
+Expected<void> applyWorkloadOption(WorkloadParams &params,
+                                   const std::string &key,
+                                   const std::string &value);
 
 /** All recognized workload keys. */
 const std::vector<std::string> &workloadConfigKeys();

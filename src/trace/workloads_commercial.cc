@@ -1,5 +1,6 @@
 #include "trace/workloads_commercial.hh"
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -140,8 +141,10 @@ byName(const std::string &name, std::uint64_t records_per_thread,
         return notesbench(records_per_thread, seed);
     if (name == "Trade2")
         return trade2(records_per_thread, seed);
-    cmp_fatal("unknown workload '", name,
-              "' (expected TP, CPW2, NotesBench or Trade2)");
+    throw SimException(SimErrorKind::Config,
+                       cstr("unknown workload '", name,
+                            "' (expected TP, CPW2, NotesBench or "
+                            "Trade2)"));
 }
 
 } // namespace workloads

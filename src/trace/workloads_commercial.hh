@@ -50,7 +50,7 @@ WorkloadParams trade2(std::uint64_t records_per_thread,
 /** Names of all four workloads, in the paper's presentation order. */
 const std::vector<std::string> &allNames();
 
-/** Look up a workload by name; fatal() if unknown. */
+/** Look up a workload by name; SimException (Config) if unknown. */
 WorkloadParams byName(const std::string &name,
                       std::uint64_t records_per_thread,
                       std::uint64_t seed);

@@ -1,5 +1,6 @@
 #include "trace/workloads_stress.hh"
 
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace cmpcache
@@ -185,9 +186,11 @@ stressByName(const std::string &name,
         return migratoryStress(records_per_thread, seed);
     if (name == "false_sharing")
         return falseSharingStress(records_per_thread, seed);
-    cmp_fatal("unknown stress pattern '", name,
-              "' (expected uniform, streaming, pingpong, thrash, "
-              "producer_consumer, migratory or false_sharing)");
+    throw SimException(
+        SimErrorKind::Config,
+        cstr("unknown stress pattern '", name,
+             "' (expected uniform, streaming, pingpong, thrash, "
+             "producer_consumer, migratory or false_sharing)"));
 }
 
 } // namespace workloads

@@ -74,7 +74,7 @@ WorkloadParams falseSharingStress(std::uint64_t records_per_thread,
 /** Names of the stress patterns ("uniform", "streaming", ...). */
 const std::vector<std::string> &stressNames();
 
-/** Lookup by name; fatal() if unknown. */
+/** Lookup by name; SimException (Config) if unknown. */
 WorkloadParams stressByName(const std::string &name,
                             std::uint64_t records_per_thread,
                             std::uint64_t seed);

@@ -41,9 +41,3 @@ TEST(Logging, AssertPassesOnTrue)
     cmp_assert(2 + 2 == 4, "should not fire");
     SUCCEED();
 }
-
-TEST(LoggingDeath, FatalExitsWithError)
-{
-    EXPECT_EXIT(cmp_fatal("bad config"),
-                ::testing::ExitedWithCode(1), "bad config");
-}

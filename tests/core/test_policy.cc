@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "core/policy.hh"
 
 using namespace cmpcache;
@@ -11,14 +12,14 @@ TEST(Policy, RoundTripNames)
     for (const auto p :
          {WbPolicy::Baseline, WbPolicy::Wbht, WbPolicy::WbhtGlobal,
           WbPolicy::Snarf, WbPolicy::Combined}) {
-        EXPECT_EQ(wbPolicyFromString(toString(p)), p);
+        EXPECT_EQ(wbPolicyFromString(toString(p)).value(), p);
     }
 }
 
 TEST(PolicyDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(wbPolicyFromString("magic"),
-                ::testing::ExitedWithCode(1), "unknown write-back");
+    EXPECT_TRUE(failsNaming(wbPolicyFromString("magic"),
+                            "unknown write-back"));
 }
 
 TEST(Policy, FeatureFlags)

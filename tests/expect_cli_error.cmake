@@ -1,11 +1,15 @@
 # Run CMD with ARGS (one space-separated string) and pass only if it
-# exits nonzero and its combined stdout/stderr contains EXPECT. With
-# WORKDIR set, CMD runs in that directory, emptied first, and must
-# leave no file there.
+# exits with status STATUS (default 1) and its combined stdout/stderr
+# contains EXPECT. The exact status keeps a crash (a panic's abort)
+# from passing as an error report. With WORKDIR set, CMD runs in that
+# directory, emptied first, and must leave no file there.
 #
 #   cmake -DCMD=<binary> "-DARGS=<args>" -DEXPECT=<text>
-#         [-DWORKDIR=<dir>] -P <this file>
+#         [-DSTATUS=<n>] [-DWORKDIR=<dir>] -P <this file>
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(NOT DEFINED STATUS)
+    set(STATUS 1)
+endif()
 set(workdir)
 if(DEFINED WORKDIR)
     file(REMOVE_RECURSE "${WORKDIR}")
@@ -17,8 +21,9 @@ execute_process(COMMAND ${CMD} ${args}
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE out)
-if(status EQUAL 0)
-    message(FATAL_ERROR "'${CMD} ${ARGS}' exited 0; want an error")
+if(NOT status STREQUAL STATUS)
+    message(FATAL_ERROR
+        "'${CMD} ${ARGS}' exited '${status}'; want ${STATUS}:\n${out}")
 endif()
 string(FIND "${out}" "${EXPECT}" at)
 if(at EQUAL -1)

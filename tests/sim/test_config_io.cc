@@ -134,7 +134,7 @@ TEST(ConfigIo, MalformedValueReportsError)
     const auto r = applyConfigOption(cfg, "cpu.outstanding", "six");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().kind, SimErrorKind::Config);
-    EXPECT_NE(r.error().message.find("expects an unsigned integer"),
+    EXPECT_NE(r.error().message.find("expects an integer from 0 to"),
               std::string::npos)
         << r.error().message;
 }

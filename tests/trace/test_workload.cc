@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "config_error.hh"
 #include "trace/workload.hh"
 #include "trace/workloads_commercial.hh"
 
@@ -234,8 +235,8 @@ TEST(WorkloadCommercial, AllFourByName)
 
 TEST(WorkloadCommercialDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(workloads::byName("SPECjbb", 100, 1),
-                ::testing::ExitedWithCode(1), "unknown workload");
+    EXPECT_TRUE(throwsNaming([] { workloads::byName("SPECjbb", 100, 1); },
+                             "unknown workload"));
 }
 
 TEST(WorkloadCommercial, PressureOrderingMatchesPaper)

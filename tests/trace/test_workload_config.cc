@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "sim/sweep.hh"
 #include "trace/workload_config.hh"
 #include "trace/workloads_commercial.hh"
@@ -32,11 +33,12 @@ TEST(WorkloadConfig, KeyPrefixDetection)
 TEST(WorkloadConfig, AppliesIntegerAndDoubleKeys)
 {
     WorkloadParams p;
-    applyWorkloadOption(p, "wl.phase_length", "12345");
-    applyWorkloadOption(p, "wl.private_lines", "2048");
-    applyWorkloadOption(p, "wl.private_zipf", "0.9");
-    applyWorkloadOption(p, "wl.store_frac", "0.33");
-    applyWorkloadOption(p, "wl.private_group_size", "4");
+    EXPECT_TRUE(applyWorkloadOption(p, "wl.phase_length", "12345").ok());
+    EXPECT_TRUE(applyWorkloadOption(p, "wl.private_lines", "2048").ok());
+    EXPECT_TRUE(applyWorkloadOption(p, "wl.private_zipf", "0.9").ok());
+    EXPECT_TRUE(applyWorkloadOption(p, "wl.store_frac", "0.33").ok());
+    EXPECT_TRUE(
+        applyWorkloadOption(p, "wl.private_group_size", "4").ok());
     EXPECT_EQ(p.phaseLength, 12345u);
     EXPECT_EQ(p.privateLines, 2048u);
     EXPECT_DOUBLE_EQ(p.privateZipf, 0.9);
@@ -47,8 +49,8 @@ TEST(WorkloadConfig, AppliesIntegerAndDoubleKeys)
 TEST(WorkloadConfigDeath, UnknownKeyIsFatal)
 {
     WorkloadParams p;
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.banana", "1"),
-                ::testing::ExitedWithCode(1), "unknown workload key");
+    EXPECT_TRUE(failsNaming(applyWorkloadOption(p, "wl.banana", "1"),
+                            "unknown workload key"));
 }
 
 TEST(WorkloadConfigDeath, RemovedKeysNameTheirSuccessor)
@@ -64,33 +66,32 @@ TEST(WorkloadConfigDeath, RemovedKeysNameTheirSuccessor)
     };
     for (const auto &[key, successor] : removed) {
         WorkloadParams p;
-        EXPECT_EXIT(applyWorkloadOption(p, key, "1"),
-                    ::testing::ExitedWithCode(1),
-                    std::string("unknown workload key '") + key
-                        + "'; use " + successor);
+        EXPECT_TRUE(failsNaming(applyWorkloadOption(p, key, "1"),
+                                std::string("unknown workload key '") + key
+                                    + "'; use " + successor));
     }
 }
 
 TEST(WorkloadConfigDeath, MalformedValueIsFatal)
 {
     WorkloadParams p;
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "lots"),
-                ::testing::ExitedWithCode(1), "expects an integer");
+    EXPECT_TRUE(failsNaming(applyWorkloadOption(p, "wl.phase_length", "lots"),
+                            "expects an integer"));
     // The config files' digits-only rule: no wrapping, no suffixes.
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "-1"),
-                ::testing::ExitedWithCode(1), "expects an integer");
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.phase_length", "300abc"),
-                ::testing::ExitedWithCode(1), "expects an integer");
-    EXPECT_EXIT(applyWorkloadOption(p, "wl.private_group_size",
-                                    "4294967296"),
-                ::testing::ExitedWithCode(1), "overflows 32 bits");
+    EXPECT_TRUE(failsNaming(applyWorkloadOption(p, "wl.phase_length", "-1"),
+                            "expects an integer"));
+    EXPECT_TRUE(
+        failsNaming(applyWorkloadOption(p, "wl.phase_length", "300abc"),
+                    "expects an integer"));
+    EXPECT_TRUE(failsNaming(
+        applyWorkloadOption(p, "wl.private_group_size", "4294967296"),
+        "expects an integer from 0 to 4294967295"));
     // Real values: the whole token, and finite.
     for (const char *bad :
          {"0.3abc", "nan", "inf", "-inf", "1e999", " 0.3", "0x1p-2",
           ""}) {
-        EXPECT_EXIT(applyWorkloadOption(p, "wl.store_frac", bad),
-                    ::testing::ExitedWithCode(1),
-                    "'wl.store_frac' expects a finite number")
+        EXPECT_TRUE(failsNaming(applyWorkloadOption(p, "wl.store_frac", bad),
+                                "'wl.store_frac' expects a finite number"))
             << "'" << bad << "'";
     }
 }
@@ -117,8 +118,8 @@ TEST(WorkloadConfig, ConfiguredWorkloadGenerates)
     WorkloadParams p;
     p.numThreads = 2;
     p.recordsPerThread = 100;
-    applyWorkloadOption(p, "wl.private_lines", "32");
-    applyWorkloadOption(p, "wl.gap_mean", "0");
+    ASSERT_TRUE(applyWorkloadOption(p, "wl.private_lines", "32").ok());
+    ASSERT_TRUE(applyWorkloadOption(p, "wl.gap_mean", "0").ok());
     SyntheticWorkload wl(p);
     EXPECT_EQ(wl.materialize().size(), 200u);
 }
@@ -136,29 +137,26 @@ TEST(WorkloadConfig, BuiltInWorkloadsPassTheRangeCheck)
 }
 
 // One case per range rule: resolving a cell whose override breaks the
-// rule exits 1 naming the key.
+// rule throws a Config error naming the key.
 
 TEST(WorkloadConfigDeath, FractionsLieInTheUnitInterval)
 {
     for (const char *key :
          {"wl.kernel_frac", "wl.shared_frac", "wl.stream_frac",
           "wl.store_frac", "wl.phase_shift"}) {
-        EXPECT_EXIT(resolveWith(key, "1.5"),
-                    ::testing::ExitedWithCode(1),
-                    std::string(key) + " \\(1.5\\) must lie in");
-        EXPECT_EXIT(resolveWith(key, "-0.5"),
-                    ::testing::ExitedWithCode(1),
-                    std::string(key) + " \\(-0.5\\) must lie in");
+        EXPECT_TRUE(throwsNaming([&] { resolveWith(key, "1.5"); },
+                                 std::string(key) + " (1.5) must lie in"));
+        EXPECT_TRUE(throwsNaming([&] { resolveWith(key, "-0.5"); },
+                                 std::string(key) + " (-0.5) must lie in"));
     }
 }
 
 TEST(WorkloadConfigDeath, RegionFractionsSumToAtMostOne)
 {
     // TP's kernel and shared shares are 0.06 and 0.32.
-    EXPECT_EXIT(resolveWith("wl.stream_frac", "0.7"),
-                ::testing::ExitedWithCode(1),
-                "wl.kernel_frac \\+ wl.shared_frac \\+ wl.stream_frac "
-                "\\(1.08\\) must be at most 1");
+    EXPECT_TRUE(throwsNaming([] { resolveWith("wl.stream_frac", "0.7"); },
+                             "wl.kernel_frac + wl.shared_frac + "
+                             "wl.stream_frac (1.08) must be at most 1"));
     EXPECT_EQ(resolveWith("wl.stream_frac", "0.62").streamFrac, 0.62);
 }
 
@@ -167,18 +165,18 @@ TEST(WorkloadConfigDeath, SharedStoreFracIsAFractionOrNegative)
     // Negative keeps its meaning "same as wl.store_frac".
     EXPECT_EQ(resolveWith("wl.shared_store_frac", "-1").sharedStoreFrac,
               -1.0);
-    EXPECT_EXIT(resolveWith("wl.shared_store_frac", "1.5"),
-                ::testing::ExitedWithCode(1),
-                "wl.shared_store_frac \\(1.5\\) must lie in");
+    EXPECT_TRUE(
+        throwsNaming([] { resolveWith("wl.shared_store_frac", "1.5"); },
+                     "wl.shared_store_frac (1.5) must lie in"));
 }
 
 TEST(WorkloadConfigDeath, RatesAreNonNegative)
 {
     for (const char *key :
          {"wl.gap_mean", "wl.private_zipf", "wl.shared_zipf"}) {
-        EXPECT_EXIT(resolveWith(key, "-1"),
-                    ::testing::ExitedWithCode(1),
-                    std::string(key) + " \\(-1\\) must be at least 0");
+        EXPECT_TRUE(
+            throwsNaming([&] { resolveWith(key, "-1"); },
+                         std::string(key) + " (-1) must be at least 0"));
     }
 }
 
@@ -187,9 +185,8 @@ TEST(WorkloadConfigDeath, SizesArePositive)
     for (const char *key :
          {"wl.private_lines", "wl.shared_lines", "wl.kernel_lines",
           "wl.stream_lines", "wl.private_group_size"}) {
-        EXPECT_EXIT(resolveWith(key, "0"),
-                    ::testing::ExitedWithCode(1),
-                    std::string(key) + " \\(0\\) must be at least 1");
+        EXPECT_TRUE(throwsNaming([&] { resolveWith(key, "0"); },
+                                 std::string(key) + " (0) must be at least 1"));
     }
 }
 
@@ -202,15 +199,15 @@ TEST(WorkloadConfigDeath, RegionsFitThePerThreadSpan)
          {"wl.private_lines", "wl.shared_lines", "wl.kernel_lines",
           "wl.stream_lines"}) {
         resolveWith(key, "8388608"); // exactly 1 GiB: accepted
-        EXPECT_EXIT(resolveWith(key, "8388609"),
-                    ::testing::ExitedWithCode(1),
-                    std::string(key) + " \\(8388609\\) at 128 B per line "
-                    "exceeds the 1073741824-byte region limit: at most "
-                    "8388608 lines");
+        EXPECT_TRUE(throwsNaming(
+            [&] { resolveWith(key, "8388609"); },
+            std::string(key)
+                + " (8388609) at 128 B per line exceeds the "
+                  "1073741824-byte region limit: at most 8388608 lines"));
     }
-    EXPECT_EXIT(resolveWith("wl.shared_lines", "18446744073709551615"),
-                ::testing::ExitedWithCode(1),
-                "wl.shared_lines \\(18446744073709551615\\)");
+    EXPECT_TRUE(throwsNaming(
+        [] { resolveWith("wl.shared_lines", "18446744073709551615"); },
+        "wl.shared_lines (18446744073709551615)"));
 }
 
 TEST(WorkloadConfigDeath, RegionLimitFollowsTheLineSize)
@@ -221,7 +218,7 @@ TEST(WorkloadConfigDeath, RegionLimitFollowsTheLineSize)
     EXPECT_EQ(resolveWorkload("streaming", 100, 1, {}, cfg).lineSize,
               256u);
     cfg.l2.lineSize = cfg.l3.lineSize = 512;
-    EXPECT_EXIT(resolveWorkload("streaming", 100, 1, {}, cfg),
-                ::testing::ExitedWithCode(1),
-                "wl.stream_lines \\(4194304\\) at 512 B per line exceeds");
+    EXPECT_TRUE(
+        throwsNaming([&] { resolveWorkload("streaming", 100, 1, {}, cfg); },
+                     "wl.stream_lines (4194304) at 512 B per line exceeds"));
 }

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "config_error.hh"
 #include "sim/cmp_system.hh"
 #include "trace/workloads_stress.hh"
 
@@ -22,8 +23,8 @@ TEST(Stress, AllNamesResolve)
 
 TEST(StressDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(stressByName("chaos", 100, 1),
-                ::testing::ExitedWithCode(1), "unknown stress");
+    EXPECT_TRUE(throwsNaming([] { stressByName("chaos", 100, 1); },
+                             "unknown stress"));
 }
 
 TEST(Stress, StreamingNeverRepeatsWithinWindow)
