@@ -20,13 +20,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "coherence/state.hh"
 #include "common/inplace_function.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "mem/tag_array.hh"
 
@@ -179,15 +179,6 @@ runCallable(std::uint64_t ops)
     return s;
 }
 
-std::string
-jsonNum(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 void
 writeJson(std::ostream &os, std::uint64_t ops,
           const std::vector<PairStats> &pairs)
@@ -199,8 +190,8 @@ writeJson(std::ostream &os, std::uint64_t ops,
         const auto &p = pairs[i];
         os << "    {\"name\": \"" << p.name
            << "\", \"ops\": " << p.ops << ", \"currentSeconds\": "
-           << jsonNum(p.currentSeconds) << ", \"currentOpsPerSec\": "
-           << jsonNum(p.currentOpsPerSec()) << "}"
+           << jsonDouble(p.currentSeconds) << ", \"currentOpsPerSec\": "
+           << jsonDouble(p.currentOpsPerSec()) << "}"
            << (i + 1 == pairs.size() ? "\n" : ",\n");
     }
     os << "  ]\n}\n";

@@ -30,10 +30,10 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/random.hh"
 #include "sim/event_queue.hh"
 #include "sim/reference_event_queue.hh"
@@ -221,15 +221,6 @@ runKernel(std::uint64_t ops)
     };
 }
 
-std::string
-jsonNum(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
-
 void
 writeJson(std::ostream &os, std::uint64_t ops,
           const std::vector<ModeStats> &bucketed,
@@ -241,9 +232,9 @@ writeJson(std::ostream &os, std::uint64_t ops,
         os << "    {\"mode\": \"" << s.mode << "\", \"kernel\": \""
            << s.kernel << "\", \"fires\": " << s.fires
            << ", \"schedules\": " << s.schedules
-           << ", \"wallSeconds\": " << jsonNum(s.wallSeconds)
-           << ", \"eventsPerSec\": " << jsonNum(s.eventsPerSec())
-           << ", \"opsPerSec\": " << jsonNum(s.opsPerSec()) << "}"
+           << ", \"wallSeconds\": " << jsonDouble(s.wallSeconds)
+           << ", \"eventsPerSec\": " << jsonDouble(s.eventsPerSec())
+           << ", \"opsPerSec\": " << jsonDouble(s.opsPerSec()) << "}"
            << (last ? "\n" : ",\n");
     };
     for (std::size_t i = 0; i < bucketed.size(); ++i)
@@ -258,7 +249,7 @@ writeJson(std::ostream &os, std::uint64_t ops,
                       / reference[i].eventsPerSec()
                 : 0.0;
         os << (i ? ", " : "") << "\"" << bucketed[i].mode
-           << "\": " << jsonNum(ratio);
+           << "\": " << jsonDouble(ratio);
     }
     os << "}\n}\n";
 }

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/sweep.hh"
 #include "trace/workloads_commercial.hh"
 
@@ -40,16 +41,6 @@ struct ScaleCell
     unsigned l2s = 0;
     SweepJobResult r;
 };
-
-/** Doubles print round-trippably, mirroring the sweep writers. */
-std::string
-jsonNum(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
-}
 
 ScaleCell
 runScaleCell(unsigned cores, std::uint64_t refs_per_thread,
@@ -110,18 +101,18 @@ writeJson(std::ostream &os, std::uint64_t refs,
            << ", \"threads\": " << c.cores
            << ", \"execTime\": " << res.execTime
            << ", \"eventsExecuted\": " << c.r.eventsExecuted
-           << ", \"wallSeconds\": " << jsonNum(c.r.wallSeconds)
-           << ", \"eventsPerSec\": " << jsonNum(c.r.eventsPerSec)
-           << ", \"currentOpsPerSec\": " << jsonNum(c.r.eventsPerSec)
+           << ", \"wallSeconds\": " << jsonDouble(c.r.wallSeconds)
+           << ", \"eventsPerSec\": " << jsonDouble(c.r.eventsPerSec)
+           << ", \"currentOpsPerSec\": " << jsonDouble(c.r.eventsPerSec)
            << ", \"busRetries\": " << res.busRetries
            << ", \"l3Retries\": " << res.l3Retries
-           << ", \"wbSnarfedPct\": " << jsonNum(res.wbSnarfedPct)
+           << ", \"wbSnarfedPct\": " << jsonDouble(res.wbSnarfedPct)
            << ", \"snarfedUsedLocallyPct\": "
-           << jsonNum(res.snarfedUsedLocallyPct)
+           << jsonDouble(res.snarfedUsedLocallyPct)
            << ", \"snarfedForInterventionPct\": "
-           << jsonNum(res.snarfedForInterventionPct)
-           << ", \"wbhtCorrectPct\": " << jsonNum(res.wbhtCorrectPct)
-           << ", \"l2HitRatePct\": " << jsonNum(res.l2HitRatePct)
+           << jsonDouble(res.snarfedForInterventionPct)
+           << ", \"wbhtCorrectPct\": " << jsonDouble(res.wbhtCorrectPct)
+           << ", \"l2HitRatePct\": " << jsonDouble(res.l2HitRatePct)
            << "}" << (i + 1 == cells.size() ? "\n" : ",\n");
     }
     os << "  ]\n}\n";

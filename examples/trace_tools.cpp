@@ -97,7 +97,8 @@ try {
     const Tick t = sys.run();
     std::cout << "\nreplayed through the paper machine in " << t
               << " cycles (L2 hit rate "
-              << 100.0 * sys.l2HitRate() << "%)\n";
+              << collectResult(sys, t, params.name).l2HitRatePct
+              << "%)\n";
     return 0;
 } catch (const SimException &e) {
     std::cerr << "error (" << toString(e.kind()) << "): " << e.what()

@@ -42,18 +42,37 @@
 #                               # a campaign with the wb_blind_spot
 #                               # mutation forced on must fail, shrink
 #                               # and leave a replayable repro bundle
+#   scripts/check.sh identity PARENT_CMPCACHE
+#                               # byte identity against another build
+#                               # of cmpcache (a Release build of the
+#                               # parent commit): every output of
+#                               # ROADMAP's byte-identity set is made
+#                               # by this tree's build and by
+#                               # PARENT_CMPCACHE, and each pair is
+#                               # `cmp`ed, one line per output; any
+#                               # difference fails. Not tier-1 and not
+#                               # in CI, as it needs that second
+#                               # build; about a minute on 4 cores
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
+usage() {
+    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|bench|perf|serve|scale|chaos]" >&2
+    echo "       scripts/check.sh identity PARENT_CMPCACHE" >&2
+    exit 2
+}
 
 SELECT="${1:-all}"
 case "$SELECT" in
 unit | e2e | all | sanitize | tsan | obs | faults | bench | perf | serve | scale | chaos) ;;
-*)
-    echo "usage: scripts/check.sh [unit|e2e|all|sanitize|tsan|obs|faults|bench|perf|serve|scale|chaos]" >&2
-    exit 2
+identity)
+    [ -x "${2:-}" ] || usage
+    # Resolved before the cd below, so a relative path works.
+    PARENT="$(realpath "$2")"
     ;;
+*) usage ;;
 esac
+
+cd "$(dirname "$0")/.."
 
 # Every phase asserts its own exit status: `ctest -j` (and anything
 # piped) must never have a failure swallowed by later phases; the
@@ -201,6 +220,81 @@ if [ "$SELECT" = scale ]; then
         echo "scale: bench guard skipped (CMPCACHE_SKIP_BENCH set)"
     fi
     echo "scale: 32-core invariants + 64-core smoke OK"
+    exit 0
+fi
+
+if [ "$SELECT" = identity ]; then
+    # Each side runs in its own directory with the same relative
+    # output names, so every file one side writes has a twin to cmp.
+    work="$(mktemp -d)"
+    trap 'rm -rf "$work"' EXIT
+    mkdir "$work/new" "$work/old"
+    declare -A bin=([new]="$PWD/build/src/cmpcache" [old]="$PARENT")
+    both() { # <args...>: run cmpcache with them on each side
+        local side
+        for side in new old; do
+            (cd "$work/$side" && "${bin[$side]}" "$@" --quiet) \
+                || { echo "identity: $side cmpcache $* failed" >&2; exit 1; }
+        done
+    }
+    # The paper grid (sweep defaults), plain and sampled, on one and
+    # four workers.
+    for t in 1 4; do
+        both sweep --threads="$t" --out="grid-t$t.json"
+        both sweep --threads="$t" --sample-every=5000 \
+            --out="grid-sampled-t$t.json"
+    done
+    # One serve, plain and with each stats dump.
+    serve=(serve --workload=NotesBench --refs=20000 --seed=1)
+    both "${serve[@]}" --out=serve.json
+    both "${serve[@]}" --out=serve-text.json --stats-format=text \
+        --stats-out=serve-stats.txt
+    both "${serve[@]}" --out=serve-json.json --stats-format=json \
+        --stats-out=serve-stats.json
+    # Two sampled streams of one binary trace file.
+    ./build/examples/trace_tools --workload=TP --refs=5000 \
+        --format=binary --out="$work/tp.trace" >/dev/null
+    both serve --trace="$work/tp.trace" --sample-every=5000 \
+        --out=trace-baseline.json
+    both serve --trace="$work/tp.trace" --sample-every=5000 \
+        policy=combined --out=trace-combined.json
+    # A sweep's per-cell stats dumps.
+    both sweep --workloads=TP,Trade2 --policies=baseline,combined \
+        --refs=2000 --stats-format=json --stats-out=cell-stats.json \
+        --out=cells.json
+    # The reproduction at refs=300: its stdout minus the `wrote` lines
+    # (they name each side's directory), its results files and its
+    # figure CSVs.
+    for side in new old; do
+        python3 scripts/reproduce.py --cmpcache="${bin[$side]}" \
+            --refs=300 --results-dir="$work/$side/repro" \
+            -o "$work/$side/figures" 2>"$work/reproduce-$side.log" \
+            | grep -v '^wrote ' >"$work/$side/reproduce.txt" \
+            || { cat "$work/reproduce-$side.log" >&2
+                 echo "identity: reproduce.py with $side cmpcache failed" >&2
+                 exit 1; }
+    done
+
+    differ=0
+    check() { # <label> <file> <file>
+        if cmp -s "$2" "$3"; then
+            echo "identity: same    $1"
+        else
+            echo "identity: DIFFERS $1"
+            differ=1
+        fi
+    }
+    check "grid-t1.json vs bench/BENCH_sweep.json" \
+        "$work/new/grid-t1.json" bench/BENCH_sweep.json
+    # Every file either side wrote, by name.
+    while read -r f; do
+        check "$f" "$work/new/$f" "$work/old/$f"
+    done < <(cd "$work" && find new old -type f | cut -d/ -f2- | sort -u)
+    if [ "$differ" -ne 0 ]; then
+        echo "check.sh: phase 'identity' failed: outputs differ from $PARENT" >&2
+        exit 1
+    fi
+    echo "identity: every output cmp-equal to $PARENT"
     exit 0
 fi
 

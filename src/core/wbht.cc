@@ -67,13 +67,4 @@ WriteBackHistoryTable::copyStateFrom(const WriteBackHistoryTable &other)
     missedAbort_.set(other.missedAbort_.value());
 }
 
-double
-WriteBackHistoryTable::correctFraction() const
-{
-    const auto n = consulted_.value();
-    return n ? static_cast<double>(correct_.value())
-                   / static_cast<double>(n)
-             : 0.0;
-}
-
 } // namespace cmpcache

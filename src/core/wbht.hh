@@ -68,9 +68,6 @@ class WriteBackHistoryTable : public stats::Group
     std::uint64_t correct() const { return correct_.value(); }
     std::uint64_t decisions() const { return consulted_.value(); }
 
-    /** Prediction accuracy so far (Table 4's "WBHT Correct"). */
-    double correctFraction() const;
-
   private:
     HistoryArray table_;
 

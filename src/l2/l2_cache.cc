@@ -96,15 +96,6 @@ L2Cache::L2Cache(stats::Group *parent, EventQueue &eq,
     storesPendingScratch_.reserve(MshrFile::kReservedWaiters);
 }
 
-double
-L2Cache::hitRate() const
-{
-    const auto a = accesses_.value();
-    return a ? static_cast<double>(hits_.value())
-                   / static_cast<double>(a)
-             : 0.0;
-}
-
 bool
 L2Cache::wbhtDecisionsActive() const
 {

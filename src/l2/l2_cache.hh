@@ -128,12 +128,7 @@ class L2Cache : public SimObject, public BusAgent
 
     std::uint64_t demandAccesses() const { return accesses_.value(); }
     std::uint64_t demandHits() const { return hits_.value(); }
-    double hitRate() const;
     std::uint64_t wbIssued() const { return wbIssued_.value(); }
-    std::uint64_t wbSnarfedOutCount() const
-    {
-        return wbSnarfedOut_.value();
-    }
     std::uint64_t wbAbortedByWbht() const
     {
         return wbAbortedByWbht_.value();

@@ -58,15 +58,6 @@ L3Cache::L3Cache(stats::Group *parent, EventQueue &eq, AgentId id,
 {
 }
 
-double
-L3Cache::loadHitRate() const
-{
-    const auto n = loadsServed_.value() + loadsToMemory_.value();
-    return n ? static_cast<double>(loadsServed_.value())
-                   / static_cast<double>(n)
-             : 0.0;
-}
-
 SnoopResponse
 L3Cache::snoop(const BusRequest &req)
 {

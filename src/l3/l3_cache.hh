@@ -86,15 +86,13 @@ class L3Cache : public SimObject, public BusAgent
     TagArray &tags() { return tags_; }
     const L3Params &params() const { return params_; }
 
-    std::uint64_t loadLookups() const { return loadLookups_.value(); }
     std::uint64_t loadHits() const { return loadHits_.value(); }
 
-    /**
-     * "L3 Load Hit Rate" in the paper's sense: of the load misses
-     * that had to be serviced from beyond the L2s (no intervention),
-     * the fraction the L3 caught rather than memory.
-     */
-    double loadHitRate() const;
+    /** Load misses served beyond the L2s (interventions excluded), by
+     * the L3 or by memory: the paper's "L3 Load Hit Rate" is served /
+     * (served + to memory). */
+    std::uint64_t loadsServed() const { return loadsServed_.value(); }
+    std::uint64_t loadsToMemory() const { return loadsToMemory_.value(); }
     std::uint64_t retriesIssued() const
     {
         return retriesIssued_.value();

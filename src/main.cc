@@ -44,6 +44,7 @@
  */
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -60,7 +61,6 @@
 #include "trace/trace_source.hh"
 #include "trace/workload_config.hh"
 #include "trace/workloads_commercial.hh"
-#include "trace/workloads_stress.hh"
 
 using namespace cmpcache;
 
@@ -233,6 +233,61 @@ perCellPath(const std::string &base, std::size_t index,
            + base.substr(dot);
 }
 
+/** Open @p path, a @p what file, for writing; SimException (Io)
+ * naming it if it cannot be. */
+std::ofstream
+openOutput(const std::string &path, const char *what,
+           std::ios::openmode mode = std::ios::out)
+{
+    std::ofstream os(path, mode);
+    if (!os)
+        fail(SimErrorKind::Io, "cannot write ", what, " file '", path,
+             "'");
+    return os;
+}
+
+/**
+ * Fail as openOutput() would, without writing: the probe appends
+ * nothing, so an existing file (or /dev/stdout) is left as it was,
+ * and a file the probe created is removed again. A FIFO is not
+ * probed: opening it would wait for a reader.
+ */
+void
+checkWritable(const std::string &path, const char *what)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (fs::is_fifo(fs::status(path, ec)))
+        return;
+    const bool existed = fs::exists(fs::symlink_status(path, ec));
+    openOutput(path, what, std::ios::app);
+    if (!existed)
+        fs::remove(path, ec);
+}
+
+/**
+ * Check every file a run of @p cells cells will write before the
+ * first cell runs, so a bad path does not throw a finished run away:
+ * --out, --bench-out and each cell's --trace-out and --stats-out.
+ */
+void
+checkOutputPaths(const CliArgs &args, std::size_t cells)
+{
+    const auto out = args.getString("out", "-");
+    if (out != "-" && !out.empty())
+        checkWritable(out, "results");
+    if (args.has("bench-out"))
+        checkWritable(args.getString("bench-out", ""), "bench");
+    const std::string trace_out = args.getString("trace-out", "");
+    const std::string stats_out = args.getString("stats-out", "");
+    for (std::size_t i = 0; i < cells; ++i) {
+        if (!trace_out.empty())
+            checkWritable(perCellPath(trace_out, i, cells), "trace");
+        if (!stats_out.empty())
+            checkWritable(perCellPath(stats_out, i, cells), "stats");
+    }
+}
+
 /**
  * The --trace-out and --stats-out files of @p cells, one per cell;
  * stats dumps go to stderr when --stats-out is not given. A failed
@@ -250,10 +305,7 @@ writeCellOutputs(const CliArgs &args, const char *cmd,
         const SweepJobResult &r = cells[i];
         if (!trace_out.empty()) {
             const auto path = perCellPath(trace_out, i, cells.size());
-            std::ofstream os(path);
-            if (!os)
-                fail(SimErrorKind::Io, "cannot write trace file '", path,
-                     "'");
+            std::ofstream os = openOutput(path, "trace");
             writeChromeTrace(os, r.trace,
                              r.samples.empty() ? nullptr : &r.samples);
             if (!quiet)
@@ -266,10 +318,7 @@ writeCellOutputs(const CliArgs &args, const char *cmd,
             continue;
         }
         const auto path = perCellPath(stats_out, i, cells.size());
-        std::ofstream os(path);
-        if (!os)
-            fail(SimErrorKind::Io, "cannot write stats file '", path, "'");
-        os << r.statsDump;
+        openOutput(path, "stats") << r.statsDump;
         if (!quiet)
             inform(cmd, ": stats written to ", path);
     }
@@ -290,12 +339,13 @@ splitCsv(const std::string &s)
 int
 listMain()
 {
-    std::cout << "commercial workloads:\n";
-    for (const auto &w : workloads::allNames())
-        std::cout << "  " << w << "\n";
-    std::cout << "stress workloads:\n";
-    for (const auto &w : workloads::stressNames())
-        std::cout << "  " << w << "\n";
+    std::string_view family;
+    for (const auto &w : workloads::builtinWorkloads()) {
+        if (w.family != family)
+            std::cout << w.family << " workloads:\n";
+        family = w.family;
+        std::cout << "  " << w.name << "\n";
+    }
     std::cout << "policies:\n";
     for (const auto p : kAllWbPolicies)
         std::cout << "  " << toString(p) << "\n";
@@ -331,6 +381,7 @@ sweepMain(const CliArgs &args)
     const auto threads = args.get("threads", hw);
     if (threads == 0)
         fail(SimErrorKind::Config, "--threads must be positive");
+    checkOutputPaths(args, spec.size());
 
     SweepProgressPrinter progress(std::cerr);
     const bool quiet = args.get("quiet", false);
@@ -351,10 +402,7 @@ sweepMain(const CliArgs &args)
     if (out == "-" || out.empty()) {
         writeSweepResultsJson(std::cout, spec, results);
     } else {
-        std::ofstream os(out);
-        if (!os)
-            fail(SimErrorKind::Io, "cannot write results file '", out,
-                 "'");
+        std::ofstream os = openOutput(out, "results");
         writeSweepResultsJson(os, spec, results);
         if (!quiet)
             inform("sweep: results written to ", out);
@@ -363,9 +411,7 @@ sweepMain(const CliArgs &args)
 
     if (args.has("bench-out")) {
         const auto path = args.getString("bench-out", "");
-        std::ofstream os(path);
-        if (!os)
-            fail(SimErrorKind::Io, "cannot write bench file '", path, "'");
+        std::ofstream os = openOutput(path, "bench");
         writeSweepBenchJson(os, spec, results, threads, wall);
         if (!quiet)
             inform("sweep: bench timing written to ", path);
@@ -454,6 +500,7 @@ serveMain(const CliArgs &args)
     if (refs == 0)
         fail(SimErrorKind::Config, "serve: --refs must be positive");
     cfg.validate();
+    checkOutputPaths(args, 1);
 
     const bool quiet = args.get("quiet", false);
     std::unique_ptr<Simulation> sim;
@@ -495,12 +542,8 @@ serveMain(const CliArgs &args)
 
     const auto out = args.getString("out", "-");
     std::ofstream file;
-    if (out != "-" && !out.empty()) {
-        file.open(out);
-        if (!file)
-            fail(SimErrorKind::Io, "cannot write results file '", out,
-                 "'");
-    }
+    if (out != "-" && !out.empty())
+        file = openOutput(out, "results");
     std::ostream &os = file.is_open() ? file : std::cout;
     os << "{\n  \"schema\": \"cmpcache-serve-result-v1\",\n"
        << "  \"result\":\n";

@@ -100,7 +100,7 @@ Ring::drain()
     const Tick delay = faults_ ? faults_->launchDelay(now) : 0;
     eventq().at(now + params_.snoopLatency + delay,
                 [this, req, enq] { combineNow(req, enq); },
-                "ring-oneshot");
+                "ring-combine");
 
     if (!reqQueue_.empty())
         postDrain(nextLaunch_);
@@ -220,10 +220,10 @@ Ring::combineNow(BusRequest req, Tick enqueued)
     BusAgent *to = agents_[sink];
     if (isWriteBack(req.cmd)) {
         eventq().at(arrive, [to, req] { to->receiveWriteBack(req); },
-                    "ring-oneshot");
+                    "ring-wb-data");
     } else {
         eventq().at(arrive, [to, req, res] { to->receiveData(req, res); },
-                    "ring-oneshot");
+                    "ring-fill-data");
     }
 }
 

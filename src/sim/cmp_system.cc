@@ -31,23 +31,6 @@ WbReuseTracker::observe(const BusRequest &req, const CombinedResult &res)
     }
 }
 
-double
-WbReuseTracker::reusedTotalPct()
-const
-{
-    return totalWb_ ? 100.0 * static_cast<double>(reusedTotal_)
-                          / static_cast<double>(totalWb_)
-                    : 0.0;
-}
-
-double
-WbReuseTracker::reusedAcceptedPct() const
-{
-    return acceptedWb_ ? 100.0 * static_cast<double>(reusedAccepted_)
-                             / static_cast<double>(acceptedWb_)
-                       : 0.0;
-}
-
 namespace
 {
 
@@ -442,101 +425,6 @@ CmpSystem::defaultProbePaths() const
         paths.push_back("fault.snarf_suppressed");
     }
     return paths;
-}
-
-std::uint64_t
-CmpSystem::totalL2WbIssued() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->wbIssued();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalL2Accesses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->demandAccesses();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalL2Hits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->demandHits();
-    return n;
-}
-
-double
-CmpSystem::l2HitRate() const
-{
-    const auto a = totalL2Accesses();
-    return a ? static_cast<double>(totalL2Hits())
-                   / static_cast<double>(a)
-             : 0.0;
-}
-
-std::uint64_t
-CmpSystem::totalSnarfedReceived() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->snarfedReceived();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalSnarfLocalUse() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->snarfedUsedLocally();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalSnarfInterventionUse() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->snarfedUsedForIntervention();
-    return n;
-}
-
-std::uint64_t
-CmpSystem::totalWbSnarfedOut() const
-{
-    std::uint64_t n = 0;
-    for (const auto &l2 : l2s_)
-        n += l2->wbSnarfedOutCount();
-    return n;
-}
-
-double
-CmpSystem::wbhtCorrectFraction() const
-{
-    std::uint64_t correct = 0;
-    std::uint64_t total = 0;
-    for (const auto &l2 : l2s_) {
-        if (const auto *w = l2->wbht()) {
-            correct += w->correct();
-            total += w->decisions();
-        }
-    }
-    return total ? static_cast<double>(correct)
-                       / static_cast<double>(total)
-                 : 0.0;
-}
-
-std::uint64_t
-CmpSystem::offChipAccesses() const
-{
-    // The L3 data arrays and memory are both off chip.
-    return l3_->supplies() + mem_->reads();
 }
 
 } // namespace cmpcache

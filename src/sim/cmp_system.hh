@@ -44,8 +44,8 @@ class WbReuseTracker
 
     std::uint64_t totalWb() const { return totalWb_; }
     std::uint64_t acceptedWb() const { return acceptedWb_; }
-    double reusedTotalPct() const;
-    double reusedAcceptedPct() const;
+    std::uint64_t reusedTotal() const { return reusedTotal_; }
+    std::uint64_t reusedAccepted() const { return reusedAccepted_; }
 
   private:
     std::uint64_t totalWb_ = 0;
@@ -184,19 +184,6 @@ class CmpSystem : public stats::Group
      * docs/observability.md for the full probe inventory.
      */
     std::vector<std::string> defaultProbePaths() const;
-
-    // Aggregates used by the experiment harness
-    std::uint64_t totalL2WbIssued() const;
-    std::uint64_t totalL2Accesses() const;
-    std::uint64_t totalL2Hits() const;
-    double l2HitRate() const;
-    std::uint64_t totalSnarfedReceived() const;
-    std::uint64_t totalSnarfLocalUse() const;
-    std::uint64_t totalSnarfInterventionUse() const;
-    std::uint64_t totalWbSnarfedOut() const;
-    double wbhtCorrectFraction() const;
-    /** Demand lines fetched from off chip (L3 + memory supplies). */
-    std::uint64_t offChipAccesses() const;
 
   private:
     /** Violation-report appendix for the conformance oracle. */

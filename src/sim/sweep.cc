@@ -22,19 +22,12 @@
 #include "stats/sink.hh"
 #include "trace/workload_config.hh"
 #include "trace/workloads_commercial.hh"
-#include "trace/workloads_stress.hh"
 
 namespace cmpcache
 {
 
 namespace
 {
-
-bool
-contains(const std::vector<std::string> &names, const std::string &n)
-{
-    return std::find(names.begin(), names.end(), n) != names.end();
-}
 
 std::string
 fmtSeconds(double s)
@@ -162,30 +155,6 @@ dumpStats(const stats::Group &root, StatsFormat format)
     return dump.str();
 }
 
-bool
-isSweepWorkload(const std::string &name)
-{
-    return contains(workloads::allNames(), name)
-           || contains(workloads::stressNames(), name);
-}
-
-WorkloadParams
-sweepWorkloadByName(const std::string &name,
-                    std::uint64_t records_per_thread,
-                    std::uint64_t seed)
-{
-    if (contains(workloads::allNames(), name))
-        return workloads::byName(name, records_per_thread, seed);
-    if (contains(workloads::stressNames(), name))
-        return workloads::stressByName(name, records_per_thread, seed);
-    throw SimException(
-        SimErrorKind::Config,
-        cstr("unknown sweep workload '", name,
-             "' (commercial: TP, CPW2, NotesBench, Trade2; stress: "
-             "uniform, streaming, pingpong, thrash, "
-             "producer_consumer, migratory, false_sharing)"));
-}
-
 WorkloadParams
 resolveWorkload(const std::string &name,
                 std::uint64_t records_per_thread, std::uint64_t seed,
@@ -193,7 +162,7 @@ resolveWorkload(const std::string &name,
                 const SystemConfig &cfg)
 {
     WorkloadParams params =
-        sweepWorkloadByName(name, records_per_thread, seed);
+        workloads::byName(name, records_per_thread, seed);
     for (const auto &[key, value] : overrides)
         orThrow(applyWorkloadOption(params, key, value));
     params.numThreads = cfg.numThreads();
@@ -234,10 +203,6 @@ SweepSpec::validate() const
         fail("sweep has no outstanding-miss limits");
     if (recordsPerThread == 0)
         fail("sweep needs recordsPerThread > 0");
-    for (const auto &w : workloads) {
-        if (!isSweepWorkload(w))
-            fail(cstr("unknown sweep workload '", w, "'"));
-    }
     for (const auto o : outstanding) {
         if (o == 0)
             fail("outstanding-miss limit must be positive");

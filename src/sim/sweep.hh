@@ -118,8 +118,8 @@ struct SweepSpec
      * names. */
     std::vector<SweepJob> expand() const;
 
-    /** SimException (Config) on empty axes, unknown workloads, or a
-     * base config that fails validation. */
+    /** SimException (Config) on empty axes or a base config that
+     * fails validation. */
     void validate() const;
 };
 
@@ -244,18 +244,6 @@ class SweepProgressPrinter : public SweepObserver
 std::vector<SweepJobResult> runSweep(const SweepSpec &spec,
                                      unsigned num_threads,
                                      SweepObserver *observer = nullptr);
-
-/**
- * Resolve a workload by name across both families: the commercial
- * stand-ins and the stress patterns. SimException (Config) on
- * unknown names.
- */
-WorkloadParams sweepWorkloadByName(const std::string &name,
-                                   std::uint64_t records_per_thread,
-                                   std::uint64_t seed);
-
-/** Is @p name resolvable by sweepWorkloadByName()? */
-bool isSweepWorkload(const std::string &name);
 
 /**
  * The workload a sweep cell or `serve --workload` runs on @p cfg:

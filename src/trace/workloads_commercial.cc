@@ -2,6 +2,7 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "trace/workloads_stress.hh"
 
 namespace cmpcache
 {
@@ -121,30 +122,58 @@ trade2(std::uint64_t records_per_thread, std::uint64_t seed)
     return p;
 }
 
-const std::vector<std::string> &
-allNames()
+namespace
 {
-    static const std::vector<std::string> names = {
-        "CPW2", "NotesBench", "TP", "Trade2"};
-    return names;
+
+// In `cmpcache list` order; the stress patterns at their default
+// shapes.
+constexpr BuiltinWorkload kBuiltins[] = {
+    {"commercial", "CPW2", cpw2},
+    {"commercial", "NotesBench", notesbench},
+    {"commercial", "TP", tp},
+    {"commercial", "Trade2", trade2},
+    {"stress", "uniform",
+     [](auto n, auto seed) { return uniformStress(n, seed); }},
+    {"stress", "streaming", streamingStress},
+    {"stress", "pingpong",
+     [](auto n, auto seed) { return pingpongStress(n, seed); }},
+    {"stress", "thrash",
+     [](auto n, auto seed) { return thrashStress(n, seed); }},
+    {"stress", "producer_consumer",
+     [](auto n, auto seed) { return producerConsumerStress(n, seed); }},
+    {"stress", "migratory",
+     [](auto n, auto seed) { return migratoryStress(n, seed); }},
+    {"stress", "false_sharing",
+     [](auto n, auto seed) { return falseSharingStress(n, seed); }},
+};
+
+} // namespace
+
+std::span<const BuiltinWorkload>
+builtinWorkloads()
+{
+    return kBuiltins;
 }
 
 WorkloadParams
 byName(const std::string &name, std::uint64_t records_per_thread,
        std::uint64_t seed)
 {
-    if (name == "TP")
-        return tp(records_per_thread, seed);
-    if (name == "CPW2")
-        return cpw2(records_per_thread, seed);
-    if (name == "NotesBench")
-        return notesbench(records_per_thread, seed);
-    if (name == "Trade2")
-        return trade2(records_per_thread, seed);
+    for (const auto &w : kBuiltins)
+        if (w.name == name)
+            return w.make(records_per_thread, seed);
+    std::string known;
+    std::string_view family;
+    for (const auto &w : kBuiltins) {
+        if (w.family != family)
+            known += cstr(family.empty() ? "" : "; ", w.family, ": ");
+        else
+            known += ", ";
+        family = w.family;
+        known += w.name;
+    }
     throw SimException(SimErrorKind::Config,
-                       cstr("unknown workload '", name,
-                            "' (expected TP, CPW2, NotesBench or "
-                            "Trade2)"));
+                       cstr("unknown workload '", name, "' (", known, ")"));
 }
 
 } // namespace workloads

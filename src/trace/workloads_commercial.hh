@@ -17,13 +17,17 @@
  *              |                        |             | (>300x per line)
  *
  * See DESIGN.md section 4 for the substitution rationale.
+ *
+ * Also home to the table of every built-in workload, these four and
+ * the stress patterns (trace/workloads_stress.hh), and its lookup.
  */
 
 #ifndef CMPCACHE_TRACE_WORKLOADS_COMMERCIAL_HH
 #define CMPCACHE_TRACE_WORKLOADS_COMMERCIAL_HH
 
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "trace/workload.hh"
 
@@ -47,10 +51,22 @@ WorkloadParams notesbench(std::uint64_t records_per_thread,
 WorkloadParams trade2(std::uint64_t records_per_thread,
                       std::uint64_t seed);
 
-/** Names of all four workloads, in the paper's presentation order. */
-const std::vector<std::string> &allNames();
+/** A built-in workload: its family, its name and its generator. */
+struct BuiltinWorkload
+{
+    std::string_view family; ///< "commercial" or "stress"
+    std::string_view name;
+    WorkloadParams (*make)(std::uint64_t records_per_thread,
+                           std::uint64_t seed);
+};
 
-/** Look up a workload by name; SimException (Config) if unknown. */
+/** Every built-in workload, family by family, as `cmpcache list`
+ * prints them: the four commercial stand-ins, then the seven stress
+ * patterns. */
+std::span<const BuiltinWorkload> builtinWorkloads();
+
+/** Look up a built-in workload by name; SimException (Config) naming
+ * every built-in if unknown. */
 WorkloadParams byName(const std::string &name,
                       std::uint64_t records_per_thread,
                       std::uint64_t seed);

@@ -1,8 +1,5 @@
 #include "trace/workloads_stress.hh"
 
-#include "common/error.hh"
-#include "common/logging.hh"
-
 namespace cmpcache
 {
 namespace workloads
@@ -156,41 +153,6 @@ falseSharingStress(std::uint64_t records_per_thread,
     p.gapMean = 1.0;
     p.phaseLength = 0;
     return p;
-}
-
-const std::vector<std::string> &
-stressNames()
-{
-    static const std::vector<std::string> names = {
-        "uniform",   "streaming",         "pingpong",
-        "thrash",    "producer_consumer", "migratory",
-        "false_sharing"};
-    return names;
-}
-
-WorkloadParams
-stressByName(const std::string &name,
-             std::uint64_t records_per_thread, std::uint64_t seed)
-{
-    if (name == "uniform")
-        return uniformStress(records_per_thread, seed);
-    if (name == "streaming")
-        return streamingStress(records_per_thread, seed);
-    if (name == "pingpong")
-        return pingpongStress(records_per_thread, seed);
-    if (name == "thrash")
-        return thrashStress(records_per_thread, seed);
-    if (name == "producer_consumer")
-        return producerConsumerStress(records_per_thread, seed);
-    if (name == "migratory")
-        return migratoryStress(records_per_thread, seed);
-    if (name == "false_sharing")
-        return falseSharingStress(records_per_thread, seed);
-    throw SimException(
-        SimErrorKind::Config,
-        cstr("unknown stress pattern '", name,
-             "' (expected uniform, streaming, pingpong, thrash, "
-             "producer_consumer, migratory or false_sharing)"));
 }
 
 } // namespace workloads

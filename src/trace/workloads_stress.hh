@@ -33,9 +33,6 @@
 #ifndef CMPCACHE_TRACE_WORKLOADS_STRESS_HH
 #define CMPCACHE_TRACE_WORKLOADS_STRESS_HH
 
-#include <string>
-#include <vector>
-
 #include "trace/workload.hh"
 
 namespace cmpcache
@@ -70,14 +67,6 @@ WorkloadParams migratoryStress(std::uint64_t records_per_thread,
 WorkloadParams falseSharingStress(std::uint64_t records_per_thread,
                                   std::uint64_t seed,
                                   std::uint64_t shared_lines = 16);
-
-/** Names of the stress patterns ("uniform", "streaming", ...). */
-const std::vector<std::string> &stressNames();
-
-/** Lookup by name; SimException (Config) if unknown. */
-WorkloadParams stressByName(const std::string &name,
-                            std::uint64_t records_per_thread,
-                            std::uint64_t seed);
 
 } // namespace workloads
 } // namespace cmpcache

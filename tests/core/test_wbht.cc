@@ -56,7 +56,6 @@ TEST_F(WbhtTest, AccuracyScoring)
 
     EXPECT_EQ(wbht_->decisions(), 4u);
     EXPECT_EQ(wbht_->correct(), 2u);
-    EXPECT_DOUBLE_EQ(wbht_->correctFraction(), 0.5);
 }
 
 TEST_F(WbhtTest, DivergenceByCapacityIsTolerated)

@@ -25,7 +25,7 @@ namespace
 WorkloadParams
 thrashWorkload()
 {
-    return workloads::stressByName("thrash", 1500, 7);
+    return workloads::thrashStress(1500, 7);
 }
 
 /** A longer storm for the retry-gate tests: enough write backs that
@@ -33,7 +33,7 @@ thrashWorkload()
 WorkloadParams
 longThrashWorkload()
 {
-    return workloads::stressByName("thrash", 6000, 7);
+    return workloads::thrashStress(6000, 7);
 }
 
 /**
@@ -204,24 +204,16 @@ TEST(FaultInjection, DisableWbhtWindowSuppressesAborts)
 TEST(FaultInjection, DropSnarfWindowSuppressesSnarfWins)
 {
     SystemConfig cfg = tunedConfig(WbPolicy::Snarf);
-    const auto clean = [&] {
-        Simulation sim(cfg, pingpongWorkload());
-        sim.run();
-        return sim.system().totalWbSnarfedOut();
-    }();
-    ASSERT_GT(clean, 0u);
+    ASSERT_GT(Simulation(cfg, pingpongWorkload()).run().wbSnarfedPct, 0.0);
 
     SystemConfig drop = cfg;
     drop.fault.plan = "drop_snarf:0:end";
-    Simulation a(drop, pingpongWorkload());
-    a.run();
-    EXPECT_EQ(a.system().totalWbSnarfedOut(), 0u);
+    EXPECT_EQ(Simulation(drop, pingpongWorkload()).run().wbSnarfedPct, 0.0);
 
     SystemConfig disable = cfg;
     disable.fault.plan = "disable_snarf:0:end";
-    Simulation b(disable, pingpongWorkload());
-    b.run();
-    EXPECT_EQ(b.system().totalWbSnarfedOut(), 0u);
+    EXPECT_EQ(Simulation(disable, pingpongWorkload()).run().wbSnarfedPct,
+              0.0);
 }
 
 TEST(FaultInjection, DelayWindowStretchesTheRun)

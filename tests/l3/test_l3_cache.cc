@@ -207,7 +207,8 @@ TEST_F(L3Test, LoadHitRateUsesServedSemantics)
     memdata.resp = CombinedResp::MemData;
     l3_->observeCombined(miss_rq, memdata);
 
-    EXPECT_DOUBLE_EQ(l3_->loadHitRate(), 0.5);
+    EXPECT_EQ(l3_->loadsServed(), 1u);
+    EXPECT_EQ(l3_->loadsToMemory(), 1u);
 }
 
 TEST_F(L3Test, SquashConsumesQueueBriefly)

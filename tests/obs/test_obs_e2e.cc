@@ -12,7 +12,7 @@
 #include <algorithm>
 
 #include "sim/simulation.hh"
-#include "sim/sweep.hh"
+#include "trace/workloads_stress.hh"
 
 using namespace cmpcache;
 
@@ -37,8 +37,7 @@ TEST(ObsE2eTest, ThrashGateTransitionsTrackRetryWindowCrossings)
     cfg.obs.sampleEvery = 5000;
     cfg.obs.traceEnabled = true;
 
-    Simulation sim(cfg,
-                   sweepWorkloadByName("thrash", 4000, /*seed=*/1));
+    Simulation sim(cfg, workloads::thrashStress(4000, /*seed=*/1));
     sim.run();
 
     ASSERT_TRUE(sim.sampled());
@@ -96,15 +95,13 @@ TEST(ObsE2eTest, ThrashGateTransitionsTrackRetryWindowCrossings)
 TEST(ObsE2eTest, SamplingOffLeavesResultsUntouched)
 {
     SystemConfig plain_cfg;
-    Simulation plain(plain_cfg,
-                     sweepWorkloadByName("thrash", 2000, 1));
+    Simulation plain(plain_cfg, workloads::thrashStress(2000, 1));
     const ExperimentResult base = plain.run();
 
     SystemConfig sampled_cfg;
     sampled_cfg.obs.sampleEvery = 1000;
     sampled_cfg.obs.traceEnabled = true;
-    Simulation sampled(sampled_cfg,
-                       sweepWorkloadByName("thrash", 2000, 1));
+    Simulation sampled(sampled_cfg, workloads::thrashStress(2000, 1));
     const ExperimentResult with_obs = sampled.run();
 
     // Sampling and tracing are pure observers: the simulated outcome

@@ -332,7 +332,7 @@ TEST(CmpSystem, SnarfMovesWriteBackToPeer)
 
     CmpSystem sys(cfg, bundleOf({dirtySnarfScenario(), {}}));
     sys.run();
-    EXPECT_GE(sys.totalSnarfedReceived(), 1u);
+    EXPECT_GE(sys.l2(1).snarfedReceived(), 1u);
     // The snarfed dirty copy lives in the peer L2 as Modified.
     const TagEntry *e = sys.l2(1).tags().peek(0x0);
     ASSERT_NE(e, nullptr);
@@ -351,7 +351,7 @@ TEST(CmpSystem, SnarfedLineServicesLaterMissAsIntervention)
     refs.push_back(ld(0x0, 0, 8000)); // miss: snarfed copy intervenes
     CmpSystem sys(cfg, bundleOf({refs, {}}));
     sys.run();
-    EXPECT_GE(sys.totalSnarfInterventionUse(), 1u);
+    EXPECT_GE(sys.l2(1).snarfedUsedForIntervention(), 1u);
 }
 
 TEST(CmpSystem, CleanWbFromL3ResidentLineIsSquashedNotSnarfed)
@@ -370,7 +370,8 @@ TEST(CmpSystem, CleanWbFromL3ResidentLineIsSquashedNotSnarfed)
     }
     CmpSystem sys(cfg, bundleOf({refs, {}}));
     sys.run();
-    EXPECT_EQ(sys.totalSnarfedReceived(), 0u);
+    EXPECT_EQ(sys.l2(0).snarfedReceived(), 0u);
+    EXPECT_EQ(sys.l2(1).snarfedReceived(), 0u);
     EXPECT_GE(sys.l3().cleanWbAlreadyValid(), 1u);
 }
 
@@ -421,7 +422,7 @@ TEST(CmpSystem, ReuseTrackerCountsReuse)
     // A's write back is reused (refetch); the eviction caused by the
     // refetch adds a second, unreused write back.
     EXPECT_GE(sys.reuseTracker()->totalWb(), 1u);
-    EXPECT_GT(sys.reuseTracker()->reusedTotalPct(), 0.0);
+    EXPECT_GE(sys.reuseTracker()->reusedTotal(), 1u);
 }
 
 TEST(CmpSystem, FinishedAfterRun)

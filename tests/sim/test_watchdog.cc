@@ -22,7 +22,7 @@ namespace
 WorkloadParams
 smallWorkload()
 {
-    return workloads::stressByName("thrash", 1000, 7);
+    return workloads::thrashStress(1000, 7);
 }
 
 /** A plan that NACKs every transaction forever: nothing can ever

@@ -6,7 +6,6 @@
 #include "sim/sweep.hh"
 #include "trace/workload_config.hh"
 #include "trace/workloads_commercial.hh"
-#include "trace/workloads_stress.hh"
 
 using namespace cmpcache;
 
@@ -126,13 +125,9 @@ TEST(WorkloadConfig, ConfiguredWorkloadGenerates)
 
 TEST(WorkloadConfig, BuiltInWorkloadsPassTheRangeCheck)
 {
-    std::vector<std::string> names = workloads::allNames();
-    for (const auto &n : workloads::stressNames())
-        names.push_back(n);
-    for (const auto &name : names) {
-        const auto errs =
-            workloadParamErrors(sweepWorkloadByName(name, 100, 1));
-        EXPECT_TRUE(errs.empty()) << name << ": " << errs.front();
+    for (const auto &w : workloads::builtinWorkloads()) {
+        const auto errs = workloadParamErrors(w.make(100, 1));
+        EXPECT_TRUE(errs.empty()) << w.name << ": " << errs.front();
     }
 }
 

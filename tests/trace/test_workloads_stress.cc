@@ -7,7 +7,8 @@
 #include <set>
 
 #include "config_error.hh"
-#include "sim/cmp_system.hh"
+#include "sim/experiment.hh"
+#include "trace/workloads_commercial.hh"
 #include "trace/workloads_stress.hh"
 
 using namespace cmpcache;
@@ -15,16 +16,20 @@ using namespace cmpcache::workloads;
 
 TEST(Stress, AllNamesResolve)
 {
-    for (const auto &name : stressNames()) {
-        const auto p = stressByName(name, 100, 1);
-        EXPECT_EQ(p.name, name);
+    unsigned n = 0;
+    for (const auto &w : builtinWorkloads()) {
+        if (w.family != "stress")
+            continue;
+        ++n;
+        EXPECT_EQ(byName(std::string(w.name), 100, 1).name, w.name);
     }
+    EXPECT_EQ(n, 7u);
 }
 
 TEST(StressDeath, UnknownNameIsFatal)
 {
-    EXPECT_TRUE(throwsNaming([] { stressByName("chaos", 100, 1); },
-                             "unknown stress"));
+    EXPECT_TRUE(throwsNaming([] { byName("chaos", 100, 1); },
+                             "unknown workload 'chaos'"));
 }
 
 TEST(Stress, StreamingNeverRepeatsWithinWindow)
@@ -138,6 +143,6 @@ TEST(StressSystem, StreamingGoesToMemory)
     auto sys = makeRun(streamingStress(4000, 1));
     sys->run();
     // Nearly every miss is cold: memory supplies, the L3 serves ~none.
-    EXPECT_LT(sys->l3().loadHitRate(), 0.05);
+    EXPECT_LT(collectResult(*sys, 0, "streaming").l3LoadHitRatePct, 5.0);
     EXPECT_GT(sys->mem().reads(), 3000u);
 }
